@@ -66,7 +66,7 @@ def _add_param_flags(p) -> None:
     p.add_argument("--offset-width", type=int, default=2, help="octets per base+offset entry")
     p.add_argument("--block-len", type=int, default=16, help="positions per base+offset block")
     p.add_argument("--s-bits", type=int, default=16, help="bits per difference entry")
-    p.add_argument("--stride", type=int, default=16, help="accelerator sampling stride")
+    p.add_argument("--stride", type=int, default=16, help="a checkpoint every N jumps")
 
 
 def cmd_gen(args) -> int:

@@ -5,16 +5,21 @@ sum wherever a gap overflows the difference width) next to the per-cell
 difference sequence.  The first difference is zero by definition and is
 carried by the first jump.
 
-Point queries binary-search the jumps at sampled stride positions, then scan
-differences forward, switching to the next jump whenever a zero difference
-comes up.  The sampled accelerator (and, for DHC, the stream anchors) are
-never serialized; they are rebuilt in one pass over the stored differences
-when a header is loaded.
+Point queries binary-search a checkpoint table, then scan differences forward
+from the checkpoint, switching to the next jump whenever a zero difference
+comes up.  The table has an entry at every `stride`-th jump and at every
+CHECKPOINT_CELLS-th cell, so a lookup decodes fewer than CHECKPOINT_CELLS
+differences however rarely a gap overflows.  The table is never serialized:
+a build fills it from the arrays it already holds, and a load rebuilds it in
+one pass over the stored differences.
 """
 
 from __future__ import annotations
 
 import struct
+import sys
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -25,19 +30,17 @@ from .huffman import BitStream, CodeBook, Decoder, build_codebook, encode_sequen
 
 VERSION = 1
 
+# Cells between two checkpoints at most.  Each checkpoint costs 24 resident
+# octets (DSC) or 32 (DHC); at 128 a DHC store stays within 5% of its disk size.
+CHECKPOINT_CELLS = 128
+
 _MAGIC_DSC = b"DSCH"
 _MAGIC_DHC = b"DHCH"
 
 
-def build_difference_sequence(
+def _difference_arrays(
     positions: Sequence[int], diff_bits: int
-) -> tuple[list[int], list[int], list[int]]:
-    """Split a strictly increasing sequence into (diffs, jumps, jump indices).
-
-    diffs[i] is the gap to the previous position when it fits diff_bits bits,
-    else 0; diffs[0] is always 0.  jumps holds the absolute position behind
-    every zero diff, and the returned indices locate those zeros.
-    """
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if not 1 <= diff_bits <= 32:
         raise ValueError("difference width must be 1..32 bits")
     arr = np.asarray(positions, dtype=np.uint64)
@@ -53,7 +56,19 @@ def build_difference_sequence(
     jump_idx = np.concatenate(
         [np.zeros(1, dtype=np.int64), np.flatnonzero(over) + 1]
     )
-    jumps = arr[jump_idx]
+    return diffs, arr[jump_idx], jump_idx
+
+
+def build_difference_sequence(
+    positions: Sequence[int], diff_bits: int
+) -> tuple[list[int], list[int], list[int]]:
+    """Split a strictly increasing sequence into (diffs, jumps, jump indices).
+
+    diffs[i] is the gap to the previous position when it fits diff_bits bits,
+    else 0; diffs[0] is always 0.  jumps holds the absolute position behind
+    every zero diff, and the returned indices locate those zeros.
+    """
+    diffs, jumps, jump_idx = _difference_arrays(positions, diff_bits)
     return diffs.tolist(), jumps.tolist(), jump_idx.tolist()
 
 
@@ -65,19 +80,9 @@ def pack_diffs(values: Sequence[int], diff_bits: int) -> bytes:
         return np.asarray(values, dtype="<u2").tobytes()
     if diff_bits == 32:
         return np.asarray(values, dtype="<u4").tobytes()
-    out = bytearray()
-    acc = 0
-    nbits = 0
-    for v in values:
-        acc |= int(v) << nbits
-        nbits += diff_bits
-        while nbits >= 8:
-            out.append(acc & 0xFF)
-            acc >>= 8
-            nbits -= 8
-    if nbits:
-        out.append(acc & 0xFF)
-    return bytes(out)
+    octets = np.asarray(values, dtype="<u4").view(np.uint8).reshape(-1, 4)
+    bits = np.unpackbits(octets, axis=1, bitorder="little")
+    return np.packbits(bits[:, :diff_bits], bitorder="little").tobytes()
 
 
 def packed_size(count: int, diff_bits: int) -> int:
@@ -105,47 +110,100 @@ def make_diff_reader(data: bytes, diff_bits: int) -> Callable[[int], int]:
     return read
 
 
+def _diff_array(data: bytes, diff_bits: int, count: int) -> np.ndarray:
+    """The first `count` packed differences as a uint64 array."""
+    if diff_bits in (8, 16, 32):
+        raw = np.frombuffer(data, dtype=f"<u{diff_bits // 8}", count=count)
+        return raw.astype(np.uint64)
+    bits = np.unpackbits(
+        np.frombuffer(data, dtype=np.uint8), count=count * diff_bits, bitorder="little"
+    ).reshape(count, diff_bits)
+    wide = np.zeros((count, 32), dtype=np.uint8)
+    wide[:, :diff_bits] = bits
+    words = np.packbits(wide, axis=1, bitorder="little").view("<u4")
+    return words.ravel().astype(np.uint64)
+
+
 def unpack_diffs(data: bytes, diff_bits: int, count: int) -> list[int]:
-    if diff_bits == 8:
-        return np.frombuffer(data, dtype="<u1", count=count).tolist()
-    if diff_bits == 16:
-        return np.frombuffer(data, dtype="<u2", count=count).tolist()
-    if diff_bits == 32:
-        return np.frombuffer(data, dtype="<u4", count=count).tolist()
-    read = make_diff_reader(data, diff_bits)
-    return [read(i) for i in range(count)]
+    return _diff_array(data, diff_bits, count).tolist()
 
 
-def _pack_jumps(jumps: list[int], entry_width: int) -> bytes:
+def _u64(values) -> array:
+    """A compact array('Q') holding `values` (any integer numpy array)."""
+    out = array("Q")
+    out.frombytes(np.ascontiguousarray(values, dtype=np.uint64).tobytes())
+    return out
+
+
+def _pack_jumps(jumps: array, entry_width: int) -> bytes:
     if entry_width == 8:
-        return np.asarray(jumps, dtype="<u8").tobytes()
+        return np.frombuffer(jumps, dtype=np.uint64).astype("<u8").tobytes()
     return b"".join(int(j).to_bytes(entry_width, "little") for j in jumps)
 
 
-def _unpack_jumps(data: bytes, offset: int, entry_width: int, count: int) -> list[int]:
+def _unpack_jumps(data: bytes, offset: int, entry_width: int, count: int) -> array:
     end = offset + entry_width * count
     if end > len(data):
         raise FormatError("truncated jump sequence")
     if entry_width == 8:
-        return np.frombuffer(data, dtype="<u8", count=count, offset=offset).tolist()
-    return [
+        jumps = array("Q", data[offset:end])
+        if sys.byteorder == "big":
+            jumps.byteswap()
+        return jumps
+    return array("Q", (
         int.from_bytes(data[offset + i * entry_width : offset + (i + 1) * entry_width], "little")
         for i in range(count)
-    ]
+    ))
 
 
-def _sampled_floor(jumps: list[int], stride: int, position: int) -> int:
-    """Largest sampled slot m with jumps[m*stride] <= position, or -1."""
-    if position < jumps[0]:
-        return -1
-    lo, hi = 0, (len(jumps) - 1) // stride
-    while lo < hi:
-        mid = (lo + hi + 1) >> 1
-        if jumps[mid * stride] <= position:
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo
+@dataclass
+class Checkpoints:
+    """Where a scan may start, one entry per checkpointed cell, by cell.
+
+    Entry e: cell `cell[e]` sits at absolute position `pos[e]` in the run of
+    jump `jump[e]`.  For DHC, `bit[e]` is the stream bit offset right after
+    that cell's code, so a decoder started there yields the next difference.
+    Positions go up to 2**64 - 1, so every column is unsigned 64-bit.
+    """
+
+    pos: array
+    cell: array
+    jump: array
+    bit: array = field(default_factory=lambda: array("Q"))
+
+    def memory_bytes(self) -> int:
+        return sum(c.itemsize * len(c) for c in (self.pos, self.cell, self.jump, self.bit))
+
+
+def _positions_at(
+    cells: np.ndarray, diffs: np.ndarray, jump_idx: np.ndarray, jumps: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Absolute positions of `cells`, and the jump whose run holds each one."""
+    run = np.searchsorted(jump_idx, cells, side="right") - 1
+    total = np.cumsum(diffs, dtype=np.uint64)
+    return jumps[run] + (total[cells] - total[jump_idx[run]]), run
+
+
+def _checkpoints_from_arrays(
+    diffs: np.ndarray, jump_idx: np.ndarray, jumps: np.ndarray, stride: int
+) -> Checkpoints:
+    """The checkpoint table, without DHC bit offsets, from the numpy arrays.
+
+    Entries sit at every stride-th jump and every CHECKPOINT_CELLS-th cell.
+    """
+    every_k = np.arange(0, diffs.size, CHECKPOINT_CELLS, dtype=np.int64)
+    cells = np.union1d(every_k, jump_idx[::stride])
+    pos, run = _positions_at(cells, diffs, jump_idx, jumps)
+    return Checkpoints(_u64(pos), _u64(cells), _u64(run))
+
+
+def _jump_indices(diffs: np.ndarray, n_jumps: int) -> np.ndarray:
+    zero_idx = np.flatnonzero(diffs == 0)
+    if zero_idx.size != n_jumps:
+        raise CorruptStreamError(f"{zero_idx.size} zero differences but {n_jumps} jumps")
+    if zero_idx.size and zero_idx[0] != 0:
+        raise CorruptStreamError("first difference is not zero")
+    return zero_idx
 
 
 @dataclass
@@ -156,33 +214,30 @@ class DscHeader:
     entry_width: int
     stride: int
     count: int
-    jumps: list[int]
+    jumps: array
     diff_data: bytes
-    accel: list[int] = field(default_factory=list)  # sampled, rebuilt on load
+    checkpoints: Checkpoints | None = field(default=None, repr=False)  # rebuilt on load
     _reader: Callable[[int], int] | None = field(
         default=None, repr=False, compare=False
     )
 
     def __post_init__(self):
-        if not self.accel:
-            self.accel = self.rebuild_accel()
+        if self.checkpoints is None:
+            # One vectorised pass over the stored differences.
+            self.checkpoints = _checkpoints_from_arrays(*self._arrays(), self.stride)
 
     def _diff_reader(self) -> Callable[[int], int]:
         if self._reader is None:
             self._reader = make_diff_reader(self.diff_data, self.diff_bits)
         return self._reader
 
-    def rebuild_accel(self) -> list[int]:
-        """One pass over the stored differences; zeros mark the jumps."""
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Differences, the cells of their zeros and the jumps, as numpy arrays."""
         if len(self.diff_data) < packed_size(self.count, self.diff_bits):
             raise CorruptStreamError("difference data shorter than declared count")
-        diffs = unpack_diffs(self.diff_data, self.diff_bits, self.count)
-        zero_idx = [i for i, d in enumerate(diffs) if d == 0]
-        if len(zero_idx) != len(self.jumps):
-            raise CorruptStreamError(
-                f"{len(zero_idx)} zero differences but {len(self.jumps)} jumps"
-            )
-        return zero_idx[:: self.stride]
+        diffs = _diff_array(self.diff_data, self.diff_bits, self.count)
+        jump_idx = _jump_indices(diffs, len(self.jumps))
+        return diffs, jump_idx, np.frombuffer(self.jumps, dtype=np.uint64)
 
     def size_bytes(self) -> int:
         return packed_size(self.count, self.diff_bits) + self.entry_width * len(
@@ -190,21 +245,22 @@ class DscHeader:
         )
 
     def memory_bytes(self) -> int:
-        return self.size_bytes() + self.entry_width * len(self.accel)
+        return self.size_bytes() + self.checkpoints.memory_bytes()
 
     def lookup(self, position: int) -> int | None:
-        jumps = self.jumps
-        m = _sampled_floor(jumps, self.stride, position)
+        cp = self.checkpoints
+        m = bisect_right(cp.pos, position) - 1
         if m < 0:
             return None
-        k = m * self.stride
-        cur = jumps[k]
+        i = cp.cell[m]
+        cur = cp.pos[m]
         if cur == position:
-            return self.accel[m]
+            return i
+        limit = cp.cell[m + 1] if m + 1 < len(cp.cell) else self.count
+        jumps = self.jumps
+        k = cp.jump[m]
         read = self._diff_reader()
-        n = self.count
-        i = self.accel[m] + 1
-        while i < n:
+        for i in range(i + 1, limit):
             d = read(i)
             if d == 0:
                 k += 1
@@ -215,22 +271,11 @@ class DscHeader:
                 cur += d
             if cur >= position:
                 return i if cur == position else None
-            i += 1
         return None
 
     def positions(self) -> list[int]:
-        diffs = unpack_diffs(self.diff_data, self.diff_bits, self.count)
-        out = []
-        cur = 0
-        k = -1
-        for d in diffs:
-            if d == 0:
-                k += 1
-                cur = self.jumps[k]
-            else:
-                cur += d
-            out.append(cur)
-        return out
+        cells = np.arange(self.count, dtype=np.int64)
+        return _positions_at(cells, *self._arrays())[0].tolist()
 
     def to_bytes(self) -> bytes:
         head = _MAGIC_DSC + bytes([VERSION])
@@ -253,6 +298,8 @@ class DscHeader:
         entry_width, diff_bits, stride, count, n_jumps = struct.unpack_from(
             "<QQQQQ", data, 5
         )
+        if stride < 1:
+            raise FormatError("checkpoint stride must be positive")
         off = 45
         jumps = _unpack_jumps(data, off, entry_width, n_jumps)
         off += entry_width * n_jumps
@@ -269,15 +316,15 @@ def build_dsc(
     entry_width: int = 8,
     stride: int = 16,
 ) -> DscHeader:
-    diffs, jumps, jump_idx = build_difference_sequence(positions, diff_bits)
+    diffs, jumps, jump_idx = _difference_arrays(positions, diff_bits)
     return DscHeader(
         diff_bits,
         entry_width,
         stride,
-        len(diffs),
-        jumps,
+        diffs.size,
+        _u64(jumps),
         pack_diffs(diffs, diff_bits),
-        accel=jump_idx[::stride],
+        checkpoints=_checkpoints_from_arrays(diffs, jump_idx, jumps, stride),
     )
 
 
@@ -290,54 +337,70 @@ class DhcHeader:
     """Jump sequence plus the Huffman code of the difference sequence.
 
     The stream encodes diffs 1..count-1 (the leading zero is implied by the
-    first jump).  byte_pos/bit_pos anchor, per sampled jump, the stream
-    position right after that jump's zero diff, so a decoder initialized
-    there yields the following difference first.
+    first jump).  The checkpoint table carries, per entry, the stream bit
+    offset right after that cell's code.
     """
 
     diff_bits: int
     entry_width: int
     stride: int
     count: int
-    jumps: list[int]
+    jumps: array
     codebook: CodeBook | None
     stream: BitStream
-    accel: list[int] = field(default_factory=list)
-    byte_pos: list[int] = field(default_factory=list)
-    bit_pos: list[int] = field(default_factory=list)
+    checkpoints: Checkpoints | None = field(default=None, repr=False)  # rebuilt on load
 
     def __post_init__(self):
-        if not self.accel:
-            self.accel, self.byte_pos, self.bit_pos = self.rebuild_aux()
+        if self.checkpoints is None:
+            self.checkpoints = self._decode_checkpoints()
 
-    def rebuild_aux(self) -> tuple[list[int], list[int], list[int]]:
-        """Decode the stream once, rebuilding sampled accel/byte/bit arrays."""
-        accel = [0]
-        anchors = [(0, 0)]
-        if self.count > 1:
+    def _decode_checkpoints(self) -> Checkpoints:
+        """Decode the stream once, taking the checkpoints on the way."""
+        jumps, stride, n = self.jumps, self.stride, self.count
+        if not jumps:
+            raise CorruptStreamError("empty jump sequence")
+        cells, pos, runs, bits = [0], [jumps[0]], [0], [0]
+        k = 0
+        if n > 1:
             if self.codebook is None:
                 raise CorruptStreamError("missing codebook for a multi-cell stream")
             dec = Decoder(self.codebook, self.stream, 0, 0)
-            for i in range(self.count - 1):
-                sym = dec.decode_next()
-                if sym is None:
-                    raise CorruptStreamError("stream ended before declared count")
-                if sym == 0:
-                    t = dec.bit_position
-                    accel.append(i + 1)
-                    anchors.append((t >> 3, t & 7))
-            if self.stream.bit_length - dec.bit_position >= 8:
+            decode = dec.decode_next
+            cur = jumps[0]
+            # Chunks of CHECKPOINT_CELLS cells keep the per-cell loop free of
+            # the cell-count test.
+            for start in range(0, n - 1, CHECKPOINT_CELLS):
+                stop = min(start + CHECKPOINT_CELLS, n - 1)
+                for cell in range(start + 1, stop + 1):
+                    sym = decode()
+                    if sym is None:
+                        raise CorruptStreamError("stream ended before declared count")
+                    if sym == 0:
+                        k += 1
+                        if k >= len(jumps):
+                            raise CorruptStreamError("more zero differences than jumps")
+                        cur = jumps[k]
+                        if k % stride == 0:
+                            cells.append(cell)
+                            pos.append(cur)
+                            runs.append(k)
+                            bits.append(dec.pos)
+                    else:
+                        cur += sym
+                if stop % CHECKPOINT_CELLS == 0 and cells[-1] != stop:
+                    cells.append(stop)
+                    pos.append(cur)
+                    runs.append(k)
+                    bits.append(dec.pos)
+            if self.stream.bit_length - dec.pos >= 8:
                 raise CorruptStreamError("trailing data after final code")
-        if len(accel) != len(self.jumps):
-            raise CorruptStreamError(
-                f"{len(accel)} zero differences but {len(self.jumps)} jumps"
-            )
-        s = self.stride
-        return (
-            accel[::s],
-            [a[0] for a in anchors[::s]],
-            [a[1] for a in anchors[::s]],
-        )
+        if k + 1 != len(jumps):
+            raise CorruptStreamError(f"{k + 1} zero differences but {len(jumps)} jumps")
+        try:
+            return Checkpoints(array("Q", pos), array("Q", cells), array("Q", runs),
+                               array("Q", bits))
+        except OverflowError as exc:
+            raise CorruptStreamError("position beyond 64 bits") from exc
 
     def codebook_bytes(self) -> int:
         return self.codebook.size_bytes() if self.codebook else 0
@@ -354,29 +417,30 @@ class DhcHeader:
         )
 
     def memory_bytes(self) -> int:
-        aux = len(self.accel) * (2 * self.entry_width + 1)
         tables = self.codebook.decode_table_bytes() if self.codebook else 0
-        return self.size_bytes() + aux + tables
+        return self.size_bytes() + self.checkpoints.memory_bytes() + tables
 
     def lookup(self, position: int) -> int | None:
-        jumps = self.jumps
-        m = _sampled_floor(jumps, self.stride, position)
+        cp = self.checkpoints
+        m = bisect_right(cp.pos, position) - 1
         if m < 0:
             return None
-        k = m * self.stride
-        cur = jumps[k]
-        idx = self.accel[m]
+        idx = cp.cell[m]
+        cur = cp.pos[m]
         if cur == position:
             return idx
-        if self.codebook is None:
+        limit = cp.cell[m + 1] if m + 1 < len(cp.cell) else self.count
+        if idx + 1 >= limit:
             return None
+        jumps = self.jumps
+        k = cp.jump[m]
         # Inlined table-driven decode: scans dominate point-query cost, so the
         # general Decoder is only consulted for codes past the table width.
         first, count, offset, syms, w, lut = self.codebook._tables()
         data = self.stream.data
         bits = self.stream.bit_length
         end = len(data)
-        pos = self.byte_pos[m] * 8 + self.bit_pos[m]
+        pos = cp.bit[m]
         cursor = pos >> 3
         buf = 0
         fill = 0
@@ -385,8 +449,7 @@ class DhcHeader:
             buf = data[cursor] & (0xFF >> lead)
             fill = 8 - lead
             cursor += 1
-        n = self.count
-        while idx + 1 < n:
+        while idx + 1 < limit:
             if pos >= bits:
                 raise CorruptStreamError("stream ended before declared count")
             if fill < w:
@@ -396,7 +459,7 @@ class DhcHeader:
                     fill += 8
             entry = lut[buf >> (fill - w)]
             if entry is None:
-                return self._scan_from(position, pos, idx, k, cur)
+                return self._scan_from(position, pos, idx, limit, k, cur)
             d, ln = entry
             if ln > bits - pos:
                 raise CorruptStreamError("code truncated at end of stream")
@@ -415,13 +478,12 @@ class DhcHeader:
                 return idx if cur == position else None
         return None
 
-    def _scan_from(self, position, pos, idx, k, cur) -> int | None:
+    def _scan_from(self, position, pos, idx, limit, k, cur) -> int | None:
         # Continue the scan through the general decoder (long codes).
         jumps = self.jumps
         dec = Decoder(self.codebook, self.stream, pos >> 3, pos & 7)
         decode = dec.decode_next
-        n = self.count
-        while idx + 1 < n:
+        while idx + 1 < limit:
             d = decode()
             if d is None:
                 raise CorruptStreamError("stream ended before declared count")
@@ -479,6 +541,8 @@ class DhcHeader:
         entry_width, diff_bits, stride, count, n_jumps, bit_length = struct.unpack_from(
             "<QQQQQQ", data, 5
         )
+        if stride < 1:
+            raise FormatError("checkpoint stride must be positive")
         off = 53
         jumps = _unpack_jumps(data, off, entry_width, n_jumps)
         off += entry_width * n_jumps
@@ -502,8 +566,8 @@ def build_dhc(
     entry_width: int = 8,
     stride: int = 16,
 ) -> DhcHeader:
-    diffs, jumps, jump_idx = build_difference_sequence(positions, diff_bits)
-    symbols = diffs[1:]
+    diffs, jumps, jump_idx = _difference_arrays(positions, diff_bits)
+    symbols = diffs[1:].tolist()
     if symbols:
         freqs: dict[int, int] = {}
         for s in symbols:
@@ -514,30 +578,21 @@ def build_dhc(
         codebook = None
         stream = BitStream(b"", 0)
         ends = []
-    anchors = [(0, 0) if a == 0 else ends[a - 1] for a in jump_idx]
-    sampled = anchors[::stride]
+    checkpoints = _checkpoints_from_arrays(diffs, jump_idx, jumps, stride)
+    for c in checkpoints.cell:
+        byte, bit = ends[c - 1] if c else (0, 0)
+        checkpoints.bit.append(8 * byte + bit)
     return DhcHeader(
         diff_bits,
         entry_width,
         stride,
-        len(diffs),
-        jumps,
+        diffs.size,
+        _u64(jumps),
         codebook,
         stream,
-        accel=jump_idx[::stride],
-        byte_pos=[a[0] for a in sampled],
-        bit_pos=[a[1] for a in sampled],
+        checkpoints=checkpoints,
     )
 
 
 def lookup_dhc(header: DhcHeader, position: int) -> int | None:
     return header.lookup(position)
-
-
-def rebuild_accelerators(header: DscHeader | DhcHeader):
-    """Repopulate the sampled in-memory arrays from the stored differences."""
-    if isinstance(header, DscHeader):
-        header.accel = header.rebuild_accel()
-        return header.accel
-    header.accel, header.byte_pos, header.bit_pos = header.rebuild_aux()
-    return header.accel, header.byte_pos, header.bit_pos

@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sparsecube import diffseq
 from sparsecube.diffseq import (
     DhcHeader,
     DscHeader,
@@ -12,7 +13,6 @@ from sparsecube.diffseq import (
     lookup_dhc,
     lookup_dsc,
     pack_diffs,
-    rebuild_accelerators,
     unpack_diffs,
 )
 from sparsecube.errors import CorruptStreamError, FormatError
@@ -152,11 +152,12 @@ class TestDsc:
         positions = [0, 300, 301, 900, 905]
         h = build_dsc(positions, diff_bits=8, stride=1)
         for k, j in enumerate(h.jumps):
-            assert lookup_dsc(h, j) == h.accel[k]
+            assert lookup_dsc(h, j) == positions.index(j)
+        assert DscHeader.from_bytes(h.to_bytes()).checkpoints == h.checkpoints
 
     def test_single_cell(self):
         h = build_dsc([42], diff_bits=8)
-        assert h.jumps == [42]
+        assert list(h.jumps) == [42]
         assert unpack_diffs(h.diff_data, 8, 1) == [0]
         assert lookup_dsc(h, 42) == 0
         assert lookup_dsc(h, 41) is None
@@ -189,7 +190,7 @@ class TestDsc:
         positions = random_increasing(rng, 200, 600)
         h = build_dsc(positions, diff_bits=8, stride=4)
         again = DscHeader.from_bytes(h.to_bytes())
-        assert again.accel == h.accel
+        assert again.checkpoints == h.checkpoints
         assert again.to_bytes() == h.to_bytes()
         for q in rng.sample(range(positions[-1] + 2), 100):
             assert again.lookup(q) == h.lookup(q)
@@ -222,7 +223,7 @@ class TestDhc:
 
     def test_single_cell(self):
         h = build_dhc([7], diff_bits=8)
-        assert h.jumps == [7]
+        assert list(h.jumps) == [7]
         assert h.stream.bit_length == 0
         assert h.codebook is None
         assert lookup_dhc(h, 7) == 0
@@ -244,25 +245,17 @@ class TestDhc:
         positions = random_increasing(rng, 300, 700)
         h = build_dhc(positions, diff_bits=8, stride=8)
         again = DhcHeader.from_bytes(h.to_bytes())
-        assert again.accel == h.accel
-        assert again.byte_pos == h.byte_pos
-        assert again.bit_pos == h.bit_pos
+        assert again.checkpoints == h.checkpoints
         assert again.to_bytes() == h.to_bytes()
         for q in rng.sample(range(positions[-1] + 2), 150):
             assert again.lookup(q) == h.lookup(q)
 
-    def test_rebuild_accelerators_dispatcher(self):
+    def test_reloaded_checkpoints_match_built(self):
         rng = random.Random(14)
         positions = random_increasing(rng, 120, 900)
-        dsc = build_dsc(positions, diff_bits=8, stride=4)
-        want = list(dsc.accel)
-        dsc.accel = []
-        assert rebuild_accelerators(dsc) == want
-
-        dhc = build_dhc(positions, diff_bits=8, stride=4)
-        want = (list(dhc.accel), list(dhc.byte_pos), list(dhc.bit_pos))
-        dhc.accel, dhc.byte_pos, dhc.bit_pos = [], [], []
-        assert rebuild_accelerators(dhc) == want
+        for build, cls in ((build_dsc, DscHeader), (build_dhc, DhcHeader)):
+            built = build(positions, diff_bits=8, stride=4)
+            assert cls.from_bytes(built.to_bytes()).checkpoints == built.checkpoints
 
     def test_corrupt_stream_detected(self):
         rng = random.Random(4)
@@ -277,6 +270,83 @@ class TestDhc:
         rng = random.Random(19)
         positions = random_increasing(rng, 150, 900)
         assert build_dhc(positions, diff_bits=8).positions() == positions
+
+
+def built_and_reloaded(build, cls, positions, **kw):
+    built = build(positions, **kw)
+    again = cls.from_bytes(built.to_bytes())
+    assert again.checkpoints == built.checkpoints
+    return built, again
+
+
+SCHEMES = ((build_dsc, DscHeader), (build_dhc, DhcHeader))
+
+
+class TestCheckpoints:
+    @pytest.mark.parametrize("bits", [4, 8, 16])
+    def test_checkpoints_at_most_checkpoint_cells_apart(self, bits):
+        every = diffseq.CHECKPOINT_CELLS
+        rng = random.Random(bits)
+        single_jump = list(range(7, 100_007))
+        overflowing = random_increasing(rng, 3000, 2 ** (bits + 1))
+        for positions in (single_jump, overflowing):
+            for build, cls in SCHEMES:
+                for h in built_and_reloaded(build, cls, positions, diff_bits=bits):
+                    cp = h.checkpoints
+                    cells = list(cp.cell)
+                    assert cells[0] == 0
+                    assert all(0 < b - a <= every for a, b in zip(cells, cells[1:] + [h.count]))
+                    assert list(cp.pos) == [positions[c] for c in cells]
+                    assert all(h.jumps[k] <= p for k, p in zip(cp.jump, cp.pos))
+                    if positions is single_jump:
+                        assert len(h.jumps) == 1
+                        assert len(cells) == -(-len(positions) // every)
+
+    @pytest.mark.parametrize("every", [1, 2, 3, diffseq.CHECKPOINT_CELLS])
+    def test_probes_around_every_checkpoint(self, monkeypatch, every):
+        monkeypatch.setattr(diffseq, "CHECKPOINT_CELLS", every)
+        rng = random.Random(every)
+        # Fibonacci gap frequencies (gap 1 the most frequent) give the deepest
+        # code: 15 bits, past the width of the table-driven decoder.
+        fib = [1, 1]
+        while len(fib) < 16:
+            fib.append(fib[-1] + fib[-2])
+        gaps = [g for g, f in enumerate(reversed(fib), 1) for _ in range(f)]
+        rng.shuffle(gaps)
+        deep = [5]
+        for g in gaps:
+            deep.append(deep[-1] + g)
+        for bits, positions in (
+            (4, random_increasing(rng, 1000, 40)),
+            (16, random_increasing(rng, 1000, 2**17)),
+            (8, deep),
+        ):
+            stored = {p: i for i, p in enumerate(positions)}
+            for build, cls in SCHEMES:
+                for h in built_and_reloaded(build, cls, positions, diff_bits=bits, stride=4):
+                    cells = list(h.checkpoints.cell)
+                    probes = {positions[0] - 1, positions[-1] + 1}
+                    for c in cells:
+                        for i in (c - 1, c, c + 1):
+                            if 0 <= i < len(positions):
+                                probes.update((positions[i] - 1, positions[i], positions[i] + 1))
+                    for a, b in zip(cells, cells[1:]):
+                        probes.add(positions[(a + b) // 2] + 1)
+                    for q in sorted(probes):
+                        assert h.lookup(q) == stored.get(q), (q, every)
+
+    def test_bad_stride_and_leading_difference_rejected(self):
+        for build, cls in SCHEMES:
+            raw = bytearray(build([5, 6, 7], diff_bits=8).to_bytes())
+            raw[21:29] = bytes(8)  # the stride field after magic, version and two widths
+            with pytest.raises(FormatError):
+                cls.from_bytes(bytes(raw))
+        # DSC stores its leading zero: move it to the second cell.
+        raw = bytearray(build_dsc([5, 6, 7], diff_bits=8).to_bytes())
+        assert raw[-3:] == bytes([0, 1, 1])
+        raw[-3:] = bytes([1, 0, 1])
+        with pytest.raises(CorruptStreamError):
+            DscHeader.from_bytes(bytes(raw))
 
 
 class TestStrideTransparency:
