@@ -57,8 +57,9 @@ class SimCache:
             self._used = 0
 
     def reset_counters(self) -> None:
-        self.hits = 0
-        self.misses = 0
+        with self._lock:
+            self.hits = 0
+            self.misses = 0
 
     def _evict(self) -> None:
         while self._used > self.capacity:

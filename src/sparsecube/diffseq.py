@@ -21,14 +21,13 @@ import sys
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import CorruptStreamError, FormatError
+from .headers import VERSION, read_envelope
 from .huffman import BitStream, CodeBook, Decoder, build_codebook, encode_sequence
-
-VERSION = 1
 
 # Cells between two checkpoints at most.  Each checkpoint costs 24 resident
 # octets (DSC) or 32 (DHC); at 128 a DHC store stays within 5% of its disk size.
@@ -89,27 +88,6 @@ def packed_size(count: int, diff_bits: int) -> int:
     return (diff_bits * count + 7) // 8
 
 
-def make_diff_reader(data: bytes, diff_bits: int) -> Callable[[int], int]:
-    """Random-access reader over packed differences."""
-    if diff_bits == 8:
-        return data.__getitem__
-    if diff_bits == 16:
-        u16 = struct.Struct("<H").unpack_from
-        return lambda i: u16(data, i << 1)[0]
-    if diff_bits == 32:
-        u32 = struct.Struct("<I").unpack_from
-        return lambda i: u32(data, i << 2)[0]
-    mask = (1 << diff_bits) - 1
-
-    def read(i: int) -> int:
-        bitpos = i * diff_bits
-        a, shift = divmod(bitpos, 8)
-        b = (bitpos + diff_bits + 7) // 8
-        return (int.from_bytes(data[a:b], "little") >> shift) & mask
-
-    return read
-
-
 def _diff_array(data: bytes, diff_bits: int, count: int) -> np.ndarray:
     """The first `count` packed differences as a uint64 array."""
     if diff_bits in (8, 16, 32):
@@ -122,6 +100,30 @@ def _diff_array(data: bytes, diff_bits: int, count: int) -> np.ndarray:
     wide[:, :diff_bits] = bits
     words = np.packbits(wide, axis=1, bitorder="little").view("<u4")
     return words.ravel().astype(np.uint64)
+
+
+def _diff_window(data: bytes, diff_bits: int, first: int, stop: int) -> Iterable[int]:
+    """The packed differences first .. stop-1, for a scan that may stop early.
+
+    Whole-octet widths unpack in one call.  Other widths read the window's
+    octets as one integer and shift each difference off its low end.
+    """
+    if diff_bits == 8:
+        return data[first:stop]
+    if diff_bits in (16, 32):
+        code = "H" if diff_bits == 16 else "I"
+        return struct.unpack_from(f"<{stop - first}{code}", data, first * diff_bits // 8)
+    return _bit_window(data, diff_bits, first, stop)
+
+
+def _bit_window(data: bytes, diff_bits: int, first: int, stop: int) -> Iterator[int]:
+    start = first * diff_bits
+    window = int.from_bytes(data[start >> 3 : (stop * diff_bits + 7) >> 3], "little")
+    window >>= start & 7
+    mask = (1 << diff_bits) - 1
+    for _ in range(first, stop):
+        yield window & mask
+        window >>= diff_bits
 
 
 def unpack_diffs(data: bytes, diff_bits: int, count: int) -> list[int]:
@@ -217,19 +219,11 @@ class DscHeader:
     jumps: array
     diff_data: bytes
     checkpoints: Checkpoints | None = field(default=None, repr=False)  # rebuilt on load
-    _reader: Callable[[int], int] | None = field(
-        default=None, repr=False, compare=False
-    )
 
     def __post_init__(self):
         if self.checkpoints is None:
             # One vectorised pass over the stored differences.
             self.checkpoints = _checkpoints_from_arrays(*self._arrays(), self.stride)
-
-    def _diff_reader(self) -> Callable[[int], int]:
-        if self._reader is None:
-            self._reader = make_diff_reader(self.diff_data, self.diff_bits)
-        return self._reader
 
     def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Differences, the cells of their zeros and the jumps, as numpy arrays."""
@@ -259,9 +253,8 @@ class DscHeader:
         limit = cp.cell[m + 1] if m + 1 < len(cp.cell) else self.count
         jumps = self.jumps
         k = cp.jump[m]
-        read = self._diff_reader()
-        for i in range(i + 1, limit):
-            d = read(i)
+        diffs = _diff_window(self.diff_data, self.diff_bits, i + 1, limit)
+        for i, d in zip(range(i + 1, limit), diffs):
             if d == 0:
                 k += 1
                 if k >= len(jumps):
@@ -291,12 +284,8 @@ class DscHeader:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "DscHeader":
-        if data[:4] != _MAGIC_DSC:
-            raise FormatError(f"bad magic {data[:4]!r}")
-        if data[4] != VERSION:
-            raise FormatError(f"unsupported version {data[4]}")
-        entry_width, diff_bits, stride, count, n_jumps = struct.unpack_from(
-            "<QQQQQ", data, 5
+        entry_width, diff_bits, stride, count, n_jumps = read_envelope(
+            data, _MAGIC_DSC, 5
         )
         if stride < 1:
             raise FormatError("checkpoint stride must be positive")
@@ -534,18 +523,16 @@ class DhcHeader:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "DhcHeader":
-        if data[:4] != _MAGIC_DHC:
-            raise FormatError(f"bad magic {data[:4]!r}")
-        if data[4] != VERSION:
-            raise FormatError(f"unsupported version {data[4]}")
-        entry_width, diff_bits, stride, count, n_jumps, bit_length = struct.unpack_from(
-            "<QQQQQQ", data, 5
+        entry_width, diff_bits, stride, count, n_jumps, bit_length = read_envelope(
+            data, _MAGIC_DHC, 6
         )
         if stride < 1:
             raise FormatError("checkpoint stride must be positive")
         off = 53
         jumps = _unpack_jumps(data, off, entry_width, n_jumps)
         off += entry_width * n_jumps
+        if len(data) < off + 8:
+            raise FormatError("truncated codebook")
         (n_syms,) = struct.unpack_from("<Q", data, off)
         if n_syms == 0:
             codebook = None

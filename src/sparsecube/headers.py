@@ -55,7 +55,7 @@ def _check_positions(positions) -> np.ndarray:
     return arr
 
 
-def _read_envelope(data: bytes, magic: bytes, n_params: int) -> list[int]:
+def read_envelope(data: bytes, magic: bytes, n_params: int) -> list[int]:
     if len(data) < 5 + 8 * n_params:
         raise FormatError("header file too short")
     if data[:4] != magic:
@@ -114,7 +114,7 @@ class SchcHeader:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "SchcHeader":
-        entry_width, num_runs = _read_envelope(data, _MAGIC_SCHC, 2)
+        entry_width, num_runs = read_envelope(data, _MAGIC_SCHC, 2)
         flat = _unpack_ints(data, entry_width, 2 * num_runs, offset=21)
         return cls(flat[0::2], flat[1::2], entry_width)
 
@@ -170,7 +170,7 @@ class LpcHeader:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "LpcHeader":
-        entry_width, count = _read_envelope(data, _MAGIC_LPC, 2)
+        entry_width, count = read_envelope(data, _MAGIC_LPC, 2)
         return cls(_unpack_ints(data, entry_width, count, offset=21), entry_width)
 
 
@@ -238,7 +238,7 @@ class BocHeader:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "BocHeader":
-        entry_width, offset_width, block_len, count, n_bases = _read_envelope(
+        entry_width, offset_width, block_len, count, n_bases = read_envelope(
             data, _MAGIC_BOC, 5
         )
         off = 45

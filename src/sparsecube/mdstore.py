@@ -20,13 +20,13 @@ import numpy as np
 
 from . import diffseq, headers
 from .blockio import BlockReader, SimCache
-from .errors import EmptyRelationError, FormatError, OffsetOverflowError
+from .errors import FormatError, InvalidPositionError, OffsetOverflowError
 from .relation import (
     Dimension,
     DimensionSchema,
     Relation,
-    decode_logical_position,
     encode_logical_position,
+    ordered_cells,
 )
 
 SCHEMES = ("schc", "lpc", "boc", "dsc", "dhc")
@@ -124,7 +124,21 @@ class MultidimStore:
         return self.header.positions()
 
     def stored_coords(self) -> list[tuple[int, ...]]:
-        return [decode_logical_position(p, self.schema) for p in self.stored_positions()]
+        """Coordinates of the stored cells in physical order, decoded in numpy."""
+        positions = self.stored_positions()
+        try:
+            rest = np.array(positions, dtype=np.uint64)
+        except OverflowError:
+            rest = None
+        if rest is None or (rest.size and rest.max() >= self.schema.total_cells):
+            raise InvalidPositionError(
+                f"stored position out of range [0, {self.schema.total_cells})"
+            )
+        columns = []
+        for stride in self.schema.strides:
+            column, rest = np.divmod(rest, np.uint64(stride))
+            columns.append(column.tolist())
+        return list(zip(*columns))
 
     def schema_bytes(self) -> bytes:
         return _schema_to_json(self.schema, self.measure_width)
@@ -197,27 +211,21 @@ _SCHEME_BY_MAGIC = {
 }
 
 
-def _ordered_cells(rel: Relation) -> tuple[list[int], bytes]:
-    """Sorted logical positions and the measures packed in that order."""
-    if not rel.cells:
-        raise EmptyRelationError("cannot build a store from an empty relation")
-    order = sorted(
-        (encode_logical_position(c, rel.schema), v) for c, v in rel.cells.items()
-    )
+def _new_store(rel: Relation, scheme: str, header, measures: np.ndarray) -> MultidimStore:
     dtype = "<f4" if rel.measure_width == 4 else "<f8"
-    cells = np.asarray([v for _, v in order], dtype=dtype).tobytes()
-    return [p for p, _ in order], cells
+    return MultidimStore(
+        rel.schema, scheme, header, rel.measure_width,
+        cells_mem=measures.astype(dtype).tobytes(),
+    )
 
 
 def build_store(
     rel: Relation, scheme: str, params: StoreParams = StoreParams()
 ) -> MultidimStore:
     """Build with exactly `params`; a BOC offset that does not fit raises."""
-    positions, cells = _ordered_cells(rel)
+    positions, _, measures = ordered_cells(rel)
     header = _build_header(scheme, positions, rel.schema.total_cells, params)
-    return MultidimStore(
-        rel.schema, scheme, header, rel.measure_width, cells_mem=cells
-    )
+    return _new_store(rel, scheme, header, measures)
 
 
 def build_boc_with_retry(
@@ -231,7 +239,7 @@ def build_boc_with_retry(
     """
     if scheme != "boc":
         return build_store(rel, scheme, params)
-    positions, cells = _ordered_cells(rel)
+    positions, _, measures = ordered_cells(rel)
     total = rel.schema.total_cells
     for width in range(params.offset_width, params.entry_width):
         try:
@@ -241,9 +249,7 @@ def build_boc_with_retry(
             continue
     else:
         header = _build_header(scheme, positions, total, replace(params, block_len=1))
-    return MultidimStore(
-        rel.schema, scheme, header, rel.measure_width, cells_mem=cells
-    )
+    return _new_store(rel, scheme, header, measures)
 
 
 def point_query(store: MultidimStore, coords: Sequence[int]) -> float | None:

@@ -10,9 +10,13 @@ fastest; positions are unsigned and must fit in 64 bits.
 from __future__ import annotations
 
 import csv
+import itertools
 from dataclasses import dataclass, field
+from operator import itemgetter
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterator, NoReturn, Sequence
+
+import numpy as np
 
 from .errors import (
     EmptyRelationError,
@@ -135,11 +139,45 @@ class Relation:
         return iter(self.cells.items())
 
 
+def ordered_cells(rel: Relation) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The nonempty cells in logical-position order, as three arrays.
+
+    Returns the strictly increasing positions (uint64), the coordinates in
+    the same order as an (n, d) int64 array, and the measures (float64) in
+    the same order.  Raises the error `encode_logical_position` raises for
+    the first key, in insertion order, that does not fit the schema.
+    """
+    schema = rel.schema
+    n, d = len(rel.cells), schema.n_dims
+    if n == 0:
+        raise EmptyRelationError("relation has no cells")
+    if set(map(len, rel.cells)) != {d}:
+        _raise_for_invalid_key(rel)
+    try:
+        coords = np.fromiter(
+            itertools.chain.from_iterable(rel.cells), dtype=np.int64, count=n * d
+        ).reshape(n, d)
+    except OverflowError:
+        _raise_for_invalid_key(rel)
+    if ((coords < 0) | (coords >= np.array(schema.cardinalities))).any():
+        _raise_for_invalid_key(rel)
+    # Every product and partial sum is below total_cells < 2**64.
+    positions = coords.astype(np.uint64) @ np.array(schema.strides, dtype=np.uint64)
+    order = np.argsort(positions)
+    measures = np.fromiter(rel.cells.values(), dtype=np.float64, count=n)
+    return positions[order], coords[order], measures[order]
+
+
+def _raise_for_invalid_key(rel: Relation) -> NoReturn:
+    """Raise the scalar encoder's error for the first key that does not fit."""
+    for key in rel.cells:
+        encode_logical_position(key, rel.schema)
+    raise InvalidCoordinateError("relation holds a key that is not a coordinate vector")
+
+
 def logical_position_sequence(rel: Relation) -> list[int]:
     """Strictly increasing logical positions of the nonempty cells."""
-    if not rel.cells:
-        raise EmptyRelationError("relation has no cells")
-    return sorted(encode_logical_position(c, rel.schema) for c in rel.cells)
+    return ordered_cells(rel)[0].tolist()
 
 
 @dataclass(frozen=True)
@@ -163,43 +201,36 @@ def ingest_delimited(path: str | Path, config: IngestConfig = IngestConfig()) ->
 
     Dimension values are collected in first-seen order (or sorted when the
     config asks for it) unless pre-declared.  Duplicate keys are
-    last-write-wins and counted.
+    last-write-wins and counted.  The rows are parsed by column: each
+    dimension column goes through its value index, and the key columns are
+    zipped into the cell dict.
     """
-    rows: list[tuple[list[str], float]] = []
-    n_dims: int | None = None
+    with open(path, newline="", encoding="utf-8") as f:
+        records = list(csv.reader(f, delimiter=config.delimiter))
+    skip = 1 if config.has_header else 0
+    rows = list(filter(None, records[skip:]))
+    if not rows:
+        raise EmptyRelationError(f"no data rows in {path}")
     if config.declared_values is not None:
         n_dims = len(config.declared_values)
-    with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.reader(f, delimiter=config.delimiter)
-        for lineno, raw in enumerate(reader, start=1):
-            if config.has_header and lineno == 1:
-                continue
-            if not raw:
-                continue
-            if n_dims is None:
-                n_dims = len(raw) - 1
-                if n_dims < 1:
-                    raise IngestError("need at least one dimension column", row=lineno)
-            if len(raw) != n_dims + 1:
-                raise IngestError(
-                    f"expected {n_dims + 1} columns, got {len(raw)}", row=lineno
-                )
-            try:
-                measure = float(raw[-1])
-            except ValueError:
-                raise IngestError(f"measure {raw[-1]!r} is not numeric", row=lineno) from None
-            rows.append((raw[:-1], measure))
-    if n_dims is None or not rows:
-        raise EmptyRelationError(f"no data rows in {path}")
+    else:
+        n_dims = len(rows[0]) - 1
+        if n_dims < 1:
+            first = next(n for n, raw in enumerate(records[skip:], start=skip + 1) if raw)
+            raise IngestError("need at least one dimension column", row=first)
+    width = n_dims + 1
+    if set(map(len, rows)) != {width}:
+        _raise_for_bad_row(records, skip, width)
+    columns = [list(map(itemgetter(i), rows)) for i in range(width)]
+    try:
+        measures = list(map(float, columns[-1]))
+    except ValueError:
+        _raise_for_bad_row(records, skip, width)
 
     if config.declared_values is not None:
         value_lists = [list(vs) for vs in config.declared_values]
     else:
-        seen: list[dict[str, None]] = [dict() for _ in range(n_dims)]
-        for vals, _ in rows:
-            for d, v in enumerate(vals):
-                seen[d].setdefault(v)
-        value_lists = [list(s) for s in seen]
+        value_lists = [list(dict.fromkeys(col)) for col in columns[:-1]]
         if config.sorted_values:
             value_lists = [sorted(vs) for vs in value_lists]
 
@@ -207,18 +238,31 @@ def ingest_delimited(path: str | Path, config: IngestConfig = IngestConfig()) ->
     schema = DimensionSchema(
         tuple(Dimension(n, tuple(vs)) for n, vs in zip(names, value_lists))
     )
-    index_maps = [{v: i for i, v in enumerate(vs)} for vs in value_lists]
-
-    cells: dict[tuple[int, ...], float] = {}
-    duplicates = 0
-    for lineno_vals, measure in rows:
-        try:
-            key = tuple(index_maps[d][v] for d, v in enumerate(lineno_vals))
-        except KeyError as exc:
-            raise IngestError(f"undeclared dimension value {exc.args[0]!r}") from None
-        if key in cells:
-            duplicates += 1
-        cells[key] = measure
+    # zip pulls the key columns a row at a time, so an undeclared value is
+    # reported in row order, as a row-by-row parse would report it.
+    keys = zip(*(
+        map({v: i for i, v in enumerate(vs)}.__getitem__, col)
+        for vs, col in zip(value_lists, columns)
+    ))
+    try:
+        cells = dict(zip(keys, measures))
+    except KeyError as exc:
+        raise IngestError(f"undeclared dimension value {exc.args[0]!r}") from None
     return IngestResult(
-        Relation(schema, cells, measure_width=config.measure_width), duplicates
+        Relation(schema, cells, measure_width=config.measure_width),
+        len(rows) - len(cells),
     )
+
+
+def _raise_for_bad_row(records: list[list[str]], skip: int, width: int) -> NoReturn:
+    """Raise IngestError naming the first data row that is not `width`
+    columns ending in a number."""
+    for lineno, raw in enumerate(records[skip:], start=skip + 1):
+        if not raw:
+            continue
+        if len(raw) != width:
+            raise IngestError(f"expected {width} columns, got {len(raw)}", row=lineno)
+        try:
+            float(raw[-1])
+        except ValueError:
+            raise IngestError(f"measure {raw[-1]!r} is not numeric", row=lineno) from None

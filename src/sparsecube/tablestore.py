@@ -19,11 +19,12 @@ from typing import Sequence
 import numpy as np
 
 from .blockio import BlockReader, SimCache
-from .errors import EmptyRelationError, FormatError
+from .errors import FormatError
 from .relation import (
     DimensionSchema,
     Relation,
     encode_logical_position,
+    ordered_cells,
 )
 from .mdstore import _schema_from_json, _schema_to_json
 
@@ -177,22 +178,14 @@ def _pack_page(entries: list[tuple[int, int]], page_size: int) -> bytes:
 
 
 def build_table(rel: Relation, params: TableParams = TableParams()) -> TableStore:
-    if not rel.cells:
-        raise EmptyRelationError("cannot build a table from an empty relation")
     page_size = params.page_size
-    order = sorted(
-        (encode_logical_position(c, rel.schema), c, v) for c, v in rel.cells.items()
-    )
-    n_rows = len(order)
+    positions, coords, measures = ordered_cells(rel)
+    n_rows = len(positions)
     n_dims = rel.schema.n_dims
     row_width = n_dims * COORD_WIDTH + rel.measure_width
     if row_width > page_size:
         raise ValueError("row wider than a page")
 
-    coords = np.asarray([c for _, c, _ in order], dtype="<u4")
-    measures = np.asarray(
-        [v for _, _, v in order], dtype="<f4" if rel.measure_width == 4 else "<f8"
-    )
     dtype = np.dtype(
         [("c", "<u4", (n_dims,)), ("m", "<f4" if rel.measure_width == 4 else "<f8")]
     )
@@ -201,14 +194,11 @@ def build_table(rel: Relation, params: TableParams = TableParams()) -> TableStor
     rows_arr["m"] = measures
     rows_mem = rows_arr.tobytes()
 
-    keys = [k for k, _, _ in order]
     rows_per_group = max(1, page_size // row_width)
     n_groups = (n_rows + rows_per_group - 1) // rows_per_group
 
     entries_per_page = (page_size - 2) // 16
-    level = [
-        (keys[g * rows_per_group], g) for g in range(n_groups)
-    ]
+    level = list(zip(positions[::rows_per_group].tolist(), range(n_groups)))
     pages: list[bytes] = []
     first_page_of_level = 1  # page 0 is the meta page
     height = 0

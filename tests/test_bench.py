@@ -59,6 +59,24 @@ class TestEstimate:
         md, *_ = opened
         assert sample_coords(md, 50, 9) == sample_coords(md, 50, 9)
 
+    def test_sample_pinned(self, opened):
+        # Drawn from the stored coordinates in physical order; any change to
+        # that order or to the draw changes the probes of every experiment.
+        md, *_ = opened
+        coords = sample_coords(md, 50, 9)
+        assert coords == [
+            (18, 6, 4), (14, 17, 22), (5, 8, 16), (34, 21, 9), (0, 8, 23), (19, 30, 20),
+            (35, 39, 6), (2, 36, 6), (21, 35, 22), (24, 20, 11), (1, 19, 0),
+            (14, 26, 2), (27, 38, 22), (17, 25, 4), (28, 33, 18), (5, 39, 11),
+            (9, 1, 19), (4, 4, 23), (19, 37, 6), (36, 38, 14), (23, 18, 0), (30, 31, 8),
+            (14, 31, 12), (29, 30, 8), (3, 28, 10), (11, 3, 0), (26, 29, 17),
+            (28, 34, 7), (16, 18, 8), (3, 5, 6), (10, 4, 8), (7, 38, 5), (10, 27, 11),
+            (32, 9, 10), (7, 21, 9), (35, 17, 13), (35, 4, 20), (1, 37, 1), (14, 26, 1),
+            (19, 9, 1), (0, 32, 11), (16, 23, 4), (36, 12, 12), (4, 6, 6), (23, 29, 7),
+            (4, 23, 0), (22, 36, 20), (35, 32, 12), (7, 26, 22), (0, 10, 1),
+        ]
+        assert all(type(x) is int for c in coords for x in c)
+
     def test_cold_miss_counts_use_fresh_state(self, opened):
         md, md_cache, *_ = opened
         coords = sample_coords(md, 30, 2)

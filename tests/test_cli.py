@@ -1,5 +1,6 @@
 import csv
 import json
+import shutil
 
 import pytest
 
@@ -67,6 +68,12 @@ class TestQuery:
     def test_unknown_value_is_usage_error(self, workspace):
         assert run("query", "--store", workspace / "dhc",
                    "--coords", "bogus,also,nah") == 2
+
+    def test_truncated_header_is_data_error(self, workspace, tmp_path):
+        for suffix in (".schema", ".cells"):
+            shutil.copy(workspace / ("dhc" + suffix), tmp_path / ("dhc" + suffix))
+        (tmp_path / "dhc.hdr").write_bytes((workspace / "dhc.hdr").read_bytes()[:20])
+        assert run("query", "--store", tmp_path / "dhc", "--coords", "0,0,0") == 1
 
     def test_boc_build_widens_offsets(self, tmp_path, capsys):
         # Gaps this sparse overflow two-octet offsets at block length 16.

@@ -171,7 +171,7 @@ class TestDsc:
 
     def test_full_domain_vs_oracle(self):
         rng = random.Random(9)
-        for bits in (4, 8):
+        for bits in (4, 8, 1, 3, 5):
             positions = random_increasing(rng, 60, 2 ** (bits + 1))
             h = build_dsc(positions, diff_bits=bits, stride=4)
             for q in range(positions[-1] + 3):
@@ -180,10 +180,11 @@ class TestDsc:
     def test_sampled_domain_vs_oracle_wide_diffs(self):
         rng = random.Random(10)
         positions = random_increasing(rng, 60, 2**17)
-        h = build_dsc(positions, diff_bits=16, stride=4)
         queries = positions + [rng.randrange(positions[-1] + 2) for _ in range(2000)]
-        for q in queries:
-            assert lookup_dsc(h, q) == oracle_lookup(positions, q)
+        for bits in (16, 24, 32):
+            h = build_dsc(positions, diff_bits=bits, stride=4)
+            for q in queries:
+                assert lookup_dsc(h, q) == oracle_lookup(positions, q)
 
     def test_serialization_and_rebuild(self):
         rng = random.Random(21)

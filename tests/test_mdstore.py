@@ -5,7 +5,7 @@ import pytest
 
 from sparsecube import mdstore
 from sparsecube.blockio import SimCache
-from sparsecube.errors import EmptyRelationError, FormatError
+from sparsecube.errors import EmptyRelationError, FormatError, StoreError
 from sparsecube.mdstore import SCHEMES, StoreParams, build_store, load, point_query, save
 from sparsecube.relation import DimensionSchema, Relation
 from sparsecube.synth import SynthSpec, generate
@@ -111,6 +111,17 @@ class TestPersistence:
         hdr.write_bytes(b"NOPE" + hdr.read_bytes()[4:])
         with pytest.raises(FormatError):
             load(base)
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_truncated_header_is_store_error(self, tmp_path, stores, scheme):
+        base = tmp_path / "t"
+        save(stores[scheme], base)
+        hdr = tmp_path / "t.hdr"
+        full = hdr.read_bytes()
+        for n in range(len(full)):  # past the fixed fields, into the payload
+            hdr.write_bytes(full[:n])
+            with pytest.raises(StoreError):
+                load(base)
 
     def test_preload_answers_identically(self, tmp_path, relation, stores):
         base = tmp_path / "p"

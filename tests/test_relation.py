@@ -1,7 +1,10 @@
 import itertools
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
+
+from sparsecube import mdstore, tablestore
 
 from sparsecube.errors import (
     EmptyRelationError,
@@ -18,6 +21,7 @@ from sparsecube.relation import (
     encode_logical_position,
     ingest_delimited,
     logical_position_sequence,
+    ordered_cells,
 )
 
 
@@ -144,6 +148,65 @@ class TestPositionSequence:
         assert all(a < b for a, b in zip(seq, seq[1:]))
 
 
+# (2**16)**3 * (2**16 - 1) = 2**64 - 2**48: positions above 2**63 exercise
+# the unsigned 64-bit arithmetic.
+NEAR_2_64 = DimensionSchema.from_cardinalities((1 << 16, 1 << 16, 1 << 16, (1 << 16) - 1))
+
+
+@st.composite
+def relations(draw):
+    s = draw(st.one_of(schemas, st.just(NEAR_2_64)))
+    key = st.tuples(*(st.integers(0, c - 1) for c in s.cardinalities))
+    keys = draw(st.lists(key, min_size=1, max_size=30, unique=True))
+    values = st.floats(allow_nan=False, allow_infinity=False, width=64)
+    measures = draw(st.lists(values, min_size=len(keys), max_size=len(keys)))
+    return Relation(s, dict(zip(keys, measures)))
+
+
+class TestOrderedCells:
+    @given(relations())
+    @example(Relation(NEAR_2_64, {
+        tuple(c - 1 for c in NEAR_2_64.cardinalities): 1.0,
+        (1 << 15, 0, 0, 0): 2.0,
+        (0, 0, 0, 0): 3.0,
+    }))
+    def test_matches_sorted_scalar_encoding(self, rel):
+        positions, coords, measures = ordered_cells(rel)
+        # Oracle: the scalar encoder, one cell at a time, then a Python sort.
+        want = sorted(encode_logical_position(c, rel.schema) for c in rel.cells)
+        assert positions.dtype == np.uint64
+        assert positions.tolist() == want
+        by_position = {
+            encode_logical_position(c, rel.schema): (c, v) for c, v in rel.cells.items()
+        }
+        assert coords.shape == (rel.n_cells, rel.schema.n_dims)
+        assert [tuple(c) for c in coords.tolist()] == [by_position[p][0] for p in want]
+        assert measures.tolist() == [by_position[p][1] for p in want]
+
+    def test_top_corner_is_the_last_position(self):
+        top = tuple(c - 1 for c in NEAR_2_64.cardinalities)
+        rel = Relation(NEAR_2_64, {top: 1.0, (0, 0, 0, 0): 2.0})
+        assert logical_position_sequence(rel) == [0, NEAR_2_64.total_cells - 1]
+        assert NEAR_2_64.total_cells - 1 > 1 << 63
+
+    @pytest.mark.parametrize("bad_key", [(-1, 0, 0), (3, 0, 0), (0, 0, 5), (0, 0), (0, 0, 0, 0)])
+    @pytest.mark.parametrize("build", [
+        *(lambda rel, s=s: mdstore.build_store(rel, s) for s in mdstore.SCHEMES),
+        lambda rel: mdstore.build_boc_with_retry(rel, "boc"),
+        tablestore.build_table,
+        logical_position_sequence,
+    ])
+    def test_builders_reject_invalid_keys(self, build, bad_key):
+        rel = Relation(schema(3, 4, 5), {(0, 0, 0): 1.0, bad_key: 2.0, (2, 3, 4): 3.0})
+        with pytest.raises(InvalidCoordinateError):
+            build(rel)
+
+    def test_key_beyond_64_bits_rejected(self):
+        rel = Relation(schema(3, 4, 5), {(0, 0, 0): 1.0, (1 << 70, 0, 0): 2.0})
+        with pytest.raises(InvalidCoordinateError, match="out of range"):
+            ordered_cells(rel)
+
+
 class TestIngest:
     def write(self, tmp_path, text, name="in.csv"):
         p = tmp_path / name
@@ -160,6 +223,12 @@ class TestIngest:
         # First-seen order: a->0, b->1; x->0, y->1.
         assert rel.get((0, 0)) == 1.5
         assert rel.get((0, 1)) == 3.5
+
+    def test_first_seen_value_order(self, tmp_path):
+        p = self.write(tmp_path, "b,y,1\na,y,2\nb,x,3\n")
+        rel = ingest_delimited(p).relation
+        assert [d.values for d in rel.schema.dimensions] == [("b", "a"), ("y", "x")]
+        assert list(rel.cells.items()) == [((0, 0), 1.0), ((1, 0), 2.0), ((0, 1), 3.0)]
 
     def test_duplicate_keys_last_write_wins(self, tmp_path):
         p = self.write(tmp_path, "a,x,1\na,x,2\nb,x,3\na,x,4\n")
