@@ -11,13 +11,15 @@ comes up.  The table has an entry at every `stride`-th jump and at every
 CHECKPOINT_CELLS-th cell, so a lookup decodes fewer than CHECKPOINT_CELLS
 differences however rarely a gap overflows.  The table is never serialized:
 a build fills it from the arrays it already holds, and a load rebuilds it in
-one pass over the stored differences.
+one numpy pass over the stored differences (DHC decodes its whole stream with
+`huffman.decode_stream` for that).  Every cell's position comes from one
+`cumsum`; a load rejects positions that do not strictly increase, which is
+how a run past 2**64 - 1 shows.
 """
 
 from __future__ import annotations
 
 import struct
-import sys
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -26,8 +28,15 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import CorruptStreamError, FormatError
-from .headers import VERSION, read_envelope
-from .huffman import BitStream, CodeBook, Decoder, build_codebook, encode_sequence
+from .headers import VERSION, pack_ints, read_envelope, unpack_ints
+from .huffman import (
+    BitStream,
+    CodeBook,
+    Decoder,
+    build_codebook,
+    decode_stream,
+    encode_sequence,
+)
 
 # Cells between two checkpoints at most.  Each checkpoint costs 24 resident
 # octets (DSC) or 32 (DHC); at 128 a DHC store stays within 5% of its disk size.
@@ -40,6 +49,7 @@ _MAGIC_DHC = b"DHCH"
 def _difference_arrays(
     positions: Sequence[int], diff_bits: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The positions, their differences and the cells of the zero differences."""
     if not 1 <= diff_bits <= 32:
         raise ValueError("difference width must be 1..32 bits")
     arr = np.asarray(positions, dtype=np.uint64)
@@ -55,7 +65,7 @@ def _difference_arrays(
     jump_idx = np.concatenate(
         [np.zeros(1, dtype=np.int64), np.flatnonzero(over) + 1]
     )
-    return diffs, arr[jump_idx], jump_idx
+    return arr, diffs, jump_idx
 
 
 def build_difference_sequence(
@@ -67,8 +77,8 @@ def build_difference_sequence(
     else 0; diffs[0] is always 0.  jumps holds the absolute position behind
     every zero diff, and the returned indices locate those zeros.
     """
-    diffs, jumps, jump_idx = _difference_arrays(positions, diff_bits)
-    return diffs.tolist(), jumps.tolist(), jump_idx.tolist()
+    arr, diffs, jump_idx = _difference_arrays(positions, diff_bits)
+    return diffs.tolist(), arr[jump_idx].tolist(), jump_idx.tolist()
 
 
 def pack_diffs(values: Sequence[int], diff_bits: int) -> bytes:
@@ -131,31 +141,13 @@ def unpack_diffs(data: bytes, diff_bits: int, count: int) -> list[int]:
 
 
 def _u64(values) -> array:
-    """A compact array('Q') holding `values` (any integer numpy array)."""
-    out = array("Q")
-    out.frombytes(np.ascontiguousarray(values, dtype=np.uint64).tobytes())
+    """A compact array('Q') holding `values` (any integer numpy array).
+
+    Sized by repetition: `frombytes` would leave a sixteenth spare.
+    """
+    out = array("Q", [0]) * len(values)
+    np.frombuffer(out, dtype=np.uint64)[:] = values
     return out
-
-
-def _pack_jumps(jumps: array, entry_width: int) -> bytes:
-    if entry_width == 8:
-        return np.frombuffer(jumps, dtype=np.uint64).astype("<u8").tobytes()
-    return b"".join(int(j).to_bytes(entry_width, "little") for j in jumps)
-
-
-def _unpack_jumps(data: bytes, offset: int, entry_width: int, count: int) -> array:
-    end = offset + entry_width * count
-    if end > len(data):
-        raise FormatError("truncated jump sequence")
-    if entry_width == 8:
-        jumps = array("Q", data[offset:end])
-        if sys.byteorder == "big":
-            jumps.byteswap()
-        return jumps
-    return array("Q", (
-        int.from_bytes(data[offset + i * entry_width : offset + (i + 1) * entry_width], "little")
-        for i in range(count)
-    ))
 
 
 @dataclass
@@ -177,26 +169,35 @@ class Checkpoints:
         return sum(c.itemsize * len(c) for c in (self.pos, self.cell, self.jump, self.bit))
 
 
-def _positions_at(
-    cells: np.ndarray, diffs: np.ndarray, jump_idx: np.ndarray, jumps: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Absolute positions of `cells`, and the jump whose run holds each one."""
-    run = np.searchsorted(jump_idx, cells, side="right") - 1
+def _positions(diffs: np.ndarray, jump_idx: np.ndarray, jumps: np.ndarray) -> np.ndarray:
+    """The absolute position of every cell.
+
+    Raises CorruptStreamError unless the positions strictly increase: a jump
+    must pass the run before it, and a run that passes 2**64 - 1 wraps to a
+    smaller position.
+    """
+    run = np.cumsum(diffs == 0) - 1
     total = np.cumsum(diffs, dtype=np.uint64)
-    return jumps[run] + (total[cells] - total[jump_idx[run]]), run
+    pos = jumps[run] + (total - total[jump_idx][run])
+    if not (pos[1:] > pos[:-1]).all():
+        raise CorruptStreamError(
+            "positions do not increase: a jump falls behind its run or a run passes 2**64 - 1"
+        )
+    return pos
 
 
-def _checkpoints_from_arrays(
-    diffs: np.ndarray, jump_idx: np.ndarray, jumps: np.ndarray, stride: int
+def _checkpoints(
+    pos: np.ndarray, jump_idx: np.ndarray, stride: int, ends: np.ndarray | None = None
 ) -> Checkpoints:
-    """The checkpoint table, without DHC bit offsets, from the numpy arrays.
+    """The checkpoint table from every cell's position (and DHC code end).
 
     Entries sit at every stride-th jump and every CHECKPOINT_CELLS-th cell.
     """
-    every_k = np.arange(0, diffs.size, CHECKPOINT_CELLS, dtype=np.int64)
+    every_k = np.arange(0, pos.size, CHECKPOINT_CELLS, dtype=np.int64)
     cells = np.union1d(every_k, jump_idx[::stride])
-    pos, run = _positions_at(cells, diffs, jump_idx, jumps)
-    return Checkpoints(_u64(pos), _u64(cells), _u64(run))
+    run = np.searchsorted(jump_idx, cells, side="right") - 1
+    bit = _u64(ends[cells]) if ends is not None else array("Q")
+    return Checkpoints(_u64(pos[cells]), _u64(cells), _u64(run), bit)
 
 
 def _jump_indices(diffs: np.ndarray, n_jumps: int) -> np.ndarray:
@@ -222,8 +223,9 @@ class DscHeader:
 
     def __post_init__(self):
         if self.checkpoints is None:
-            # One vectorised pass over the stored differences.
-            self.checkpoints = _checkpoints_from_arrays(*self._arrays(), self.stride)
+            diffs, jump_idx, jumps = self._arrays()
+            pos = _positions(diffs, jump_idx, jumps)
+            self.checkpoints = _checkpoints(pos, jump_idx, self.stride)
 
     def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Differences, the cells of their zeros and the jumps, as numpy arrays."""
@@ -267,8 +269,7 @@ class DscHeader:
         return None
 
     def positions(self) -> list[int]:
-        cells = np.arange(self.count, dtype=np.int64)
-        return _positions_at(cells, *self._arrays())[0].tolist()
+        return _positions(*self._arrays()).tolist()
 
     def to_bytes(self) -> bytes:
         head = _MAGIC_DSC + bytes([VERSION])
@@ -280,7 +281,7 @@ class DscHeader:
             self.count,
             len(self.jumps),
         )
-        return head + _pack_jumps(self.jumps, self.entry_width) + self.diff_data
+        return head + pack_ints(self.jumps, self.entry_width) + self.diff_data
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "DscHeader":
@@ -290,7 +291,7 @@ class DscHeader:
         if stride < 1:
             raise FormatError("checkpoint stride must be positive")
         off = 45
-        jumps = _unpack_jumps(data, off, entry_width, n_jumps)
+        jumps = _u64(unpack_ints(data, entry_width, n_jumps, off))
         off += entry_width * n_jumps
         need = packed_size(count, diff_bits)
         diff_data = data[off : off + need]
@@ -305,15 +306,15 @@ def build_dsc(
     entry_width: int = 8,
     stride: int = 16,
 ) -> DscHeader:
-    diffs, jumps, jump_idx = _difference_arrays(positions, diff_bits)
+    arr, diffs, jump_idx = _difference_arrays(positions, diff_bits)
     return DscHeader(
         diff_bits,
         entry_width,
         stride,
         diffs.size,
-        _u64(jumps),
+        _u64(arr[jump_idx]),
         pack_diffs(diffs, diff_bits),
-        checkpoints=_checkpoints_from_arrays(diffs, jump_idx, jumps, stride),
+        checkpoints=_checkpoints(arr, jump_idx, stride),
     )
 
 
@@ -341,55 +342,27 @@ class DhcHeader:
 
     def __post_init__(self):
         if self.checkpoints is None:
-            self.checkpoints = self._decode_checkpoints()
+            diffs, jump_idx, jumps, ends = self._arrays()
+            pos = _positions(diffs, jump_idx, jumps)
+            self.checkpoints = _checkpoints(pos, jump_idx, self.stride, ends)
 
-    def _decode_checkpoints(self) -> Checkpoints:
-        """Decode the stream once, taking the checkpoints on the way."""
-        jumps, stride, n = self.jumps, self.stride, self.count
-        if not jumps:
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Differences, the cells of their zeros, the jumps and, per cell, the
+        stream bit offset after its code, all decoded in numpy."""
+        if not self.jumps:
             raise CorruptStreamError("empty jump sequence")
-        cells, pos, runs, bits = [0], [jumps[0]], [0], [0]
-        k = 0
-        if n > 1:
+        diffs = np.zeros(min(self.count, 1), dtype=np.uint64)
+        ends = np.zeros(diffs.size, dtype=np.int64)
+        if self.count > 1:
             if self.codebook is None:
                 raise CorruptStreamError("missing codebook for a multi-cell stream")
-            dec = Decoder(self.codebook, self.stream, 0, 0)
-            decode = dec.decode_next
-            cur = jumps[0]
-            # Chunks of CHECKPOINT_CELLS cells keep the per-cell loop free of
-            # the cell-count test.
-            for start in range(0, n - 1, CHECKPOINT_CELLS):
-                stop = min(start + CHECKPOINT_CELLS, n - 1)
-                for cell in range(start + 1, stop + 1):
-                    sym = decode()
-                    if sym is None:
-                        raise CorruptStreamError("stream ended before declared count")
-                    if sym == 0:
-                        k += 1
-                        if k >= len(jumps):
-                            raise CorruptStreamError("more zero differences than jumps")
-                        cur = jumps[k]
-                        if k % stride == 0:
-                            cells.append(cell)
-                            pos.append(cur)
-                            runs.append(k)
-                            bits.append(dec.pos)
-                    else:
-                        cur += sym
-                if stop % CHECKPOINT_CELLS == 0 and cells[-1] != stop:
-                    cells.append(stop)
-                    pos.append(cur)
-                    runs.append(k)
-                    bits.append(dec.pos)
-            if self.stream.bit_length - dec.pos >= 8:
+            symbols, code_ends = decode_stream(self.codebook, self.stream, self.count - 1)
+            if self.stream.bit_length - code_ends[-1] >= 8:
                 raise CorruptStreamError("trailing data after final code")
-        if k + 1 != len(jumps):
-            raise CorruptStreamError(f"{k + 1} zero differences but {len(jumps)} jumps")
-        try:
-            return Checkpoints(array("Q", pos), array("Q", cells), array("Q", runs),
-                               array("Q", bits))
-        except OverflowError as exc:
-            raise CorruptStreamError("position beyond 64 bits") from exc
+            diffs = np.concatenate((diffs, symbols))
+            ends = np.concatenate((ends, code_ends))
+        jump_idx = _jump_indices(diffs, len(self.jumps))
+        return diffs, jump_idx, np.frombuffer(self.jumps, dtype=np.uint64), ends
 
     def codebook_bytes(self) -> int:
         return self.codebook.size_bytes() if self.codebook else 0
@@ -489,22 +462,7 @@ class DhcHeader:
         return None
 
     def positions(self) -> list[int]:
-        out = [self.jumps[0]]
-        if self.count > 1:
-            if self.codebook is None:
-                raise CorruptStreamError("missing codebook for a multi-cell stream")
-            dec = Decoder(self.codebook, self.stream, 0, 0)
-            cur = self.jumps[0]
-            k = 0
-            for _ in range(self.count - 1):
-                d = dec.decode_next()
-                if d == 0:
-                    k += 1
-                    cur = self.jumps[k]
-                else:
-                    cur += d
-                out.append(cur)
-        return out
+        return _positions(*self._arrays()[:3]).tolist()
 
     def to_bytes(self) -> bytes:
         head = _MAGIC_DHC + bytes([VERSION])
@@ -517,7 +475,7 @@ class DhcHeader:
             len(self.jumps),
             self.stream.bit_length,
         )
-        jumps = _pack_jumps(self.jumps, self.entry_width)
+        jumps = pack_ints(self.jumps, self.entry_width)
         cb = self.codebook.to_bytes() if self.codebook else struct.pack("<Q", 0)
         return head + jumps + cb + self.stream.data
 
@@ -529,7 +487,7 @@ class DhcHeader:
         if stride < 1:
             raise FormatError("checkpoint stride must be positive")
         off = 53
-        jumps = _unpack_jumps(data, off, entry_width, n_jumps)
+        jumps = _u64(unpack_ints(data, entry_width, n_jumps, off))
         off += entry_width * n_jumps
         if len(data) < off + 8:
             raise FormatError("truncated codebook")
@@ -553,31 +511,24 @@ def build_dhc(
     entry_width: int = 8,
     stride: int = 16,
 ) -> DhcHeader:
-    diffs, jumps, jump_idx = _difference_arrays(positions, diff_bits)
-    symbols = diffs[1:].tolist()
-    if symbols:
-        freqs: dict[int, int] = {}
-        for s in symbols:
-            freqs[s] = freqs.get(s, 0) + 1
-        codebook = build_codebook(freqs)
-        stream, ends = encode_sequence(codebook, symbols)
+    arr, diffs, jump_idx = _difference_arrays(positions, diff_bits)
+    ends = np.zeros(diffs.size, dtype=np.int64)
+    if diffs.size > 1:
+        symbols, freqs = np.unique(diffs[1:], return_counts=True)
+        codebook = build_codebook(dict(zip(symbols.tolist(), freqs.tolist())))
+        stream, ends[1:] = encode_sequence(codebook, diffs[1:])
     else:
         codebook = None
         stream = BitStream(b"", 0)
-        ends = []
-    checkpoints = _checkpoints_from_arrays(diffs, jump_idx, jumps, stride)
-    for c in checkpoints.cell:
-        byte, bit = ends[c - 1] if c else (0, 0)
-        checkpoints.bit.append(8 * byte + bit)
     return DhcHeader(
         diff_bits,
         entry_width,
         stride,
         diffs.size,
-        _u64(jumps),
+        _u64(arr[jump_idx]),
         codebook,
         stream,
-        checkpoints=checkpoints,
+        checkpoints=_checkpoints(arr, jump_idx, stride, ends),
     )
 
 

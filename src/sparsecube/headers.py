@@ -28,22 +28,27 @@ _MAGIC_LPC = b"LPCH"
 _MAGIC_BOC = b"BOCH"
 
 
-def _pack_ints(values, width: int) -> bytes:
-    if width == 8:
-        return np.asarray(values, dtype="<u8").tobytes()
-    return b"".join(int(v).to_bytes(width, "little") for v in values)
+def pack_ints(values, width: int) -> bytes:
+    """Unsigned integers as `width`-octet (1..8) little-endian entries."""
+    if not 1 <= width <= 8:
+        raise ValueError(f"entry width {width} is not 1..8 octets")
+    arr = np.ascontiguousarray(values, dtype="<u8").ravel()
+    if width < 8 and arr.size and int(arr.max()) >> (8 * width):
+        raise InvalidPositionError(f"value {int(arr.max())} does not fit {width} octets")
+    return arr.view(np.uint8).reshape(-1, 8)[:, :width].tobytes()
 
 
-def _unpack_ints(data: bytes, width: int, count: int, offset: int = 0) -> list[int]:
-    end = offset + width * count
-    if end > len(data):
+def unpack_ints(data: bytes, width: int, count: int, offset: int = 0) -> np.ndarray:
+    """`count` `width`-octet little-endian entries from `offset`, as uint64."""
+    if not 1 <= width <= 8:
+        raise FormatError(f"entry width {width} is not 1..8 octets")
+    if offset + width * count > len(data):
         raise FormatError("truncated header payload")
-    if width == 8:
-        return np.frombuffer(data, dtype="<u8", count=count, offset=offset).tolist()
-    return [
-        int.from_bytes(data[offset + i * width : offset + (i + 1) * width], "little")
-        for i in range(count)
-    ]
+    wide = np.zeros((count, 8), dtype=np.uint8)
+    wide[:, :width] = np.frombuffer(
+        data, dtype=np.uint8, count=width * count, offset=offset
+    ).reshape(count, width)
+    return wide.view("<u8").ravel().astype(np.uint64)
 
 
 def _check_positions(positions) -> np.ndarray:
@@ -104,18 +109,15 @@ class SchcHeader:
         return out
 
     def to_bytes(self) -> bytes:
-        pairs = []
-        for end, empty in zip(self.run_ends, self.empty_counts):
-            pairs.append(end)
-            pairs.append(empty)
+        pairs = np.array([self.run_ends, self.empty_counts], dtype=np.uint64).T
         head = _MAGIC_SCHC + bytes([VERSION])
         head += struct.pack("<QQ", self.entry_width, self.num_runs)
-        return head + _pack_ints(pairs, self.entry_width)
+        return head + pack_ints(pairs, self.entry_width)
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "SchcHeader":
         entry_width, num_runs = read_envelope(data, _MAGIC_SCHC, 2)
-        flat = _unpack_ints(data, entry_width, 2 * num_runs, offset=21)
+        flat = unpack_ints(data, entry_width, 2 * num_runs, offset=21).tolist()
         return cls(flat[0::2], flat[1::2], entry_width)
 
 
@@ -166,12 +168,12 @@ class LpcHeader:
     def to_bytes(self) -> bytes:
         head = _MAGIC_LPC + bytes([VERSION])
         head += struct.pack("<QQ", self.entry_width, self.count)
-        return head + _pack_ints(self.positions_list, self.entry_width)
+        return head + pack_ints(self.positions_list, self.entry_width)
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "LpcHeader":
         entry_width, count = read_envelope(data, _MAGIC_LPC, 2)
-        return cls(_unpack_ints(data, entry_width, count, offset=21), entry_width)
+        return cls(unpack_ints(data, entry_width, count, offset=21).tolist(), entry_width)
 
 
 def build_lpc(positions, entry_width: int = 8) -> LpcHeader:
@@ -232,8 +234,8 @@ class BocHeader:
         )
         return (
             head
-            + _pack_ints(self.bases, self.entry_width)
-            + _pack_ints(self.offsets, self.offset_width)
+            + pack_ints(self.bases, self.entry_width)
+            + pack_ints(self.offsets, self.offset_width)
         )
 
     @classmethod
@@ -242,11 +244,9 @@ class BocHeader:
             data, _MAGIC_BOC, 5
         )
         off = 45
-        bases = _unpack_ints(data, entry_width, n_bases, offset=off)
-        offsets = _unpack_ints(
-            data, offset_width, count, offset=off + entry_width * n_bases
-        )
-        return cls(bases, offsets, block_len, entry_width, offset_width)
+        bases = unpack_ints(data, entry_width, n_bases, offset=off)
+        offsets = unpack_ints(data, offset_width, count, offset=off + entry_width * n_bases)
+        return cls(bases.tolist(), offsets.tolist(), block_len, entry_width, offset_width)
 
 
 def build_boc(

@@ -9,14 +9,23 @@ end position of one code is the start position of the next.
 
 A single-symbol alphabet gets a deliberate 1-bit code: a zero-bit code would
 never advance the stream.
+
+Whole streams are coded in numpy: `encode_sequence` gathers every code's bits
+at once, and `decode_stream` finds the code at every bit offset, then the
+offsets where codes really start.  `Decoder` decodes one symbol at a time
+from any code boundary; point queries use it, and it is the reference the
+whole-stream decode must agree with.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 import struct
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Mapping, Sequence
+
+import numpy as np
 
 from .errors import CorruptStreamError, FormatError, InvalidPositionError
 
@@ -166,35 +175,197 @@ def build_codebook(freqs: Mapping[int, int]) -> CodeBook:
 
 
 def encode_sequence(
-    cb: CodeBook, symbols: Iterable[int]
-) -> tuple[BitStream, list[tuple[int, int]]]:
-    """Concatenate codes MSB-first.
+    cb: CodeBook, symbols: Sequence[int] | np.ndarray
+) -> tuple[BitStream, np.ndarray]:
+    """Concatenate codes MSB-first, in numpy.
 
-    Returns the stream and, per symbol, the (byte, bit) position right after
-    its code, usable to initialize a decoder on the following symbol.
+    Returns the stream and, per symbol, the bit offset right after its code,
+    where a `Decoder` started on it decodes the following symbol.
     """
-    codes = cb.codes
-    out = bytearray()
-    acc = 0
-    acc_bits = 0
-    total = 0
-    ends: list[tuple[int, int]] = []
-    for sym in symbols:
-        entry = codes.get(sym)
-        if entry is None:
-            raise ValueError(f"symbol {sym} not in codebook")
-        ln, code = entry
-        acc = (acc << ln) | code
-        acc_bits += ln
-        total += ln
-        while acc_bits >= 8:
-            acc_bits -= 8
-            out.append((acc >> acc_bits) & 0xFF)
-        acc &= (1 << acc_bits) - 1
-        ends.append((total >> 3, total & 7))
-    if acc_bits:
-        out.append((acc << (8 - acc_bits)) & 0xFF)
-    return BitStream(bytes(out), total), ends
+    alphabet = sorted(cb.codes)
+    table = np.array(alphabet, dtype=np.uint64)
+    seq = np.asarray(symbols, dtype=np.uint64)
+    row = np.minimum(np.searchsorted(table, seq), len(alphabet) - 1)
+    missing = table[row] != seq
+    if missing.any():
+        raise ValueError(f"symbol {int(seq[missing.argmax()])} not in codebook")
+    # One row of left-justified code bits per symbol of the alphabet.
+    nbytes = (cb.max_len + 7) // 8
+    code_bits = np.unpackbits(np.frombuffer(b"".join(
+        (code << (8 * nbytes - ln)).to_bytes(nbytes, "big")
+        for ln, code in (cb.codes[s] for s in alphabet)
+    ), dtype=np.uint8))
+    lengths = np.array([cb.lengths[s] for s in alphabet], dtype=np.int64)[row]
+    ends = np.cumsum(lengths)
+    total = int(ends[-1]) if ends.size else 0
+    bit_index = np.repeat(row * (8 * nbytes) - (ends - lengths), lengths) + np.arange(total)
+    return BitStream(np.packbits(code_bits[bit_index]).tobytes(), total), ends
+
+
+# The whole-stream decode reads 56-bit limbs: one unaligned 64-bit read
+# shifted left by up to 7 bits still holds 57 valid bits.
+_LIMB = 56
+_LIMB_MASK = (1 << _LIMB) - 1
+
+
+def _windows(data: bytes, n: int) -> np.ndarray:
+    """win[k] is the 56 stream bits ending at bit k, for k in [0, n).
+
+    Bits before the stream and past its data read as zero, as in `Decoder`.
+    """
+    n_words = (n + 7) >> 3
+    padded = (bytes(7) + bytes(data[:n_words])).ljust(n_words + 7, b"\0")
+    words = np.ndarray((n_words,), dtype=">u8", buffer=padded, strides=(1,))
+    shifts = np.arange(8, dtype=np.uint64)
+    return ((words.astype(np.uint64)[:, None] << shifts) >> np.uint64(8)).ravel()[:n]
+
+
+def _code_lengths(cb: CodeBook, win: np.ndarray, n_bits: int, none: int) -> np.ndarray:
+    """The length of the code at each bit offset, or `none` where no code matches.
+
+    Left-justified to L = max_len bits, the codes of length ln end below
+    (first[ln] + count[ln]) << (L - ln), and these limits never decrease in
+    ln.  So the code at an offset has length 1 + (limits <= its window), and
+    none matches where that exceeds L.  A table over the first k <= 11 bits
+    settles every offset unless a limit has those k bits and more below; such
+    windows compare limb by limb, where a limit ties on limbs 0..j-1 only
+    with its prefix group, which `searchsorted` keys by the group's rank.
+    """
+    first, count, _, _, _, _ = cb._tables()
+    n_limbs = -(-cb.max_len // _LIMB)
+    width = _LIMB * n_limbs
+    # The end of a complete code's space is never reached by a window.
+    limits = [
+        x for x in ((first[ln] + count[ln]) << (width - ln) for ln in range(1, cb.max_len + 1))
+        if x < 1 << width
+    ]
+    k = min(cb.max_len, _LUT_MAX_BITS)
+    shift = width - k
+    # Limits below the smallest and below the largest window of each prefix.
+    prefixes = np.arange(1 << k)
+    low = np.searchsorted(np.array([-(-x >> shift) for x in limits], dtype=np.int64),
+                          prefixes, side="right")
+    high = np.searchsorted(np.array([x >> shift for x in limits], dtype=np.int64),
+                           prefixes, side="right")
+    head = (win[_LIMB : _LIMB + n_bits] >> np.uint64(_LIMB - k)).view(np.int64)
+    length = np.take(np.where(low < cb.max_len, low + 1, none), head)
+    cand = np.flatnonzero((low != high)[head]) if (low != high).any() else head[:0]
+    rows = np.array(
+        [[(x >> (_LIMB * (n_limbs - 1 - j))) & _LIMB_MASK for j in range(n_limbs)]
+         for x in limits],
+        dtype=np.uint64,
+    ).reshape(-1, n_limbs)
+    tied = cand  # per candidate, the first limit it ties with on limbs 0..j-1
+    for j in range(n_limbs):
+        new_group = np.ones(len(rows), dtype=bool)
+        new_group[1:] = (rows[1:, :j] != rows[:-1, :j]).any(axis=1)
+        rank = (np.cumsum(new_group) - 1).astype(np.uint64) << np.uint64(_LIMB)
+        keys = rank | rows[:, j]
+        probe = win[cand + _LIMB * (j + 1)]
+        if j:
+            probe |= rank[tied]
+        hi = np.searchsorted(keys, probe, side="right")
+        lo = hi if j == n_limbs - 1 else np.searchsorted(keys, probe, side="left")
+        length[cand] = np.where(lo < cb.max_len, lo + 1, none)
+        tie = lo < hi
+        cand, tied = cand[tie], lo[tie]
+    return length
+
+
+def _walk(nxt: np.ndarray, pos: np.ndarray, stop: np.ndarray, seen=None, until=None):
+    """Move walkers along nxt until each reaches its stop or a position in `until`.
+
+    Returns where they ended, and marks in `seen` every position they left.
+    """
+    shape = np.broadcast_shapes(pos.shape, stop.shape)
+    end = np.broadcast_to(pos, shape).ravel().copy()
+    stop = np.broadcast_to(stop, shape).ravel()
+    idx = np.arange(end.size)
+    cur = end
+    while idx.size:
+        live = cur < stop
+        if until is not None:
+            live &= ~until[cur]
+        if not live.all():
+            end[idx[~live]] = cur[~live]
+            idx, cur, stop = idx[live], cur[live], stop[live]
+        if seen is not None:
+            seen[cur] = True
+        cur = nxt[cur]
+    return end.reshape(shape)
+
+
+def _code_starts(nxt: np.ndarray, n_bits: int, max_len: int, count: int) -> np.ndarray:
+    """Bit offsets of the first `count` codes, following nxt from offset 0.
+
+    nxt[i] is the offset after the code at i for i < n_bits, where n_bits + 1
+    marks no whole code; both n_bits and n_bits + 1 lead to themselves.  One
+    walker per chunk of the stream walks, in lockstep with the others, the
+    codes from the chunk's first offset.  The real path enters a chunk at one
+    of its first max_len offsets and, prefix codes being self-synchronising,
+    soon lands on that chunk path and follows it (Weissenberger & Schmidt
+    2018).  So each possible entry is walked only until it joins the chunk
+    path or leaves the chunk, and the chunks are chained from offset 0.  The
+    starts are the real entries' walks plus the chunk paths from where those
+    joined.  The chunk grows with the square root of the stream, which
+    balances the lockstep steps against the chained chunks.
+    """
+    chunk = max(max_len, math.isqrt(n_bits))
+    n_chunks = -(-n_bits // chunk)
+    head = np.arange(n_chunks, dtype=np.int64) * chunk
+    stop = np.minimum(head + chunk, n_bits)
+    on_path = np.zeros(n_bits + 2, dtype=bool)
+    path_exit = _walk(nxt, head, stop, on_path)
+    entries = np.minimum(head[:, None] + np.arange(max_len), n_bits)
+    joined = _walk(nxt, entries, stop[:, None], until=on_path)
+    exits = np.where(joined < stop[:, None], path_exit[:, None], joined).tolist()
+    at, entered = 0, []
+    while at < n_bits:
+        entered.append(at)
+        c = at // chunk
+        at = exits[c][at - c * chunk]
+    entered = np.array(entered, dtype=np.int64)
+    seen = np.zeros(n_bits + 2, dtype=bool)
+    join = stop.copy()  # the path of a chunk never entered is not real
+    join[entered // chunk] = _walk(nxt, entered, stop[entered // chunk], seen, on_path)
+    before_join = np.zeros(n_bits + 2, dtype=bool)
+    _walk(nxt, head, np.minimum(join, stop), before_join)
+    starts = np.flatnonzero((seen | (on_path & ~before_join))[:n_bits])
+    if starts.size - (at > n_bits) < count:
+        if at == n_bits:
+            raise CorruptStreamError("stream ended before declared count")
+        raise CorruptStreamError(f"no whole code at bit {starts[-1]}")
+    return starts[:count]
+
+
+def decode_stream(cb: CodeBook, stream: BitStream, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The first `count` symbols from bit 0, and the bit offset after each code.
+
+    Decodes in numpy what `count` calls of `Decoder.decode_next` decode, and
+    raises `CorruptStreamError` where they would: the code length and symbol
+    are found at every bit offset (Klein & Wiseman 2003), and a walk from
+    offset 0 picks the offsets where a code really starts.
+    """
+    if count == 0:
+        return np.zeros(0, dtype=np.uint64), np.zeros(0, dtype=np.int64)
+    first, _, offset, syms, _, _ = cb._tables()
+    max_len = cb.max_len
+    n_bits = stream.bit_length
+    win = _windows(stream.data, n_bits + _LIMB * -(-max_len // _LIMB) + 1)
+    length = _code_lengths(cb, win, n_bits, n_bits + 1)
+    nxt = np.arange(n_bits + 2)
+    nxt[:n_bits] += length
+    np.minimum(nxt, n_bits + 1, out=nxt)  # past the end: no whole code
+    starts = _code_starts(nxt, n_bits, max_len, count)
+    ln = length[starts]
+    ends = starts + ln
+    # The code's offset in its length class, from the 56 bits ending with it.
+    first_low = np.array([f & _LIMB_MASK for f in first], dtype=np.uint64)
+    masks = np.array([(1 << min(n, _LIMB)) - 1 for n in range(max_len + 1)], dtype=np.uint64)
+    rank = np.array(offset, dtype=np.int64)[ln] + (
+        (win[ends] - first_low[ln]) & masks[ln]
+    ).astype(np.int64)
+    return np.array(syms, dtype=np.uint64)[rank], ends
 
 
 class Decoder:

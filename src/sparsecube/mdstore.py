@@ -263,8 +263,9 @@ def store_paths(base: str | Path) -> tuple[Path, Path, Path]:
 
 def save(store: MultidimStore, base: str | Path) -> None:
     schema_p, hdr_p, cells_p = store_paths(base)
+    header = store.header.to_bytes()  # an entry too wide raises before any file is written
     schema_p.write_bytes(store.schema_bytes())
-    hdr_p.write_bytes(store.header.to_bytes())
+    hdr_p.write_bytes(header)
     if store._cells_mem is not None:
         cells_p.write_bytes(store._cells_mem)
     else:

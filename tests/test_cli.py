@@ -88,6 +88,19 @@ class TestQuery:
                    "--coords", ",".join(first[:3])) == 0
         assert repr(float(first[3])) in capsys.readouterr().out
 
+    @pytest.mark.parametrize("scheme", ["lpc", "schc"])
+    def test_entry_too_wide_is_data_error(self, tmp_path, capsys, scheme):
+        rel_csv = tmp_path / "rel.csv"
+        assert run("gen", "--dims", "64,64,64", "--density", "0.05",
+                   "--seed", "1", "--out", rel_csv) == 0
+        capsys.readouterr()
+        assert run("build", "--in", rel_csv, "--scheme", scheme,
+                   "--entry-width", "2", "--out", tmp_path / "st") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "2 octets" in err
+        assert err.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["rel.csv"]
+
     def test_unknown_scheme_is_usage_error(self, workspace):
         with pytest.raises(SystemExit) as exc:
             run("build", "--in", workspace / "rel.csv", "--scheme", "zip",

@@ -16,6 +16,7 @@ from sparsecube.diffseq import (
     unpack_diffs,
 )
 from sparsecube.errors import CorruptStreamError, FormatError
+from sparsecube.huffman import BitStream
 from sparsecube.headers import build_boc, build_lpc
 from sparsecube.errors import OffsetOverflowError
 
@@ -348,6 +349,37 @@ class TestCheckpoints:
         raw[-3:] = bytes([1, 0, 1])
         with pytest.raises(CorruptStreamError):
             DscHeader.from_bytes(bytes(raw))
+
+
+class TestLoadChecks:
+    @pytest.mark.parametrize("build, cls", SCHEMES)
+    def test_positions_past_64_bits_rejected(self, build, cls):
+        h = build([10, 15, 20], diff_bits=8)
+        h.jumps[0] = 2**64 - 6  # the run reaches 2**64 + 4
+        with pytest.raises(CorruptStreamError):
+            cls.from_bytes(h.to_bytes())
+
+    @pytest.mark.parametrize("build, cls", SCHEMES)
+    def test_jump_behind_its_run_rejected(self, build, cls):
+        h = build([10, 15, 20, 400], diff_bits=8)
+        assert list(h.jumps) == [10, 400]
+        h.jumps[1] = 18
+        with pytest.raises(CorruptStreamError):
+            cls.from_bytes(h.to_bytes())
+
+
+    def test_dhc_stream_checks(self):
+        h = build_dhc([5, 6, 7, 9, 300], diff_bits=8)
+        fields = (h.diff_bits, h.entry_width, h.stride)
+        padded = BitStream(h.stream.data + bytes(1), h.stream.bit_length + 8)
+        for count, jumps, codebook, stream in (
+            (h.count, h.jumps, h.codebook, padded),  # 8 bits past the last code
+            (h.count, h.jumps, None, h.stream),  # codebook missing
+            (h.count + 9, h.jumps, h.codebook, h.stream),  # stream ends before the count
+            (h.count, h.jumps[:1], h.codebook, h.stream),  # more zero differences than jumps
+        ):
+            with pytest.raises(CorruptStreamError):
+                DhcHeader(*fields, count, jumps, codebook, stream)
 
 
 class TestStrideTransparency:

@@ -15,6 +15,8 @@ from sparsecube.headers import (
     lookup_boc,
     lookup_lpc,
     lookup_schc,
+    pack_ints,
+    unpack_ints,
 )
 
 
@@ -216,3 +218,24 @@ class TestSerialization:
         assert build_schc(positions, total).positions() == positions
         assert build_lpc(positions).positions() == positions
         assert build_boc(positions, block_len=2, offset_width=1).positions() == positions
+
+
+class TestIntCodec:
+    @given(st.integers(1, 8), st.data())
+    def test_matches_int_to_bytes(self, width, data):
+        values = data.draw(st.lists(st.integers(0, 2 ** (8 * width) - 1), max_size=40))
+        packed = pack_ints(values, width)
+        assert packed == b"".join(v.to_bytes(width, "little") for v in values)
+        assert unpack_ints(b"ab" + packed, width, len(values), offset=2).tolist() == values
+
+    @pytest.mark.parametrize("width", range(1, 8))
+    def test_value_too_wide_rejected(self, width):
+        with pytest.raises(InvalidPositionError):
+            pack_ints([0, 1 << (8 * width)], width)
+
+    def test_width_outside_one_to_eight_rejected(self):
+        for width in (0, 9):
+            with pytest.raises(ValueError):
+                pack_ints([1], width)
+            with pytest.raises(FormatError):
+                unpack_ints(bytes(32), width, 1)

@@ -8,12 +8,14 @@ from hypothesis import given, strategies as st
 
 from sparsecube.errors import CorruptStreamError, InvalidPositionError
 from sparsecube.huffman import (
+    _LUT_MAX_BITS,
     BitStream,
     CodeBook,
     Decoder,
     build_codebook,
     decode_next,
     decode_sequence,
+    decode_stream,
     decoder_init,
     encode_sequence,
 )
@@ -138,7 +140,7 @@ class TestEncode:
         stream, ends = encode_sequence(cb, [])
         assert stream.bit_length == 0
         assert stream.data == b""
-        assert ends == []
+        assert ends.tolist() == []
 
     def test_two_symbol_example(self):
         # Canonical assignment pins 0->bit 0, 1->bit 1, so "0101" packs
@@ -147,7 +149,7 @@ class TestEncode:
         stream, ends = encode_sequence(cb, [0, 1, 0, 1])
         assert stream.bit_length == 4
         assert stream.data == bytes([0b01010000])
-        assert ends == [(0, 1), (0, 2), (0, 3), (0, 4)]
+        assert ends.tolist() == [1, 2, 3, 4]
 
     def test_unknown_symbol(self):
         cb = build_codebook({0: 1, 1: 1})
@@ -176,8 +178,8 @@ class TestDecode:
         cb = build_codebook(freqs)
         seq = rng.choices(list(freqs), k=60)
         stream, ends = encode_sequence(cb, seq)
-        for i, (byte, bit) in enumerate(ends[:-1]):
-            dec = decoder_init(cb, stream, byte, bit)
+        for i, end in enumerate(ends[:-1].tolist()):
+            dec = decoder_init(cb, stream, end >> 3, end & 7)
             assert dec.decode_next() == seq[i + 1]
 
     def test_anchor_suffix_decoding(self):
@@ -187,8 +189,8 @@ class TestDecode:
         seq = rng.choices(list(freqs), k=80)
         stream, ends = encode_sequence(cb, seq)
         for i in (0, 10, 41, 78):
-            byte, bit = ends[i]
-            rest = decode_sequence(cb, stream, len(seq) - 1 - i, byte, bit)
+            end = int(ends[i])
+            rest = decode_sequence(cb, stream, len(seq) - 1 - i, end >> 3, end & 7)
             assert rest == seq[i + 1 :]
 
     def test_init_past_stream_end(self):
@@ -236,3 +238,107 @@ class TestDecode:
         seq = list(freqs) * 3
         stream, _ = encode_sequence(cb, seq)
         assert decode_sequence(cb, stream, len(seq)) == seq
+
+
+def scalar_encode(cb, symbols):
+    """One code at a time through an integer accumulator: the reference for
+    `encode_sequence`.  Returns the octets, the bit count and each code's end."""
+    out = bytearray()
+    acc = acc_bits = total = 0
+    ends = []
+    for sym in symbols:
+        ln, code = cb.codes[sym]
+        acc = (acc << ln) | code
+        acc_bits += ln
+        total += ln
+        while acc_bits >= 8:
+            acc_bits -= 8
+            out.append((acc >> acc_bits) & 0xFF)
+        acc &= (1 << acc_bits) - 1
+        ends.append(total)
+    if acc_bits:
+        out.append((acc << (8 - acc_bits)) & 0xFF)
+    return bytes(out), total, ends
+
+
+def scalar_decode(cb, stream, count):
+    """`count` calls of `Decoder.decode_next`: the reference for `decode_stream`."""
+    dec = Decoder(cb, stream)
+    symbols, ends = [], []
+    for _ in range(count):
+        sym = dec.decode_next()
+        if sym is None:
+            raise CorruptStreamError("stream ended before declared count")
+        symbols.append(sym)
+        ends.append(dec.pos)
+    return symbols, ends
+
+
+def outcome(decode, cb, stream, count):
+    try:
+        symbols, ends = decode(cb, stream, count)
+    except CorruptStreamError:
+        return "corrupt"
+    return [int(s) for s in symbols], [int(e) for e in ends]
+
+
+@st.composite
+def chain_codes(draw):
+    """Lengths 1, 2, .., m-1, m-1 (a complete code) up to 129 bits deep,
+    some symbols possibly dropped (an incomplete code), on random symbols."""
+    m = draw(st.integers(2, 130))
+    lengths = list(range(1, m)) + [m - 1]
+    keep = draw(st.lists(st.booleans(), min_size=m, max_size=m))
+    symbols = draw(st.lists(st.integers(0, 2**64 - 1), min_size=m, max_size=m, unique=True))
+    chosen = {s: ln for s, ln, k in zip(symbols, lengths, keep) if k} or {symbols[0]: 1}
+    return CodeBook(chosen)
+
+
+codebooks = st.one_of(
+    freq_maps.map(build_codebook),
+    st.integers(0, 2**64 - 1).map(lambda s: build_codebook({s: 3})),
+    chain_codes(),
+)
+
+
+class TestWholeStream:
+    @given(codebooks, st.data())
+    def test_matches_scalar_coder(self, cb, data):
+        alphabet = sorted(cb.codes)
+        seq = data.draw(st.lists(st.sampled_from(alphabet), max_size=150))
+        stream, ends = encode_sequence(cb, seq)
+        octets, bits, scalar_ends = scalar_encode(cb, seq)
+        assert (stream.data, stream.bit_length, ends.tolist()) == (octets, bits, scalar_ends)
+        assert outcome(decode_stream, cb, stream, len(seq)) == (seq, scalar_ends)
+        # Damaged streams: asking for more symbols, cutting the stream short
+        # and flipping bits give what the scalar decoder gives, or its error.
+        count = data.draw(st.integers(0, len(seq) + 3))
+        cut = data.draw(st.integers(0, bits))
+        flipped = bytearray(octets)
+        for bit in data.draw(st.lists(st.integers(0, max(8 * len(octets) - 1, 0)), max_size=3)):
+            if flipped:
+                flipped[bit >> 3] ^= 0x80 >> (bit & 7)
+        for damaged in (stream, BitStream(octets, cut), BitStream(bytes(flipped), bits)):
+            assert outcome(decode_stream, cb, damaged, count) == outcome(
+                scalar_decode, cb, damaged, count
+            )
+
+    def test_codes_past_the_lookup_table_and_one_limb(self):
+        rng = random.Random(21)
+        for depth in (_LUT_MAX_BITS + 4, 56, 57, 70, 200):
+            cb = CodeBook({s: min(s + 1, depth - 1) for s in range(depth)})
+            assert cb.max_len == depth - 1
+            seq = rng.choices(range(depth), k=300)
+            stream, ends = encode_sequence(cb, seq)
+            symbols, decoded_ends = decode_stream(cb, stream, len(seq))
+            assert symbols.tolist() == seq
+            assert decoded_ends.tolist() == ends.tolist()
+
+    def test_single_symbol_alphabet(self):
+        cb = build_codebook({9: 4})
+        stream, ends = encode_sequence(cb, [9] * 5)
+        assert decode_stream(cb, stream, 5)[0].tolist() == [9] * 5
+        with pytest.raises(CorruptStreamError):
+            decode_stream(cb, stream, 6)
+        with pytest.raises(CorruptStreamError):  # a 1 bit matches no code
+            decode_stream(cb, BitStream(bytes([0b00001000]), 5), 5)

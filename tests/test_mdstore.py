@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -6,7 +7,15 @@ import pytest
 from sparsecube import mdstore
 from sparsecube.blockio import SimCache
 from sparsecube.errors import EmptyRelationError, FormatError, StoreError
-from sparsecube.mdstore import SCHEMES, StoreParams, build_store, load, point_query, save
+from sparsecube.mdstore import (
+    SCHEMES,
+    StoreParams,
+    build_boc_with_retry,
+    build_store,
+    load,
+    point_query,
+    save,
+)
 from sparsecube.relation import DimensionSchema, Relation
 from sparsecube.synth import SynthSpec, generate
 
@@ -122,6 +131,31 @@ class TestPersistence:
             hdr.write_bytes(full[:n])
             with pytest.raises(StoreError):
                 load(base)
+
+    @pytest.mark.parametrize("spec, params, boc, dhc", [
+        (SynthSpec((32, 32, 16), 0.05, 0.3, seed=3), StoreParams(),
+         "3b0ec1d889dc150e0e6398c7fed1809bf7005b6c6e69a4b7490413f0939ac52f",
+         "23c1d0aed8457a715689c8539d25bcfa91f070f311d87bafa3b1d16647625da1"),
+        (SynthSpec((64, 64, 32), 0.2, 0.0, seed=7), StoreParams(diff_bits=4),
+         "49de6e2ab7635831e35b2eae8abc986219ac36a9791544a01d792db9801abdb8",
+         "e9a9e0ea2d6a249d01aa6245f2431f01402678cd792af5176499536dd9c68a75"),
+        (SynthSpec((100, 100, 100), 0.001, 0.0, seed=5), StoreParams(entry_width=6, diff_bits=8),
+         "22b3098c134c61e49a9752b3cac3bba65f187aa355bbe00fe4075b2ef7e28218",
+         "5629178fd9b518a09edbf8b2ad276ffe9b57cd255489095b5f1e85f47144a4fb"),
+        (SynthSpec((64, 64, 50), 0.02, 0.8, seed=11),
+         StoreParams(entry_width=5, offset_width=1, diff_bits=12, stride=4),
+         "1b39f7798621eda1944c657affbacc5f83e6e12bf7ce718a55770eb4365f3e65",
+         "79b165c408e63cd4c4a600c2f17500a52dfd339ad388fd5cee93cca2af72e9a1"),
+    ])
+    def test_header_bytes_pinned(self, spec, params, boc, dhc):
+        # Digests of the headers the byte-at-a-time coders wrote: a vectorised
+        # coder must write the same octets.
+        rel = generate(spec)
+        for scheme, digest in (("boc", boc), ("dhc", dhc)):
+            header = build_boc_with_retry(rel, scheme, params).header
+            data = header.to_bytes()
+            assert hashlib.sha256(data).hexdigest() == digest
+            assert type(header).from_bytes(data).positions() == header.positions()
 
     def test_preload_answers_identically(self, tmp_path, relation, stores):
         base = tmp_path / "p"
