@@ -18,7 +18,7 @@ from .errors import (
     OffsetOverflowError,
     StoreError,
 )
-from .mdstore import MultidimStore, StoreParams, build_store, load, point_query, save
+from .mdstore import MultidimStore, StoreParams, build_store, load, save
 from .relation import (
     Dimension,
     DimensionSchema,
@@ -50,7 +50,6 @@ __all__ = [
     "build_store",
     "load",
     "save",
-    "point_query",
     "Dimension",
     "DimensionSchema",
     "Relation",

@@ -1,10 +1,13 @@
 """Block-granular file access with an optional simulated cache.
 
-Every disk-resident part of both physical representations is read through a
+Every stored part of both physical representations is read through a
 BlockReader so a SimCache can observe exactly which blocks a query touches.
-The cache is fill-then-LRU, counts hits and misses, and stores block bytes so
-hits never reach the file.  It is deterministic: identical access sequences
-produce identical counters and resident sets.
+A loaded store reads its files; a freshly built one reads the same octets
+from memory through a BytesReader, which differs only in where a block
+comes from, so both take one path.  The cache is fill-then-LRU, counts hits
+and misses, and stores block bytes so hits never reach the file.  It is
+deterministic: identical access sequences produce identical counters and
+resident sets.
 """
 
 from __future__ import annotations
@@ -124,6 +127,10 @@ class BlockReader:
     def _load_block(self, block_no: int) -> bytes:
         return os.pread(self._fd, self.block_size, block_no * self.block_size)
 
+    def contents(self) -> bytes:
+        """The whole file, read around the cache so saving leaves it untouched."""
+        return b"".join(map(self._load_block, range(self.block_count)))
+
     def read_block(self, block_no: int) -> bytes:
         if self.cache is None:
             return self._load_block(block_no)
@@ -152,3 +159,19 @@ class BlockReader:
             hi = offset + length - bno * bs if bno == last else bs
             parts.append(block[lo:hi])
         return b"".join(parts)
+
+
+class BytesReader(BlockReader):
+    """An uncached BlockReader over octets already in memory."""
+
+    def __init__(self, data: bytes, name: str, block_size: int = 4096):
+        self.block_size = block_size
+        self.cache = None
+        self.name = name
+        self._fd = None
+        self._data = data
+        self.file_size = len(data)
+
+    def _load_block(self, block_no: int) -> bytes:
+        start = block_no * self.block_size
+        return self._data[start : start + self.block_size]

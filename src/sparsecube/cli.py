@@ -133,7 +133,7 @@ def _parse_coords(text: str, schema) -> tuple[int, ...]:
 def cmd_query(args) -> int:
     base = args.store
     is_table = Path(base + ".rows").exists()
-    store = tablestore.load_table(base, preload=True) if is_table else mdstore.load(base, preload=True)
+    store = tablestore.load_table(base) if is_table else mdstore.load(base)
     try:
         coords = _parse_coords(args.coords, store.schema)
         t0 = time.perf_counter()

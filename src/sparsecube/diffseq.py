@@ -42,9 +42,6 @@ from .huffman import (
 # octets (DSC) or 32 (DHC); at 128 a DHC store stays within 5% of its disk size.
 CHECKPOINT_CELLS = 128
 
-_MAGIC_DSC = b"DSCH"
-_MAGIC_DHC = b"DHCH"
-
 
 def _difference_arrays(
     positions: Sequence[int], diff_bits: int
@@ -136,10 +133,6 @@ def _bit_window(data: bytes, diff_bits: int, first: int, stop: int) -> Iterator[
         window >>= diff_bits
 
 
-def unpack_diffs(data: bytes, diff_bits: int, count: int) -> list[int]:
-    return _diff_array(data, diff_bits, count).tolist()
-
-
 def _u64(values) -> array:
     """A compact array('Q') holding `values` (any integer numpy array).
 
@@ -213,6 +206,8 @@ def _jump_indices(diffs: np.ndarray, n_jumps: int) -> np.ndarray:
 class DscHeader:
     """Packed difference sequence plus jump sequence."""
 
+    MAGIC = b"DSCH"
+
     diff_bits: int
     entry_width: int
     stride: int
@@ -272,7 +267,7 @@ class DscHeader:
         return _positions(*self._arrays()).tolist()
 
     def to_bytes(self) -> bytes:
-        head = _MAGIC_DSC + bytes([VERSION])
+        head = self.MAGIC + bytes([VERSION])
         head += struct.pack(
             "<QQQQQ",
             self.entry_width,
@@ -286,7 +281,7 @@ class DscHeader:
     @classmethod
     def from_bytes(cls, data: bytes) -> "DscHeader":
         entry_width, diff_bits, stride, count, n_jumps = read_envelope(
-            data, _MAGIC_DSC, 5
+            data, cls.MAGIC, 5
         )
         if stride < 1:
             raise FormatError("checkpoint stride must be positive")
@@ -318,10 +313,6 @@ def build_dsc(
     )
 
 
-def lookup_dsc(header: DscHeader, position: int) -> int | None:
-    return header.lookup(position)
-
-
 @dataclass
 class DhcHeader:
     """Jump sequence plus the Huffman code of the difference sequence.
@@ -330,6 +321,8 @@ class DhcHeader:
     first jump).  The checkpoint table carries, per entry, the stream bit
     offset right after that cell's code.
     """
+
+    MAGIC = b"DHCH"
 
     diff_bits: int
     entry_width: int
@@ -465,7 +458,7 @@ class DhcHeader:
         return _positions(*self._arrays()[:3]).tolist()
 
     def to_bytes(self) -> bytes:
-        head = _MAGIC_DHC + bytes([VERSION])
+        head = self.MAGIC + bytes([VERSION])
         head += struct.pack(
             "<QQQQQQ",
             self.entry_width,
@@ -482,7 +475,7 @@ class DhcHeader:
     @classmethod
     def from_bytes(cls, data: bytes) -> "DhcHeader":
         entry_width, diff_bits, stride, count, n_jumps, bit_length = read_envelope(
-            data, _MAGIC_DHC, 6
+            data, cls.MAGIC, 6
         )
         if stride < 1:
             raise FormatError("checkpoint stride must be positive")
@@ -530,7 +523,3 @@ def build_dhc(
         stream,
         checkpoints=_checkpoints(arr, jump_idx, stride, ends),
     )
-
-
-def lookup_dhc(header: DhcHeader, position: int) -> int | None:
-    return header.lookup(position)

@@ -23,10 +23,6 @@ from .errors import FormatError, InvalidPositionError, OffsetOverflowError
 
 VERSION = 1
 
-_MAGIC_SCHC = b"SCHC"
-_MAGIC_LPC = b"LPCH"
-_MAGIC_BOC = b"BOCH"
-
 
 def pack_ints(values, width: int) -> bytes:
     """Unsigned integers as `width`-octet (1..8) little-endian entries."""
@@ -74,6 +70,8 @@ def read_envelope(data: bytes, magic: bytes, n_params: int) -> list[int]:
 class SchcHeader:
     """One (last position, cumulative empty count) pair per run of nonempty cells."""
 
+    MAGIC = b"SCHC"
+
     run_ends: list[int]
     empty_counts: list[int]
     entry_width: int = 8
@@ -81,6 +79,11 @@ class SchcHeader:
     @property
     def num_runs(self) -> int:
         return len(self.run_ends)
+
+    @property
+    def count(self) -> int:
+        """Stored cells: the last run's end plus one, less every empty cell."""
+        return self.run_ends[-1] + 1 - self.empty_counts[-1] if self.run_ends else 0
 
     def size_bytes(self) -> int:
         return 2 * self.num_runs * self.entry_width
@@ -110,13 +113,13 @@ class SchcHeader:
 
     def to_bytes(self) -> bytes:
         pairs = np.array([self.run_ends, self.empty_counts], dtype=np.uint64).T
-        head = _MAGIC_SCHC + bytes([VERSION])
+        head = self.MAGIC + bytes([VERSION])
         head += struct.pack("<QQ", self.entry_width, self.num_runs)
         return head + pack_ints(pairs, self.entry_width)
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "SchcHeader":
-        entry_width, num_runs = read_envelope(data, _MAGIC_SCHC, 2)
+        entry_width, num_runs = read_envelope(data, cls.MAGIC, 2)
         flat = unpack_ints(data, entry_width, 2 * num_runs, offset=21).tolist()
         return cls(flat[0::2], flat[1::2], entry_width)
 
@@ -135,13 +138,11 @@ def build_schc(positions, total_cells: int, entry_width: int = 8) -> SchcHeader:
     return SchcHeader(ends.tolist(), empties.tolist(), entry_width)
 
 
-def lookup_schc(header: SchcHeader, position: int) -> int | None:
-    return header.lookup(position)
-
-
 @dataclass
 class LpcHeader:
     """The full sequence of nonempty logical positions, stored verbatim."""
+
+    MAGIC = b"LPCH"
 
     positions_list: list[int]
     entry_width: int = 8
@@ -166,13 +167,13 @@ class LpcHeader:
         return list(self.positions_list)
 
     def to_bytes(self) -> bytes:
-        head = _MAGIC_LPC + bytes([VERSION])
+        head = self.MAGIC + bytes([VERSION])
         head += struct.pack("<QQ", self.entry_width, self.count)
         return head + pack_ints(self.positions_list, self.entry_width)
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "LpcHeader":
-        entry_width, count = read_envelope(data, _MAGIC_LPC, 2)
+        entry_width, count = read_envelope(data, cls.MAGIC, 2)
         return cls(unpack_ints(data, entry_width, count, offset=21).tolist(), entry_width)
 
 
@@ -181,13 +182,11 @@ def build_lpc(positions, entry_width: int = 8) -> LpcHeader:
     return LpcHeader(arr.tolist(), entry_width)
 
 
-def lookup_lpc(header: LpcHeader, position: int) -> int | None:
-    return header.lookup(position)
-
-
 @dataclass
 class BocHeader:
     """Block bases plus narrow per-position offsets."""
+
+    MAGIC = b"BOCH"
 
     bases: list[int]
     offsets: list[int]
@@ -223,7 +222,7 @@ class BocHeader:
         ]
 
     def to_bytes(self) -> bytes:
-        head = _MAGIC_BOC + bytes([VERSION])
+        head = self.MAGIC + bytes([VERSION])
         head += struct.pack(
             "<QQQQQ",
             self.entry_width,
@@ -241,7 +240,7 @@ class BocHeader:
     @classmethod
     def from_bytes(cls, data: bytes) -> "BocHeader":
         entry_width, offset_width, block_len, count, n_bases = read_envelope(
-            data, _MAGIC_BOC, 5
+            data, cls.MAGIC, 5
         )
         off = 45
         bases = unpack_ints(data, entry_width, n_bases, offset=off)
@@ -272,12 +271,3 @@ def build_boc(
             block=block,
         )
     return BocHeader(bases.tolist(), offsets.tolist(), block_len, entry_width, offset_width)
-
-
-def lookup_boc(header: BocHeader, position: int) -> int | None:
-    return header.lookup(position)
-
-
-def header_size(header) -> int:
-    """Exact serialized size of the header structure, in octets."""
-    return header.size_bytes()

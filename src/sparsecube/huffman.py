@@ -406,10 +406,6 @@ class Decoder:
             self._fill = 8 - lead
             self._cursor += 1
 
-    @property
-    def bit_position(self) -> int:
-        return self.pos
-
     def decode_next(self) -> int | None:
         """Next symbol, or None at end of stream.
 
@@ -469,25 +465,3 @@ class Decoder:
         raise CorruptStreamError(
             f"no code matches the {remaining} bits left at position {self.pos}"
         )
-
-
-def decoder_init(cb: CodeBook, stream: BitStream, byte: int, bit: int) -> Decoder:
-    return Decoder(cb, stream, byte, bit)
-
-
-def decode_next(state: Decoder) -> int | None:
-    return state.decode_next()
-
-
-def decode_sequence(
-    cb: CodeBook, stream: BitStream, count: int, byte: int = 0, bit: int = 0
-) -> list[int]:
-    """Decode exactly count symbols starting at a code boundary."""
-    dec = Decoder(cb, stream, byte, bit)
-    out = []
-    for _ in range(count):
-        sym = dec.decode_next()
-        if sym is None:
-            raise CorruptStreamError("stream ended before expected symbol count")
-        out.append(sym)
-    return out

@@ -6,30 +6,33 @@ arrays.  On disk it is three files: `<name>.schema` (JSON), `<name>.hdr`
 (binary header) and `<name>.cells` (raw measures).  On load the header,
 schema and rebuilt auxiliary arrays live in memory; cell reads stay on disk
 and go through the block-access layer so a simulated cache can watch them.
+A freshly built store reads its cell array from memory through the same
+layer, so built and loaded stores run one code path.
+
+`REGISTRY` is the one table of schemes: name, header class (whose `MAGIC`
+tags its files) and build call.
 """
 
 from __future__ import annotations
 
-import json
 import struct
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from . import diffseq, headers
-from .blockio import BlockReader, SimCache
+from .blockio import BlockReader, BytesReader, SimCache
 from .errors import FormatError, InvalidPositionError, OffsetOverflowError
 from .relation import (
-    Dimension,
     DimensionSchema,
     Relation,
     encode_logical_position,
     ordered_cells,
+    schema_from_json,
+    schema_to_json,
 )
-
-SCHEMES = ("schc", "lpc", "boc", "dsc", "dhc")
 
 _MEASURE_FMT = {4: "<f", 8: "<d"}
 
@@ -72,29 +75,28 @@ class MultidimStore:
     def __init__(
         self,
         schema: DimensionSchema,
-        scheme: str,
         header,
         measure_width: int,
-        cells_mem: bytes | None = None,
-        cells_reader: BlockReader | None = None,
+        cells: BlockReader,
     ):
-        if scheme not in SCHEMES:
-            raise ValueError(f"unknown scheme {scheme!r}")
         if measure_width not in _MEASURE_FMT:
             raise ValueError(f"unsupported measure width {measure_width}")
+        self.scheme = _scheme_of(header.MAGIC)
         self.schema = schema
-        self.scheme = scheme
         self.header = header
         self.measure_width = measure_width
-        self._cells_mem = cells_mem
-        self._cells_reader = cells_reader
+        self.n_cells = header.count
+        self._cells = cells
         self._measure = struct.Struct(_MEASURE_FMT[measure_width])
-        size = len(cells_mem) if cells_mem is not None else cells_reader.file_size
-        self.n_cells = size // measure_width
+        if cells.file_size != self.n_cells * measure_width:
+            cells.close()
+            raise FormatError(
+                f"cell array of {cells.file_size} octets, but the header holds "
+                f"{self.n_cells} cells of {measure_width}"
+            )
 
     def close(self) -> None:
-        if self._cells_reader is not None:
-            self._cells_reader.close()
+        self._cells.close()
 
     def __enter__(self):
         return self
@@ -103,15 +105,8 @@ class MultidimStore:
         self.close()
 
     def cell_measure(self, physical: int) -> float:
-        off = physical * self.measure_width
-        if self._cells_mem is not None:
-            raw = self._cells_mem[off : off + self.measure_width]
-        else:
-            raw = self._cells_reader.read_at(off, self.measure_width)
+        raw = self._cells.read_at(physical * self.measure_width, self.measure_width)
         return self._measure.unpack(raw)[0]
-
-    def lookup_position(self, position: int) -> int | None:
-        return self.header.lookup(position)
 
     def point_query(self, coords: Sequence[int]) -> float | None:
         position = encode_logical_position(coords, self.schema)
@@ -141,7 +136,7 @@ class MultidimStore:
         return list(zip(*columns))
 
     def schema_bytes(self) -> bytes:
-        return _schema_to_json(self.schema, self.measure_width)
+        return schema_to_json(self.schema, self.measure_width)
 
     def size_report(self) -> SizeReport:
         disk = {
@@ -153,79 +148,62 @@ class MultidimStore:
         return SizeReport(self.scheme, self.n_cells, disk, memory)
 
 
-def _schema_to_json(schema: DimensionSchema, measure_width: int) -> bytes:
-    doc = {
-        "dimensions": [
-            {"name": d.name, "values": list(d.values)} for d in schema.dimensions
-        ],
-        "measure_width": measure_width,
-    }
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
+class Scheme(NamedTuple):
+    header: type
+    build: Callable  # (positions, total cells, StoreParams) -> header
 
 
-def _schema_from_json(raw: bytes) -> tuple[DimensionSchema, int]:
-    try:
-        doc = json.loads(raw.decode("utf-8"))
-        dims = tuple(
-            Dimension(d["name"], tuple(d["values"])) for d in doc["dimensions"]
-        )
-        return DimensionSchema(dims), int(doc["measure_width"])
-    except (ValueError, KeyError, TypeError) as exc:
-        raise FormatError(f"bad schema file: {exc}") from exc
-
-
-def _build_header(scheme: str, positions, total_cells: int, params: StoreParams):
-    if scheme == "schc":
-        return headers.build_schc(positions, total_cells, params.entry_width)
-    if scheme == "lpc":
-        return headers.build_lpc(positions, params.entry_width)
-    if scheme == "boc":
-        return headers.build_boc(
-            positions, params.block_len, params.entry_width, params.offset_width
-        )
-    if scheme == "dsc":
-        return diffseq.build_dsc(
-            positions, params.diff_bits, params.entry_width, params.stride
-        )
-    if scheme == "dhc":
-        return diffseq.build_dhc(
-            positions, params.diff_bits, params.entry_width, params.stride
-        )
-    raise ValueError(f"unknown scheme {scheme!r}")
-
-
-_HEADER_TYPES = {
-    b"SCHC": headers.SchcHeader,
-    b"LPCH": headers.LpcHeader,
-    b"BOCH": headers.BocHeader,
-    b"DSCH": diffseq.DscHeader,
-    b"DHCH": diffseq.DhcHeader,
+# Every scheme's name, header class (which carries its magic) and build call.
+REGISTRY = {
+    "schc": Scheme(
+        headers.SchcHeader,
+        lambda pos, total, p: headers.build_schc(pos, total, p.entry_width),
+    ),
+    "lpc": Scheme(
+        headers.LpcHeader, lambda pos, total, p: headers.build_lpc(pos, p.entry_width)
+    ),
+    "boc": Scheme(
+        headers.BocHeader,
+        lambda pos, total, p: headers.build_boc(
+            pos, p.block_len, p.entry_width, p.offset_width
+        ),
+    ),
+    "dsc": Scheme(
+        diffseq.DscHeader,
+        lambda pos, total, p: diffseq.build_dsc(pos, p.diff_bits, p.entry_width, p.stride),
+    ),
+    "dhc": Scheme(
+        diffseq.DhcHeader,
+        lambda pos, total, p: diffseq.build_dhc(pos, p.diff_bits, p.entry_width, p.stride),
+    ),
 }
 
-_SCHEME_BY_MAGIC = {
-    b"SCHC": "schc",
-    b"LPCH": "lpc",
-    b"BOCH": "boc",
-    b"DSCH": "dsc",
-    b"DHCH": "dhc",
-}
+SCHEMES = tuple(REGISTRY)
 
 
-def _new_store(rel: Relation, scheme: str, header, measures: np.ndarray) -> MultidimStore:
+def _scheme_of(magic: bytes) -> str:
+    """The scheme whose header class carries `magic`."""
+    for name, entry in REGISTRY.items():
+        if entry.header.MAGIC == magic:
+            return name
+    raise FormatError(f"unknown header magic {magic!r}")
+
+
+def _new_store(rel: Relation, header, measures: np.ndarray) -> MultidimStore:
     dtype = "<f4" if rel.measure_width == 4 else "<f8"
-    return MultidimStore(
-        rel.schema, scheme, header, rel.measure_width,
-        cells_mem=measures.astype(dtype).tobytes(),
-    )
+    cells = BytesReader(measures.astype(dtype).tobytes(), name="md.cells")
+    return MultidimStore(rel.schema, header, rel.measure_width, cells)
 
 
 def build_store(
     rel: Relation, scheme: str, params: StoreParams = StoreParams()
 ) -> MultidimStore:
     """Build with exactly `params`; a BOC offset that does not fit raises."""
+    if scheme not in REGISTRY:
+        raise ValueError(f"unknown scheme {scheme!r}")
     positions, _, measures = ordered_cells(rel)
-    header = _build_header(scheme, positions, rel.schema.total_cells, params)
-    return _new_store(rel, scheme, header, measures)
+    header = REGISTRY[scheme].build(positions, rel.schema.total_cells, params)
+    return _new_store(rel, header, measures)
 
 
 def build_boc_with_retry(
@@ -240,20 +218,16 @@ def build_boc_with_retry(
     if scheme != "boc":
         return build_store(rel, scheme, params)
     positions, _, measures = ordered_cells(rel)
-    total = rel.schema.total_cells
+    build, total = REGISTRY["boc"].build, rel.schema.total_cells
     for width in range(params.offset_width, params.entry_width):
         try:
-            header = _build_header(scheme, positions, total, replace(params, offset_width=width))
+            header = build(positions, total, replace(params, offset_width=width))
             break
         except OffsetOverflowError:
             continue
     else:
-        header = _build_header(scheme, positions, total, replace(params, block_len=1))
-    return _new_store(rel, scheme, header, measures)
-
-
-def point_query(store: MultidimStore, coords: Sequence[int]) -> float | None:
-    return store.point_query(coords)
+        header = build(positions, total, replace(params, block_len=1))
+    return _new_store(rel, header, measures)
 
 
 def store_paths(base: str | Path) -> tuple[Path, Path, Path]:
@@ -266,37 +240,15 @@ def save(store: MultidimStore, base: str | Path) -> None:
     header = store.header.to_bytes()  # an entry too wide raises before any file is written
     schema_p.write_bytes(store.schema_bytes())
     hdr_p.write_bytes(header)
-    if store._cells_mem is not None:
-        cells_p.write_bytes(store._cells_mem)
-    else:
-        cells_p.write_bytes(
-            store._cells_reader.read_at(0, store.n_cells * store.measure_width)
-        )
+    cells_p.write_bytes(store._cells.contents())
 
 
 def load(
-    base: str | Path,
-    preload: bool = False,
-    cache: SimCache | None = None,
-    block_size: int = 4096,
+    base: str | Path, cache: SimCache | None = None, block_size: int = 4096
 ) -> MultidimStore:
     schema_p, hdr_p, cells_p = store_paths(base)
-    schema, measure_width = _schema_from_json(schema_p.read_bytes())
+    schema, measure_width = schema_from_json(schema_p.read_bytes())
     raw = hdr_p.read_bytes()
-    if len(raw) < 5:
-        raise FormatError("header file too short")
-    magic = raw[:4]
-    if magic not in _HEADER_TYPES:
-        raise FormatError(f"unknown header magic {magic!r}")
-    header = _HEADER_TYPES[magic].from_bytes(raw)
-    scheme = _SCHEME_BY_MAGIC[magic]
-    if preload:
-        return MultidimStore(
-            schema, scheme, header, measure_width, cells_mem=cells_p.read_bytes()
-        )
+    header = REGISTRY[_scheme_of(raw[:4])].header.from_bytes(raw)
     reader = BlockReader(cells_p, block_size=block_size, cache=cache, name="md.cells")
-    return MultidimStore(schema, scheme, header, measure_width, cells_reader=reader)
-
-
-def size_report(store: MultidimStore) -> SizeReport:
-    return store.size_report()
+    return MultidimStore(schema, header, measure_width, reader)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import itertools
+import json
 from dataclasses import dataclass, field
 from operator import itemgetter
 from pathlib import Path
@@ -20,6 +21,7 @@ import numpy as np
 
 from .errors import (
     EmptyRelationError,
+    FormatError,
     IngestError,
     InvalidCoordinateError,
     InvalidPositionError,
@@ -85,6 +87,28 @@ class DimensionSchema:
             name = names[i] if names else f"d{i}"
             dims.append(Dimension(name, tuple(f"v{j}" for j in range(c))))
         return cls(tuple(dims))
+
+
+def schema_to_json(schema: DimensionSchema, measure_width: int) -> bytes:
+    """The `.schema` file of both stores: dimension values and measure width."""
+    doc = {
+        "dimensions": [
+            {"name": d.name, "values": list(d.values)} for d in schema.dimensions
+        ],
+        "measure_width": measure_width,
+    }
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
+
+
+def schema_from_json(raw: bytes) -> tuple[DimensionSchema, int]:
+    try:
+        doc = json.loads(raw.decode("utf-8"))
+        dims = tuple(
+            Dimension(d["name"], tuple(d["values"])) for d in doc["dimensions"]
+        )
+        return DimensionSchema(dims), int(doc["measure_width"])
+    except (ValueError, KeyError, TypeError) as exc:
+        raise FormatError(f"bad schema file: {exc}") from exc
 
 
 def encode_logical_position(coords: Sequence[int], schema: DimensionSchema) -> int:

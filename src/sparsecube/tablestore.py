@@ -6,7 +6,13 @@ leaf level is sparse: one (first key, group number) entry per group of rows
 that fills about one page.  A lookup walks root to leaf, then fetches the
 group's row range and binary-searches inside it, so every query costs
 O(height) page reads plus one row-range read.  All of it goes through the
-same block-access layer as the multidimensional store.
+same block-access layer as the multidimensional store: from the files for a
+loaded table, from memory for a freshly built one.
+
+Page 0 of the index is the meta page: a magic tag, a version octet and the
+seven `META_FIELDS`.  Only the page size is a free choice; every other field
+follows from the schema and the two file sizes, and a load rejects a meta
+page that disagrees with them.
 """
 
 from __future__ import annotations
@@ -18,28 +24,36 @@ from typing import Sequence
 
 import numpy as np
 
-from .blockio import BlockReader, SimCache
+from .blockio import BlockReader, BytesReader, SimCache
 from .errors import FormatError
 from .relation import (
     DimensionSchema,
     Relation,
     encode_logical_position,
     ordered_cells,
+    schema_from_json,
+    schema_to_json,
 )
-from .mdstore import _schema_from_json, _schema_to_json
 
 COORD_WIDTH = 4
 _IDX_MAGIC = b"TIDX"
 _IDX_VERSION = 1
 _ENTRY = struct.Struct("<QQ")  # key, child page or row group
 _COUNT = struct.Struct("<H")
-_META = struct.Struct("<QQQQQQQ")  # page_size, row_width, n_rows, rows_per_group,
-#                                    n_groups, root_page, height
+META_FIELDS = (
+    "page_size", "row_width", "n_rows", "rows_per_group", "n_groups", "root_page", "height",
+)
+_META = struct.Struct("<7Q")
+_META_END = 5 + _META.size  # magic, version, the fields
 
 
 @dataclass(frozen=True)
 class TableParams:
     page_size: int = 4096
+
+
+def _rows_per_group(page_size: int, row_width: int) -> int:
+    return max(1, page_size // row_width)
 
 
 class TableStore:
@@ -48,37 +62,34 @@ class TableStore:
         schema: DimensionSchema,
         measure_width: int,
         page_size: int,
-        n_rows: int,
-        rows_per_group: int,
-        n_groups: int,
-        root_page: int,
-        height: int,
-        n_pages: int,
-        rows_mem: bytes | None = None,
-        rows_reader: BlockReader | None = None,
-        idx_mem: bytes | None = None,
-        idx_reader: BlockReader | None = None,
+        rows: BlockReader,
+        idx: BlockReader,
     ):
+        """Every meta field but the page size follows from the schema and
+        the sizes of the row file and the index."""
         self.schema = schema
         self.measure_width = measure_width
         self.page_size = page_size
         self.row_width = schema.n_dims * COORD_WIDTH + measure_width
-        self.n_rows = n_rows
-        self.rows_per_group = rows_per_group
-        self.n_groups = n_groups
-        self.root_page = root_page
-        self.height = height
-        self.n_pages = n_pages
-        self._rows_mem = rows_mem
-        self._rows_reader = rows_reader
-        self._idx_mem = idx_mem
-        self._idx_reader = idx_reader
+        self.n_rows = rows.file_size // self.row_width
+        self.rows_per_group = _rows_per_group(page_size, self.row_width)
+        self.n_groups = -(-self.n_rows // self.rows_per_group)
+        self.n_pages = idx.file_size // page_size
+        self.root_page = self.n_pages - 1  # levels are written bottom-up, root last
+        entries_per_page = (page_size - 2) // _ENTRY.size
+        self.height, level = 1, self.n_groups
+        while level > entries_per_page:
+            self.height, level = self.height + 1, -(-level // entries_per_page)
+        self._rows = rows
+        self._idx = idx
         self._measure = struct.Struct("<f" if measure_width == 4 else "<d")
 
+    def meta(self) -> tuple[int, ...]:
+        return tuple(getattr(self, name) for name in META_FIELDS)
+
     def close(self) -> None:
-        for r in (self._rows_reader, self._idx_reader):
-            if r is not None:
-                r.close()
+        self._rows.close()
+        self._idx.close()
 
     def __enter__(self):
         return self
@@ -89,17 +100,10 @@ class TableStore:
     # -- raw access -------------------------------------------------------
 
     def _read_page(self, page_no: int) -> bytes:
-        off = page_no * self.page_size
-        if self._idx_mem is not None:
-            return self._idx_mem[off : off + self.page_size]
-        return self._idx_reader.read_at(off, self.page_size)
+        return self._idx.read_at(page_no * self.page_size, self.page_size)
 
     def _read_rows(self, first_row: int, count: int) -> bytes:
-        off = first_row * self.row_width
-        length = count * self.row_width
-        if self._rows_mem is not None:
-            return self._rows_mem[off : off + length]
-        return self._rows_reader.read_at(off, length)
+        return self._rows.read_at(first_row * self.row_width, count * self.row_width)
 
     def rows_file_size(self) -> int:
         return self.n_rows * self.row_width
@@ -137,11 +141,10 @@ class TableStore:
 
     def point_query(self, coords: Sequence[int]) -> float | None:
         key = encode_logical_position(coords, self.schema)
-        if self._idx_reader is not None:
-            # The walk enters through the meta page (root pointer lives
-            # there); it stays cached, but its block belongs to the
-            # representation and must be accounted like any other.
-            self._read_page(0)
+        # The walk enters through the meta page (root pointer lives there);
+        # it stays cached, but its block belongs to the representation and
+        # must be accounted like any other.
+        self._read_page(0)
         page_no = self.root_page
         for _ in range(self.height):
             page = self._read_page(page_no)
@@ -183,8 +186,8 @@ def build_table(rel: Relation, params: TableParams = TableParams()) -> TableStor
     n_rows = len(positions)
     n_dims = rel.schema.n_dims
     row_width = n_dims * COORD_WIDTH + rel.measure_width
-    if row_width > page_size:
-        raise ValueError("row wider than a page")
+    if row_width > page_size or page_size < _META_END:
+        raise ValueError(f"a page must hold a row and the {_META_END}-octet meta prefix")
 
     dtype = np.dtype(
         [("c", "<u4", (n_dims,)), ("m", "<f4" if rel.measure_width == 4 else "<f8")]
@@ -192,9 +195,8 @@ def build_table(rel: Relation, params: TableParams = TableParams()) -> TableStor
     rows_arr = np.empty(n_rows, dtype=dtype)
     rows_arr["c"] = coords
     rows_arr["m"] = measures
-    rows_mem = rows_arr.tobytes()
 
-    rows_per_group = max(1, page_size // row_width)
+    rows_per_group = _rows_per_group(page_size, row_width)
     n_groups = (n_rows + rows_per_group - 1) // rows_per_group
 
     entries_per_page = (page_size - 2) // 16
@@ -225,25 +227,11 @@ def build_table(rel: Relation, params: TableParams = TableParams()) -> TableStor
         meta, 5, page_size, row_width, n_rows, rows_per_group, n_groups, root_page,
         height,
     )
-    idx_mem = bytes(meta) + b"".join(pages)
-
-    return TableStore(
-        rel.schema,
-        rel.measure_width,
-        page_size,
-        n_rows,
-        rows_per_group,
-        n_groups,
-        root_page,
-        height,
-        n_pages=1 + len(pages),
-        rows_mem=rows_mem,
-        idx_mem=idx_mem,
+    rows = BytesReader(
+        rows_arr.tobytes(), block_size=rows_per_group * row_width, name="tbl.rows"
     )
-
-
-def table_point_query(store: TableStore, coords: Sequence[int]) -> float | None:
-    return store.point_query(coords)
+    idx = BytesReader(bytes(meta) + b"".join(pages), block_size=page_size, name="tbl.idx")
+    return TableStore(rel.schema, rel.measure_width, page_size, rows, idx)
 
 
 def table_paths(base: str | Path) -> tuple[Path, Path, Path]:
@@ -253,48 +241,45 @@ def table_paths(base: str | Path) -> tuple[Path, Path, Path]:
 
 def save_table(store: TableStore, base: str | Path) -> None:
     schema_p, rows_p, idx_p = table_paths(base)
-    schema_p.write_bytes(_schema_to_json(store.schema, store.measure_width))
-    if store._rows_mem is None or store._idx_mem is None:
-        raise ValueError("only freshly built tables can be saved")
-    rows_p.write_bytes(store._rows_mem)
-    idx_p.write_bytes(store._idx_mem)
+    schema_p.write_bytes(schema_to_json(store.schema, store.measure_width))
+    rows_p.write_bytes(store._rows.contents())
+    idx_p.write_bytes(store._idx.contents())
 
 
-def load_table(
-    base: str | Path,
-    preload: bool = False,
-    cache: SimCache | None = None,
-) -> TableStore:
+def load_table(base: str | Path, cache: SimCache | None = None) -> TableStore:
     schema_p, rows_p, idx_p = table_paths(base)
-    schema, measure_width = _schema_from_json(schema_p.read_bytes())
-    meta_raw = idx_p.read_bytes()[:4096]
-    if meta_raw[:4] != _IDX_MAGIC:
-        raise FormatError(f"bad index magic {meta_raw[:4]!r}")
-    if meta_raw[4] != _IDX_VERSION:
-        raise FormatError(f"unsupported index version {meta_raw[4]}")
-    page_size, row_width, n_rows, rows_per_group, n_groups, root_page, height = (
-        _META.unpack_from(meta_raw, 5)
-    )
-    expect_width = schema.n_dims * COORD_WIDTH + measure_width
-    if row_width != expect_width:
-        raise FormatError(
-            f"row width {row_width} does not match schema ({expect_width})"
-        )
-    n_pages = Path(idx_p).stat().st_size // page_size
-    if preload:
-        return TableStore(
-            schema, measure_width, page_size, n_rows, rows_per_group, n_groups,
-            root_page, height, n_pages,
-            rows_mem=rows_p.read_bytes(), idx_mem=idx_p.read_bytes(),
-        )
+    schema, measure_width = schema_from_json(schema_p.read_bytes())
+    with open(idx_p, "rb") as f:
+        head = f.read(_META_END)
+    if len(head) < _META_END:
+        raise FormatError("index file shorter than its meta prefix")
+    if head[:4] != _IDX_MAGIC:
+        raise FormatError(f"bad index magic {head[:4]!r}")
+    if head[4] != _IDX_VERSION:
+        raise FormatError(f"unsupported index version {head[4]}")
+    meta = _META.unpack_from(head, 5)
+    page_size = meta[0]
+    if page_size < _META_END:
+        raise FormatError(f"page size {page_size} cannot hold the meta prefix")
+    row_width = schema.n_dims * COORD_WIDTH + measure_width
     # Row groups are the natural I/O unit of the packed row file; reading in
     # group-sized blocks keeps every query on exactly one rows-file block.
-    rows_reader = BlockReader(
-        rows_p, block_size=rows_per_group * row_width, cache=cache, name="tbl.rows"
+    rows = BlockReader(
+        rows_p,
+        block_size=_rows_per_group(page_size, row_width) * row_width,
+        cache=cache,
+        name="tbl.rows",
     )
-    idx_reader = BlockReader(idx_p, block_size=page_size, cache=cache, name="tbl.idx")
-    return TableStore(
-        schema, measure_width, page_size, n_rows, rows_per_group, n_groups,
-        root_page, height, n_pages,
-        rows_reader=rows_reader, idx_reader=idx_reader,
-    )
+    idx = BlockReader(idx_p, block_size=page_size, cache=cache, name="tbl.idx")
+    store = TableStore(schema, measure_width, page_size, rows, idx)
+    bad = [
+        f"{name} {stored}, but the files and schema give {derived}"
+        for name, stored, derived in zip(META_FIELDS, meta, store.meta())
+        if stored != derived
+    ]
+    if store.total_size() != rows.file_size + idx.file_size:
+        bad.append("the files are not whole rows and pages")
+    if bad:
+        store.close()
+        raise FormatError("index meta page does not match: " + "; ".join(bad))
+    return store

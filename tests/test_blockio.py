@@ -1,6 +1,6 @@
 import pytest
 
-from sparsecube.blockio import BlockReader, SimCache
+from sparsecube.blockio import BlockReader, BytesReader, SimCache
 
 
 @pytest.fixture
@@ -103,3 +103,22 @@ class TestBlockReader:
             return cache.hits, cache.misses
 
         assert run() == run()
+
+    def test_bytes_reader_reads_like_the_file(self, datafile):
+        raw = datafile.read_bytes()
+        reads = [(0, 10), (4090, 12), (10230, 10), (100, 8200), (8, 8)]
+        with BlockReader(datafile) as f, BytesReader(raw, "blob") as m:
+            assert (m.file_size, m.block_count) == (f.file_size, f.block_count)
+            assert [m.read_at(o, n) for o, n in reads] == [f.read_at(o, n) for o, n in reads]
+            assert [m.read_at(o, n) for o, n in reads] == [raw[o : o + n] for o, n in reads]
+            with pytest.raises(ValueError):
+                m.read_at(10235, 10)
+
+    def test_contents_bypass_the_cache(self, datafile):
+        raw = datafile.read_bytes()
+        cache = SimCache(capacity=1 << 20)
+        with BlockReader(datafile, cache=cache) as r:
+            r.read_at(0, 8)
+            assert r.contents() == raw
+        assert BytesReader(raw, "blob").contents() == raw
+        assert (cache.hits, cache.misses, cache.resident_blocks) == (0, 1, 1)

@@ -10,10 +10,7 @@ from sparsecube.diffseq import (
     build_dhc,
     build_difference_sequence,
     build_dsc,
-    lookup_dhc,
-    lookup_dsc,
     pack_diffs,
-    unpack_diffs,
 )
 from sparsecube.errors import CorruptStreamError, FormatError
 from sparsecube.huffman import BitStream
@@ -111,7 +108,8 @@ class TestPacking:
         values = [rng.randrange(1 << bits) for _ in range(257)]
         data = pack_diffs(values, bits)
         assert len(data) == (bits * len(values) + 7) // 8
-        assert unpack_diffs(data, bits, len(values)) == values
+        assert diffseq._diff_array(data, bits, len(values)).tolist() == values
+        assert list(diffseq._diff_window(data, bits, 0, len(values))) == values
 
 
 def theorem_block_len(positions, offset_width, cap=64):
@@ -145,24 +143,24 @@ def oracle_lookup(positions, query):
 class TestDsc:
     def test_basic_lookups(self):
         h = build_dsc([5, 6, 7], diff_bits=8)
-        assert lookup_dsc(h, 6) == 1  # linear-scan oracle over the positions
-        assert lookup_dsc(h, 8) is None
-        assert lookup_dsc(h, 4) is None
+        assert h.lookup(6) == 1  # linear-scan oracle over the positions
+        assert h.lookup(8) is None
+        assert h.lookup(4) is None
 
     def test_jumps_are_exact_hits(self):
         positions = [0, 300, 301, 900, 905]
         h = build_dsc(positions, diff_bits=8, stride=1)
         for k, j in enumerate(h.jumps):
-            assert lookup_dsc(h, j) == positions.index(j)
+            assert h.lookup(j) == positions.index(j)
         assert DscHeader.from_bytes(h.to_bytes()).checkpoints == h.checkpoints
 
     def test_single_cell(self):
         h = build_dsc([42], diff_bits=8)
         assert list(h.jumps) == [42]
-        assert unpack_diffs(h.diff_data, 8, 1) == [0]
-        assert lookup_dsc(h, 42) == 0
-        assert lookup_dsc(h, 41) is None
-        assert lookup_dsc(h, 43) is None
+        assert diffseq._diff_array(h.diff_data, 8, 1).tolist() == [0]
+        assert h.lookup(42) == 0
+        assert h.lookup(41) is None
+        assert h.lookup(43) is None
 
     def test_size_formula(self):
         for positions, bits in (([5, 6, 7], 8), ([0, 300, 301], 8), ([1, 2], 16)):
@@ -176,7 +174,7 @@ class TestDsc:
             positions = random_increasing(rng, 60, 2 ** (bits + 1))
             h = build_dsc(positions, diff_bits=bits, stride=4)
             for q in range(positions[-1] + 3):
-                assert lookup_dsc(h, q) == oracle_lookup(positions, q)
+                assert h.lookup(q) == oracle_lookup(positions, q)
 
     def test_sampled_domain_vs_oracle_wide_diffs(self):
         rng = random.Random(10)
@@ -185,7 +183,7 @@ class TestDsc:
         for bits in (16, 24, 32):
             h = build_dsc(positions, diff_bits=bits, stride=4)
             for q in queries:
-                assert lookup_dsc(h, q) == oracle_lookup(positions, q)
+                assert h.lookup(q) == oracle_lookup(positions, q)
 
     def test_serialization_and_rebuild(self):
         rng = random.Random(21)
@@ -228,19 +226,19 @@ class TestDhc:
         assert list(h.jumps) == [7]
         assert h.stream.bit_length == 0
         assert h.codebook is None
-        assert lookup_dhc(h, 7) == 0
-        assert lookup_dhc(h, 8) is None
+        assert h.lookup(7) == 0
+        assert h.lookup(8) is None
 
     def test_lookup_matches_oracle(self):
         rng = random.Random(31)
         positions = random_increasing(rng, 80, 600)
         h = build_dhc(positions, diff_bits=8, stride=4)
         for q in range(positions[-1] + 3):
-            assert lookup_dhc(h, q) == oracle_lookup(positions, q)
+            assert h.lookup(q) == oracle_lookup(positions, q)
 
     def test_query_below_first_jump(self):
         h = build_dhc([50, 51], diff_bits=8)
-        assert lookup_dhc(h, 10) is None
+        assert h.lookup(10) is None
 
     def test_serialization_and_rebuild(self):
         rng = random.Random(8)
@@ -392,5 +390,5 @@ class TestStrideTransparency:
         for stride in (1, 4, 16, 64):
             dsc = build_dsc(positions, diff_bits=8, stride=stride)
             dhc = build_dhc(positions, diff_bits=8, stride=stride)
-            assert [lookup_dsc(dsc, q) for q in queries] == want
-            assert [lookup_dhc(dhc, q) for q in queries] == want
+            assert [dsc.lookup(q) for q in queries] == want
+            assert [dhc.lookup(q) for q in queries] == want

@@ -11,10 +11,6 @@ from sparsecube.headers import (
     build_boc,
     build_lpc,
     build_schc,
-    header_size,
-    lookup_boc,
-    lookup_lpc,
-    lookup_schc,
     pack_ints,
     unpack_ints,
 )
@@ -63,13 +59,13 @@ class TestSchc:
         positions, total = LAYOUT
         h = build_schc(positions, total)
         assert scan_oracle(total, positions, 3) == 1
-        assert lookup_schc(h, 3) == 1
+        assert h.lookup(3) == 1
         assert scan_oracle(total, positions, 4) is None
-        assert lookup_schc(h, 4) is None
+        assert h.lookup(4) is None
 
     def test_dense_lookup_is_identity(self):
         h = build_schc([0, 1, 2, 3], 4)
-        assert lookup_schc(h, 2) == 2
+        assert h.lookup(2) == 2
 
     def test_position_beyond_total_cells(self):
         with pytest.raises(InvalidPositionError):
@@ -77,7 +73,7 @@ class TestSchc:
 
     def test_sizes(self):
         h = build_schc(LAYOUT[0], LAYOUT[1])
-        assert header_size(h) == 2 * h.num_runs * 8 == 32
+        assert h.size_bytes() == 2 * h.num_runs * 8 == 32
 
     @given(position_sets)
     def test_pairs_monotone(self, positions):
@@ -91,19 +87,19 @@ class TestLpc:
     def test_verbatim_and_size(self):
         h = build_lpc([2, 3, 5])
         assert h.positions_list == [2, 3, 5]
-        assert header_size(h) == 24
+        assert h.size_bytes() == 24
 
     def test_single(self):
-        assert header_size(build_lpc([0])) == 8
+        assert build_lpc([0]).size_bytes() == 8
 
     def test_arithmetic_size(self):
-        assert header_size(build_lpc(list(range(1000)))) == 8000
+        assert build_lpc(list(range(1000))).size_bytes() == 8000
 
     def test_lookups(self):
         h = build_lpc([2, 3, 5])
-        assert lookup_lpc(h, 5) == 2  # linear-scan oracle: third stored position
-        assert lookup_lpc(h, 4) is None
-        assert lookup_lpc(h, h.positions_list[0]) == 0
+        assert h.lookup(5) == 2  # linear-scan oracle: third stored position
+        assert h.lookup(4) is None
+        assert h.lookup(h.positions_list[0]) == 0
 
 
 class TestBoc:
@@ -125,13 +121,13 @@ class TestBoc:
 
     def test_lookup_examples(self):
         h = build_boc([10, 12, 15, 200, 204, 230], block_len=3, offset_width=1)
-        assert lookup_boc(h, 204) == 4
-        assert lookup_boc(h, 11) is None
-        assert lookup_boc(h, 9) is None  # below the first base
+        assert h.lookup(204) == 4
+        assert h.lookup(11) is None
+        assert h.lookup(9) is None  # below the first base
 
     def test_size(self):
         h = build_boc([10, 12, 15, 200, 204, 230], block_len=3, offset_width=1)
-        assert header_size(h) == 8 * 2 + 1 * 6
+        assert h.size_bytes() == 8 * 2 + 1 * 6
 
     def test_offset_width_must_be_narrower(self):
         with pytest.raises(ValueError):
@@ -159,9 +155,9 @@ class TestOracleEquivalence:
             want = physical if cell in present else None
             if cell in present:
                 physical += 1
-            assert lookup_schc(schc, cell) == want
-            assert lookup_lpc(lpc, cell) == want
-            assert lookup_boc(boc, cell) == want
+            assert schc.lookup(cell) == want
+            assert lpc.lookup(cell) == want
+            assert boc.lookup(cell) == want
 
 
 class TestSizeLaws:
@@ -173,7 +169,7 @@ class TestSizeLaws:
             schc = build_schc(positions, total)
             lpc = build_lpc(positions)
             n = len(positions)
-            assert (header_size(lpc) < header_size(schc)) == (n / 2 < schc.num_runs)
+            assert (lpc.size_bytes() < schc.size_bytes()) == (n / 2 < schc.num_runs)
 
     def test_worst_case_is_exactly_half(self):
         # Alternating F E F E ...: every run has length one.
@@ -181,7 +177,7 @@ class TestSizeLaws:
         schc = build_schc(positions, 100)
         lpc = build_lpc(positions)
         assert schc.num_runs == len(positions)
-        assert header_size(lpc) * 2 == header_size(schc)
+        assert lpc.size_bytes() * 2 == schc.size_bytes()
 
 
 class TestSerialization:

@@ -13,10 +13,7 @@ from sparsecube.huffman import (
     CodeBook,
     Decoder,
     build_codebook,
-    decode_next,
-    decode_sequence,
     decode_stream,
-    decoder_init,
     encode_sequence,
 )
 
@@ -168,9 +165,9 @@ class TestDecode:
     def test_stream_of_abab(self):
         cb = build_codebook({0: 1, 1: 1})
         stream, _ = encode_sequence(cb, [0, 1, 0, 1])
-        dec = decoder_init(cb, stream, 0, 0)
-        assert [decode_next(dec) for _ in range(4)] == [0, 1, 0, 1]
-        assert decode_next(dec) is None
+        dec = Decoder(cb, stream, 0, 0)
+        assert [dec.decode_next() for _ in range(4)] == [0, 1, 0, 1]
+        assert dec.decode_next() is None
 
     def test_init_at_anchor_returns_next_symbol(self):
         rng = random.Random(5)
@@ -179,7 +176,7 @@ class TestDecode:
         seq = rng.choices(list(freqs), k=60)
         stream, ends = encode_sequence(cb, seq)
         for i, end in enumerate(ends[:-1].tolist()):
-            dec = decoder_init(cb, stream, end >> 3, end & 7)
+            dec = Decoder(cb, stream, end >> 3, end & 7)
             assert dec.decode_next() == seq[i + 1]
 
     def test_anchor_suffix_decoding(self):
@@ -190,15 +187,15 @@ class TestDecode:
         stream, ends = encode_sequence(cb, seq)
         for i in (0, 10, 41, 78):
             end = int(ends[i])
-            rest = decode_sequence(cb, stream, len(seq) - 1 - i, end >> 3, end & 7)
+            rest, _ = scalar_decode(cb, stream, len(seq) - 1 - i, end >> 3, end & 7)
             assert rest == seq[i + 1 :]
 
     def test_init_past_stream_end(self):
         cb = build_codebook({0: 1, 1: 1})
         stream, _ = encode_sequence(cb, [0, 1])
         with pytest.raises(InvalidPositionError):
-            decoder_init(cb, stream, 1, 0)
-        dec = decoder_init(cb, stream, 0, 2)  # exactly the end
+            Decoder(cb, stream, 1, 0)
+        dec = Decoder(cb, stream, 0, 2)  # exactly the end
         assert dec.decode_next() is None
 
     def test_truncated_mid_code_is_corruption(self):
@@ -215,7 +212,7 @@ class TestDecode:
         cb = build_codebook(freqs)
         seq = data.draw(st.lists(st.sampled_from(sorted(freqs)), max_size=200))
         stream, _ = encode_sequence(cb, seq)
-        assert decode_sequence(cb, stream, len(seq)) == seq
+        assert scalar_decode(cb, stream, len(seq))[0] == seq
 
     def test_round_trip_large_alphabet(self):
         rng = random.Random(13)
@@ -223,12 +220,12 @@ class TestDecode:
         cb = build_codebook(freqs)
         seq = rng.choices(range(300), k=5000)
         stream, _ = encode_sequence(cb, seq)
-        assert decode_sequence(cb, stream, len(seq)) == seq
+        assert scalar_decode(cb, stream, len(seq))[0] == seq
 
     def test_single_symbol_stream(self):
         cb = build_codebook({4: 9})
         stream, _ = encode_sequence(cb, [4, 4, 4])
-        assert decode_sequence(cb, stream, 3) == [4, 4, 4]
+        assert scalar_decode(cb, stream, 3)[0] == [4, 4, 4]
 
     def test_skewed_codebook_slow_path(self):
         # Fibonacci-like weights force code lengths past the lookup table.
@@ -237,7 +234,7 @@ class TestDecode:
         assert cb.max_len > 11
         seq = list(freqs) * 3
         stream, _ = encode_sequence(cb, seq)
-        assert decode_sequence(cb, stream, len(seq)) == seq
+        assert scalar_decode(cb, stream, len(seq))[0] == seq
 
 
 def scalar_encode(cb, symbols):
@@ -261,9 +258,10 @@ def scalar_encode(cb, symbols):
     return bytes(out), total, ends
 
 
-def scalar_decode(cb, stream, count):
-    """`count` calls of `Decoder.decode_next`: the reference for `decode_stream`."""
-    dec = Decoder(cb, stream)
+def scalar_decode(cb, stream, count, byte=0, bit=0):
+    """`count` calls of `Decoder.decode_next` from the code boundary at
+    (byte, bit): the reference for `decode_stream`."""
+    dec = Decoder(cb, stream, byte, bit)
     symbols, ends = [], []
     for _ in range(count):
         sym = dec.decode_next()

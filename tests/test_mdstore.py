@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from sparsecube import mdstore
+from sparsecube import mdstore, tablestore
 from sparsecube.blockio import SimCache
 from sparsecube.errors import EmptyRelationError, FormatError, StoreError
 from sparsecube.mdstore import (
@@ -13,7 +13,6 @@ from sparsecube.mdstore import (
     build_boc_with_retry,
     build_store,
     load,
-    point_query,
     save,
 )
 from sparsecube.relation import DimensionSchema, Relation
@@ -35,6 +34,27 @@ def relation():
 @pytest.fixture(scope="module")
 def stores(relation):
     return {s: build_store(relation, s, PARAMS) for s in SCHEMES}
+
+
+# The five schemes and the table, each with its save, load and file paths.
+REPS = SCHEMES + ("table",)
+
+
+@pytest.fixture(scope="module")
+def built(relation, stores):
+    return {**stores, "table": tablestore.build_table(relation)}
+
+
+def save_rep(rep, store, base):
+    (tablestore.save_table if rep == "table" else save)(store, base)
+
+
+def load_rep(rep, base, cache=None):
+    return (tablestore.load_table if rep == "table" else load)(base, cache=cache)
+
+
+def rep_paths(rep, base):
+    return (tablestore.table_paths if rep == "table" else mdstore.store_paths)(base)
 
 
 class TestBuild:
@@ -63,7 +83,7 @@ class TestQueries:
     def test_stored_cells(self, relation, stores):
         for scheme, st in stores.items():
             for coords, value in relation.iter_cells():
-                assert point_query(st, coords) == value, scheme
+                assert st.point_query(coords) == value, scheme
 
     def test_full_sweep_matches_relation(self, relation, stores):
         for coords in itertools.product(
@@ -96,22 +116,43 @@ class TestPersistence:
         save(stores[scheme], base)
         loaded = load(base)
         try:
+            assert loaded.scheme == stores[scheme].scheme == scheme
             for coords, value in relation.iter_cells():
                 assert loaded.point_query(coords) == value
         finally:
             loaded.close()
 
-    @pytest.mark.parametrize("scheme", SCHEMES)
-    def test_save_load_save_is_bit_identical(self, tmp_path, stores, scheme):
+    @pytest.mark.parametrize("rep", REPS)
+    def test_save_load_save_is_bit_identical(self, tmp_path, built, rep):
         a = tmp_path / "a"
         b = tmp_path / "b"
-        save(stores[scheme], a)
-        loaded = load(a, preload=True)
-        save(loaded, b)
-        for suffix in (".schema", ".hdr", ".cells"):
-            assert (tmp_path / ("a" + suffix)).read_bytes() == (
-                tmp_path / ("b" + suffix)
-            ).read_bytes(), suffix
+        save_rep(rep, built[rep], a)
+        with load_rep(rep, a) as loaded:
+            save_rep(rep, loaded, b)
+        for pa, pb in zip(rep_paths(rep, a), rep_paths(rep, b)):
+            assert pa.read_bytes() == pb.read_bytes(), pa.suffix
+
+    @pytest.mark.parametrize("rep", REPS)
+    def test_save_leaves_the_cache_untouched(self, tmp_path, relation, built, rep):
+        save_rep(rep, built[rep], tmp_path / "a")
+        cache = SimCache(capacity=1 << 30)
+        with load_rep(rep, tmp_path / "a", cache=cache) as loaded:
+            for coords in list(relation.cells)[:5]:
+                loaded.point_query(coords)
+            before = (cache.hits, cache.misses, list(cache._resident))
+            save_rep(rep, loaded, tmp_path / "b")
+            assert (cache.hits, cache.misses, list(cache._resident)) == before
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_cells_size_must_match_header(self, tmp_path, stores, scheme):
+        base = tmp_path / "c"
+        save(stores[scheme], base)
+        cells = tmp_path / "c.cells"
+        full = cells.read_bytes()
+        for damaged in (full[: len(full) // 2], full + b"\0\0\0", b""):
+            cells.write_bytes(damaged)
+            with pytest.raises(FormatError):
+                load(base)
 
     def test_wrong_magic_is_format_error(self, tmp_path, stores):
         base = tmp_path / "x"
@@ -157,19 +198,17 @@ class TestPersistence:
             assert hashlib.sha256(data).hexdigest() == digest
             assert type(header).from_bytes(data).positions() == header.positions()
 
-    def test_preload_answers_identically(self, tmp_path, relation, stores):
-        base = tmp_path / "p"
-        save(stores["dhc"], base)
-        lazy = load(base)
-        eager = load(base, preload=True)
-        try:
-            rng = random.Random(2)
-            cards = relation.schema.cardinalities
-            for _ in range(500):
-                coords = tuple(rng.randrange(c) for c in cards)
-                assert lazy.point_query(coords) == eager.point_query(coords)
-        finally:
-            lazy.close()
+    def test_built_and_loaded_answer_identically(self, tmp_path, relation, built):
+        rng = random.Random(2)
+        cards = relation.schema.cardinalities
+        probes = list(relation.cells) + [
+            tuple(rng.randrange(c) for c in cards) for _ in range(500)
+        ]
+        for rep in REPS:
+            save_rep(rep, built[rep], tmp_path / rep)
+            with load_rep(rep, tmp_path / rep) as loaded:
+                for coords in probes:
+                    assert loaded.point_query(coords) == built[rep].point_query(coords), rep
 
 
 class TestSizeReport:

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import struct
 
 import pytest
 
@@ -9,11 +10,11 @@ from sparsecube.errors import EmptyRelationError, FormatError
 from sparsecube.relation import DimensionSchema, Relation
 from sparsecube.synth import SynthSpec, generate
 from sparsecube.tablestore import (
+    META_FIELDS,
     TableParams,
     build_table,
     load_table,
     save_table,
-    table_point_query,
 )
 
 
@@ -53,7 +54,7 @@ class TestBuild:
 class TestQueries:
     def test_every_stored_key_found(self, relation, table):
         for coords, value in relation.iter_cells():
-            assert table_point_query(table, coords) == value
+            assert table.point_query(coords) == value
 
     def test_absent_keys_empty(self, relation, table):
         cards = relation.schema.cardinalities
@@ -83,6 +84,37 @@ class TestPersistence:
         idx.write_bytes(b"WHAT" + idx.read_bytes()[4:])
         with pytest.raises(FormatError):
             load_table(base)
+
+    @pytest.mark.parametrize("page_size", [4096, 128])  # index height 1 and 3
+    @pytest.mark.parametrize("field", META_FIELDS)
+    def test_meta_field_checked_against_files_and_schema(self, tmp_path, field, page_size):
+        rel = generate(SynthSpec((16, 16, 8), density=0.3, seed=2))
+        table = build_table(rel, TableParams(page_size=page_size))
+        base = tmp_path / "m"
+        save_table(table, base)
+        with load_table(base) as loaded:
+            assert loaded.meta() == table.meta()
+        idx = tmp_path / "m.idx"
+        valid = idx.read_bytes()
+        slot = 5 + 8 * META_FIELDS.index(field)
+        (stored,) = struct.unpack_from("<Q", valid, slot)
+        for bad in (0, stored + 1, stored - 1, 2**40):
+            if bad == stored:
+                continue
+            idx.write_bytes(valid[:slot] + struct.pack("<Q", bad) + valid[slot + 8 :])
+            with pytest.raises(FormatError):
+                load_table(base)
+
+    @pytest.mark.parametrize("suffix", [".rows", ".idx"])
+    def test_files_must_be_whole_rows_and_pages(self, tmp_path, table, suffix):
+        base = tmp_path / "w"
+        save_table(table, base)
+        path = tmp_path / ("w" + suffix)
+        valid = path.read_bytes()
+        for damaged in (valid + b"\0\0\0", valid[:-3]):
+            path.write_bytes(damaged)
+            with pytest.raises(FormatError):
+                load_table(base)
 
     def test_sizes_from_files(self, tmp_path, table):
         base = tmp_path / "t3"
