@@ -3,7 +3,13 @@
 Both store the full jump sequence (absolute positions restarting the running
 sum wherever a gap overflows the difference width) next to the per-cell
 difference sequence.  The first difference is zero by definition and is
-carried by the first jump.
+carried by the first jump.  `difference_arrays` splits a position sequence
+into differences and jumps for both builders.
+
+The two share one core, `DifferenceHeader`: the fields, the envelope and
+jumps of the file, the checkpoint table, `positions()` and the base of
+`memory_bytes()`.  Each scheme adds its payload, how it reads every
+difference back (`_arrays`) and its own `lookup` loop.
 
 Point queries binary-search a checkpoint table, then scan differences forward
 from the checkpoint, switching to the next jump whenever a zero difference
@@ -14,7 +20,9 @@ a build fills it from the arrays it already holds, and a load rebuilds it in
 one numpy pass over the stored differences (DHC decodes its whole stream with
 `huffman.decode_stream` for that).  Every cell's position comes from one
 `cumsum`; a load rejects positions that do not strictly increase, which is
-how a run past 2**64 - 1 shows.
+how a run past 2**64 - 1 shows.  A DHC lookup decodes its window one code at
+a time: an 11-bit table settles short codes, and a longer code is matched
+against each longer length's canonical range.
 """
 
 from __future__ import annotations
@@ -28,32 +36,26 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import CorruptStreamError, FormatError
-from .headers import VERSION, pack_ints, read_envelope, unpack_ints
-from .huffman import (
-    BitStream,
-    CodeBook,
-    Decoder,
-    build_codebook,
-    decode_stream,
-    encode_sequence,
-)
+from .headers import _check_positions, pack_ints, read_envelope, unpack_ints, write_envelope
+from .huffman import BitStream, CodeBook, build_codebook, decode_stream, encode_sequence
 
 # Cells between two checkpoints at most.  Each checkpoint costs 24 resident
 # octets (DSC) or 32 (DHC); at 128 a DHC store stays within 5% of its disk size.
 CHECKPOINT_CELLS = 128
 
 
-def _difference_arrays(
+def difference_arrays(
     positions: Sequence[int], diff_bits: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The positions, their differences and the cells of the zero differences."""
+    """Split a strictly increasing sequence into the positions, their
+    differences and the cells of the zero differences.
+
+    diffs[i] is the gap to the previous position when it fits diff_bits bits,
+    else 0; diffs[0] is always 0.  The positions at the zeros are the jumps.
+    """
     if not 1 <= diff_bits <= 32:
         raise ValueError("difference width must be 1..32 bits")
-    arr = np.asarray(positions, dtype=np.uint64)
-    if arr.size == 0:
-        raise ValueError("position sequence is empty")
-    if arr.size > 1 and not (np.diff(arr) > 0).all():
-        raise ValueError("position sequence must be strictly increasing")
+    arr = _check_positions(positions)
     max_diff = np.uint64((1 << diff_bits) - 1)
     deltas = np.diff(arr)
     over = deltas > max_diff
@@ -63,19 +65,6 @@ def _difference_arrays(
         [np.zeros(1, dtype=np.int64), np.flatnonzero(over) + 1]
     )
     return arr, diffs, jump_idx
-
-
-def build_difference_sequence(
-    positions: Sequence[int], diff_bits: int
-) -> tuple[list[int], list[int], list[int]]:
-    """Split a strictly increasing sequence into (diffs, jumps, jump indices).
-
-    diffs[i] is the gap to the previous position when it fits diff_bits bits,
-    else 0; diffs[0] is always 0.  jumps holds the absolute position behind
-    every zero diff, and the returned indices locate those zeros.
-    """
-    arr, diffs, jump_idx = _difference_arrays(positions, diff_bits)
-    return diffs.tolist(), arr[jump_idx].tolist(), jump_idx.tolist()
 
 
 def pack_diffs(values: Sequence[int], diff_bits: int) -> bytes:
@@ -203,40 +192,78 @@ def _jump_indices(diffs: np.ndarray, n_jumps: int) -> np.ndarray:
 
 
 @dataclass
-class DscHeader:
-    """Packed difference sequence plus jump sequence."""
+class DifferenceHeader:
+    """What DSC and DHC share: the parameters, the jumps and the checkpoints.
 
-    MAGIC = b"DSCH"
+    A subclass sets `MAGIC` and defines `size_bytes`, `lookup` and `_arrays`,
+    which returns the differences, the cells of their zeros, the jumps and,
+    for DHC, the stream bit offset after each cell's code, as numpy arrays.
+    """
 
     diff_bits: int
     entry_width: int
     stride: int
     count: int
     jumps: array
-    diff_data: bytes
-    checkpoints: Checkpoints | None = field(default=None, repr=False)  # rebuilt on load
+    # Rebuilt on load.
+    checkpoints: Checkpoints | None = field(default=None, repr=False, kw_only=True)
 
     def __post_init__(self):
         if self.checkpoints is None:
-            diffs, jump_idx, jumps = self._arrays()
+            diffs, jump_idx, jumps, ends = self._arrays()
             pos = _positions(diffs, jump_idx, jumps)
-            self.checkpoints = _checkpoints(pos, jump_idx, self.stride)
+            self.checkpoints = _checkpoints(pos, jump_idx, self.stride, ends)
 
-    def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Differences, the cells of their zeros and the jumps, as numpy arrays."""
+    def memory_bytes(self) -> int:
+        return self.size_bytes() + self.checkpoints.memory_bytes()
+
+    def positions(self) -> list[int]:
+        return _positions(*self._arrays()[:3]).tolist()
+
+    def _head(self, *extra: int) -> bytes:
+        """The envelope, with `extra` after the shared parameters, then the jumps."""
+        return write_envelope(
+            self.MAGIC,
+            self.entry_width,
+            self.diff_bits,
+            self.stride,
+            self.count,
+            len(self.jumps),
+            *extra,
+        ) + pack_ints(self.jumps, self.entry_width)
+
+    @classmethod
+    def _read_head(cls, data: bytes, n_extra: int = 0) -> tuple[tuple, list[int], int]:
+        """The shared constructor arguments, the `n_extra` parameters after
+        them and the offset of the payload after the jumps."""
+        params, off = read_envelope(data, cls.MAGIC, 5 + n_extra)
+        entry_width, diff_bits, stride, count, n_jumps = params[:5]
+        if stride < 1:
+            raise FormatError("checkpoint stride must be positive")
+        jumps = _u64(unpack_ints(data, entry_width, n_jumps, off))
+        off += entry_width * n_jumps
+        return (diff_bits, entry_width, stride, count, jumps), params[5:], off
+
+
+@dataclass
+class DscHeader(DifferenceHeader):
+    """Packed difference sequence plus jump sequence."""
+
+    MAGIC = b"DSCH"
+
+    diff_data: bytes
+
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, None]:
         if len(self.diff_data) < packed_size(self.count, self.diff_bits):
             raise CorruptStreamError("difference data shorter than declared count")
         diffs = _diff_array(self.diff_data, self.diff_bits, self.count)
         jump_idx = _jump_indices(diffs, len(self.jumps))
-        return diffs, jump_idx, np.frombuffer(self.jumps, dtype=np.uint64)
+        return diffs, jump_idx, np.frombuffer(self.jumps, dtype=np.uint64), None
 
     def size_bytes(self) -> int:
         return packed_size(self.count, self.diff_bits) + self.entry_width * len(
             self.jumps
         )
-
-    def memory_bytes(self) -> int:
-        return self.size_bytes() + self.checkpoints.memory_bytes()
 
     def lookup(self, position: int) -> int | None:
         cp = self.checkpoints
@@ -263,36 +290,18 @@ class DscHeader:
                 return i if cur == position else None
         return None
 
-    def positions(self) -> list[int]:
-        return _positions(*self._arrays()).tolist()
-
     def to_bytes(self) -> bytes:
-        head = self.MAGIC + bytes([VERSION])
-        head += struct.pack(
-            "<QQQQQ",
-            self.entry_width,
-            self.diff_bits,
-            self.stride,
-            self.count,
-            len(self.jumps),
-        )
-        return head + pack_ints(self.jumps, self.entry_width) + self.diff_data
+        return self._head() + self.diff_data
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "DscHeader":
-        entry_width, diff_bits, stride, count, n_jumps = read_envelope(
-            data, cls.MAGIC, 5
-        )
-        if stride < 1:
-            raise FormatError("checkpoint stride must be positive")
-        off = 45
-        jumps = _u64(unpack_ints(data, entry_width, n_jumps, off))
-        off += entry_width * n_jumps
+        fields, _, off = cls._read_head(data)
+        diff_bits, _, _, count, _ = fields
         need = packed_size(count, diff_bits)
         diff_data = data[off : off + need]
         if len(diff_data) < need:
             raise CorruptStreamError("truncated difference data")
-        return cls(diff_bits, entry_width, stride, count, jumps, diff_data)
+        return cls(*fields, diff_data)
 
 
 def build_dsc(
@@ -301,7 +310,7 @@ def build_dsc(
     entry_width: int = 8,
     stride: int = 16,
 ) -> DscHeader:
-    arr, diffs, jump_idx = _difference_arrays(positions, diff_bits)
+    arr, diffs, jump_idx = difference_arrays(positions, diff_bits)
     return DscHeader(
         diff_bits,
         entry_width,
@@ -313,35 +322,43 @@ def build_dsc(
     )
 
 
+def _long_code(cb: CodeBook, data: bytes, buf: int, fill: int, cursor: int):
+    """The code longer than the lookup table at the head of `fill` buffered bits.
+
+    Codes may pass 56 bits, so the buffer is refilled to the longest code
+    first; then each longer length's canonical range is tried.  Returns
+    (symbol, length) and the buffer, its fill and the data cursor.  It is
+    kept out of `DhcHeader.lookup` so that the loop there, which runs once
+    per decoded code, holds only what the table path needs.
+    """
+    first, count, offset, syms, w, _ = cb._tables()
+    while fill < cb.max_len:
+        buf = (buf << 8) | (data[cursor] if cursor < len(data) else 0)
+        cursor += 1
+        fill += 8
+    for ln in range(w + 1, cb.max_len + 1):
+        c = (buf >> (fill - ln)) - first[ln]
+        if 0 <= c < count[ln]:
+            return (syms[offset[ln] + c], ln), buf, fill, cursor
+    raise CorruptStreamError("no code matches the stream bits")
+
+
 @dataclass
-class DhcHeader:
+class DhcHeader(DifferenceHeader):
     """Jump sequence plus the Huffman code of the difference sequence.
 
     The stream encodes diffs 1..count-1 (the leading zero is implied by the
     first jump).  The checkpoint table carries, per entry, the stream bit
-    offset right after that cell's code.
+    offset right after that cell's code.  The envelope adds the stream's bit
+    length to the shared parameters.
     """
 
     MAGIC = b"DHCH"
 
-    diff_bits: int
-    entry_width: int
-    stride: int
-    count: int
-    jumps: array
     codebook: CodeBook | None
     stream: BitStream
-    checkpoints: Checkpoints | None = field(default=None, repr=False)  # rebuilt on load
-
-    def __post_init__(self):
-        if self.checkpoints is None:
-            diffs, jump_idx, jumps, ends = self._arrays()
-            pos = _positions(diffs, jump_idx, jumps)
-            self.checkpoints = _checkpoints(pos, jump_idx, self.stride, ends)
 
     def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Differences, the cells of their zeros, the jumps and, per cell, the
-        stream bit offset after its code, all decoded in numpy."""
         if not self.jumps:
             raise CorruptStreamError("empty jump sequence")
         diffs = np.zeros(min(self.count, 1), dtype=np.uint64)
@@ -358,7 +375,7 @@ class DhcHeader:
         return diffs, jump_idx, np.frombuffer(self.jumps, dtype=np.uint64), ends
 
     def codebook_bytes(self) -> int:
-        return self.codebook.size_bytes() if self.codebook else 0
+        return self.codebook.size_bytes() if self.codebook is not None else 0
 
     def stream_bytes(self) -> int:
         # Raw octets plus the stored bit length.
@@ -372,8 +389,8 @@ class DhcHeader:
         )
 
     def memory_bytes(self) -> int:
-        tables = self.codebook.decode_table_bytes() if self.codebook else 0
-        return self.size_bytes() + self.checkpoints.memory_bytes() + tables
+        tables = self.codebook.decode_table_bytes() if self.codebook is not None else 0
+        return super().memory_bytes() + tables
 
     def lookup(self, position: int) -> int | None:
         cp = self.checkpoints
@@ -389,9 +406,8 @@ class DhcHeader:
             return None
         jumps = self.jumps
         k = cp.jump[m]
-        # Inlined table-driven decode: scans dominate point-query cost, so the
-        # general Decoder is only consulted for codes past the table width.
-        first, count, offset, syms, w, lut = self.codebook._tables()
+        # Inlined table-driven decode: scans dominate point-query cost.
+        _, _, _, _, w, lut = self.codebook._tables()
         data = self.stream.data
         bits = self.stream.bit_length
         end = len(data)
@@ -414,7 +430,7 @@ class DhcHeader:
                     fill += 8
             entry = lut[buf >> (fill - w)]
             if entry is None:
-                return self._scan_from(position, pos, idx, limit, k, cur)
+                entry, buf, fill, cursor = _long_code(self.codebook, data, buf, fill, cursor)
             d, ln = entry
             if ln > bits - pos:
                 raise CorruptStreamError("code truncated at end of stream")
@@ -433,55 +449,13 @@ class DhcHeader:
                 return idx if cur == position else None
         return None
 
-    def _scan_from(self, position, pos, idx, limit, k, cur) -> int | None:
-        # Continue the scan through the general decoder (long codes).
-        jumps = self.jumps
-        dec = Decoder(self.codebook, self.stream, pos >> 3, pos & 7)
-        decode = dec.decode_next
-        while idx + 1 < limit:
-            d = decode()
-            if d is None:
-                raise CorruptStreamError("stream ended before declared count")
-            idx += 1
-            if d == 0:
-                k += 1
-                if k >= len(jumps):
-                    raise CorruptStreamError("more zero differences than jumps")
-                cur = jumps[k]
-            else:
-                cur += d
-            if cur >= position:
-                return idx if cur == position else None
-        return None
-
-    def positions(self) -> list[int]:
-        return _positions(*self._arrays()[:3]).tolist()
-
     def to_bytes(self) -> bytes:
-        head = self.MAGIC + bytes([VERSION])
-        head += struct.pack(
-            "<QQQQQQ",
-            self.entry_width,
-            self.diff_bits,
-            self.stride,
-            self.count,
-            len(self.jumps),
-            self.stream.bit_length,
-        )
-        jumps = pack_ints(self.jumps, self.entry_width)
-        cb = self.codebook.to_bytes() if self.codebook else struct.pack("<Q", 0)
-        return head + jumps + cb + self.stream.data
+        cb = self.codebook.to_bytes() if self.codebook is not None else struct.pack("<Q", 0)
+        return self._head(self.stream.bit_length) + cb + self.stream.data
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "DhcHeader":
-        entry_width, diff_bits, stride, count, n_jumps, bit_length = read_envelope(
-            data, cls.MAGIC, 6
-        )
-        if stride < 1:
-            raise FormatError("checkpoint stride must be positive")
-        off = 53
-        jumps = _u64(unpack_ints(data, entry_width, n_jumps, off))
-        off += entry_width * n_jumps
+        fields, (bit_length,), off = cls._read_head(data, 1)
         if len(data) < off + 8:
             raise FormatError("truncated codebook")
         (n_syms,) = struct.unpack_from("<Q", data, off)
@@ -494,8 +468,7 @@ class DhcHeader:
         raw = data[off : off + nbytes]
         if len(raw) < nbytes:
             raise CorruptStreamError("truncated code stream")
-        return cls(diff_bits, entry_width, stride, count, jumps, codebook,
-                   BitStream(raw, bit_length))
+        return cls(*fields, codebook, BitStream(raw, bit_length))
 
 
 def build_dhc(
@@ -504,7 +477,7 @@ def build_dhc(
     entry_width: int = 8,
     stride: int = 16,
 ) -> DhcHeader:
-    arr, diffs, jump_idx = _difference_arrays(positions, diff_bits)
+    arr, diffs, jump_idx = difference_arrays(positions, diff_bits)
     ends = np.zeros(diffs.size, dtype=np.int64)
     if diffs.size > 1:
         symbols, freqs = np.unique(diffs[1:], return_counts=True)

@@ -7,6 +7,8 @@ sorted by construction, so every lookup is a binary search.
 The serialized layout is shared by every header type: a 4-octet magic tag,
 one version octet, a parameter block of 8-octet little-endian integers, then
 the sequences packed contiguously at their configured entry widths.
+`write_envelope` and `read_envelope` write and read everything before the
+sequences, for all five schemes.
 `size_bytes()` reports the size of the structure itself (the quantity the
 size comparisons reason about); serialized files add the small envelope.
 """
@@ -56,14 +58,21 @@ def _check_positions(positions) -> np.ndarray:
     return arr
 
 
-def read_envelope(data: bytes, magic: bytes, n_params: int) -> list[int]:
-    if len(data) < 5 + 8 * n_params:
+def write_envelope(magic: bytes, *params: int) -> bytes:
+    """The magic tag, the version octet and the parameter block."""
+    return magic + bytes([VERSION]) + struct.pack(f"<{len(params)}Q", *params)
+
+
+def read_envelope(data: bytes, magic: bytes, n_params: int) -> tuple[list[int], int]:
+    """The parameters `write_envelope` wrote, and the offset of the payload."""
+    end = 5 + 8 * n_params
+    if len(data) < end:
         raise FormatError("header file too short")
     if data[:4] != magic:
         raise FormatError(f"bad magic {data[:4]!r}, expected {magic!r}")
     if data[4] != VERSION:
         raise FormatError(f"unsupported header version {data[4]}")
-    return list(struct.unpack_from(f"<{n_params}Q", data, 5))
+    return list(struct.unpack_from(f"<{n_params}Q", data, 5)), end
 
 
 @dataclass
@@ -113,14 +122,13 @@ class SchcHeader:
 
     def to_bytes(self) -> bytes:
         pairs = np.array([self.run_ends, self.empty_counts], dtype=np.uint64).T
-        head = self.MAGIC + bytes([VERSION])
-        head += struct.pack("<QQ", self.entry_width, self.num_runs)
+        head = write_envelope(self.MAGIC, self.entry_width, self.num_runs)
         return head + pack_ints(pairs, self.entry_width)
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "SchcHeader":
-        entry_width, num_runs = read_envelope(data, cls.MAGIC, 2)
-        flat = unpack_ints(data, entry_width, 2 * num_runs, offset=21).tolist()
+        (entry_width, num_runs), off = read_envelope(data, cls.MAGIC, 2)
+        flat = unpack_ints(data, entry_width, 2 * num_runs, off).tolist()
         return cls(flat[0::2], flat[1::2], entry_width)
 
 
@@ -167,14 +175,13 @@ class LpcHeader:
         return list(self.positions_list)
 
     def to_bytes(self) -> bytes:
-        head = self.MAGIC + bytes([VERSION])
-        head += struct.pack("<QQ", self.entry_width, self.count)
+        head = write_envelope(self.MAGIC, self.entry_width, self.count)
         return head + pack_ints(self.positions_list, self.entry_width)
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "LpcHeader":
-        entry_width, count = read_envelope(data, cls.MAGIC, 2)
-        return cls(unpack_ints(data, entry_width, count, offset=21).tolist(), entry_width)
+        (entry_width, count), off = read_envelope(data, cls.MAGIC, 2)
+        return cls(unpack_ints(data, entry_width, count, off).tolist(), entry_width)
 
 
 def build_lpc(positions, entry_width: int = 8) -> LpcHeader:
@@ -222,9 +229,8 @@ class BocHeader:
         ]
 
     def to_bytes(self) -> bytes:
-        head = self.MAGIC + bytes([VERSION])
-        head += struct.pack(
-            "<QQQQQ",
+        head = write_envelope(
+            self.MAGIC,
             self.entry_width,
             self.offset_width,
             self.block_len,
@@ -239,10 +245,9 @@ class BocHeader:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "BocHeader":
-        entry_width, offset_width, block_len, count, n_bases = read_envelope(
+        (entry_width, offset_width, block_len, count, n_bases), off = read_envelope(
             data, cls.MAGIC, 5
         )
-        off = 45
         bases = unpack_ints(data, entry_width, n_bases, offset=off)
         offsets = unpack_ints(data, offset_width, count, offset=off + entry_width * n_bases)
         return cls(bases.tolist(), offsets.tolist(), block_len, entry_width, offset_width)

@@ -3,18 +3,17 @@
 Codes are optimal (Huffman lengths) and assigned canonically by
 (length, symbol), so a codebook is fully described by its lengths.  Bits are
 MSB-first within octets; the final partial octet is zero-padded.  A stream
-position is addressed as (byte index, bit index) where byte*8+bit is the
-absolute index of the next bit to decode, so (0, 0) is the very start and the
-end position of one code is the start position of the next.
+position is a plain bit offset: 0 is the very start, and the offset right
+after one code is where the next one starts.
 
 A single-symbol alphabet gets a deliberate 1-bit code: a zero-bit code would
 never advance the stream.
 
 Whole streams are coded in numpy: `encode_sequence` gathers every code's bits
 at once, and `decode_stream` finds the code at every bit offset, then the
-offsets where codes really start.  `Decoder` decodes one symbol at a time
-from any code boundary; point queries use it, and it is the reference the
-whole-stream decode must agree with.
+offsets where codes really start.  A DHC point query
+(`diffseq.DhcHeader.lookup`) decodes its few codes from a known code end
+itself, with the tables of `CodeBook._tables()`.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import CorruptStreamError, FormatError, InvalidPositionError
+from .errors import CorruptStreamError, FormatError
 
 _LUT_MAX_BITS = 11
 
@@ -40,9 +39,6 @@ class BitStream:
     def __post_init__(self):
         if self.bit_length > 8 * len(self.data):
             raise ValueError("bit length exceeds buffer")
-
-    def size_bytes(self) -> int:
-        return len(self.data)
 
 
 class CodeBook:
@@ -69,15 +65,6 @@ class CodeBook:
         self.max_len = prev_len
         self._canonical_order = order
         self._decode_tables: tuple | None = None
-
-    def __len__(self) -> int:
-        return len(self.codes)
-
-    def __contains__(self, symbol: int) -> bool:
-        return symbol in self.codes
-
-    def encoded_bit_count(self, freqs: Mapping[int, int]) -> int:
-        return sum(self.lengths[s] * n for s, n in freqs.items())
 
     def _tables(self):
         # Lazily built decode structures: per-length canonical ranges plus a
@@ -180,7 +167,7 @@ def encode_sequence(
     """Concatenate codes MSB-first, in numpy.
 
     Returns the stream and, per symbol, the bit offset right after its code,
-    where a `Decoder` started on it decodes the following symbol.
+    which is where the following symbol's code starts.
     """
     alphabet = sorted(cb.codes)
     table = np.array(alphabet, dtype=np.uint64)
@@ -211,7 +198,7 @@ _LIMB_MASK = (1 << _LIMB) - 1
 def _windows(data: bytes, n: int) -> np.ndarray:
     """win[k] is the 56 stream bits ending at bit k, for k in [0, n).
 
-    Bits before the stream and past its data read as zero, as in `Decoder`.
+    Bits before the stream and past its data read as zero.
     """
     n_words = (n + 7) >> 3
     padded = (bytes(7) + bytes(data[:n_words])).ljust(n_words + 7, b"\0")
@@ -341,10 +328,10 @@ def _code_starts(nxt: np.ndarray, n_bits: int, max_len: int, count: int) -> np.n
 def decode_stream(cb: CodeBook, stream: BitStream, count: int) -> tuple[np.ndarray, np.ndarray]:
     """The first `count` symbols from bit 0, and the bit offset after each code.
 
-    Decodes in numpy what `count` calls of `Decoder.decode_next` decode, and
-    raises `CorruptStreamError` where they would: the code length and symbol
-    are found at every bit offset (Klein & Wiseman 2003), and a walk from
-    offset 0 picks the offsets where a code really starts.
+    Raises `CorruptStreamError` when the first `count` codes are not whole
+    codes within the stream's bit length.  The code length and symbol are
+    found at every bit offset (Klein & Wiseman 2003), and a walk from offset 0
+    picks the offsets where a code really starts.
     """
     if count == 0:
         return np.zeros(0, dtype=np.uint64), np.zeros(0, dtype=np.int64)
@@ -367,101 +354,3 @@ def decode_stream(cb: CodeBook, stream: BitStream, count: int) -> tuple[np.ndarr
     ).astype(np.int64)
     return np.array(syms, dtype=np.uint64)[rank], ends
 
-
-class Decoder:
-    """Stateful decoder positioned at an arbitrary code boundary.
-
-    Bits are pulled through a small integer buffer refilled a byte at a time,
-    so the per-symbol hot path is one table index plus shifts.
-    """
-
-    __slots__ = (
-        "_data", "_bits", "pos", "_cb",
-        "_buf", "_fill", "_cursor", "_end",
-        "_lut", "_w", "_first", "_count", "_offset", "_syms",
-    )
-
-    def __init__(self, cb: CodeBook, stream: BitStream, byte: int = 0, bit: int = 0):
-        if not 0 <= bit <= 7:
-            raise InvalidPositionError(f"bit index {bit} out of range 0..7")
-        pos = byte * 8 + bit
-        if pos > stream.bit_length:
-            raise InvalidPositionError(
-                f"position {pos} beyond stream of {stream.bit_length} bits"
-            )
-        self._data = stream.data
-        self._bits = stream.bit_length
-        self.pos = pos
-        self._cb = cb
-        self._first, self._count, self._offset, self._syms, self._w, self._lut = (
-            cb._tables()
-        )
-        self._cursor = pos >> 3
-        self._end = len(stream.data)
-        self._buf = 0
-        self._fill = 0
-        lead = pos & 7
-        if lead and self._cursor < self._end:
-            self._buf = self._data[self._cursor] & (0xFF >> lead)
-            self._fill = 8 - lead
-            self._cursor += 1
-
-    def decode_next(self) -> int | None:
-        """Next symbol, or None at end of stream.
-
-        The zero-padding tail can alias a short code, so callers must bound
-        the number of decodes by their own symbol count.
-        """
-        remaining = self._bits - self.pos
-        if remaining <= 0:
-            return None
-        buf = self._buf
-        fill = self._fill
-        w = self._w
-        if fill < w:
-            data = self._data
-            cursor = self._cursor
-            end = self._end
-            while fill < 56:
-                buf = (buf << 8) | (data[cursor] if cursor < end else 0)
-                cursor += 1
-                fill += 8
-            self._cursor = cursor
-            self._buf = buf
-            self._fill = fill
-        entry = self._lut[buf >> (fill - w)]
-        if entry is not None:
-            sym, ln = entry
-            if ln > remaining:
-                raise CorruptStreamError("code truncated at end of stream")
-            fill -= ln
-            self._buf = buf & ((1 << fill) - 1)
-            self._fill = fill
-            self.pos += ln
-            return sym
-        return self._decode_long(remaining)
-
-    def _decode_long(self, remaining: int):
-        # Codes longer than the lookup table width.
-        max_len = self._cb.max_len
-        buf, fill = self._buf, self._fill
-        data, end = self._data, self._end
-        cursor = self._cursor
-        while fill < max_len:
-            buf = (buf << 8) | (data[cursor] if cursor < end else 0)
-            cursor += 1
-            fill += 8
-        self._cursor = cursor
-        first, count = self._first, self._count
-        limit = min(max_len, remaining)
-        for ln in range(self._w + 1, limit + 1):
-            c = buf >> (fill - ln)
-            if count[ln] and first[ln] <= c < first[ln] + count[ln]:
-                fill -= ln
-                self._buf = buf & ((1 << fill) - 1)
-                self._fill = fill
-                self.pos += ln
-                return self._syms[self._offset[ln] + (c - first[ln])]
-        raise CorruptStreamError(
-            f"no code matches the {remaining} bits left at position {self.pos}"
-        )

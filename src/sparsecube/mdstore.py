@@ -115,12 +115,9 @@ class MultidimStore:
             return None
         return self.cell_measure(physical)
 
-    def stored_positions(self) -> list[int]:
-        return self.header.positions()
-
     def stored_coords(self) -> list[tuple[int, ...]]:
         """Coordinates of the stored cells in physical order, decoded in numpy."""
-        positions = self.stored_positions()
+        positions = self.header.positions()
         try:
             rest = np.array(positions, dtype=np.uint64)
         except OverflowError:

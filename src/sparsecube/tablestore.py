@@ -76,10 +76,10 @@ class TableStore:
         self.n_groups = -(-self.n_rows // self.rows_per_group)
         self.n_pages = idx.file_size // page_size
         self.root_page = self.n_pages - 1  # levels are written bottom-up, root last
-        entries_per_page = (page_size - 2) // _ENTRY.size
+        self.entries_per_page = (page_size - 2) // _ENTRY.size
         self.height, level = 1, self.n_groups
-        while level > entries_per_page:
-            self.height, level = self.height + 1, -(-level // entries_per_page)
+        while level > self.entries_per_page:
+            self.height, level = self.height + 1, -(-level // self.entries_per_page)
         self._rows = rows
         self._idx = idx
         self._measure = struct.Struct("<f" if measure_width == 4 else "<d")
@@ -116,12 +116,21 @@ class TableStore:
 
     # -- lookup -----------------------------------------------------------
 
-    def _page_floor(self, page: bytes, key: int) -> int:
-        """Index of the rightmost entry with entry.key <= key, or -1."""
+    def _page_floor(self, page: bytes, key: int, lead: int | None) -> int:
+        """Index of the rightmost entry with entry.key <= key, or -1.
+
+        `lead` is the key of the entry that led to this page (None at the
+        root), which must be the page's first key.
+        """
         (count,) = _COUNT.unpack_from(page, 0)
-        lo, hi = 0, count - 1
-        if hi < 0 or _ENTRY.unpack_from(page, 2)[0] > key:
+        if not 0 < count <= self.entries_per_page:
+            raise FormatError(f"index page holds {count} entries, not 1..{self.entries_per_page}")
+        first = _ENTRY.unpack_from(page, 2)[0]
+        if lead is not None and first != lead:
+            raise FormatError(f"index page starts at key {first}, not at its parent's key {lead}")
+        if first > key:
             return -1
+        lo, hi = 0, count - 1
         while lo < hi:
             mid = (lo + hi + 1) >> 1
             if _ENTRY.unpack_from(page, 2 + 16 * mid)[0] <= key:
@@ -140,19 +149,27 @@ class TableStore:
         return key
 
     def point_query(self, coords: Sequence[int]) -> float | None:
+        """The cell's measure, or None.  An index entry that points outside
+        the index or past the last row group, or at a page or a group that
+        does not start at the entry's key, raises FormatError (a group only
+        when it misses the key)."""
         key = encode_logical_position(coords, self.schema)
         # The walk enters through the meta page (root pointer lives there);
         # it stays cached, but its block belongs to the representation and
         # must be accounted like any other.
         self._read_page(0)
-        page_no = self.root_page
-        for _ in range(self.height):
+        page_no, entry_key = self.root_page, None
+        for level in range(self.height - 1, -1, -1):
             page = self._read_page(page_no)
-            slot = self._page_floor(page, key)
+            slot = self._page_floor(page, key, entry_key)
             if slot < 0:
                 return None
-            page_no = _ENTRY.unpack_from(page, 2 + 16 * slot)[1]
+            entry_key, page_no = _ENTRY.unpack_from(page, 2 + 16 * slot)
+            if level and not 0 < page_no < self.root_page:
+                raise FormatError(f"index page {page_no} is not between meta and root")
         group = page_no  # leaf entries point at row groups
+        if group >= self.n_groups:
+            raise FormatError(f"row group {group} is past the last of {self.n_groups}")
         first = group * self.rows_per_group
         count = min(self.rows_per_group, self.n_rows - first)
         rows = self._read_rows(first, count)
@@ -167,6 +184,11 @@ class TableStore:
                 lo = mid + 1
             else:
                 hi = mid - 1
+        # A hit, or a miss between two of the group's rows, is in the right
+        # group whatever the index says.  A miss past either end is an answer
+        # only if the index led to the group that starts at its key.
+        if (lo == 0 or lo == count) and self._row_key(rows, 0) != entry_key:
+            raise FormatError(f"row group {group} does not start at its index key {entry_key}")
         return None
 
 

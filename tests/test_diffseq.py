@@ -1,4 +1,5 @@
 import random
+from array import array
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,12 +9,12 @@ from sparsecube.diffseq import (
     DhcHeader,
     DscHeader,
     build_dhc,
-    build_difference_sequence,
     build_dsc,
+    difference_arrays,
     pack_diffs,
 )
 from sparsecube.errors import CorruptStreamError, FormatError
-from sparsecube.huffman import BitStream
+from sparsecube.huffman import BitStream, CodeBook, encode_sequence
 from sparsecube.headers import build_boc, build_lpc
 from sparsecube.errors import OffsetOverflowError
 
@@ -48,23 +49,24 @@ position_lists = st.lists(
 
 class TestDifferenceSequence:
     def test_small_gaps_single_jump(self):
-        diffs, jumps, accel = build_difference_sequence([5, 6, 7], 8)
-        assert diffs == [0, 1, 1]
-        assert jumps == [5]
-        assert accel == [0]
+        arr, diffs, jump_idx = difference_arrays([5, 6, 7], 8)
+        assert diffs.tolist() == [0, 1, 1]
+        assert arr[jump_idx].tolist() == [5]
+        assert jump_idx.tolist() == [0]
 
     def test_overflow_forces_jump(self):
         # 300 - 0 = 300 > 255, so the second element becomes a jump.
-        diffs, jumps, accel = build_difference_sequence([0, 300, 301], 8)
-        assert diffs == [0, 0, 1]
-        assert jumps == [0, 300]
-        assert accel == [0, 1]
+        arr, diffs, jump_idx = difference_arrays([0, 300, 301], 8)
+        assert diffs.tolist() == [0, 0, 1]
+        assert arr[jump_idx].tolist() == [0, 300]
+        assert jump_idx.tolist() == [0, 1]
 
     def test_zero_jump_correspondence_pattern(self):
         # Layout engineered so diffs 0, 3 and 5 are zeros: the fourth position
         # equals the second jump, and the fifth extends it by its gap.
         positions = [10, 11, 12, 400, 401, 900, 901, 902, 903]
-        diffs, jumps, accel = build_difference_sequence(positions, 8)
+        arr, diffs, jump_idx = difference_arrays(positions, 8)
+        diffs, jumps = diffs.tolist(), arr[jump_idx].tolist()
         zero_at = [i for i, d in enumerate(diffs) if d == 0]
         assert zero_at == [0, 3, 5]
         assert len(jumps) == 3
@@ -75,7 +77,8 @@ class TestDifferenceSequence:
         rng = random.Random(3)
         for _ in range(50):
             positions = random_increasing(rng, rng.randint(1, 80), 700)
-            diffs, jumps, _ = build_difference_sequence(positions, 8)
+            arr, diffs, jump_idx = difference_arrays(positions, 8)
+            jumps = arr[jump_idx].tolist()
             assert sum(1 for d in diffs if d == 0) == len(jumps)
             assert jumps[0] == positions[0]
             assert all(a < b for a, b in zip(jumps, jumps[1:]))
@@ -85,20 +88,21 @@ class TestDifferenceSequence:
         rng = random.Random(bits)
         for _ in range(200):
             positions = random_increasing(rng, rng.randint(1, 100), 2 ** (bits + 2))
-            diffs, jumps, _ = build_difference_sequence(positions, bits)
-            assert reconstruct(diffs, jumps) == positions
+            arr, diffs, jump_idx = difference_arrays(positions, bits)
+            assert reconstruct(diffs.tolist(), arr[jump_idx].tolist()) == positions
 
     @given(position_lists, st.sampled_from([4, 8, 12, 16]))
     def test_reconstruction_property(self, positions, bits):
-        diffs, jumps, accel = build_difference_sequence(positions, bits)
-        assert reconstruct(diffs, jumps) == positions
-        assert [positions[a] for a in accel] == jumps
+        arr, diffs, jump_idx = difference_arrays(positions, bits)
+        jumps = arr[jump_idx].tolist()
+        assert reconstruct(diffs.tolist(), jumps) == positions
+        assert [positions[a] for a in jump_idx] == jumps
 
     def test_rejects_bad_width(self):
         with pytest.raises(ValueError):
-            build_difference_sequence([1, 2], 0)
+            difference_arrays([1, 2], 0)
         with pytest.raises(ValueError):
-            build_difference_sequence([1, 2], 33)
+            difference_arrays([1, 2], 33)
 
 
 class TestPacking:
@@ -130,9 +134,9 @@ class TestJumpsVsBase:
             positions = random_increasing(
                 rng, rng.randint(1, 90), rng.choice([10, 200, 5000, 80_000])
             )
-            _, jumps, _ = build_difference_sequence(positions, bits)
+            _, _, jump_idx = difference_arrays(positions, bits)
             boc = theorem_block_len(positions, offset_width)
-            assert len(jumps) <= len(boc.bases)
+            assert len(jump_idx) <= len(boc.bases)
 
 
 def oracle_lookup(positions, query):
@@ -270,6 +274,24 @@ class TestDhc:
         rng = random.Random(19)
         positions = random_increasing(rng, 150, 900)
         assert build_dhc(positions, diff_bits=8).positions() == positions
+
+    def test_lookup_through_codes_past_one_refill(self):
+        # Gap g has a g-bit code, so the lookup decodes codes longer than the
+        # 56 bits one buffer refill holds.
+        rng = random.Random(69)
+        cb = CodeBook({g: g for g in range(1, 70)})
+        gaps = [rng.randint(1, 69) for _ in range(600)]
+        positions = [3]
+        for g in gaps:
+            positions.append(positions[-1] + g)
+        stream, _ = encode_sequence(cb, gaps)
+        built = DhcHeader(8, 8, 16, len(positions), array("Q", [3]), cb, stream)
+        assert built.positions() == positions
+        stored = {p: i for i, p in enumerate(positions)}
+        for h in (built, DhcHeader.from_bytes(built.to_bytes())):
+            for p in positions:
+                for q in (p - 1, p, p + 1):
+                    assert h.lookup(q) == stored.get(q), q
 
 
 def built_and_reloaded(build, cls, positions, **kw):

@@ -6,12 +6,11 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, strategies as st
 
-from sparsecube.errors import CorruptStreamError, InvalidPositionError
+from sparsecube.errors import CorruptStreamError
 from sparsecube.huffman import (
     _LUT_MAX_BITS,
     BitStream,
     CodeBook,
-    Decoder,
     build_codebook,
     decode_stream,
     encode_sequence,
@@ -106,7 +105,7 @@ class TestCodebook:
         entropy = -sum(
             n / total * math.log2(n / total) for n in freqs.values()
         )
-        avg_len = cb.encoded_bit_count(freqs) / total
+        avg_len = sum(cb.lengths[s] * n for s, n in freqs.items()) / total
         assert entropy <= avg_len + 1e-9
         assert avg_len < entropy + 1
 
@@ -116,7 +115,7 @@ class TestCodebook:
             k = rng.randint(2, 6)
             freqs = {s: rng.randint(1, 40) for s in rng.sample(range(100), k)}
             cb = build_codebook(freqs)
-            got = cb.encoded_bit_count(freqs)
+            got = sum(cb.lengths[s] * n for s, n in freqs.items())
             assert got == optimal_tree_cost(list(freqs.values()))
 
     def test_deterministic_construction(self):
@@ -158,16 +157,24 @@ class TestEncode:
         cb = build_codebook(freqs)
         seq = [0] * 5 + [1] * 3 + [2]
         stream, _ = encode_sequence(cb, seq)
-        assert stream.bit_length == cb.encoded_bit_count(freqs)
+        assert stream.bit_length == sum(cb.lengths[s] * n for s, n in freqs.items())
+
+
+def decoded(cb, stream, count):
+    """`decode_stream`'s symbols, checked against the scalar reference."""
+    symbols, ends = decode_stream(cb, stream, count)
+    assert (symbols.tolist(), ends.tolist()) == scalar_decode(cb, stream, count)
+    return symbols.tolist()
 
 
 class TestDecode:
     def test_stream_of_abab(self):
         cb = build_codebook({0: 1, 1: 1})
         stream, _ = encode_sequence(cb, [0, 1, 0, 1])
-        dec = Decoder(cb, stream, 0, 0)
-        assert [dec.decode_next() for _ in range(4)] == [0, 1, 0, 1]
-        assert dec.decode_next() is None
+        assert decoded(cb, stream, 4) == [0, 1, 0, 1]
+        for decode in (decode_stream, scalar_decode):
+            with pytest.raises(CorruptStreamError):
+                decode(cb, stream, 5)
 
     def test_init_at_anchor_returns_next_symbol(self):
         rng = random.Random(5)
@@ -175,9 +182,9 @@ class TestDecode:
         cb = build_codebook(freqs)
         seq = rng.choices(list(freqs), k=60)
         stream, ends = encode_sequence(cb, seq)
+        assert decode_stream(cb, stream, len(seq))[1].tolist() == ends.tolist()
         for i, end in enumerate(ends[:-1].tolist()):
-            dec = Decoder(cb, stream, end >> 3, end & 7)
-            assert dec.decode_next() == seq[i + 1]
+            assert scalar_decode(cb, stream, 1, end) == ([seq[i + 1]], [int(ends[i + 1])])
 
     def test_anchor_suffix_decoding(self):
         rng = random.Random(6)
@@ -186,25 +193,25 @@ class TestDecode:
         seq = rng.choices(list(freqs), k=80)
         stream, ends = encode_sequence(cb, seq)
         for i in (0, 10, 41, 78):
-            end = int(ends[i])
-            rest, _ = scalar_decode(cb, stream, len(seq) - 1 - i, end >> 3, end & 7)
+            rest, _ = scalar_decode(cb, stream, len(seq) - 1 - i, int(ends[i]))
             assert rest == seq[i + 1 :]
 
     def test_init_past_stream_end(self):
         cb = build_codebook({0: 1, 1: 1})
         stream, _ = encode_sequence(cb, [0, 1])
-        with pytest.raises(InvalidPositionError):
-            Decoder(cb, stream, 1, 0)
-        dec = Decoder(cb, stream, 0, 2)  # exactly the end
-        assert dec.decode_next() is None
+        with pytest.raises(CorruptStreamError):
+            scalar_decode(cb, stream, 1, 2)  # from exactly the end
+        with pytest.raises(CorruptStreamError):
+            decode_stream(cb, stream, 3)
 
     def test_truncated_mid_code_is_corruption(self):
         cb = build_codebook({0: 1, 1: 1, 2: 2, 3: 4})  # 3-bit codes exist
         stream, _ = encode_sequence(cb, [0])
         ln = cb.lengths[0]
         truncated = BitStream(stream.data, ln - 1)
-        with pytest.raises(CorruptStreamError):
-            Decoder(cb, truncated).decode_next()
+        for decode in (decode_stream, scalar_decode):
+            with pytest.raises(CorruptStreamError):
+                decode(cb, truncated, 1)
 
     @given(st.data())
     def test_round_trip(self, data):
@@ -212,7 +219,7 @@ class TestDecode:
         cb = build_codebook(freqs)
         seq = data.draw(st.lists(st.sampled_from(sorted(freqs)), max_size=200))
         stream, _ = encode_sequence(cb, seq)
-        assert scalar_decode(cb, stream, len(seq))[0] == seq
+        assert decoded(cb, stream, len(seq)) == seq
 
     def test_round_trip_large_alphabet(self):
         rng = random.Random(13)
@@ -220,12 +227,12 @@ class TestDecode:
         cb = build_codebook(freqs)
         seq = rng.choices(range(300), k=5000)
         stream, _ = encode_sequence(cb, seq)
-        assert scalar_decode(cb, stream, len(seq))[0] == seq
+        assert decoded(cb, stream, len(seq)) == seq
 
     def test_single_symbol_stream(self):
         cb = build_codebook({4: 9})
         stream, _ = encode_sequence(cb, [4, 4, 4])
-        assert scalar_decode(cb, stream, 3)[0] == [4, 4, 4]
+        assert decoded(cb, stream, 3) == [4, 4, 4]
 
     def test_skewed_codebook_slow_path(self):
         # Fibonacci-like weights force code lengths past the lookup table.
@@ -234,7 +241,7 @@ class TestDecode:
         assert cb.max_len > 11
         seq = list(freqs) * 3
         stream, _ = encode_sequence(cb, seq)
-        assert scalar_decode(cb, stream, len(seq))[0] == seq
+        assert decoded(cb, stream, len(seq)) == seq
 
 
 def scalar_encode(cb, symbols):
@@ -258,17 +265,24 @@ def scalar_encode(cb, symbols):
     return bytes(out), total, ends
 
 
-def scalar_decode(cb, stream, count, byte=0, bit=0):
-    """`count` calls of `Decoder.decode_next` from the code boundary at
-    (byte, bit): the reference for `decode_stream`."""
-    dec = Decoder(cb, stream, byte, bit)
+def scalar_decode(cb, stream, count, start=0):
+    """`count` codes from bit offset `start`, read one bit at a time and
+    matched against `cb.codes`: the reference for `decode_stream`.  Returns
+    the symbols and each code's end; a code that runs past the stream's bit
+    length, or bits that match no code, are corrupt."""
+    symbol_of = {code: sym for sym, code in cb.codes.items()}  # (length, bits) -> symbol
+    longest = max(cb.lengths.values())
     symbols, ends = [], []
+    pos = start
     for _ in range(count):
-        sym = dec.decode_next()
-        if sym is None:
-            raise CorruptStreamError("stream ended before declared count")
-        symbols.append(sym)
-        ends.append(dec.pos)
+        ln = code = 0
+        while (ln, code) not in symbol_of:
+            if ln == longest or pos >= stream.bit_length:
+                raise CorruptStreamError(f"no whole code at bit {pos - ln}")
+            code = code << 1 | stream.data[pos >> 3] >> (7 - (pos & 7)) & 1
+            ln, pos = ln + 1, pos + 1
+        symbols.append(symbol_of[ln, code])
+        ends.append(pos)
     return symbols, ends
 
 

@@ -101,12 +101,12 @@ class TestQueries:
             answers = {s: st.point_query(coords) for s, st in stores.items()}
             assert len(set(answers.values())) == 1, answers
 
-    def test_stored_positions_match(self, relation, stores):
+    def test_header_positions_match(self, relation, stores):
         from sparsecube.relation import logical_position_sequence
 
         want = logical_position_sequence(relation)
         for scheme, st in stores.items():
-            assert st.stored_positions() == want, scheme
+            assert st.header.positions() == want, scheme
 
 
 class TestPersistence:

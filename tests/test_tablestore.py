@@ -7,7 +7,7 @@ import pytest
 
 from sparsecube.blockio import SimCache
 from sparsecube.errors import EmptyRelationError, FormatError
-from sparsecube.relation import DimensionSchema, Relation
+from sparsecube.relation import DimensionSchema, Relation, ordered_cells
 from sparsecube.synth import SynthSpec, generate
 from sparsecube.tablestore import (
     META_FIELDS,
@@ -115,6 +115,51 @@ class TestPersistence:
             path.write_bytes(damaged)
             with pytest.raises(FormatError):
                 load_table(base)
+
+    @pytest.mark.parametrize(
+        "field, value", [("group", 99), ("group", 0), ("group", 2), ("count", 65535)]
+    )
+    def test_leaf_page_checked_on_query(self, tmp_path, field, value):
+        rel = generate(SynthSpec((16, 16, 8), density=0.3, seed=2))
+        table = build_table(rel)  # one leaf page, which is the root
+        assert table.height == 1 and table.n_groups > 2
+        base = tmp_path / "x"
+        save_table(table, base)
+        idx = tmp_path / "x.idx"
+        raw = bytearray(idx.read_bytes())
+        leaf = table.root_page * table.page_size
+        if field == "group":  # the second entry's row group
+            struct.pack_into("<Q", raw, leaf + 2 + 16 + 8, value)
+            damaged = table.rows_per_group  # the cells of the second group
+        else:
+            struct.pack_into("<H", raw, leaf, value)
+            damaged = rel.n_cells
+        idx.write_bytes(bytes(raw))
+        raised = 0
+        with load_table(base) as loaded:
+            for coords, measure in rel.iter_cells():
+                try:
+                    assert loaded.point_query(coords) == measure
+                except FormatError:
+                    raised += 1
+        assert raised == damaged
+
+    def test_child_page_checked_on_query(self, tmp_path, relation):
+        table = build_table(relation, TableParams(page_size=128))
+        assert table.height >= 2
+        base = tmp_path / "c"
+        save_table(table, base)
+        idx = tmp_path / "c.idx"
+        valid = idx.read_bytes()
+        coords = tuple(ordered_cells(relation)[1][0].tolist())  # under the root's first entry
+        root = table.root_page * table.page_size
+        (second_child,) = struct.unpack_from("<Q", valid, root + 2 + 16 + 8)
+        for child in (0, second_child, table.root_page, table.root_page + 1):
+            raw = bytearray(valid)
+            struct.pack_into("<Q", raw, root + 2 + 8, child)
+            idx.write_bytes(bytes(raw))
+            with load_table(base) as loaded, pytest.raises(FormatError):
+                loaded.point_query(coords)
 
     def test_sizes_from_files(self, tmp_path, table):
         base = tmp_path / "t3"
