@@ -36,7 +36,15 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import CorruptStreamError, FormatError
-from .headers import _check_positions, pack_ints, read_envelope, unpack_ints, write_envelope
+from .headers import (
+    _check_positions,
+    held,
+    held_bytes,
+    pack_ints,
+    read_envelope,
+    unpack_ints,
+    write_envelope,
+)
 from .huffman import BitStream, CodeBook, build_codebook, decode_stream, encode_sequence
 
 # Cells between two checkpoints at most.  Each checkpoint costs 24 resident
@@ -122,16 +130,6 @@ def _bit_window(data: bytes, diff_bits: int, first: int, stop: int) -> Iterator[
         window >>= diff_bits
 
 
-def _u64(values) -> array:
-    """A compact array('Q') holding `values` (any integer numpy array).
-
-    Sized by repetition: `frombytes` would leave a sixteenth spare.
-    """
-    out = array("Q", [0]) * len(values)
-    np.frombuffer(out, dtype=np.uint64)[:] = values
-    return out
-
-
 @dataclass
 class Checkpoints:
     """Where a scan may start, one entry per checkpointed cell, by cell.
@@ -148,7 +146,7 @@ class Checkpoints:
     bit: array = field(default_factory=lambda: array("Q"))
 
     def memory_bytes(self) -> int:
-        return sum(c.itemsize * len(c) for c in (self.pos, self.cell, self.jump, self.bit))
+        return held_bytes(self.pos, self.cell, self.jump, self.bit)
 
 
 def _positions(diffs: np.ndarray, jump_idx: np.ndarray, jumps: np.ndarray) -> np.ndarray:
@@ -178,8 +176,8 @@ def _checkpoints(
     every_k = np.arange(0, pos.size, CHECKPOINT_CELLS, dtype=np.int64)
     cells = np.union1d(every_k, jump_idx[::stride])
     run = np.searchsorted(jump_idx, cells, side="right") - 1
-    bit = _u64(ends[cells]) if ends is not None else array("Q")
-    return Checkpoints(_u64(pos[cells]), _u64(cells), _u64(run), bit)
+    bit = held(ends[cells]) if ends is not None else array("Q")
+    return Checkpoints(held(pos[cells]), held(cells), held(run), bit)
 
 
 def _jump_indices(diffs: np.ndarray, n_jumps: int) -> np.ndarray:
@@ -240,7 +238,7 @@ class DifferenceHeader:
         entry_width, diff_bits, stride, count, n_jumps = params[:5]
         if stride < 1:
             raise FormatError("checkpoint stride must be positive")
-        jumps = _u64(unpack_ints(data, entry_width, n_jumps, off))
+        jumps = held(unpack_ints(data, entry_width, n_jumps, off))
         off += entry_width * n_jumps
         return (diff_bits, entry_width, stride, count, jumps), params[5:], off
 
@@ -316,7 +314,7 @@ def build_dsc(
         entry_width,
         stride,
         diffs.size,
-        _u64(arr[jump_idx]),
+        held(arr[jump_idx]),
         pack_diffs(diffs, diff_bits),
         checkpoints=_checkpoints(arr, jump_idx, stride),
     )
@@ -491,7 +489,7 @@ def build_dhc(
         entry_width,
         stride,
         diffs.size,
-        _u64(arr[jump_idx]),
+        held(arr[jump_idx]),
         codebook,
         stream,
         checkpoints=_checkpoints(arr, jump_idx, stride, ends),

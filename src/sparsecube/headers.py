@@ -11,11 +11,22 @@ the sequences packed contiguously at their configured entry widths.
 sequences, for all five schemes.
 `size_bytes()` reports the size of the structure itself (the quantity the
 size comparisons reason about); serialized files add the small envelope.
+
+In memory every sequence is a compact `array.array` made by `held` straight
+from the numpy arrays a build or a load produces: run ends, empty counts,
+positions, BOC bases, and the DSC/DHC jumps and checkpoints as 8-octet 'Q'
+entries whatever the entry width, BOC offsets in the narrowest typecode
+that holds `offset_width` octets ('B', 'H', 'I' or 'Q').  A lookup is a
+scalar `bisect` over those arrays.  `memory_bytes()` counts what is held,
+itemsize times length of each array, so at entry width 8 and offset width
+2 it equals `size_bytes()`.  A load checks that the sequences are ordered
+as a build leaves them and raises `FormatError` otherwise.
 """
 
 from __future__ import annotations
 
 import struct
+from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
@@ -46,14 +57,39 @@ def unpack_ints(data: bytes, width: int, count: int, offset: int = 0) -> np.ndar
     wide[:, :width] = np.frombuffer(
         data, dtype=np.uint8, count=width * count, offset=offset
     ).reshape(count, width)
-    return wide.view("<u8").ravel().astype(np.uint64)
+    return wide.view("<u8").ravel().astype(np.uint64, copy=False)
+
+
+# The narrowest array typecode of at least `width` octets, for width 1..8.
+_TYPECODES = {w: next(c for c in "BHIQ" if array(c).itemsize >= w) for w in range(1, 9)}
+
+
+def held(values, width: int = 8) -> array:
+    """`values` (unsigned integers that fit `width` octets) as a compact array
+    of the narrowest typecode that holds `width` octets.
+
+    Sized by repetition: `frombytes` would leave a sixteenth spare.
+    """
+    out = array(_TYPECODES[width], [0]) * len(values)
+    if out:
+        np.frombuffer(out, dtype=f"u{out.itemsize}")[:] = values
+    return out
+
+
+def held_bytes(*arrays: array) -> int:
+    """The octets `arrays` hold, without the objects' fixed overhead."""
+    return sum(a.itemsize * len(a) for a in arrays)
+
+
+def _increasing(values: np.ndarray) -> bool:
+    return bool((values[1:] > values[:-1]).all())
 
 
 def _check_positions(positions) -> np.ndarray:
     arr = np.asarray(positions, dtype=np.uint64)
     if arr.size == 0:
         raise ValueError("position sequence is empty")
-    if arr.size > 1 and not (np.diff(arr) > 0).all():
+    if not _increasing(arr):
         raise ValueError("position sequence must be strictly increasing")
     return arr
 
@@ -81,8 +117,8 @@ class SchcHeader:
 
     MAGIC = b"SCHC"
 
-    run_ends: list[int]
-    empty_counts: list[int]
+    run_ends: array
+    empty_counts: array
     entry_width: int = 8
 
     @property
@@ -98,18 +134,22 @@ class SchcHeader:
         return 2 * self.num_runs * self.entry_width
 
     def memory_bytes(self) -> int:
-        return self.size_bytes()
+        return held_bytes(self.run_ends, self.empty_counts)
 
     def lookup(self, position: int) -> int | None:
-        j = bisect_left(self.run_ends, position)
-        if j == self.num_runs:
+        ends = self.run_ends
+        j = bisect_left(ends, position)
+        if j == len(ends):
             return None
-        prev_end = self.run_ends[j - 1] if j > 0 else -1
-        prev_empty = self.empty_counts[j - 1] if j > 0 else 0
-        # Nonempty iff position lies past the empty prefix of run j.
-        if position <= prev_end + (self.empty_counts[j] - prev_empty):
+        empty = self.empty_counts[j]
+        # Nonempty iff position lies past the empty prefix of run j, which
+        # starts after the previous run's end (-1 before the first run).
+        if j:
+            if position - ends[j - 1] <= empty - self.empty_counts[j - 1]:
+                return None
+        elif position < empty:
             return None
-        return position - self.empty_counts[j]
+        return position - empty
 
     def positions(self) -> list[int]:
         out: list[int] = []
@@ -121,15 +161,25 @@ class SchcHeader:
         return out
 
     def to_bytes(self) -> bytes:
-        pairs = np.array([self.run_ends, self.empty_counts], dtype=np.uint64).T
+        pairs = np.column_stack((self.run_ends, self.empty_counts))
         head = write_envelope(self.MAGIC, self.entry_width, self.num_runs)
         return head + pack_ints(pairs, self.entry_width)
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "SchcHeader":
         (entry_width, num_runs), off = read_envelope(data, cls.MAGIC, 2)
-        flat = unpack_ints(data, entry_width, 2 * num_runs, off).tolist()
-        return cls(flat[0::2], flat[1::2], entry_width)
+        flat = unpack_ints(data, entry_width, 2 * num_runs, off)
+        ends, empties = flat[0::2], flat[1::2]
+        # Counted from the start (-1, 0), each run end grows and the empty
+        # count grows by less, so every run holds at least one cell.
+        if ends.size and not (
+            empties[0] <= ends[0]
+            and _increasing(ends)
+            and (empties[1:] >= empties[:-1]).all()
+            and (np.diff(empties) < np.diff(ends)).all()
+        ):
+            raise FormatError("run ends do not increase or a run holds no cell")
+        return cls(held(ends), held(empties), entry_width)
 
 
 def build_schc(positions, total_cells: int, entry_width: int = 8) -> SchcHeader:
@@ -143,7 +193,7 @@ def build_schc(positions, total_cells: int, entry_width: int = 8) -> SchcHeader:
     ends = arr[end_mask]
     end_idx = np.flatnonzero(end_mask).astype(np.uint64)
     empties = ends - end_idx  # end+1 minus nonempty count (idx+1) up to the end
-    return SchcHeader(ends.tolist(), empties.tolist(), entry_width)
+    return SchcHeader(held(ends), held(empties), entry_width)
 
 
 @dataclass
@@ -152,7 +202,7 @@ class LpcHeader:
 
     MAGIC = b"LPCH"
 
-    positions_list: list[int]
+    positions_list: array
     entry_width: int = 8
 
     @property
@@ -163,16 +213,17 @@ class LpcHeader:
         return self.count * self.entry_width
 
     def memory_bytes(self) -> int:
-        return self.size_bytes()
+        return held_bytes(self.positions_list)
 
     def lookup(self, position: int) -> int | None:
-        j = bisect_left(self.positions_list, position)
-        if j < self.count and self.positions_list[j] == position:
+        stored = self.positions_list
+        j = bisect_left(stored, position)
+        if j < len(stored) and stored[j] == position:
             return j
         return None
 
     def positions(self) -> list[int]:
-        return list(self.positions_list)
+        return self.positions_list.tolist()
 
     def to_bytes(self) -> bytes:
         head = write_envelope(self.MAGIC, self.entry_width, self.count)
@@ -181,12 +232,14 @@ class LpcHeader:
     @classmethod
     def from_bytes(cls, data: bytes) -> "LpcHeader":
         (entry_width, count), off = read_envelope(data, cls.MAGIC, 2)
-        return cls(unpack_ints(data, entry_width, count, off).tolist(), entry_width)
+        positions = unpack_ints(data, entry_width, count, off)
+        if not _increasing(positions):
+            raise FormatError("positions do not strictly increase")
+        return cls(held(positions), entry_width)
 
 
 def build_lpc(positions, entry_width: int = 8) -> LpcHeader:
-    arr = _check_positions(positions)
-    return LpcHeader(arr.tolist(), entry_width)
+    return LpcHeader(held(_check_positions(positions)), entry_width)
 
 
 @dataclass
@@ -195,8 +248,8 @@ class BocHeader:
 
     MAGIC = b"BOCH"
 
-    bases: list[int]
-    offsets: list[int]
+    bases: array
+    offsets: array
     block_len: int
     entry_width: int = 8
     offset_width: int = 2
@@ -209,17 +262,19 @@ class BocHeader:
         return self.entry_width * len(self.bases) + self.offset_width * self.count
 
     def memory_bytes(self) -> int:
-        return self.size_bytes()
+        return held_bytes(self.bases, self.offsets)
 
     def lookup(self, position: int) -> int | None:
-        k = bisect_right(self.bases, position) - 1
+        bases = self.bases
+        k = bisect_right(bases, position) - 1
         if k < 0:
             return None
-        target = position - self.bases[k]
+        target = position - bases[k]
+        offsets = self.offsets
         lo = k * self.block_len
-        hi = min(lo + self.block_len, self.count)
-        j = bisect_left(self.offsets, target, lo, hi)
-        if j < hi and self.offsets[j] == target:
+        hi = min(lo + self.block_len, len(offsets))
+        j = bisect_left(offsets, target, lo, hi)
+        if j < hi and offsets[j] == target:
             return j
         return None
 
@@ -248,9 +303,35 @@ class BocHeader:
         (entry_width, offset_width, block_len, count, n_bases), off = read_envelope(
             data, cls.MAGIC, 5
         )
+        if block_len < 1 or n_bases != -(-count // block_len):
+            raise FormatError(
+                f"{n_bases} bases for {count} offsets in blocks of {block_len}"
+            )
         bases = unpack_ints(data, entry_width, n_bases, offset=off)
         offsets = unpack_ints(data, offset_width, count, offset=off + entry_width * n_bases)
-        return cls(bases.tolist(), offsets.tolist(), block_len, entry_width, offset_width)
+        _check_blocks(bases, offsets, block_len)
+        return cls(
+            held(bases), held(offsets, offset_width), block_len, entry_width, offset_width
+        )
+
+
+def _check_blocks(bases: np.ndarray, offsets: np.ndarray, block_len: int) -> None:
+    """Raise FormatError unless the sequences are ordered as `build_boc`
+    leaves them: the bases strictly increase, each block's offsets start at
+    0 and strictly increase, and each block's last position is below the
+    next base."""
+    # A block length past the offset count still makes one block; clamping
+    # it keeps the index arithmetic within int64.
+    block_len = min(block_len, max(offsets.size, 1))
+    within = np.arange(1, offsets.size) % block_len != 0
+    last = np.arange(1, bases.size) * block_len - 1
+    if not (
+        _increasing(bases)
+        and not offsets[::block_len].any()
+        and (offsets[1:] > offsets[:-1])[within].all()
+        and (offsets[last] < np.diff(bases)).all()
+    ):
+        raise FormatError("BOC bases or offsets are out of order")
 
 
 def build_boc(
@@ -275,4 +356,6 @@ def build_boc(
             f"{offset_width} octets",
             block=block,
         )
-    return BocHeader(bases.tolist(), offsets.tolist(), block_len, entry_width, offset_width)
+    return BocHeader(
+        held(bases), held(offsets, offset_width), block_len, entry_width, offset_width
+    )

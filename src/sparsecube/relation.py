@@ -49,35 +49,35 @@ class Dimension:
 @dataclass(frozen=True)
 class DimensionSchema:
     dimensions: tuple[Dimension, ...]
-    # Row-major strides, last dimension fastest; filled in __post_init__.
+    # Row-major strides, last dimension fastest, and each dimension's
+    # cardinality; filled in __post_init__.
     strides: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    cardinalities: tuple[int, ...] = field(init=False, compare=False, repr=False)
     total_cells: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.dimensions:
             raise ValueError("schema needs at least one dimension")
+        cards = tuple(dim.cardinality for dim in self.dimensions)
         total = 1
-        for dim in self.dimensions:
-            total *= dim.cardinality
+        for card in cards:
+            total *= card
         if total >= MAX_TOTAL_CELLS:
             raise ValueError(
                 f"total cell count {total} does not fit a 64-bit logical position"
             )
         strides = []
         acc = 1
-        for dim in reversed(self.dimensions):
+        for card in reversed(cards):
             strides.append(acc)
-            acc *= dim.cardinality
+            acc *= card
         object.__setattr__(self, "strides", tuple(reversed(strides)))
+        object.__setattr__(self, "cardinalities", cards)
         object.__setattr__(self, "total_cells", total)
 
     @property
     def n_dims(self) -> int:
         return len(self.dimensions)
-
-    @property
-    def cardinalities(self) -> tuple[int, ...]:
-        return tuple(d.cardinality for d in self.dimensions)
 
     @classmethod
     def from_cardinalities(cls, cards: Sequence[int], names: Sequence[str] | None = None) -> "DimensionSchema":
@@ -113,19 +113,28 @@ def schema_from_json(raw: bytes) -> tuple[DimensionSchema, int]:
 
 def encode_logical_position(coords: Sequence[int], schema: DimensionSchema) -> int:
     """Row-major rank of a coordinate vector (last dimension fastest)."""
-    if len(coords) != schema.n_dims:
+    strides = schema.strides
+    if len(coords) != len(strides):
         raise InvalidCoordinateError(
-            f"expected {schema.n_dims} coordinates, got {len(coords)}"
+            f"expected {len(strides)} coordinates, got {len(coords)}"
         )
     pos = 0
-    for idx, stride, dim in zip(coords, schema.strides, schema.dimensions):
-        if not 0 <= idx < dim.cardinality:
-            raise InvalidCoordinateError(
-                f"coordinate {idx} out of range for dimension {dim.name!r} "
-                f"(cardinality {dim.cardinality})"
-            )
+    for idx, stride, card in zip(coords, strides, schema.cardinalities):
+        if not 0 <= idx < card:
+            raise _out_of_range(coords, schema)
         pos += idx * stride
     return pos
+
+
+def _out_of_range(coords: Sequence[int], schema: DimensionSchema) -> InvalidCoordinateError:
+    """The error naming the first coordinate outside its dimension."""
+    idx, dim = next(
+        (i, d) for i, d in zip(coords, schema.dimensions) if not 0 <= i < d.cardinality
+    )
+    return InvalidCoordinateError(
+        f"coordinate {idx} out of range for dimension {dim.name!r} "
+        f"(cardinality {dim.cardinality})"
+    )
 
 
 def decode_logical_position(position: int, schema: DimensionSchema) -> tuple[int, ...]:

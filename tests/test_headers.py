@@ -1,8 +1,10 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from sparsecube.diffseq import build_dhc, build_dsc
 from sparsecube.errors import FormatError, InvalidPositionError, OffsetOverflowError
 from sparsecube.headers import (
     BocHeader,
@@ -11,8 +13,10 @@ from sparsecube.headers import (
     build_boc,
     build_lpc,
     build_schc,
+    held,
     pack_ints,
     unpack_ints,
+    write_envelope,
 )
 
 
@@ -38,6 +42,15 @@ def random_positions(rng, total, density):
 
 # E E F F E F layout: nonempty cells at 2, 3, 5 out of 6.
 LAYOUT = ([2, 3, 5], 6)
+
+
+@pytest.mark.parametrize(
+    "build", [lambda p: build_schc(p, 10), build_lpc, build_boc, build_dsc, build_dhc]
+)
+@pytest.mark.parametrize("positions", [[3, 3], [3, 2], [1, 5, 4]])
+def test_builders_reject_positions_that_do_not_increase(build, positions):
+    with pytest.raises(ValueError):
+        build(positions)
 
 
 class TestSchc:
@@ -86,7 +99,7 @@ class TestSchc:
 class TestLpc:
     def test_verbatim_and_size(self):
         h = build_lpc([2, 3, 5])
-        assert h.positions_list == [2, 3, 5]
+        assert h.positions_list.tolist() == [2, 3, 5]
         assert h.size_bytes() == 24
 
     def test_single(self):
@@ -106,13 +119,13 @@ class TestBoc:
     def test_build_example(self):
         # Hand-enumerated base and offset sequences for l=3.
         h = build_boc([10, 12, 15, 200, 204, 230], block_len=3, offset_width=1)
-        assert h.bases == [10, 200]
-        assert h.offsets == [0, 2, 5, 0, 4, 30]
+        assert h.bases.tolist() == [10, 200]
+        assert h.offsets.tolist() == [0, 2, 5, 0, 4, 30]
 
     def test_block_len_one_degenerates(self):
         h = build_boc([7, 90, 2000], block_len=1)
-        assert h.bases == [7, 90, 2000]
-        assert h.offsets == [0, 0, 0]
+        assert h.bases.tolist() == [7, 90, 2000]
+        assert h.offsets.tolist() == [0, 0, 0]
 
     def test_overflow_names_block(self):
         with pytest.raises(OffsetOverflowError) as exc:
@@ -235,3 +248,97 @@ class TestIntCodec:
                 pack_ints([1], width)
             with pytest.raises(FormatError):
                 unpack_ints(bytes(32), width, 1)
+
+
+class TestHeldArrays:
+    @pytest.mark.parametrize(
+        "width, itemsize", [(1, 1), (2, 2), (3, 4), (4, 4), (5, 8), (6, 8), (7, 8), (8, 8)]
+    )
+    def test_narrowest_typecode_holding_width(self, width, itemsize):
+        values = [0, 1, (1 << (8 * width)) - 1]
+        arr = held(np.array(values, dtype=np.uint64), width)
+        assert arr.itemsize == itemsize
+        assert arr.tolist() == values
+
+    def test_positions_held_in_eight_octets_at_entry_width_four(self):
+        positions = [2, 3, 5, 9, 300, 301]
+        cases = [
+            (build_schc(positions, 400, entry_width=4), 8 * 2 * 4),  # four runs
+            (build_lpc(positions, entry_width=4), 8 * 6),
+            (build_boc(positions, block_len=4, entry_width=4), 8 * 2 + 2 * 6),  # two bases
+        ]
+        for header, held_octets in cases:
+            assert header.memory_bytes() == held_octets
+            assert type(header).from_bytes(header.to_bytes()).memory_bytes() == held_octets
+
+    def test_three_octet_offsets_held_in_four(self):
+        header = build_boc([10, 12, 15, 200, 204, 230], block_len=3, offset_width=3)
+        for h in (header, BocHeader.from_bytes(header.to_bytes())):
+            assert h.memory_bytes() == 8 * 2 + 4 * 6
+            assert h.size_bytes() == 8 * 2 + 3 * 6
+
+
+def schc_file(pairs):
+    flat = [v for pair in pairs for v in pair]
+    return write_envelope(SchcHeader.MAGIC, 8, len(pairs)) + pack_ints(flat, 8)
+
+
+def lpc_file(positions):
+    return write_envelope(LpcHeader.MAGIC, 8, len(positions)) + pack_ints(positions, 8)
+
+
+def boc_file(bases, offsets, block_len=3):
+    head = write_envelope(BocHeader.MAGIC, 8, 1, block_len, len(offsets), len(bases))
+    return head + pack_ints(bases, 8) + pack_ints(offsets, 1)
+
+
+class TestLoadRejectsDisorder:
+    """Hand-made files, each breaking one ordering that a build guarantees."""
+
+    def test_schc_valid_files_load(self):
+        # LAYOUT's pairs, and a first run that starts right at its end.
+        assert SchcHeader.from_bytes(schc_file([(3, 2), (5, 3)])).positions() == [2, 3, 5]
+        assert SchcHeader.from_bytes(schc_file([(3, 3), (5, 4)])).positions() == [3, 5]
+
+    @pytest.mark.parametrize(
+        "pairs",
+        [
+            [(3, 2), (3, 2)],  # run ends repeat
+            [(5, 3), (3, 2)],  # run ends fall
+            [(3, 4), (5, 4)],  # the first run holds no cell
+            [(3, 2), (5, 4)],  # the second run holds no cell
+            [(3, 2), (5, 1)],  # empty counts fall
+        ],
+    )
+    def test_schc_disorder_rejected(self, pairs):
+        with pytest.raises(FormatError):
+            SchcHeader.from_bytes(schc_file(pairs))
+
+    @pytest.mark.parametrize("positions", [[2, 2, 5], [3, 2, 5], [2, 3, 1]])
+    def test_lpc_disorder_rejected(self, positions):
+        with pytest.raises(FormatError):
+            LpcHeader.from_bytes(lpc_file(positions))
+
+    def test_boc_valid_files_load(self):
+        header = BocHeader.from_bytes(boc_file([10, 16], [0, 2, 5, 0, 4, 30]))
+        assert header.positions() == [10, 12, 15, 16, 20, 46]
+        assert BocHeader.from_bytes(boc_file([], [])).count == 0
+
+    @pytest.mark.parametrize(
+        "bases, offsets, block_len",
+        [
+            ([10], [0, 2, 5, 0, 4, 30], 3),  # too few bases for the offsets
+            ([10, 200, 300], [0, 2, 5, 0, 4, 30], 3),  # too many
+            ([10, 200], [0, 2, 5, 0, 4, 30], 0),  # blocks of no offsets
+            ([200, 10], [0, 2, 5, 0, 4, 30], 3),  # bases fall
+            ([10, 10], [0, 2, 5, 0, 4, 30], 3),  # bases repeat
+            ([10, 200], [1, 2, 5, 0, 4, 30], 3),  # first block starts past its base
+            ([10, 200], [0, 2, 5, 3, 4, 30], 3),  # second block starts past its base
+            ([10, 200], [0, 5, 2, 0, 4, 30], 3),  # offsets fall within a block
+            ([10, 200], [0, 2, 5, 0, 30, 30], 3),  # offsets repeat within a block
+            ([10, 15], [0, 2, 5, 0, 4, 30], 3),  # a block reaches the next base
+        ],
+    )
+    def test_boc_disorder_rejected(self, bases, offsets, block_len):
+        with pytest.raises(FormatError):
+            BocHeader.from_bytes(boc_file(bases, offsets, block_len))

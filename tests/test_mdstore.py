@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -15,7 +16,7 @@ from sparsecube.mdstore import (
     load,
     save,
 )
-from sparsecube.relation import DimensionSchema, Relation
+from sparsecube.relation import DimensionSchema, Relation, ordered_cells
 from sparsecube.synth import SynthSpec, generate
 
 
@@ -306,3 +307,33 @@ class TestMeasureWidth:
                 assert loaded.point_query(coords) == np.float32(value)
         finally:
             loaded.close()
+
+
+# The dense-uniform benchmark relation (W2) and acceptance criterion c09's.
+HEAP_SPECS = {
+    "w2": SynthSpec((128, 128, 64), density=0.20, seed=7),
+    "c09": SynthSpec((64, 64, 64, 48), density=0.0159, seed=42),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(HEAP_SPECS))
+def heap_relation(request):
+    rel = generate(HEAP_SPECS[request.param])
+    return ordered_cells(rel)[0], rel.schema.total_cells
+
+
+class TestResidentHeap:
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_loaded_header_heap_is_memory_bytes(self, heap_relation, scheme):
+        # The cache model's H is the sum of memory_bytes(): it must be what
+        # a loaded header really holds.
+        positions, total = heap_relation
+        entry = mdstore.REGISTRY[scheme]
+        data = entry.build(positions, total, StoreParams(diff_bits=4)).to_bytes()
+        tracemalloc.start()
+        try:
+            header = entry.header.from_bytes(data)
+            heap = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert heap <= 1.10 * header.memory_bytes(), (heap, header.memory_bytes())
