@@ -11,18 +11,23 @@ jumps of the file, the checkpoint table, `positions()` and the base of
 `memory_bytes()`.  Each scheme adds its payload, how it reads every
 difference back (`_arrays`) and its own `lookup` loop.
 
-Point queries binary-search a checkpoint table, then scan differences forward
-from the checkpoint, switching to the next jump whenever a zero difference
-comes up.  The table has an entry at every `stride`-th jump and at every
-CHECKPOINT_CELLS-th cell, so a lookup decodes fewer than CHECKPOINT_CELLS
-differences however rarely a gap overflows.  The table is never serialized:
-a build fills it from the arrays it already holds, and a load rebuilds it in
-one numpy pass over the stored differences (DHC decodes its whole stream with
-`huffman.decode_stream` for that).  Every cell's position comes from one
-`cumsum`; a load rejects positions that do not strictly increase, which is
-how a run past 2**64 - 1 shows.  A DHC lookup decodes its window one code at
-a time: an 11-bit table settles short codes, and a longer code is matched
-against each longer length's canonical range.
+Point queries find a start in a two-level checkpoint table, then scan
+differences forward from it, switching to the next jump whenever a zero
+difference comes up.  The coarse level holds full entries at every
+COARSE_CELLS-th cell.  The fine level has an entry at every coarse entry,
+every FINE_CELLS-th cell and every `stride`-th jump, held as deltas from its
+coarse entry (the sampled pointers of two-level rank directories).  Every
+column takes the narrowest typecode that holds its largest value in the
+store.  A lookup bisects the coarse positions, then the fine deltas of that
+block, and decodes fewer than FINE_CELLS differences however rarely a gap
+overflows.  The table is never serialized: a build fills it from the arrays
+it already holds, and a load rebuilds it in one numpy pass over the stored
+differences (DHC decodes its whole stream with `huffman.decode_stream` for
+that).  Every cell's position comes from one `cumsum`; a load rejects
+positions that do not strictly increase, which is how a run past 2**64 - 1
+shows.  A DHC lookup decodes its window one code at a time: an 11-bit table
+settles short codes, and a longer code is matched against each longer
+length's canonical range.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from __future__ import annotations
 import struct
 from array import array
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -47,9 +52,11 @@ from .headers import (
 )
 from .huffman import BitStream, CodeBook, build_codebook, decode_stream, encode_sequence
 
-# Cells between two checkpoints at most.  Each checkpoint costs 24 resident
-# octets (DSC) or 32 (DHC); at 128 a DHC store stays within 5% of its disk size.
-CHECKPOINT_CELLS = 128
+# Cells between two fine checkpoints at most, and between two coarse ones.
+# At 32 and 512, DHC's table holds 0.24-0.31 octets per cell on clustered
+# and dense relations, and 0.67 where a gap overflows every few cells.
+FINE_CELLS = 32
+COARSE_CELLS = 512
 
 
 def difference_arrays(
@@ -132,21 +139,53 @@ def _bit_window(data: bytes, diff_bits: int, first: int, stop: int) -> Iterator[
 
 @dataclass
 class Checkpoints:
-    """Where a scan may start, one entry per checkpointed cell, by cell.
+    """Where a scan may start: full coarse entries, and fine entries held as
+    deltas from the coarse entry of their block.
 
-    Entry e: cell `cell[e]` sits at absolute position `pos[e]` in the run of
-    jump `jump[e]`.  For DHC, `bit[e]` is the stream bit offset right after
-    that cell's code, so a decoder started there yields the next difference.
-    Positions go up to 2**64 - 1, so every column is unsigned 64-bit.
+    Coarse entry j: cell `cell[j]` sits at absolute position `pos[j]` in the
+    run of jump `jump[j]`.  For DHC, `bit[j]` is the stream bit offset right
+    after that cell's code, so a decoder started there yields the next
+    difference; DSC leaves `bit` and `fine_bit` empty.  Its block holds fine entries `first[j]` .. `first[j+1] - 1`,
+    the first of which is the coarse entry itself; fine entry e stands for
+    cell `cell[j] + fine_cell[e]` at `pos[j] + fine_pos[e]`, and so on for
+    the jump and the bit.  `cell` and `first` close with one entry more: the
+    cell count and the fine entry count.  Every column has the narrowest
+    typecode that holds its largest value in this store.
     """
 
     pos: array
     cell: array
     jump: array
-    bit: array = field(default_factory=lambda: array("Q"))
+    bit: array
+    first: array
+    fine_pos: array
+    fine_cell: array
+    fine_jump: array
+    fine_bit: array
 
     def memory_bytes(self) -> int:
-        return held_bytes(self.pos, self.cell, self.jump, self.bit)
+        return held_bytes(*(getattr(self, f.name) for f in fields(self)))
+
+    def find(self, position: int) -> tuple[int, int, int, int, int] | None:
+        """The cell, position, jump index and bit offset of the last entry at
+        or before `position`, and the cell of the entry after it (or the cell
+        count); None before the first cell."""
+        j = bisect_right(self.pos, position) - 1
+        if j < 0:
+            return None
+        base = self.pos[j]
+        cell = self.cell[j]
+        hi = self.first[j + 1]
+        e = bisect_right(self.fine_pos, position - base, self.first[j], hi) - 1
+        limit = cell + self.fine_cell[e + 1] if e + 1 < hi else self.cell[j + 1]
+        bit = self.bit[j] + self.fine_bit[e] if self.bit else 0
+        return (
+            cell + self.fine_cell[e],
+            base + self.fine_pos[e],
+            self.jump[j] + self.fine_jump[e],
+            bit,
+            limit,
+        )
 
 
 def _positions(diffs: np.ndarray, jump_idx: np.ndarray, jumps: np.ndarray) -> np.ndarray:
@@ -166,18 +205,48 @@ def _positions(diffs: np.ndarray, jump_idx: np.ndarray, jumps: np.ndarray) -> np
     return pos
 
 
+def _narrow(values: np.ndarray) -> array:
+    """`values` in the narrowest typecode that holds the largest of them."""
+    top = int(values.max()) if values.size else 0
+    return held(values, max(1, (top.bit_length() + 7) // 8))
+
+
 def _checkpoints(
     pos: np.ndarray, jump_idx: np.ndarray, stride: int, ends: np.ndarray | None = None
 ) -> Checkpoints:
     """The checkpoint table from every cell's position (and DHC code end).
 
-    Entries sit at every stride-th jump and every CHECKPOINT_CELLS-th cell.
+    Coarse entries sit at every COARSE_CELLS-th cell.  Fine entries sit at
+    every coarse entry, every FINE_CELLS-th cell and every stride-th jump.
     """
-    every_k = np.arange(0, pos.size, CHECKPOINT_CELLS, dtype=np.int64)
-    cells = np.union1d(every_k, jump_idx[::stride])
-    run = np.searchsorted(jump_idx, cells, side="right") - 1
-    bit = held(ends[cells]) if ends is not None else array("Q")
-    return Checkpoints(held(pos[cells]), held(cells), held(run), bit)
+    n = pos.size
+    coarse = np.arange(0, n, COARSE_CELLS, dtype=np.int64)
+    mark = np.zeros(n, dtype=bool)
+    mark[::FINE_CELLS] = mark[::COARSE_CELLS] = True
+    mark[jump_idx[::stride]] = True
+    cells = np.flatnonzero(mark)
+    first = np.searchsorted(cells, coarse)
+    # The fine index of each fine entry's coarse entry.
+    base = first[np.searchsorted(coarse, cells, side="right") - 1]
+
+    def split(col: np.ndarray) -> tuple[array, array]:
+        """The coarse column and the fine deltas of one value per fine entry."""
+        return _narrow(col[first]), _narrow(col - col[base])
+
+    at, fine_pos = split(pos[cells])
+    run, fine_jump = split(np.searchsorted(jump_idx, cells, side="right") - 1)
+    bit, fine_bit = split(ends[cells]) if ends is not None else (array("B"), array("B"))
+    return Checkpoints(
+        pos=at,
+        cell=_narrow(np.append(coarse, n)),
+        jump=run,
+        bit=bit,
+        first=_narrow(np.append(first, cells.size)),
+        fine_pos=fine_pos,
+        fine_cell=_narrow(cells - cells[base]),
+        fine_jump=fine_jump,
+        fine_bit=fine_bit,
+    )
 
 
 def _jump_indices(diffs: np.ndarray, n_jumps: int) -> np.ndarray:
@@ -264,17 +333,13 @@ class DscHeader(DifferenceHeader):
         )
 
     def lookup(self, position: int) -> int | None:
-        cp = self.checkpoints
-        m = bisect_right(cp.pos, position) - 1
-        if m < 0:
+        start = self.checkpoints.find(position)
+        if start is None:
             return None
-        i = cp.cell[m]
-        cur = cp.pos[m]
+        i, cur, k, _, limit = start
         if cur == position:
             return i
-        limit = cp.cell[m + 1] if m + 1 < len(cp.cell) else self.count
         jumps = self.jumps
-        k = cp.jump[m]
         diffs = _diff_window(self.diff_data, self.diff_bits, i + 1, limit)
         for i, d in zip(range(i + 1, limit), diffs):
             if d == 0:
@@ -391,25 +456,20 @@ class DhcHeader(DifferenceHeader):
         return super().memory_bytes() + tables
 
     def lookup(self, position: int) -> int | None:
-        cp = self.checkpoints
-        m = bisect_right(cp.pos, position) - 1
-        if m < 0:
+        start = self.checkpoints.find(position)
+        if start is None:
             return None
-        idx = cp.cell[m]
-        cur = cp.pos[m]
+        idx, cur, k, pos, limit = start
         if cur == position:
             return idx
-        limit = cp.cell[m + 1] if m + 1 < len(cp.cell) else self.count
         if idx + 1 >= limit:
             return None
         jumps = self.jumps
-        k = cp.jump[m]
         # Inlined table-driven decode: scans dominate point-query cost.
         _, _, _, _, w, lut = self.codebook._tables()
         data = self.stream.data
         bits = self.stream.bit_length
         end = len(data)
-        pos = cp.bit[m]
         cursor = pos >> 3
         buf = 0
         fill = 0

@@ -14,12 +14,13 @@ size comparisons reason about); serialized files add the small envelope.
 
 In memory every sequence is a compact `array.array` made by `held` straight
 from the numpy arrays a build or a load produces: run ends, empty counts,
-positions, BOC bases, and the DSC/DHC jumps and checkpoints as 8-octet 'Q'
-entries whatever the entry width, BOC offsets in the narrowest typecode
-that holds `offset_width` octets ('B', 'H', 'I' or 'Q').  A lookup is a
-scalar `bisect` over those arrays.  `memory_bytes()` counts what is held,
-itemsize times length of each array, so at entry width 8 and offset width
-2 it equals `size_bytes()`.  A load checks that the sequences are ordered
+positions, BOC bases and the DSC/DHC jumps as 8-octet 'Q' entries whatever
+the entry width, BOC offsets in the narrowest typecode that holds
+`offset_width` octets ('B', 'H', 'I' or 'Q'), and each column of the
+DSC/DHC checkpoint table in the narrowest typecode that holds its largest
+value.  A lookup is a scalar `bisect` over those arrays.  `memory_bytes()`
+counts what is held, itemsize times length of each array, so at entry width
+8 and offset width 2 it equals `size_bytes()`.  A load checks that the sequences are ordered
 as a build leaves them and raises `FormatError` otherwise.
 """
 

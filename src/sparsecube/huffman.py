@@ -123,7 +123,10 @@ class CodeBook:
             sym, ln = struct.unpack_from("<QB", data, offset)
             lengths[sym] = ln
             offset += 9
-        return cls(lengths), offset
+        try:
+            return cls(lengths), offset
+        except ValueError as exc:  # a zero length or lengths past the Kraft sum
+            raise FormatError(f"bad codebook: {exc}") from exc
 
 
 def build_codebook(freqs: Mapping[int, int]) -> CodeBook:

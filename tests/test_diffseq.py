@@ -1,6 +1,9 @@
+import dataclasses
 import random
+import sys
 from array import array
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -304,29 +307,65 @@ def built_and_reloaded(build, cls, positions, **kw):
 SCHEMES = ((build_dsc, DscHeader), (build_dhc, DhcHeader))
 
 
+def fine_entries(cp):
+    """Every fine entry as absolute (cell, position, jump index, bit offset):
+    its coarse entry plus its deltas.  The bit is None for DSC."""
+    out = []
+    for j in range(len(cp.pos)):
+        for e in range(cp.first[j], cp.first[j + 1]):
+            out.append((
+                cp.cell[j] + cp.fine_cell[e],
+                cp.pos[j] + cp.fine_pos[e],
+                cp.jump[j] + cp.fine_jump[e],
+                cp.bit[j] + cp.fine_bit[e] if cp.bit else None,
+            ))
+    return out
+
+
+def columns(cp):
+    return [getattr(cp, f.name) for f in dataclasses.fields(cp)]
+
+
 class TestCheckpoints:
     @pytest.mark.parametrize("bits", [4, 8, 16])
     def test_checkpoints_at_most_checkpoint_cells_apart(self, bits):
-        every = diffseq.CHECKPOINT_CELLS
+        fine, coarse = diffseq.FINE_CELLS, diffseq.COARSE_CELLS
         rng = random.Random(bits)
         single_jump = list(range(7, 100_007))
         overflowing = random_increasing(rng, 3000, 2 ** (bits + 1))
         for positions in (single_jump, overflowing):
+            _, diffs, _ = difference_arrays(positions, bits)
             for build, cls in SCHEMES:
                 for h in built_and_reloaded(build, cls, positions, diff_bits=bits):
                     cp = h.checkpoints
-                    cells = list(cp.cell)
+                    assert list(cp.cell) == list(range(0, h.count, coarse)) + [h.count]
+                    assert cp.first[-1] == len(cp.fine_pos)
+                    entries = fine_entries(cp)
+                    cells = [c for c, _, _, _ in entries]
                     assert cells[0] == 0
-                    assert all(0 < b - a <= every for a, b in zip(cells, cells[1:] + [h.count]))
-                    assert list(cp.pos) == [positions[c] for c in cells]
-                    assert all(h.jumps[k] <= p for k, p in zip(cp.jump, cp.pos))
+                    assert all(0 < b - a <= fine for a, b in zip(cells, cells[1:] + [h.count]))
+                    assert set(cp.cell[:-1]) <= set(cells)
+                    for cell, pos, k, bit in entries:
+                        assert pos == positions[cell]
+                        assert h.jumps[k] <= pos
+                        assert k + 1 == len(h.jumps) or h.jumps[k + 1] > pos
+                    if cls is DhcHeader:
+                        _, ends = encode_sequence(h.codebook, diffs[1:])
+                        ends = [0] + ends.tolist()
+                        assert [bit for c, _, _, bit in entries] == [ends[c] for c in cells]
+                    for col in columns(cp):
+                        top = max(col, default=0)
+                        assert col.itemsize == min(w for w in (1, 2, 4, 8) if top < 256**w)
                     if positions is single_jump:
                         assert len(h.jumps) == 1
-                        assert len(cells) == -(-len(positions) // every)
+                        assert len(cells) == -(-len(positions) // fine)
 
-    @pytest.mark.parametrize("every", [1, 2, 3, diffseq.CHECKPOINT_CELLS])
+    @pytest.mark.parametrize("every", [1, 2, 3, 128])
     def test_probes_around_every_checkpoint(self, monkeypatch, every):
-        monkeypatch.setattr(diffseq, "CHECKPOINT_CELLS", every)
+        # Coarse blocks of two or three fine entries put a coarse boundary
+        # next to nearly every fine one.
+        monkeypatch.setattr(diffseq, "FINE_CELLS", every)
+        monkeypatch.setattr(diffseq, "COARSE_CELLS", every * (2 + every % 2))
         rng = random.Random(every)
         # Fibonacci gap frequencies (gap 1 the most frequent) give the deepest
         # code: 15 bits, past the width of the table-driven decoder.
@@ -346,7 +385,8 @@ class TestCheckpoints:
             stored = {p: i for i, p in enumerate(positions)}
             for build, cls in SCHEMES:
                 for h in built_and_reloaded(build, cls, positions, diff_bits=bits, stride=4):
-                    cells = list(h.checkpoints.cell)
+                    cells = [c for c, _, _, _ in fine_entries(h.checkpoints)]
+                    assert set(h.checkpoints.cell[:-1]) <= set(cells)
                     probes = {positions[0] - 1, positions[-1] + 1}
                     for c in cells:
                         for i in (c - 1, c, c + 1):
@@ -356,6 +396,43 @@ class TestCheckpoints:
                         probes.add(positions[(a + b) // 2] + 1)
                     for q in sorted(probes):
                         assert h.lookup(q) == stored.get(q), (q, every)
+
+    @pytest.mark.parametrize("gap, typecode", [(2**12, "I"), (2**26, "Q")])
+    def test_wide_deltas_widen_columns(self, gap, typecode):
+        # Every other gap overflows 4 bits by far, so one coarse block spans
+        # positions past 2**16 (or 2**32) and a narrow column would truncate.
+        rng = random.Random(gap)
+        positions = [3]
+        for i in range(1500):
+            positions.append(positions[-1] + (rng.randint(gap // 2, gap) if i % 2 else rng.randint(1, 15)))
+        stored = {p: i for i, p in enumerate(positions)}
+        probes = sorted({q for p in positions for q in (p - 1, p, p + 1)})
+        for build, cls in SCHEMES:
+            for h in built_and_reloaded(build, cls, positions, diff_bits=4):
+                assert h.checkpoints.fine_pos.typecode == typecode
+                assert max(h.checkpoints.fine_pos) >= 2 ** (8 * array(typecode).itemsize // 2)
+                assert [h.lookup(q) for q in probes] == [stored.get(q) for q in probes]
+
+    @pytest.mark.parametrize("density, most", [(0.2, 0.35), (0.0159, 1.0)])
+    def test_dhc_table_octets_per_cell(self, density, most):
+        # Uniform gaps at 4 bits, as in the dense-uniform and cache-sweep
+        # benchmark relations.  One 32-octet entry every 128 cells and every
+        # 16th jump held 0.32 and 1.81 octets per cell there.
+        gaps = np.random.default_rng(3).geometric(density, 50_000)
+        h = build_dhc(np.cumsum(gaps), diff_bits=4)
+        assert h.checkpoints.memory_bytes() / h.count <= most
+
+    def test_memory_bytes_counts_what_is_held(self):
+        positions = random_increasing(random.Random(5), 5000, 40)
+        for build, cls in SCHEMES:
+            for h in built_and_reloaded(build, cls, positions, diff_bits=4):
+                cp = h.checkpoints
+                cols = columns(cp)
+                assert all(isinstance(c, array) for c in cols)
+                # getsizeof counts an array's allocated buffer on top of its
+                # empty size: memory_bytes must be exactly those buffers.
+                held = sum(sys.getsizeof(c) - sys.getsizeof(array(c.typecode)) for c in cols)
+                assert cp.memory_bytes() == held == sum(c.itemsize * len(c) for c in cols)
 
     def test_bad_stride_and_leading_difference_rejected(self):
         for build, cls in SCHEMES:
@@ -400,6 +477,20 @@ class TestLoadChecks:
         ):
             with pytest.raises(CorruptStreamError):
                 DhcHeader(*fields, count, jumps, codebook, stream)
+
+
+    @pytest.mark.parametrize("lengths", [(0, 2, 1), (1, 2, 1)], ids=["zero", "kraft"])
+    def test_dhc_codebook_lengths_checked(self, lengths):
+        # A zero code length, and two 1-bit codes beside a third code, which
+        # break the Kraft inequality.
+        h = build_dhc([5, 6, 7, 9, 11, 300], diff_bits=8)
+        assert h.codebook.lengths == {0: 2, 1: 2, 2: 1}
+        raw = bytearray(h.to_bytes())
+        entries = len(raw) - len(h.stream.data) - h.codebook.size_bytes() + 8
+        for i, ln in enumerate(lengths):
+            raw[entries + 9 * i + 8] = ln  # after each entry's 8-octet symbol
+        with pytest.raises(FormatError):
+            DhcHeader.from_bytes(bytes(raw))
 
 
 class TestStrideTransparency:
