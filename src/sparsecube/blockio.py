@@ -69,7 +69,12 @@ class SimCache:
             _, dropped = self._resident.popitem(last=False)
             self._used -= len(dropped)
 
-    def access(self, key: tuple[str, int], loader: Callable[[], bytes]) -> bytes:
+    def access(self, key: tuple[str, int], loader: Callable[..., bytes], *args) -> bytes:
+        """The block named `key`: from the cache on a hit, else `loader(*args)`.
+
+        Readers pass their block loader and the block number as `args`, so
+        no closure is built per access.
+        """
         with self._lock:
             cached = self._resident.get(key)
             if cached is not None:
@@ -77,7 +82,7 @@ class SimCache:
                 self._resident.move_to_end(key)
                 return cached
             self.misses += 1
-        data = loader()
+        data = loader(*args)
         with self._lock:
             if self.capacity >= len(data) and key not in self._resident:
                 self._resident[key] = data
@@ -134,28 +139,22 @@ class BlockReader:
     def read_block(self, block_no: int) -> bytes:
         if self.cache is None:
             return self._load_block(block_no)
-        return self.cache.access(
-            (self.name, block_no), lambda: self._load_block(block_no)
-        )
+        return self.cache.access((self.name, block_no), self._load_block, block_no)
 
     def read_at(self, offset: int, length: int) -> bytes:
-        if length <= 0:
-            return b""
-        if offset + length > self.file_size:
+        if not 0 <= offset <= offset + length <= self.file_size:
             raise ValueError(
-                f"read [{offset}, {offset + length}) beyond file of {self.file_size} bytes"
+                f"read [{offset}, {offset + length}) outside file of {self.file_size} bytes"
             )
         bs = self.block_size
-        first = offset // bs
+        first, start = divmod(offset, bs)
+        if start + length <= bs:  # one block, or none for an empty read
+            return self.read_block(first)[start : start + length] if length else b""
         last = (offset + length - 1) // bs
-        if first == last:
-            block = self.read_block(first)
-            start = offset - first * bs
-            return block[start : start + length]
         parts = []
         for bno in range(first, last + 1):
             block = self.read_block(bno)
-            lo = offset - bno * bs if bno == first else 0
+            lo = start if bno == first else 0
             hi = offset + length - bno * bs if bno == last else bs
             parts.append(block[lo:hi])
         return b"".join(parts)

@@ -3,9 +3,12 @@
 Rows are fixed width (one 4-octet index per dimension, then the measure),
 sorted by logical position.  The index is a static bulk-loaded tree whose
 leaf level is sparse: one (first key, group number) entry per group of rows
-that fills about one page.  A lookup walks root to leaf, then fetches the
-group's row range and binary-searches inside it, so every query costs
-O(height) page reads plus one row-range read.  All of it goes through the
+that fills about one page.  A lookup walks root to leaf, bisecting each
+page's keys, then fetches the group's rows and bisects them one coordinate
+column at a time, so every query costs O(height) page reads plus one
+row-group read.  The searches run in C over `memoryview` casts of the
+blocks, which read native byte order: the files are little-endian, so the
+module refuses to import on a big-endian host.  All of it goes through the
 same block-access layer as the multidimensional store: from the files for a
 loaded table, from memory for a freshly built one.
 
@@ -18,7 +21,10 @@ page that disagrees with them.
 from __future__ import annotations
 
 import struct
+import sys
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from operator import mul
 from pathlib import Path
 from typing import Sequence
 
@@ -45,6 +51,8 @@ META_FIELDS = (
 )
 _META = struct.Struct("<7Q")
 _META_END = 5 + _META.size  # magic, version, the fields
+if sys.byteorder != "little":  # lookups cast the little-endian pages in native order
+    raise ImportError("sparsecube's table lookups need a little-endian host")
 
 
 @dataclass(frozen=True)
@@ -97,13 +105,7 @@ class TableStore:
     def __exit__(self, *exc):
         self.close()
 
-    # -- raw access -------------------------------------------------------
-
-    def _read_page(self, page_no: int) -> bytes:
-        return self._idx.read_at(page_no * self.page_size, self.page_size)
-
-    def _read_rows(self, first_row: int, count: int) -> bytes:
-        return self._rows.read_at(first_row * self.row_width, count * self.row_width)
+    # -- sizes ------------------------------------------------------------
 
     def rows_file_size(self) -> int:
         return self.n_rows * self.row_width
@@ -116,8 +118,9 @@ class TableStore:
 
     # -- lookup -----------------------------------------------------------
 
-    def _page_floor(self, page: bytes, key: int, lead: int | None) -> int:
-        """Index of the rightmost entry with entry.key <= key, or -1.
+    def _page_floor(self, page: bytes, key: int, lead: int | None) -> tuple[int, int] | None:
+        """The (key, child) of the rightmost entry with entry.key <= key, or
+        None when the page's first key is already past `key`.
 
         `lead` is the key of the entry that led to this page (None at the
         root), which must be the page's first key.
@@ -125,28 +128,11 @@ class TableStore:
         (count,) = _COUNT.unpack_from(page, 0)
         if not 0 < count <= self.entries_per_page:
             raise FormatError(f"index page holds {count} entries, not 1..{self.entries_per_page}")
-        first = _ENTRY.unpack_from(page, 2)[0]
-        if lead is not None and first != lead:
-            raise FormatError(f"index page starts at key {first}, not at its parent's key {lead}")
-        if first > key:
-            return -1
-        lo, hi = 0, count - 1
-        while lo < hi:
-            mid = (lo + hi + 1) >> 1
-            if _ENTRY.unpack_from(page, 2 + 16 * mid)[0] <= key:
-                lo = mid
-            else:
-                hi = mid - 1
-        return lo
-
-    def _row_key(self, rows: bytes, i: int) -> int:
-        off = i * self.row_width
-        key = 0
-        for stride in self.schema.strides:
-            (c,) = struct.unpack_from("<I", rows, off)
-            key += c * stride
-            off += COORD_WIDTH
-        return key
+        entries = memoryview(page)[2 : 2 + 16 * count].cast("Q")  # key, child, key, ...
+        if lead is not None and entries[0] != lead:
+            raise FormatError(f"index page starts at key {entries[0]}, not at its parent's key {lead}")
+        slot = 2 * (bisect_right(entries[::2], key) - 1)
+        return None if slot < 0 else (entries[slot], entries[slot + 1])
 
     def point_query(self, coords: Sequence[int]) -> float | None:
         """The cell's measure, or None.  An index entry that points outside
@@ -157,14 +143,14 @@ class TableStore:
         # The walk enters through the meta page (root pointer lives there);
         # it stays cached, but its block belongs to the representation and
         # must be accounted like any other.
-        self._read_page(0)
+        idx, page_size = self._idx, self.page_size
+        idx.read_at(0, page_size)
         page_no, entry_key = self.root_page, None
         for level in range(self.height - 1, -1, -1):
-            page = self._read_page(page_no)
-            slot = self._page_floor(page, key, entry_key)
-            if slot < 0:
+            found = self._page_floor(idx.read_at(page_no * page_size, page_size), key, entry_key)
+            if found is None:
                 return None
-            entry_key, page_no = _ENTRY.unpack_from(page, 2 + 16 * slot)
+            entry_key, page_no = found
             if level and not 0 < page_no < self.root_page:
                 raise FormatError(f"index page {page_no} is not between meta and root")
         group = page_no  # leaf entries point at row groups
@@ -172,22 +158,26 @@ class TableStore:
             raise FormatError(f"row group {group} is past the last of {self.n_groups}")
         first = group * self.rows_per_group
         count = min(self.rows_per_group, self.n_rows - first)
-        rows = self._read_rows(first, count)
-        lo, hi = 0, count - 1
-        while lo <= hi:
-            mid = (lo + hi) >> 1
-            k = self._row_key(rows, mid)
-            if k == key:
-                off = mid * self.row_width + self.schema.n_dims * COORD_WIDTH
-                return self._measure.unpack_from(rows, off)[0]
-            if k < key:
-                lo = mid + 1
-            else:
-                hi = mid - 1
-        # A hit, or a miss between two of the group's rows, is in the right
-        # group whatever the index says.  A miss past either end is an answer
-        # only if the index led to the group that starts at its key.
-        if (lo == 0 or lo == count) and self._row_key(rows, 0) != entry_key:
+        rows = self._rows.read_at(first * self.row_width, count * self.row_width)
+        # Rows are sorted by key, which for in-range coordinates is their
+        # lexicographic order, so narrowing [lo, hi) to the rows that match
+        # the key's first j + 1 coordinates ends, on a miss, at the key's
+        # insertion point.
+        cols = memoryview(rows).cast("I")
+        width = self.row_width // COORD_WIDTH  # a row is 4·d + 4 or 4·d + 8 octets
+        lo, hi = 0, count
+        for j, c in enumerate(coords):
+            column = cols[j::width]
+            lo = bisect_left(column, c, lo, hi)
+            hi = bisect_right(column, c, lo, hi)
+        if lo < hi:
+            off = lo * self.row_width + self.schema.n_dims * COORD_WIDTH
+            return self._measure.unpack_from(rows, off)[0]
+        # A miss between two of the group's rows is in the right group
+        # whatever the index says.  A miss past either end is an answer only
+        # if the index led to the group that starts at its key (row 0's key:
+        # `map` stops at the last stride).
+        if lo in (0, count) and sum(map(mul, cols, self.schema.strides)) != entry_key:
             raise FormatError(f"row group {group} does not start at its index key {entry_key}")
         return None
 

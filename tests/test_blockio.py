@@ -77,6 +77,32 @@ class TestBlockReader:
             with pytest.raises(ValueError):
                 r.read_at(10235, 10)
 
+    @pytest.mark.parametrize("offset, length", [(-4100, 8), (-8, 8), (-1, 1), (10235, 10), (0, -1)])
+    def test_read_outside_file_raises(self, datafile, offset, length):
+        raw = datafile.read_bytes()
+        cache = SimCache(capacity=1 << 20)
+        with BlockReader(datafile, cache=cache) as f, BytesReader(raw, "blob") as m:
+            for r in (f, m):
+                with pytest.raises(ValueError, match="outside file"):
+                    r.read_at(offset, length)
+        assert (cache.hits, cache.misses) == (0, 0)
+
+    @pytest.mark.parametrize("offset", [0, 4096, 5000, 10240])
+    def test_empty_read_touches_no_block(self, datafile, offset):
+        cache = SimCache(capacity=1 << 20)
+        with BlockReader(datafile, cache=cache) as r:
+            assert r.read_at(offset, 0) == b""
+        assert (cache.hits, cache.misses) == (0, 0)
+
+    @pytest.mark.parametrize("offset", [8192, 10000, 10239])
+    def test_read_ending_at_eof_in_short_tail_block(self, datafile, offset):
+        raw = datafile.read_bytes()
+        cache = SimCache(capacity=1 << 20)
+        with BlockReader(datafile, cache=cache) as f, BytesReader(raw, "blob") as m:
+            for r in (f, m):
+                assert r.read_at(offset, 10240 - offset) == raw[offset:]
+        assert (cache.misses, cache.resident_blocks, cache.used_bytes) == (1, 1, 2048)
+
     def test_cache_interception(self, datafile):
         cache = SimCache(capacity=1 << 20)
         with BlockReader(datafile, cache=cache, name="blob") as r:

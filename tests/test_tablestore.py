@@ -3,11 +3,17 @@ import math
 import random
 import struct
 
+import numpy as np
 import pytest
 
 from sparsecube.blockio import SimCache
 from sparsecube.errors import EmptyRelationError, FormatError
-from sparsecube.relation import DimensionSchema, Relation, ordered_cells
+from sparsecube.relation import (
+    DimensionSchema,
+    Relation,
+    decode_logical_position,
+    ordered_cells,
+)
 from sparsecube.synth import SynthSpec, generate
 from sparsecube.tablestore import (
     META_FIELDS,
@@ -61,6 +67,51 @@ class TestQueries:
         for coords in itertools.product(*[range(c) for c in cards]):
             want = relation.get(coords)
             assert table.point_query(coords) == want
+
+
+# About 2,450 cells each: index height 3 or more at 128-octet pages, 2 or
+# more at 512 and 1 at 4096, for both measure widths.
+ORACLE_CARDINALITIES = [(7000,), (50, 140), (14, 20, 25), (5, 7, 10, 20)]
+
+
+def _oracle_probes(rel: Relation, table) -> list[tuple[int, ...]]:
+    """Every stored key; the keys just before and after each row group; for
+    every stored key, the next key that matches it in every coordinate but
+    the last; the first and last cell of the array."""
+    schema = rel.schema
+    positions, coords, _ = ordered_cells(rel)
+    stored = [tuple(c) for c in coords.tolist()]
+    rpg = table.rows_per_group
+    group_ends = np.concatenate(
+        [positions[::rpg] - 1, positions[rpg - 1 :: rpg] + 1, positions[-1:] + 1]
+    )
+    last_card = schema.cardinalities[-1]
+    return (
+        stored
+        + [decode_logical_position(int(p), schema) for p in group_ends if 0 <= p < schema.total_cells]
+        + [c[:-1] + (c[-1] + 1,) for c in stored if c[-1] + 1 < last_card]
+        + [(0,) * schema.n_dims, tuple(card - 1 for card in schema.cardinalities)]
+    )
+
+
+class TestSearchOracle:
+    @pytest.mark.parametrize("measure_width", [4, 8])
+    @pytest.mark.parametrize("cards", ORACLE_CARDINALITIES, ids=lambda c: f"{len(c)}d")
+    @pytest.mark.parametrize("page_size", [128, 512, 4096])
+    def test_built_and_loaded_match_relation(self, tmp_path, page_size, cards, measure_width):
+        rel = generate(SynthSpec(cards, density=0.35, seed=len(cards),
+                                 measure_width=measure_width))
+        built = build_table(rel, TableParams(page_size=page_size))
+        assert built.height >= {128: 3, 512: 2, 4096: 1}[page_size]
+        probes = _oracle_probes(rel, built)
+        want = [rel.get(c) for c in probes]
+        if measure_width == 4:
+            want = [None if v is None else float(np.float32(v)) for v in want]
+        assert want.count(None) > len(probes) // 10
+        save_table(built, tmp_path / "o")
+        with load_table(tmp_path / "o", cache=SimCache(capacity=4 * page_size)) as loaded:
+            for table in (built, loaded):
+                assert [table.point_query(c) for c in probes] == want
 
 
 class TestPersistence:
@@ -168,7 +219,54 @@ class TestPersistence:
         assert (tmp_path / "t3.idx").stat().st_size == table.idx_file_size()
 
 
+class _RecordingCache(SimCache):
+    def __init__(self):
+        super().__init__(capacity=1 << 30)
+        self.keys = []
+
+    def access(self, key, loader, *args):
+        self.keys.append(key)
+        return super().access(key, loader, *args)
+
+
 class TestBlockTouches:
+    def test_each_query_touches_meta_then_root_to_leaf_then_its_group(self, tmp_path):
+        rel = generate(SynthSpec((12, 10, 14), density=0.3, clustering=0.3, seed=3))
+        table = build_table(rel, TableParams(page_size=128))
+        assert table.height == 3
+        save_table(table, tmp_path / "b")
+        positions = ordered_cells(rel)[0]
+        group_keys = positions[:: table.rows_per_group]
+        fanout = table.entries_per_page
+        level_first, level_pages = [], table.n_groups
+        first = 1  # levels are written bottom-up after the meta page
+        for _ in range(table.height):
+            level_first.append(first)
+            level_pages = -(-level_pages // fanout)
+            first += level_pages
+        cache = _RecordingCache()
+        with load_table(tmp_path / "b", cache=cache) as loaded:
+            stored = set(positions.tolist())
+            misses = sorted(set(range(int(positions[0]), int(positions[-1]) + 2)) - stored)
+            for key in sorted(stored) + misses[::5]:
+                group = int(np.searchsorted(group_keys, key, side="right")) - 1
+                pages = [
+                    level_first[lv] + group // fanout ** (lv + 1)
+                    for lv in reversed(range(table.height))
+                ]
+                cache.keys.clear()
+                found = loaded.point_query(decode_logical_position(key, rel.schema))
+                assert (found is None) == (key not in stored)
+                assert cache.keys == (
+                    [("tbl.idx", 0)] + [("tbl.idx", p) for p in pages] + [("tbl.rows", group)]
+                )
+            # A key before every row stops at the root.
+            assert positions[0] > 0
+            cache.keys.clear()
+            assert loaded.point_query(decode_logical_position(int(positions[0]) - 1, rel.schema)) is None
+            assert cache.keys == [("tbl.idx", 0), ("tbl.idx", table.root_page)]
+
+
     def test_cold_queries_touch_at_least_two_blocks(self, tmp_path, relation, table):
         base = tmp_path / "t4"
         save_table(table, base)
