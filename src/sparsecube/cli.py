@@ -14,7 +14,7 @@ from pathlib import Path
 from . import bench, cachemodel, mdstore, tablestore
 from .blockio import SimCache
 from .errors import InvalidCoordinateError, StoreError
-from .relation import IngestConfig, Relation, ingest_delimited
+from .relation import IngestConfig, Relation, ingest_delimited, ordered_cells
 from .synth import SynthSpec, generate
 
 
@@ -29,8 +29,9 @@ def _write_relation_csv(rel: Relation, path: str) -> None:
     dims = rel.schema.dimensions
     with open(path, "w", newline="", encoding="utf-8") as f:
         w = csv.writer(f)
-        for coords, measure in sorted(rel.cells.items()):
-            w.writerow([dims[d].values[i] for d, i in enumerate(coords)] + [repr(measure)])
+        _, coords, measures = ordered_cells(rel)
+        for key, measure in zip(coords.tolist(), measures.tolist()):
+            w.writerow([dims[d].values[i] for d, i in enumerate(key)] + [repr(measure)])
 
 
 def _load_relation(args) -> Relation:

@@ -28,6 +28,7 @@ from .errors import FormatError, InvalidPositionError, OffsetOverflowError
 from .relation import (
     DimensionSchema,
     Relation,
+    decode_positions,
     encode_logical_position,
     ordered_cells,
     schema_from_json,
@@ -126,11 +127,7 @@ class MultidimStore:
             raise InvalidPositionError(
                 f"stored position out of range [0, {self.schema.total_cells})"
             )
-        columns = []
-        for stride in self.schema.strides:
-            column, rest = np.divmod(rest, np.uint64(stride))
-            columns.append(column.tolist())
-        return list(zip(*columns))
+        return list(zip(*(column.tolist() for column in decode_positions(rest, self.schema))))
 
     def schema_bytes(self) -> bytes:
         return schema_to_json(self.schema, self.measure_width)

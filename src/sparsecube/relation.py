@@ -10,7 +10,6 @@ fastest; positions are unsigned and must fit in 64 bits.
 from __future__ import annotations
 
 import csv
-import itertools
 import json
 from dataclasses import dataclass, field
 from operator import itemgetter
@@ -112,18 +111,38 @@ def schema_from_json(raw: bytes) -> tuple[DimensionSchema, int]:
 
 
 def encode_logical_position(coords: Sequence[int], schema: DimensionSchema) -> int:
-    """Row-major rank of a coordinate vector (last dimension fastest)."""
+    """Row-major rank of a coordinate vector (last dimension fastest).
+
+    Coordinates are `int`s or numpy integers; anything else, such as a
+    float that would give a float position, raises InvalidCoordinateError.
+    """
     strides = schema.strides
     if len(coords) != len(strides):
         raise InvalidCoordinateError(
             f"expected {len(strides)} coordinates, got {len(coords)}"
         )
     pos = 0
-    for idx, stride, card in zip(coords, strides, schema.cardinalities):
-        if not 0 <= idx < card:
-            raise _out_of_range(coords, schema)
-        pos += idx * stride
+    try:
+        for idx, stride, card in zip(coords, strides, schema.cardinalities):
+            if not 0 <= idx < card:
+                raise _out_of_range(coords, schema)
+            pos += idx * stride
+    except (TypeError, OverflowError):  # not a number, or a numpy integer too narrow
+        return _integral_position(coords, schema)
+    # One type check on the sum: a float or numpy coordinate makes it no int.
+    if type(pos) is not int:
+        return _integral_position(coords, schema)
     return pos
+
+
+def _integral_position(coords: Sequence[int], schema: DimensionSchema) -> int:
+    """The position of coordinates that are not all `int`: numpy integers
+    are encoded as `int`s, with every range checked again, and anything
+    else raises InvalidCoordinateError."""
+    for idx in coords:
+        if not isinstance(idx, (int, np.integer)):
+            raise InvalidCoordinateError(f"coordinate {idx!r} is not an integer")
+    return encode_logical_position(tuple(map(int, coords)), schema)
 
 
 def _out_of_range(coords: Sequence[int], schema: DimensionSchema) -> InvalidCoordinateError:
@@ -151,17 +170,79 @@ def decode_logical_position(position: int, schema: DimensionSchema) -> tuple[int
     return tuple(coords)
 
 
-@dataclass
-class Relation:
-    """Ground-truth mapping from coordinate vectors to measures."""
+def decode_positions(positions: np.ndarray, schema: DimensionSchema) -> list[np.ndarray]:
+    """Inverse of encoding for in-range uint64 positions, one uint64
+    coordinate column per dimension."""
+    rest, columns = positions, []
+    for stride in schema.strides:
+        column, rest = np.divmod(rest, np.uint64(stride))
+        columns.append(column)
+    return columns
 
-    schema: DimensionSchema
-    cells: dict[tuple[int, ...], float]
-    measure_width: int = 8
+
+OrderedCells = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+class Relation:
+    """Ground-truth mapping from coordinate vectors to measures.
+
+    A relation holds its nonempty cells in two forms.  `ordered_cells(rel)`
+    gives them as three read-only arrays in logical-position order
+    (positions, coordinates, measures); `cells` gives them as a dict from
+    coordinate tuples to measures.  A relation made from a dict
+    (`Relation(schema, cells)`) works the arrays out from it on the first
+    `ordered_cells` call.  One made from arrays (`Relation.from_ordered`,
+    as ingest and the generator do) builds the dict on the first
+    `cells`, `get` or `iter_cells` call; `n_cells` never builds it.  Either
+    form is worked out at most once, so a relation is read-only once made:
+    mutating `cells` afterwards leaves the arrays stale.
+    """
+
+    def __init__(self, schema: DimensionSchema, cells: dict[tuple[int, ...], float],
+                 measure_width: int = 8):
+        self.schema = schema
+        self.measure_width = measure_width
+        self._cells: dict[tuple[int, ...], float] | None = cells
+        self._ordered: OrderedCells | None = None
+        # For a relation made from arrays: the input row each cell was first
+        # seen at, which orders the dict's keys (None: position order).
+        self._first_seen: np.ndarray | None = None
+
+    @classmethod
+    def from_ordered(cls, schema: DimensionSchema, positions: np.ndarray, coords: np.ndarray,
+                     measures: np.ndarray, measure_width: int = 8,
+                     first_seen: np.ndarray | None = None) -> "Relation":
+        """A relation made from arrays in the form `ordered_cells` returns.
+
+        The caller vouches for them: positions strictly increasing uint64
+        within the schema, coordinates their (n, d) int64 decoding and one
+        float64 measure per cell.  `first_seen` ranks the cells for the
+        dict's iteration order; without it the dict is in position order.
+        The arrays are made read-only and handed out as they are.
+        """
+        rel = cls(schema, None, measure_width)
+        for a in (positions, coords, measures):
+            a.flags.writeable = False
+        rel._ordered = (positions, coords, measures)
+        rel._first_seen = first_seen
+        return rel
+
+    @property
+    def cells(self) -> dict[tuple[int, ...], float]:
+        if self._cells is None:
+            _, coords, measures = self._ordered
+            if self._first_seen is not None:
+                rank = np.argsort(self._first_seen)
+                coords, measures = coords[rank], measures[rank]
+            keys = zip(*(column.tolist() for column in coords.T))
+            self._cells = dict(zip(keys, measures.tolist()))
+        return self._cells
 
     @property
     def n_cells(self) -> int:
-        return len(self.cells)
+        if self._ordered is not None:
+            return len(self._ordered[0])
+        return len(self._cells)
 
     def get(self, coords: Sequence[int]) -> float | None:
         """Measure at coords, or None for an empty cell."""
@@ -171,34 +252,53 @@ class Relation:
     def iter_cells(self) -> Iterator[tuple[tuple[int, ...], float]]:
         return iter(self.cells.items())
 
+    def __repr__(self) -> str:
+        return (f"Relation(schema={self.schema!r}, cells={self.cells!r}, "
+                f"measure_width={self.measure_width!r})")
 
-def ordered_cells(rel: Relation) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The nonempty cells in logical-position order, as three arrays.
+
+def ordered_cells(rel: Relation) -> OrderedCells:
+    """The nonempty cells in logical-position order, as three read-only arrays.
 
     Returns the strictly increasing positions (uint64), the coordinates in
     the same order as an (n, d) int64 array, and the measures (float64) in
-    the same order.  Raises the error `encode_logical_position` raises for
-    the first key, in insertion order, that does not fit the schema.
+    the same order.  They are worked out once per relation and the same
+    arrays are returned to every caller.  For a relation made from a dict,
+    raises the error `encode_logical_position` raises for the first key, in
+    insertion order, that does not fit the schema.
     """
-    schema = rel.schema
-    n, d = len(rel.cells), schema.n_dims
+    if rel._ordered is None:
+        rel._ordered = _order_dict(rel)
+    return rel._ordered
+
+
+def _order_dict(rel: Relation) -> OrderedCells:
+    schema, cells = rel.schema, rel.cells
+    n, d = len(cells), schema.n_dims
     if n == 0:
         raise EmptyRelationError("relation has no cells")
-    if set(map(len, rel.cells)) != {d}:
+    if set(map(len, cells)) != {d}:
         _raise_for_invalid_key(rel)
-    try:
-        coords = np.fromiter(
-            itertools.chain.from_iterable(rel.cells), dtype=np.int64, count=n * d
-        ).reshape(n, d)
-    except OverflowError:
+    # Python ints beyond 64 bits make an object array, floats a float one.
+    coords = np.array(list(cells))
+    if coords.dtype.kind not in "biu":
         _raise_for_invalid_key(rel)
     if ((coords < 0) | (coords >= np.array(schema.cardinalities))).any():
         _raise_for_invalid_key(rel)
-    # Every product and partial sum is below total_cells < 2**64.
-    positions = coords.astype(np.uint64) @ np.array(schema.strides, dtype=np.uint64)
+    coords = coords.astype(np.int64)
+    positions = _positions(coords, schema)
     order = np.argsort(positions)
-    measures = np.fromiter(rel.cells.values(), dtype=np.float64, count=n)
-    return positions[order], coords[order], measures[order]
+    measures = np.fromiter(cells.values(), dtype=np.float64, count=n)
+    ordered = positions[order], coords[order], measures[order]
+    for a in ordered:
+        a.flags.writeable = False
+    return ordered
+
+
+def _positions(coords: np.ndarray, schema: DimensionSchema) -> np.ndarray:
+    """`encode_logical_position` of every row of in-range (n, d) coordinates."""
+    # Every product and partial sum is below total_cells < 2**64.
+    return coords.astype(np.uint64) @ np.array(schema.strides, dtype=np.uint64)
 
 
 def _raise_for_invalid_key(rel: Relation) -> NoReturn:
@@ -234,9 +334,12 @@ def ingest_delimited(path: str | Path, config: IngestConfig = IngestConfig()) ->
 
     Dimension values are collected in first-seen order (or sorted when the
     config asks for it) unless pre-declared.  Duplicate keys are
-    last-write-wins and counted.  The rows are parsed by column: each
-    dimension column goes through its value index, and the key columns are
-    zipped into the cell dict.
+    last-write-wins and counted.  The rows are parsed by column into the
+    arrays `ordered_cells` returns: each dimension column goes through its
+    value index into a coordinate column, positions are `coords @ strides`,
+    and one stable sort orders the rows, so the last of equal neighbours is
+    the last write of its key.  The relation's dict is built from the
+    arrays only when asked for, keyed in first-seen order.
     """
     with open(path, newline="", encoding="utf-8") as f:
         records = list(csv.reader(f, delimiter=config.delimiter))
@@ -254,37 +357,55 @@ def ingest_delimited(path: str | Path, config: IngestConfig = IngestConfig()) ->
     width = n_dims + 1
     if set(map(len, rows)) != {width}:
         _raise_for_bad_row(records, skip, width)
-    columns = [list(map(itemgetter(i), rows)) for i in range(width)]
+    n = len(rows)
+    columns = [list(map(itemgetter(i), rows)) for i in range(n_dims)]
     try:
-        measures = list(map(float, columns[-1]))
+        measures = np.fromiter(map(float, map(itemgetter(-1), rows)), dtype=np.float64, count=n)
     except ValueError:
         _raise_for_bad_row(records, skip, width)
 
     if config.declared_values is not None:
         value_lists = [list(vs) for vs in config.declared_values]
     else:
-        value_lists = [list(dict.fromkeys(col)) for col in columns[:-1]]
+        value_lists = [list(dict.fromkeys(col)) for col in columns]
         if config.sorted_values:
             value_lists = [sorted(vs) for vs in value_lists]
 
     names = config.dimension_names or tuple(f"d{i}" for i in range(n_dims))
     schema = DimensionSchema(
-        tuple(Dimension(n, tuple(vs)) for n, vs in zip(names, value_lists))
+        tuple(Dimension(name, tuple(vs)) for name, vs in zip(names, value_lists))
     )
-    # zip pulls the key columns a row at a time, so an undeclared value is
-    # reported in row order, as a row-by-row parse would report it.
-    keys = zip(*(
-        map({v: i for i, v in enumerate(vs)}.__getitem__, col)
-        for vs, col in zip(value_lists, columns)
-    ))
+    indexes = [{v: i for i, v in enumerate(vs)} for vs in value_lists]
+    coords = np.empty((n, n_dims), dtype=np.int64)
     try:
-        cells = dict(zip(keys, measures))
-    except KeyError as exc:
-        raise IngestError(f"undeclared dimension value {exc.args[0]!r}") from None
-    return IngestResult(
-        Relation(schema, cells, measure_width=config.measure_width),
-        len(rows) - len(cells),
+        for j, (index, col) in enumerate(zip(indexes, columns)):
+            coords[:, j] = np.fromiter(map(index.__getitem__, col), dtype=np.int64, count=n)
+    except KeyError:
+        _raise_for_undeclared(columns, indexes)
+
+    positions = _positions(coords, schema)
+    order = np.argsort(positions, kind="stable")
+    positions = positions[order]
+    # Equal positions sit together in row order: each key keeps its last
+    # row, and its first row places it in the dict.
+    starts = np.concatenate(([True], positions[1:] != positions[:-1]))
+    ends = np.append(starts[1:], True)
+    kept = order[ends]
+    rel = Relation.from_ordered(
+        schema, positions[ends], coords[kept], measures[kept],
+        measure_width=config.measure_width, first_seen=order[starts],
     )
+    return IngestResult(rel, n - len(kept))
+
+
+def _raise_for_undeclared(columns: list[list[str]], indexes: list[dict[str, int]]) -> NoReturn:
+    """Raise IngestError for the first undeclared value in row order, as a
+    row-by-row parse would report it."""
+    for row in zip(*columns):
+        for value, index in zip(row, indexes):
+            if value not in index:
+                raise IngestError(f"undeclared dimension value {value!r}")
+    raise AssertionError("no undeclared value found")
 
 
 def _raise_for_bad_row(records: list[list[str]], skip: int, width: int) -> NoReturn:

@@ -9,11 +9,14 @@ seed always produce the identical relation.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
 
-from .relation import DimensionSchema, Relation, decode_logical_position
+import numpy as np
+
+from .relation import DimensionSchema, Relation, decode_positions
 
 
 @dataclass(frozen=True)
@@ -80,13 +83,15 @@ def generate(spec: SynthSpec) -> Relation:
     n = min(total, max(1, round(spec.density * total)))
     rng = random.Random(spec.seed)
     if n == total:
-        positions = list(range(total))
+        positions = np.arange(total, dtype=np.uint64)
     elif spec.clustering == 0.0:
-        positions = sorted(rng.sample(range(total), n))
+        positions = np.sort(np.array(rng.sample(range(total), n), dtype=np.uint64))
     else:
-        positions = _clustered_positions(rng, total, n, spec.clustering)
-    cells = {
-        decode_logical_position(p, schema): rng.uniform(0.0, 1000.0)
-        for p in positions
-    }
-    return Relation(schema, cells, measure_width=spec.measure_width)
+        positions = np.array(_clustered_positions(rng, total, n, spec.clustering), dtype=np.uint64)
+    # One draw per cell in position order, after the positions.
+    measures = np.fromiter(
+        map(rng.uniform, itertools.repeat(0.0, n), itertools.repeat(1000.0, n)),
+        dtype=np.float64, count=n,
+    )
+    coords = np.stack(decode_positions(positions, schema), axis=1).astype(np.int64)
+    return Relation.from_ordered(schema, positions, coords, measures, spec.measure_width)

@@ -1,4 +1,9 @@
+import csv
+import io
 import itertools
+import random
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +28,7 @@ from sparsecube.relation import (
     logical_position_sequence,
     ordered_cells,
 )
+from sparsecube.synth import SynthSpec, generate
 
 
 def enumeration_rank(cards, coords):
@@ -90,6 +96,44 @@ class TestEncodeDecode:
             encode_logical_position((3, 0, 0), schema(3, 4, 5))
         with pytest.raises(InvalidCoordinateError):
             encode_logical_position((0, 0), schema(3, 4, 5))
+
+    @pytest.mark.parametrize("coords", [(0.5, 0, 4), (0, 0, 4.0), (0, "0", 4), (None, 0, 0)])
+    def test_non_integer_coordinate_rejected(self, coords):
+        # A float made (0.5, 0, 4) position 32.0, a stored cell's, in LPC.
+        rel = generate(SynthSpec((6, 7, 8), 0.3, seed=1))
+        assert rel.get(decode_logical_position(32, rel.schema)) is not None
+        reps = [mdstore.build_store(rel, s) for s in mdstore.SCHEMES]
+        reps.append(tablestore.build_table(rel))
+        for query in [rel.get, *(r.point_query for r in reps)]:
+            with pytest.raises(InvalidCoordinateError, match="not an integer"):
+                query(coords)
+
+    @pytest.mark.parametrize("coords", [(np.uint8(0), 400), (np.uint8(0), -5)])
+    def test_narrow_numpy_coordinate_keeps_range_checks(self, coords):
+        # np.uint8(0) * 300 overflows; every later coordinate is still checked,
+        # so (0, 400) does not reach position 400, cell (1, 100).
+        rel = generate(SynthSpec((2, 300), 0.5, seed=2))
+        assert rel.get((1, 100)) is not None
+        reps = [mdstore.build_store(rel, s) for s in mdstore.SCHEMES]
+        reps.append(tablestore.build_table(rel))
+        for query in [rel.get, *(r.point_query for r in reps)]:
+            with pytest.raises(InvalidCoordinateError):
+                query(coords)
+
+    def test_numpy_integer_coordinates_accepted(self):
+        top = tuple(np.int64(c - 1) for c in NEAR_2_64.cardinalities)
+        with np.errstate(over="ignore"):  # the numpy sum wraps; the position is recomputed
+            assert encode_logical_position(top, NEAR_2_64) == NEAR_2_64.total_cells - 1
+        assert encode_logical_position((np.uint8(2), 3, np.int32(4)), schema(3, 4, 5)) == 59
+        big = DimensionSchema.from_cardinalities((300, 300))
+        assert encode_logical_position((np.uint8(255), np.uint8(255)), big) == 255 * 300 + 255
+        rel = generate(SynthSpec((6, 7, 8), 0.3, seed=1))
+        reps = [mdstore.build_store(rel, s) for s in mdstore.SCHEMES]
+        reps.append(tablestore.build_table(rel))
+        for coords, value in list(rel.iter_cells())[:10]:
+            key = tuple(np.int64(c) for c in coords)
+            assert rel.get(key) == value
+            assert [r.point_query(key) for r in reps] == [value] * len(reps)
 
     def test_position_out_of_range(self):
         with pytest.raises(InvalidPositionError):
@@ -201,13 +245,118 @@ class TestOrderedCells:
         with pytest.raises(InvalidCoordinateError):
             build(rel)
 
+    @pytest.mark.parametrize("make", [
+        lambda tmp: generate(SynthSpec((6, 7, 8), 0.3, seed=1)),
+        lambda tmp: Relation(schema(3, 4), {(2, 1): 1.5, (0, 3): 2.5, (1, 0): 3.5}),
+        lambda tmp: ingest_text(tmp, "b,y,1\na,x,2\nb,x,3\n").relation,
+    ])
+    def test_arrays_are_read_only_and_shared(self, tmp_path, make):
+        rel = make(tmp_path)
+        positions, coords, measures = arrays = ordered_cells(rel)
+        want = [a.copy() for a in arrays]
+        for write in (
+            lambda: positions.__setitem__(0, 7),
+            lambda: coords.__setitem__((0, 0), 1),
+            lambda: measures.__setitem__(slice(None), 0.0),
+            lambda: measures.sort(),
+        ):
+            with pytest.raises(ValueError, match="read-only"):
+                write()
+        again = ordered_cells(rel)
+        assert all(a is b for a, b in zip(again, arrays))
+        assert all(np.array_equal(a, b) for a, b in zip(again, want))
+        table = tablestore.build_table(rel)
+        lpc = mdstore.build_store(rel, "lpc")
+        for key, value in rel.iter_cells():
+            assert lpc.point_query(key) == table.point_query(key) == value
+
     def test_key_beyond_64_bits_rejected(self):
         rel = Relation(schema(3, 4, 5), {(0, 0, 0): 1.0, (1 << 70, 0, 0): 2.0})
         with pytest.raises(InvalidCoordinateError, match="out of range"):
             ordered_cells(rel)
 
 
+def ingest_text(tmp_path, text, config=IngestConfig()):
+    p = tmp_path / "in.csv"
+    p.write_text(text, encoding="utf-8", newline="")
+    return ingest_delimited(p, config)
+
+
+def oracle_ingest(rows, config):
+    """Row-by-row reference: the schema's value lists, the cell dict, and the
+    duplicate count that `ingest_delimited` must produce for `rows`."""
+    if config.declared_values is not None:
+        value_lists = [list(vs) for vs in config.declared_values]
+    else:
+        value_lists = [list(dict.fromkeys(row[j] for row in rows)) for j in range(len(rows[0]) - 1)]
+        if config.sorted_values:
+            value_lists = [sorted(vs) for vs in value_lists]
+    cells = {}
+    for row in rows:
+        key = tuple(vs.index(v) for vs, v in zip(value_lists, row))
+        cells[key] = float(row[-1])
+    return value_lists, cells, len(rows) - len(cells)
+
+
+# Dimension values that need quoting: delimiters, quotes, spaces, newlines
+# and non-ASCII text.  No lone carriage return: csv.writer leaves it
+# unquoted under a "\n" line terminator, and it would then end the row.
+labels = st.text(alphabet=st.sampled_from(list('ab,;"\' \t\né☃')), max_size=4)
+measure_texts = st.one_of(
+    st.floats(allow_nan=False).map(repr),
+    st.integers(-10**6, 10**6).map(str),
+    st.sampled_from(["1e3", " 2.5 ", "-0.0", "inf"]),
+)
+
+
+@st.composite
+def delimited_files(draw):
+    n_dims = draw(st.integers(1, 3))
+    pools = [draw(st.lists(labels, min_size=1, max_size=5, unique=True)) for _ in range(n_dims)]
+    rows = draw(st.lists(
+        st.tuples(*(st.sampled_from(pool) for pool in pools), measure_texts).map(list),
+        min_size=1, max_size=40,
+    ))
+    mode = draw(st.sampled_from(["first-seen", "sorted", "declared"]))
+    declared = None
+    if mode == "declared":
+        declared = tuple(
+            tuple(draw(st.permutations(pool + [f"unused{j}"]))) for j, pool in enumerate(pools)
+        )
+    config = IngestConfig(
+        delimiter=draw(st.sampled_from([",", ";", "\t"])),
+        has_header=draw(st.booleans()),
+        sorted_values=mode == "sorted",
+        declared_values=declared,
+    )
+    out = io.StringIO(newline="")
+    writer = csv.writer(out, delimiter=config.delimiter,
+                        lineterminator=draw(st.sampled_from(["\r\n", "\n"])))
+    if config.has_header:
+        writer.writerow([f"dim{j}" for j in range(n_dims)] + ["measure"])
+    writer.writerows(rows)
+    return out.getvalue(), rows, config
+
+
 class TestIngest:
+    @given(delimited_files())
+    def test_matches_row_by_row_oracle(self, case):
+        text, rows, config = case
+        value_lists, cells, duplicates = oracle_ingest(rows, config)
+        with tempfile.TemporaryDirectory() as tmp:
+            result = ingest_text(Path(tmp), text, config)
+        rel = result.relation
+        assert [list(d.values) for d in rel.schema.dimensions] == value_lists
+        assert result.duplicates == duplicates
+        assert list(rel.cells.items()) == list(cells.items())
+        positions, coords, measures = ordered_cells(rel)
+        by_position = sorted((encode_logical_position(k, rel.schema), k, v) for k, v in cells.items())
+        assert positions.tolist() == [p for p, _, _ in by_position]
+        assert [tuple(c) for c in coords.tolist()] == [k for _, k, _ in by_position]
+        assert measures.tolist() == [v for _, _, v in by_position]
+        assert rel.n_cells == len(cells)
+
+
     def write(self, tmp_path, text, name="in.csv"):
         p = tmp_path / name
         p.write_text(text, encoding="utf-8")
@@ -269,6 +418,36 @@ class TestIngest:
         p = self.write(tmp_path, "z,1\n")
         with pytest.raises(IngestError, match="undeclared"):
             ingest_delimited(p, IngestConfig(declared_values=(("a",),)))
+
+    def test_undeclared_value_named_in_row_order(self, tmp_path):
+        # Row 1 has one in its second column, row 2 one in its first: a
+        # column-at-a-time parse must still name row 1's.
+        cfg = IngestConfig(declared_values=(("a", "b"), ("x", "y")))
+        with pytest.raises(IngestError, match="undeclared dimension value 'z'"):
+            ingest_text(tmp_path, "a,z,1\nq,x,2\n", cfg)
+
+    def test_many_rows_with_blank_lines(self, tmp_path):
+        # Blank records and duplicates spread over a long file; errors deep
+        # in it are named by record number, blank records counted.
+        rng = random.Random(5)
+        lines, rows = [], []
+        for i in range(3000):
+            if rng.random() < 0.05:
+                lines.append("")
+                continue
+            row = [f"k{rng.randrange(40)}", f"m{rng.randrange(30)}", str(i)]
+            rows.append(row)
+            lines.append(",".join(row))
+        text = "\n".join(lines) + "\n"
+        result = ingest_text(tmp_path, text)
+        value_lists, cells, duplicates = oracle_ingest(rows, IngestConfig())
+        assert [list(d.values) for d in result.relation.schema.dimensions] == value_lists
+        assert list(result.relation.cells.items()) == list(cells.items())
+        assert result.duplicates == duplicates > 0
+        for record, bad in ((2100, "k1,m1,zap"), (1700, "k1,m1")):
+            broken = lines[: record - 1] + [bad] + lines[record - 1:]
+            with pytest.raises(IngestError, match=f"^row {record}:"):
+                ingest_text(tmp_path, "\n".join(broken) + "\n")
 
     def test_empty_file_errors(self, tmp_path):
         p = self.write(tmp_path, "")
