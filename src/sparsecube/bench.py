@@ -15,6 +15,9 @@ processor caches; it also primes the warm query.
 The sweep replays sampled queries at a ladder of memory budgets.  Per query
 it charges a synthetic time of M when the cache absorbed every block touch
 and D otherwise; miss counts are deterministic, so the emitted CSV is too.
+It runs no queries: each store's `block_touches` derives in numpy the
+blocks every sampled query reads, and `SimCache.replay` feeds them through
+the cache's LRU rule, leaving misses and counters as the queries would.
 The model curve is evaluated at the memory actually used mid-pass (for the
 multidimensional representation the preloaded size counts toward the
 budget), which is what the measured averages are compared against.
@@ -34,6 +37,7 @@ from typing import Sequence
 from .blockio import SimCache
 from .cachemodel import CacheModelParams, RepConstants, t_m, t_t
 from .mdstore import MultidimStore
+from .relation import decode_positions
 from .tablestore import TableStore
 
 UNBOUNDED = 1 << 60
@@ -56,9 +60,9 @@ def sample_coords(
     """Uniform sample, with replacement, of stored cell coordinates."""
     if size < 1:
         raise ValueError("sample size must be >= 1")
-    pool = store.stored_coords()
-    rng = random.Random(seed)
-    return rng.choices(pool, k=size)
+    positions = store.positions()
+    drawn = positions[random.Random(seed).choices(range(len(positions)), k=size)]
+    return list(zip(*(column.tolist() for column in decode_positions(drawn, store.schema))))
 
 
 def cold_miss_counts(query, coords: Sequence, cache: SimCache) -> list[int]:
@@ -201,18 +205,22 @@ def memory_sweep(
     passes: int = 100,
     seed: int = 0,
 ) -> SweepResult:
-    pool = md_store.stored_coords()
+    positions = md_store.positions()
+    n = len(positions)
     rows: list[SweepRow] = []
     summaries: list[SweepSummary] = []
     h = params.preload_bytes
 
     jobs = (
-        ("md", md_store.point_query, md_cache, md_budgets, params.md, True),
-        ("tbl", tbl_store.point_query, tbl_cache, tbl_budgets, params.tbl, False),
+        ("md", md_store, md_cache, md_budgets, params.md, True),
+        ("tbl", tbl_store, tbl_cache, tbl_budgets, params.tbl, False),
     )
-    for rep, query, cache, budgets, consts, is_md in jobs:
+    for rep, store, cache, budgets, consts, is_md in jobs:
         model_fn = t_m if is_md else t_t
-        delta = consts.D - consts.M
+        readers = store.readers()
+        # A query with a miss costs M + (D - M), which in floating point is
+        # not always D; the CSV keeps that sum.
+        hit_ms, miss_ms = consts.M, consts.M + (consts.D - consts.M)
         for budget in budgets:
             capacity = budget - h if is_md else budget
             if capacity < 0:
@@ -221,27 +229,29 @@ def memory_sweep(
                 )
             cache.set_capacity(capacity)
             cache.clear()
-            # String seeds hash stably across processes, unlike tuples.
+            # String seeds hash stably across processes, unlike tuples.  One
+            # draw of passes * samples takes the same stream as one per pass.
             rng = random.Random(f"{seed}:{rep}:{budget}")
+            drawn = positions[rng.choices(range(n), k=passes * samples)]
+            if is_md:
+                keys, starts = store.block_touches(drawn, stored=positions)
+            else:
+                keys, starts = store.block_touches(drawn)
             total_time = 0.0
             total_model = 0.0
             for pass_no in range(1, passes + 1):
-                coords = rng.choices(pool, k=samples)
                 used_before = cache.used_bytes
+                first = (pass_no - 1) * samples
+                misses = cache.replay(keys, starts[first : first + samples + 1], readers)
                 pass_time = 0.0
-                pass_misses = 0
-                for c in coords:
-                    before = cache.misses
-                    query(c)
-                    miss = cache.misses - before
-                    pass_misses += miss
-                    pass_time += consts.M + (delta if miss > 0 else 0.0)
+                for miss in misses:
+                    pass_time += miss_ms if miss else hit_ms
                 used_after = cache.used_bytes
                 used_mid = (used_before + used_after) // 2 + (h if is_md else 0)
                 model_ms = model_fn(used_mid, params)
                 avg_ms = pass_time / samples
                 rows.append(
-                    SweepRow(rep, budget, pass_no, used_mid, pass_misses, avg_ms, model_ms)
+                    SweepRow(rep, budget, pass_no, used_mid, sum(misses), avg_ms, model_ms)
                 )
                 total_time += pass_time
                 total_model += model_ms

@@ -7,7 +7,8 @@ from memory through a BytesReader, which differs only in where a block
 comes from, so both take one path.  The cache is fill-then-LRU, counts hits
 and misses, and stores block bytes so hits never reach the file.  It is
 deterministic: identical access sequences produce identical counters and
-resident sets.
+resident sets.  `replay` applies the same rule to a recorded sequence of
+block keys, which is how the memory sweep charges its sampled queries.
 """
 
 from __future__ import annotations
@@ -16,7 +17,9 @@ import os
 import threading
 from collections import OrderedDict
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Mapping, Sequence
+
+import numpy as np
 
 
 class SimCache:
@@ -69,6 +72,25 @@ class SimCache:
             _, dropped = self._resident.popitem(last=False)
             self._used -= len(dropped)
 
+    # `_touch` and `_admit` are the one LRU rule; callers hold the lock.
+
+    def _touch(self, key: tuple[str, int]) -> bytes | None:
+        """The resident block `key`, now most recent, or None; counts the hit or miss."""
+        cached = self._resident.get(key)
+        if cached is None:
+            self.misses += 1
+        else:
+            self.hits += 1
+            self._resident.move_to_end(key)
+        return cached
+
+    def _admit(self, key: tuple[str, int], data: bytes) -> None:
+        """Hold a missed block if it fits, then evict least recent first."""
+        if self.capacity >= len(data) and key not in self._resident:
+            self._resident[key] = data
+            self._used += len(data)
+            self._evict()
+
     def access(self, key: tuple[str, int], loader: Callable[..., bytes], *args) -> bytes:
         """The block named `key`: from the cache on a hit, else `loader(*args)`.
 
@@ -76,19 +98,51 @@ class SimCache:
         no closure is built per access.
         """
         with self._lock:
-            cached = self._resident.get(key)
-            if cached is not None:
-                self.hits += 1
-                self._resident.move_to_end(key)
-                return cached
-            self.misses += 1
+            cached = self._touch(key)
+        if cached is not None:
+            return cached
         data = loader(*args)
         with self._lock:
-            if self.capacity >= len(data) and key not in self._resident:
-                self._resident[key] = data
-                self._used += len(data)
-                self._evict()
+            self._admit(key, data)
         return data
+
+    def replay(
+        self,
+        keys: Sequence[tuple[str, int]],
+        starts: Sequence[int],
+        readers: Mapping[str, "BlockReader"],
+    ) -> list[int]:
+        """Access `keys` in order, as the reads of queries whose keys are
+        `keys[starts[q]:starts[q + 1]]`; returns each query's misses.
+
+        Counters, resident blocks and their order end as if the queries
+        had run: a missed block is loaded from `readers[name]`, around any
+        cache, so the bytes resident and their lengths are the real ones.
+        """
+        touch, admit = self._touch, self._admit
+        out = []
+        with self._lock:
+            for lo, hi in zip(starts, starts[1:]):
+                missed = 0
+                for key in keys[lo:hi]:
+                    if touch(key) is None:
+                        missed += 1
+                        admit(key, readers[key[0]]._load_block(key[1]))
+                out.append(missed)
+        return out
+
+
+def touch_lists(
+    names: Sequence[str], which: np.ndarray, blocks: np.ndarray, valid: np.ndarray
+) -> tuple[list[tuple[str, int]], list[int]]:
+    """Touch lists in `replay`'s form from a grid with one row per query.
+
+    Row q's keys are `(names[which[j]], blocks[q, j])` for its `valid`
+    columns j, left to right; the bounds give each row's share of the keys.
+    """
+    starts = np.concatenate(([0], np.cumsum(valid.sum(axis=1))))
+    reader_names = map(names.__getitem__, np.broadcast_to(which, valid.shape)[valid].tolist())
+    return list(zip(reader_names, blocks[valid].tolist())), starts.tolist()
 
 
 class BlockReader:

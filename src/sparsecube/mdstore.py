@@ -23,12 +23,11 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from . import diffseq, headers
-from .blockio import BlockReader, BytesReader, SimCache
+from .blockio import BlockReader, BytesReader, SimCache, touch_lists
 from .errors import FormatError, InvalidPositionError, OffsetOverflowError
 from .relation import (
     DimensionSchema,
     Relation,
-    decode_positions,
     encode_logical_position,
     ordered_cells,
     schema_from_json,
@@ -116,18 +115,49 @@ class MultidimStore:
             return None
         return self.cell_measure(physical)
 
-    def stored_coords(self) -> list[tuple[int, ...]]:
-        """Coordinates of the stored cells in physical order, decoded in numpy."""
-        positions = self.header.positions()
+    def positions(self) -> np.ndarray:
+        """Logical positions of the stored cells in physical order, as uint64."""
         try:
-            rest = np.array(positions, dtype=np.uint64)
+            stored = np.array(self.header.positions(), dtype=np.uint64)
         except OverflowError:
-            rest = None
-        if rest is None or (rest.size and rest.max() >= self.schema.total_cells):
+            stored = None
+        if stored is None or (stored.size and stored.max() >= self.schema.total_cells):
             raise InvalidPositionError(
                 f"stored position out of range [0, {self.schema.total_cells})"
             )
-        return list(zip(*(column.tolist() for column in decode_positions(rest, self.schema))))
+        return stored
+
+    def block_touches(
+        self, positions: np.ndarray, stored: np.ndarray | None = None
+    ) -> tuple[list[tuple[str, int]], list[int]]:
+        """The cache keys `point_query` reads for each logical position, in
+        order: query q's are `keys[starts[q]:starts[q + 1]]`.
+
+        A stored cell reads the cells blocks its measure spans; any other
+        position reads nothing.  `stored` is `positions()`, for a caller
+        that holds it already.
+        """
+        stored = self.positions() if stored is None else stored
+        positions = np.asarray(positions, dtype=np.uint64)
+        physical = np.searchsorted(stored, positions)
+        found = physical < len(stored)
+        found[found] = stored[physical[found]] == positions[found]
+        offset = physical * self.measure_width
+        first = offset // self._cells.block_size
+        spans = np.where(
+            found, (offset + self.measure_width - 1) // self._cells.block_size - first + 1, 0
+        )
+        width = int(spans.max(initial=0))
+        return touch_lists(
+            (self._cells.name,),
+            np.zeros(width, dtype=np.int64),
+            first[:, None] + np.arange(width),
+            np.arange(width) < spans[:, None],
+        )
+
+    def readers(self) -> dict[str, BlockReader]:
+        """The store's block readers by cache-key name."""
+        return {self._cells.name: self._cells}
 
     def schema_bytes(self) -> bytes:
         return schema_to_json(self.schema, self.measure_width)

@@ -381,7 +381,7 @@ def ingest_delimited(path: str | Path, config: IngestConfig = IngestConfig()) ->
         for j, (index, col) in enumerate(zip(indexes, columns)):
             coords[:, j] = np.fromiter(map(index.__getitem__, col), dtype=np.int64, count=n)
     except KeyError:
-        _raise_for_undeclared(columns, indexes)
+        _raise_for_undeclared(records, skip, indexes)
 
     positions = _positions(coords, schema)
     order = np.argsort(positions, kind="stable")
@@ -398,13 +398,15 @@ def ingest_delimited(path: str | Path, config: IngestConfig = IngestConfig()) ->
     return IngestResult(rel, n - len(kept))
 
 
-def _raise_for_undeclared(columns: list[list[str]], indexes: list[dict[str, int]]) -> NoReturn:
-    """Raise IngestError for the first undeclared value in row order, as a
-    row-by-row parse would report it."""
-    for row in zip(*columns):
-        for value, index in zip(row, indexes):
+def _raise_for_undeclared(
+    records: list[list[str]], skip: int, indexes: list[dict[str, int]]
+) -> NoReturn:
+    """Raise IngestError naming the first undeclared value in row order, and
+    its row, as a row-by-row parse would report it."""
+    for lineno, raw in enumerate(records[skip:], start=skip + 1):
+        for value, index in zip(raw, indexes):
             if value not in index:
-                raise IngestError(f"undeclared dimension value {value!r}")
+                raise IngestError(f"undeclared dimension value {value!r}", row=lineno)
     raise AssertionError("no undeclared value found")
 
 

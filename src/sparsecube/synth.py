@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,6 +78,17 @@ def _clustered_positions(rng: random.Random, total: int, n: int, clustering: flo
     return positions
 
 
+def _uniform_positions(rng: random.Random, total: int, n: int) -> list[int]:
+    """`n` distinct positions below `total`.  `rng.sample` cannot take a
+    range of 2^63 or more, so such schemas draw into a set instead."""
+    if total <= sys.maxsize:
+        return rng.sample(range(total), n)
+    drawn: set[int] = set()
+    while len(drawn) < n:
+        drawn.add(rng.randrange(total))
+    return list(drawn)
+
+
 def generate(spec: SynthSpec) -> Relation:
     schema = DimensionSchema.from_cardinalities(spec.cardinalities)
     total = schema.total_cells
@@ -85,7 +97,7 @@ def generate(spec: SynthSpec) -> Relation:
     if n == total:
         positions = np.arange(total, dtype=np.uint64)
     elif spec.clustering == 0.0:
-        positions = np.sort(np.array(rng.sample(range(total), n), dtype=np.uint64))
+        positions = np.sort(np.array(_uniform_positions(rng, total, n), dtype=np.uint64))
     else:
         positions = np.array(_clustered_positions(rng, total, n, spec.clustering), dtype=np.uint64)
     # One draw per cell in position order, after the positions.

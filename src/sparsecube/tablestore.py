@@ -30,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .blockio import BlockReader, BytesReader, SimCache
+from .blockio import BlockReader, BytesReader, SimCache, touch_lists
 from .errors import FormatError
 from .relation import (
     DimensionSchema,
@@ -118,9 +118,8 @@ class TableStore:
 
     # -- lookup -----------------------------------------------------------
 
-    def _page_floor(self, page: bytes, key: int, lead: int | None) -> tuple[int, int] | None:
-        """The (key, child) of the rightmost entry with entry.key <= key, or
-        None when the page's first key is already past `key`.
+    def _entries(self, page: bytes, lead: int | None) -> memoryview:
+        """The page's entries as key, child, key, child, ...
 
         `lead` is the key of the entry that led to this page (None at the
         root), which must be the page's first key.
@@ -128,11 +127,10 @@ class TableStore:
         (count,) = _COUNT.unpack_from(page, 0)
         if not 0 < count <= self.entries_per_page:
             raise FormatError(f"index page holds {count} entries, not 1..{self.entries_per_page}")
-        entries = memoryview(page)[2 : 2 + 16 * count].cast("Q")  # key, child, key, ...
+        entries = memoryview(page)[2 : 2 + 16 * count].cast("Q")
         if lead is not None and entries[0] != lead:
             raise FormatError(f"index page starts at key {entries[0]}, not at its parent's key {lead}")
-        slot = 2 * (bisect_right(entries[::2], key) - 1)
-        return None if slot < 0 else (entries[slot], entries[slot + 1])
+        return entries
 
     def point_query(self, coords: Sequence[int]) -> float | None:
         """The cell's measure, or None.  An index entry that points outside
@@ -147,10 +145,13 @@ class TableStore:
         idx.read_at(0, page_size)
         page_no, entry_key = self.root_page, None
         for level in range(self.height - 1, -1, -1):
-            found = self._page_floor(idx.read_at(page_no * page_size, page_size), key, entry_key)
-            if found is None:
+            entries = self._entries(idx.read_at(page_no * page_size, page_size), entry_key)
+            # The rightmost entry with entry.key <= key; none when the
+            # page's first key is already past it.
+            slot = 2 * (bisect_right(entries[::2], key) - 1)
+            if slot < 0:
                 return None
-            entry_key, page_no = found
+            entry_key, page_no = entries[slot], entries[slot + 1]
             if level and not 0 < page_no < self.root_page:
                 raise FormatError(f"index page {page_no} is not between meta and root")
         group = page_no  # leaf entries point at row groups
@@ -180,6 +181,80 @@ class TableStore:
         if lo in (0, count) and sum(map(mul, cols, self.schema.strides)) != entry_key:
             raise FormatError(f"row group {group} does not start at its index key {entry_key}")
         return None
+
+    def block_touches(self, positions: np.ndarray) -> tuple[list[tuple[str, int]], list[int]]:
+        """The cache keys `point_query` reads for each logical position, in
+        order: query q's are `keys[starts[q]:starts[q + 1]]`.
+
+        The walk goes level by level, one search per index page the batch
+        reaches, with the pages read around the cache.  A query reads the
+        meta page, the pages on its path and its row group's blocks, and
+        stops where `point_query` returns None.  The page checks of
+        `point_query` raise FormatError here too; the row group's own check
+        on a miss is not made, since it needs the rows.
+        """
+        positions = np.asarray(positions, dtype=np.uint64)
+        n = len(positions)
+        path = np.zeros((n, self.height), dtype=np.int64)  # the page read at each depth
+        reached = np.zeros(n, dtype=np.int64)  # how many pages were read
+        alive = np.arange(n)  # the queries still walking
+        page = np.full(n, self.root_page, dtype=np.int64)
+        lead = None  # the keys of the entries that led to `page`
+        for depth, level in enumerate(range(self.height - 1, -1, -1)):
+            path[alive, depth] = page
+            reached[alive] += 1
+            entry_key = np.zeros(len(alive), dtype=np.uint64)
+            child = np.zeros(len(alive), dtype=np.uint64)
+            found = np.zeros(len(alive), dtype=bool)
+            # One search per distinct page, over the queries that reached it.
+            order = np.argsort(page, kind="stable")
+            pages, firsts = np.unique(page[order], return_index=True)
+            bounds = np.append(firsts, len(order))
+            for i, page_no in enumerate(pages.tolist()):
+                members = order[bounds[i] : bounds[i + 1]]
+                block = self._idx._load_block(page_no)
+                # Every distinct lead is checked; at most one can match.
+                for page_lead in [None] if lead is None else np.unique(lead[members]).tolist():
+                    entries = np.asarray(self._entries(block, page_lead))
+                slot = np.searchsorted(entries[::2], positions[alive[members]], side="right") - 1
+                hit = slot >= 0
+                members, slot = members[hit], 2 * slot[hit]
+                found[members] = True
+                entry_key[members] = entries[slot]
+                child[members] = entries[slot + 1]
+            alive, lead, child = alive[found], entry_key[found], child[found]
+            if level:
+                bad = child[(child == 0) | (child >= self.root_page)]
+                problem = "index page {} is not between meta and root"
+            else:
+                bad = child[child >= self.n_groups]
+                problem = f"row group {{}} is past the last of {self.n_groups}"
+            if bad.size:
+                raise FormatError(problem.format(bad[0]))
+            page = child.astype(np.int64)
+
+        # The queries left read their row group (`page`) from the row file.
+        row = page * self.rows_per_group
+        end = np.minimum(row + self.rows_per_group, self.n_rows) * self.row_width
+        first = np.zeros(n, dtype=np.int64)
+        spans = np.zeros(n, dtype=np.int64)
+        first[alive] = row * self.row_width // self._rows.block_size
+        spans[alive] = (end - 1) // self._rows.block_size - first[alive] + 1
+        width = int(spans.max(initial=0))
+        return touch_lists(
+            (self._idx.name, self._rows.name),
+            np.repeat([0, 0, 1], [1, self.height, width]),
+            np.hstack((np.zeros((n, 1), np.int64), path, first[:, None] + np.arange(width))),
+            np.hstack((
+                np.ones((n, 1), bool),
+                np.arange(self.height) < reached[:, None],
+                np.arange(width) < spans[:, None],
+            )),
+        )
+
+    def readers(self) -> dict[str, BlockReader]:
+        """The store's block readers by cache-key name."""
+        return {self._idx.name: self._idx, self._rows.name: self._rows}
 
 
 def _pack_page(entries: list[tuple[int, int]], page_size: int) -> bytes:

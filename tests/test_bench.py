@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from sparsecube import bench, mdstore, tablestore
@@ -175,3 +177,57 @@ class TestSweep:
                 [params.preload_bytes - 1], [0],
                 samples=5, passes=1, seed=1,
             )
+
+
+@pytest.fixture(scope="module")
+def small_page_pair(tmp_path_factory):
+    # Clustered cells with a DHC header at 4-bit differences, and a table
+    # whose 128-octet pages hold 7 entries, so its index is 3 levels high.
+    tmp = tmp_path_factory.mktemp("small_page")
+    rel = generate(SynthSpec((30, 20, 16), density=0.12, clustering=0.4, seed=11))
+    st = mdstore.build_store(rel, "dhc", mdstore.StoreParams(diff_bits=4, stride=16))
+    mdstore.save(st, tmp / "md")
+    tb = tablestore.build_table(rel, tablestore.TableParams(page_size=128))
+    assert tb.height >= 3
+    tablestore.save_table(tb, tmp / "tbl")
+    return tmp
+
+
+def pinned_sweep(base, block_size=4096):
+    """Digest of a fixed sweep over the pair saved at `base`, and the four
+    cache counters it leaves (md hits, md misses, table hits, table misses)."""
+    md_cache = SimCache(bench.UNBOUNDED)
+    tbl_cache = SimCache(bench.UNBOUNDED)
+    with mdstore.load(base / "md", cache=md_cache, block_size=block_size) as md, \
+            tablestore.load_table(base / "tbl", cache=tbl_cache) as tbl:
+        params = constants_for(md, tbl)
+        md_b, tbl_b = default_budgets(params, points=5)
+        text = memory_sweep(
+            md, md_cache, tbl, tbl_cache, params, md_b, tbl_b, samples=40, passes=6, seed=3
+        ).to_csv()
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    return digest, (md_cache.hits, md_cache.misses, tbl_cache.hits, tbl_cache.misses)
+
+
+class TestSweepPinned:
+    """Sweep CSVs and cache counters, byte for byte, as the query-by-query
+    sweep produced them; the replayed sweep must not move either."""
+
+    def test_saved_pair(self, saved_pair):
+        assert pinned_sweep(saved_pair) == (
+            "fedf531b60876bdcd0a535712868c7bfdc20557e72011ec969a91966918af6d4",
+            (557, 643, 2441, 1159),
+        )
+
+    def test_three_level_index(self, small_page_pair):
+        assert pinned_sweep(small_page_pair) == (
+            "c3d82c6cf19442369f51462c648c99f6e1d8e35e78f0918bffffb284c422579c",
+            (479, 721, 3994, 2006),
+        )
+
+    def test_cells_straddle_blocks(self, small_page_pair):
+        # 100-octet blocks put some 8-octet cells across two blocks.
+        assert pinned_sweep(small_page_pair, block_size=100) == (
+            "486b96cea620e5a5ff67da9a913cea57aadb87cdaf55be39645f2ec6b0a5fe58",
+            (471, 780, 3994, 2006),
+        )

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import shutil
 
@@ -147,6 +148,26 @@ class TestEstimateSweep:
             "rep", "budget_octets", "pass", "used_octets", "misses",
             "avg_sim_ms", "model_ms",
         }
+
+    def test_sweep_csv_pinned(self, workspace, tmp_path):
+        # Fixed constants, so the CSV depends on miss counts alone; the
+        # 1020-octet blocks put some cells across two blocks.
+        constants = tmp_path / "constants.json"
+        assert run("estimate", "--md-store", workspace / "dhc",
+                   "--table-store", workspace / "table",
+                   "--samples", "20", "--out", constants) == 0
+        doc = json.loads(constants.read_text())
+        doc.update(M_m=0.01, D_m=1.0, M_t=0.02, D_t=2.0)
+        constants.write_text(json.dumps(doc))
+        sweep_csv = tmp_path / "sweep.csv"
+        assert run("sweep", "--md-store", workspace / "dhc",
+                   "--table-store", workspace / "table",
+                   "--constants", constants, "--points", "4",
+                   "--samples", "30", "--passes", "4", "--seed", "2",
+                   "--block-size", "1020", "--out", sweep_csv) == 0
+        assert hashlib.sha256(sweep_csv.read_bytes()).hexdigest() == (
+            "f27dd76f5fff2d93896b40dc54895ca7d1ba2ebab01022873fe6cc87597a7848"
+        )
 
     def test_estimate_rejects_zero_samples(self, workspace, tmp_path):
         assert run("estimate", "--md-store", workspace / "dhc",

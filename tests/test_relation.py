@@ -3,6 +3,7 @@ import io
 import itertools
 import random
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -422,9 +423,15 @@ class TestIngest:
     def test_undeclared_value_named_in_row_order(self, tmp_path):
         # Row 1 has one in its second column, row 2 one in its first: a
         # column-at-a-time parse must still name row 1's.
+        # The error names the record, counting a header line and blank lines.
         cfg = IngestConfig(declared_values=(("a", "b"), ("x", "y")))
-        with pytest.raises(IngestError, match="undeclared dimension value 'z'"):
+        with pytest.raises(IngestError, match="undeclared dimension value 'z'") as exc:
             ingest_text(tmp_path, "a,z,1\nq,x,2\n", cfg)
+        assert exc.value.row == 1
+        with pytest.raises(IngestError, match="^row 4: undeclared dimension value 'q'") as exc:
+            ingest_text(tmp_path, "d0,d1,m\nb,y,1\n\nq,x,2\na,z,3\n",
+                        replace(cfg, has_header=True))
+        assert exc.value.row == 4
 
     def test_many_rows_with_blank_lines(self, tmp_path):
         # Blank records and duplicates spread over a long file; errors deep

@@ -90,3 +90,16 @@ def test_seeded_relations_are_pinned(spec, n_cells, digest):
     assert rel.n_cells == n_cells
     assert rel.measure_width == spec.measure_width
     assert hashlib.sha256(repr(list(rel.cells.items())).encode()).hexdigest() == digest
+
+
+def test_uniform_draw_past_2_63():
+    # rng.sample cannot take a range of 2^63 or more; such schemas still draw.
+    spec = SynthSpec(NEAR_2_64, 1e-18, seed=5)
+    rel = generate(spec)
+    positions = logical_position_sequence(rel)
+    assert rel.n_cells == len(set(positions)) == round(1e-18 * rel.schema.total_cells)
+    assert positions == sorted(positions)
+    assert all(0 <= p < rel.schema.total_cells for p in positions)
+    assert all(0 <= c < card for coords in rel.cells for c, card in zip(coords, NEAR_2_64))
+    assert positions == logical_position_sequence(generate(spec))
+    assert rel.cells == generate(spec).cells

@@ -1,0 +1,223 @@
+"""Batch touch lists (`block_touches`) and their replay against live queries.
+
+The memory sweep charges each sampled query by the misses of the blocks
+`block_touches` says it reads, replayed through `SimCache.replay`.  These
+tests hold both to what a live `point_query` sends to the cache.
+"""
+
+import random
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from sparsecube import bench, headers, mdstore, tablestore
+from sparsecube.blockio import BytesReader, SimCache
+from sparsecube.errors import FormatError, InvalidPositionError
+from sparsecube.relation import DimensionSchema, decode_logical_position, ordered_cells
+from sparsecube.synth import SynthSpec, generate
+
+
+class RecordingCache(SimCache):
+    def __init__(self, capacity=1 << 30):
+        super().__init__(capacity)
+        self.keys = []
+
+    def access(self, key, loader, *args):
+        self.keys.append(key)
+        return super().access(key, loader, *args)
+
+
+def probe_positions(rel, rng, misses=40):
+    """Every stored position, uniform positions (mostly empty cells), and the
+    positions before the first row, shuffled."""
+    stored = ordered_cells(rel)[0].tolist()
+    total = rel.schema.total_cells
+    probes = stored + [rng.randrange(total) for _ in range(misses)]
+    probes += list(range(min(stored[0], 5)))
+    rng.shuffle(probes)
+    return probes
+
+
+def live_touches(store, schema, positions):
+    """The keys each live query sends to a recording cache, one list per query."""
+    cache = RecordingCache()
+    readers = store.readers().values()
+    saved = [r.cache for r in readers]
+    for r in readers:
+        r.cache = cache
+    try:
+        out = []
+        for p in positions:
+            cache.keys.clear()
+            store.point_query(decode_logical_position(p, schema))
+            out.append(list(cache.keys))
+        return out
+    finally:
+        for r, c in zip(readers, saved):
+            r.cache = c
+
+
+def batch_touches(store, positions):
+    keys, starts = store.block_touches(np.array(positions, dtype=np.uint64))
+    assert starts[0] == 0 and starts[-1] == len(keys) and len(starts) == len(positions) + 1
+    return [keys[lo:hi] for lo, hi in zip(starts, starts[1:])]
+
+
+def representations(rel, base: Path, params, table_params, block_size):
+    """All six representations of `rel`, built and then loaded."""
+    for scheme in mdstore.SCHEMES:
+        built = mdstore.build_boc_with_retry(rel, scheme, params)
+        mdstore.save(built, base / scheme)
+        yield f"{scheme}-built", built
+        yield f"{scheme}-loaded", mdstore.load(base / scheme, block_size=block_size)
+    built = tablestore.build_table(rel, table_params)
+    tablestore.save_table(built, base / "table")
+    yield "table-built", built
+    yield "table-loaded", tablestore.load_table(base / "table")
+
+
+def check_all(rel, seed, params=mdstore.StoreParams(), table_params=tablestore.TableParams(),
+              block_size=4096):
+    positions = probe_positions(rel, random.Random(seed))
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, store in representations(rel, Path(tmp), params, table_params, block_size):
+            with store:
+                want = live_touches(store, rel.schema, positions)
+                assert batch_touches(store, positions) == want, name
+
+
+class TestTouchesMatchLiveQueries:
+    def test_three_level_index_and_straddling_cells(self):
+        rel = generate(SynthSpec((30, 20, 16), density=0.12, clustering=0.4, seed=11))
+        assert tablestore.build_table(rel, tablestore.TableParams(page_size=128)).height >= 3
+        check_all(rel, 1, mdstore.StoreParams(diff_bits=4), tablestore.TableParams(128), 100)
+
+    def test_default_parameters(self):
+        check_all(generate(SynthSpec((40, 40, 24), density=0.13, seed=6)), 2)
+
+    def test_cells_wider_than_blocks(self):
+        # Three-octet blocks: every eight-octet cell spans three or four.
+        check_all(generate(SynthSpec((9, 8), density=0.3, seed=3)), 3, block_size=3)
+
+    @given(
+        cards=st.lists(st.integers(1, 12), min_size=1, max_size=4),
+        density=st.floats(0.01, 1.0),
+        clustering=st.sampled_from([0.0, 0.5, 1.0]),
+        seed=st.integers(0, 1000),
+        measure_width=st.sampled_from([4, 8]),
+        page_size=st.sampled_from([64, 96, 128, 4096]),
+        block_size=st.sampled_from([5, 64, 100, 4096]),
+        diff_bits=st.sampled_from([2, 4, 16]),
+    )
+    @settings(max_examples=25)
+    def test_random_relations(self, cards, density, clustering, seed, measure_width,
+                              page_size, block_size, diff_bits):
+        rel = generate(SynthSpec(tuple(cards), density, clustering, seed, measure_width))
+        check_all(
+            rel, seed, mdstore.StoreParams(diff_bits=diff_bits, stride=4),
+            tablestore.TableParams(page_size), block_size,
+        )
+
+
+class TestTouchChecks:
+    """The batch walk raises FormatError on the index pages a query would."""
+
+    @pytest.fixture
+    def saved(self, tmp_path):
+        rel = generate(SynthSpec((12, 10, 14), density=0.3, clustering=0.3, seed=3))
+        table = tablestore.build_table(rel, tablestore.TableParams(page_size=128))
+        assert table.height == 3
+        tablestore.save_table(table, tmp_path / "t")
+        return rel, table, tmp_path / "t"
+
+    @pytest.mark.parametrize("where, value", [
+        ("count", 0), ("count", 65535), ("lead", 1), ("child", 0), ("child", "root"),
+        ("group", "past"),
+    ])
+    def test_damaged_page_raises_like_a_query(self, saved, where, value):
+        rel, table, base = saved
+        idx = Path(str(base) + ".idx")
+        raw = bytearray(idx.read_bytes())
+        ps = table.page_size
+        root = table.root_page * ps
+        (child,) = np.frombuffer(raw, "<u8", 1, root + 2 + 8)
+        if where == "count":
+            raw[root : root + 2] = int(value).to_bytes(2, "little")
+        elif where == "lead":  # the root's first child no longer starts at its key
+            raw[int(child) * ps + 2 : int(child) * ps + 10] = (1 << 40).to_bytes(8, "little")
+        elif where == "child":
+            bad = table.root_page if value == "root" else value
+            raw[root + 2 + 8 : root + 2 + 16] = bad.to_bytes(8, "little")
+        else:  # the first leaf entry points past the last row group
+            leaf = 1 * ps
+            raw[leaf + 2 + 8 : leaf + 2 + 16] = table.n_groups.to_bytes(8, "little")
+        idx.write_bytes(bytes(raw))
+        first = int(ordered_cells(rel)[0][0])
+        with tablestore.load_table(base) as loaded:
+            with pytest.raises(FormatError):
+                loaded.point_query(decode_logical_position(first, rel.schema))
+            with pytest.raises(FormatError):
+                loaded.block_touches(np.array([first], dtype=np.uint64))
+
+
+class TestReplay:
+    @pytest.fixture
+    def pair(self, tmp_path):
+        rel = generate(SynthSpec((30, 20, 16), density=0.12, clustering=0.4, seed=11))
+        mdstore.save(mdstore.build_store(rel, "dhc"), tmp_path / "md")
+        tablestore.save_table(
+            tablestore.build_table(rel, tablestore.TableParams(page_size=128)), tmp_path / "t"
+        )
+        return rel, tmp_path
+
+    @pytest.mark.parametrize("capacity", [0, 150, 700, 5000, 1 << 30])
+    @pytest.mark.parametrize("rep", ["md", "table"])
+    def test_replay_leaves_what_access_leaves(self, pair, rep, capacity):
+        rel, base = pair
+        positions = probe_positions(rel, random.Random(capacity), misses=200)[:400]
+        live_cache, replay_cache = SimCache(capacity), SimCache(capacity)
+
+        def load(cache):
+            if rep == "md":
+                return mdstore.load(base / "md", cache=cache, block_size=100)
+            return tablestore.load_table(base / "t", cache=cache)
+
+        with load(live_cache) as live, load(replay_cache) as replayed:
+            live_misses = []
+            for p in positions:
+                before = live_cache.misses
+                live.point_query(decode_logical_position(p, rel.schema))
+                live_misses.append(live_cache.misses - before)
+            keys, starts = replayed.block_touches(np.array(positions, dtype=np.uint64))
+            # Two halves, as the sweep replays pass by pass.
+            half = len(positions) // 2
+            misses = replay_cache.replay(keys, starts[: half + 1], replayed.readers())
+            misses += replay_cache.replay(keys, starts[half:], replayed.readers())
+        assert misses == live_misses
+        assert (replay_cache.hits, replay_cache.misses) == (live_cache.hits, live_cache.misses)
+        assert replay_cache.used_bytes == live_cache.used_bytes
+        assert list(replay_cache._resident.items()) == list(live_cache._resident.items())
+
+    def test_replay_loads_real_blocks_and_skips_too_large_ones(self):
+        data = bytes(range(250))
+        reader = BytesReader(data, name="f", block_size=100)
+        cache = SimCache(capacity=60)
+        keys = [("f", 2), ("f", 0), ("f", 2), ("f", 1)]
+        assert cache.replay(keys, [0, 2, 4], {"f": reader}) == [2, 1]
+        assert (cache.hits, cache.misses, cache.used_bytes) == (1, 3, 50)
+        assert list(cache._resident.items()) == [(("f", 2), data[200:])]
+
+
+def test_positions_are_range_checked():
+    # A header whose last position lies past the schema's cells.
+    schema = DimensionSchema.from_cardinalities((5, 10))
+    store = mdstore.MultidimStore(
+        schema, headers.build_lpc([0, 7, 50]), 8, BytesReader(bytes(24), name="md.cells")
+    )
+    for call in (store.positions, lambda: bench.sample_coords(store, 3, 1),
+                 lambda: store.block_touches(np.array([7], dtype=np.uint64))):
+        with pytest.raises(InvalidPositionError):
+            call()
