@@ -284,8 +284,8 @@ class DifferenceHeader:
     def memory_bytes(self) -> int:
         return self.size_bytes() + self.checkpoints.memory_bytes()
 
-    def positions(self) -> list[int]:
-        return _positions(*self._arrays()[:3]).tolist()
+    def positions(self) -> np.ndarray:
+        return _positions(*self._arrays()[:3])
 
     def _head(self, *extra: int) -> bytes:
         """The envelope, with `extra` after the shared parameters, then the jumps."""

@@ -152,14 +152,13 @@ class SchcHeader:
             return None
         return position - empty
 
-    def positions(self) -> list[int]:
-        out: list[int] = []
-        prev_end, prev_empty = -1, 0
-        for end, empty in zip(self.run_ends, self.empty_counts):
-            start = prev_end + (empty - prev_empty) + 1
-            out.extend(range(start, end + 1))
-            prev_end, prev_empty = end, empty
-        return out
+    def positions(self) -> np.ndarray:
+        empties = np.frombuffer(self.empty_counts, dtype=np.uint64)
+        # Cells up to each run's end, then each cell's position: its index
+        # plus its run's empty count.
+        through = np.frombuffer(self.run_ends, dtype=np.uint64) + np.uint64(1) - empties
+        lengths = np.diff(through, prepend=np.uint64(0)).astype(np.int64)
+        return np.arange(self.count, dtype=np.uint64) + np.repeat(empties, lengths)
 
     def to_bytes(self) -> bytes:
         pairs = np.column_stack((self.run_ends, self.empty_counts))
@@ -223,8 +222,10 @@ class LpcHeader:
             return j
         return None
 
-    def positions(self) -> list[int]:
-        return self.positions_list.tolist()
+    def positions(self) -> np.ndarray:
+        view = np.frombuffer(self.positions_list, dtype=np.uint64)
+        view.flags.writeable = False
+        return view
 
     def to_bytes(self) -> bytes:
         head = write_envelope(self.MAGIC, self.entry_width, self.count)
@@ -279,10 +280,10 @@ class BocHeader:
             return j
         return None
 
-    def positions(self) -> list[int]:
-        return [
-            self.bases[j // self.block_len] + off for j, off in enumerate(self.offsets)
-        ]
+    def positions(self) -> np.ndarray:
+        # A block length past the offset count makes one block, as on load.
+        block = np.arange(self.count) // min(self.block_len, max(self.count, 1))
+        return np.frombuffer(self.bases, dtype=np.uint64)[block] + np.asarray(self.offsets)
 
     def to_bytes(self) -> bytes:
         head = write_envelope(
@@ -319,8 +320,8 @@ class BocHeader:
 def _check_blocks(bases: np.ndarray, offsets: np.ndarray, block_len: int) -> None:
     """Raise FormatError unless the sequences are ordered as `build_boc`
     leaves them: the bases strictly increase, each block's offsets start at
-    0 and strictly increase, and each block's last position is below the
-    next base."""
+    0 and strictly increase, each block's last position is below the next
+    base, and the last position fits 64 bits."""
     # A block length past the offset count still makes one block; clamping
     # it keeps the index arithmetic within int64.
     block_len = min(block_len, max(offsets.size, 1))
@@ -331,6 +332,7 @@ def _check_blocks(bases: np.ndarray, offsets: np.ndarray, block_len: int) -> Non
         and not offsets[::block_len].any()
         and (offsets[1:] > offsets[:-1])[within].all()
         and (offsets[last] < np.diff(bases)).all()
+        and (not offsets.size or int(bases[-1]) + int(offsets[-1]) < 1 << 64)
     ):
         raise FormatError("BOC bases or offsets are out of order")
 

@@ -116,12 +116,12 @@ class MultidimStore:
         return self.cell_measure(physical)
 
     def positions(self) -> np.ndarray:
-        """Logical positions of the stored cells in physical order, as uint64."""
-        try:
-            stored = np.array(self.header.positions(), dtype=np.uint64)
-        except OverflowError:
-            stored = None
-        if stored is None or (stored.size and stored.max() >= self.schema.total_cells):
+        """Logical positions of the stored cells in physical order, as uint64.
+
+        The array may be a read-only view of the header's own (LPC's is).
+        """
+        stored = self.header.positions()
+        if stored.size and stored.max() >= self.schema.total_cells:
             raise InvalidPositionError(
                 f"stored position out of range [0, {self.schema.total_cells})"
             )

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, field
+from itertools import islice
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterator, NoReturn, Sequence
@@ -329,6 +330,14 @@ class IngestResult:
     duplicates: int
 
 
+# Records read per chunk of a delimited file.  A chunk's row lists stay
+# below the cyclic collector's first threshold (700 new container objects)
+# and are freed before the next chunk is read, so reading a file of any
+# length triggers no collection; holding every record at once would make
+# the collector walk a growing heap of row lists again and again.
+CHUNK_RECORDS = 512
+
+
 def ingest_delimited(path: str | Path, config: IngestConfig = IngestConfig()) -> IngestResult:
     """Load a relation from delimited text, one `dim...,measure` row per cell.
 
@@ -340,29 +349,17 @@ def ingest_delimited(path: str | Path, config: IngestConfig = IngestConfig()) ->
     and one stable sort orders the rows, so the last of equal neighbours is
     the last write of its key.  The relation's dict is built from the
     arrays only when asked for, keyed in first-seen order.
+
+    An error names its record, counting the header line and blank records:
+    the file is read again to find the first bad row, as a row-by-row parse
+    would report it.
     """
-    with open(path, newline="", encoding="utf-8") as f:
-        records = list(csv.reader(f, delimiter=config.delimiter))
-    skip = 1 if config.has_header else 0
-    rows = list(filter(None, records[skip:]))
-    if not rows:
-        raise EmptyRelationError(f"no data rows in {path}")
-    if config.declared_values is not None:
-        n_dims = len(config.declared_values)
-    else:
-        n_dims = len(rows[0]) - 1
-        if n_dims < 1:
-            first = next(n for n, raw in enumerate(records[skip:], start=skip + 1) if raw)
-            raise IngestError("need at least one dimension column", row=first)
-    width = n_dims + 1
-    if set(map(len, rows)) != {width}:
-        _raise_for_bad_row(records, skip, width)
-    n = len(rows)
-    columns = [list(map(itemgetter(i), rows)) for i in range(n_dims)]
+    *columns, measure_texts = _read_columns(path, config)
+    n_dims, n = len(columns), len(measure_texts)
     try:
-        measures = np.fromiter(map(float, map(itemgetter(-1), rows)), dtype=np.float64, count=n)
+        measures = np.fromiter(map(float, measure_texts), dtype=np.float64, count=n)
     except ValueError:
-        _raise_for_bad_row(records, skip, width)
+        _raise_for_first_error(path, config, n_dims + 1)
 
     if config.declared_values is not None:
         value_lists = [list(vs) for vs in config.declared_values]
@@ -381,7 +378,7 @@ def ingest_delimited(path: str | Path, config: IngestConfig = IngestConfig()) ->
         for j, (index, col) in enumerate(zip(indexes, columns)):
             coords[:, j] = np.fromiter(map(index.__getitem__, col), dtype=np.int64, count=n)
     except KeyError:
-        _raise_for_undeclared(records, skip, indexes)
+        _raise_for_first_error(path, config, n_dims + 1, indexes)
 
     positions = _positions(coords, schema)
     order = np.argsort(positions, kind="stable")
@@ -398,19 +395,76 @@ def ingest_delimited(path: str | Path, config: IngestConfig = IngestConfig()) ->
     return IngestResult(rel, n - len(kept))
 
 
+def _read_columns(path: str | Path, config: IngestConfig) -> list[list[str]]:
+    """The text of every data row by column: the dimension columns, then
+    the measures.
+
+    Reads CHUNK_RECORDS records at a time and keeps no record past its
+    chunk.  The row width is the declared dimensions plus one, or else the
+    width of the first data row.  Raises EmptyRelationError for a file with
+    no data rows and IngestError for a first row with no dimension column
+    or any row of another width.
+    """
+    declared = config.declared_values
+    width = None if declared is None else len(declared) + 1
+    columns: list[list[str]] | None = None
+    seen = 1 if config.has_header else 0  # records read before the chunk
+    with open(path, newline="", encoding="utf-8") as f:
+        reader = csv.reader(f, delimiter=config.delimiter)
+        if config.has_header:
+            next(reader, None)
+        while chunk := list(islice(reader, CHUNK_RECORDS)):
+            rows = list(filter(None, chunk))
+            if rows:
+                if columns is None:
+                    if width is None:
+                        width = len(rows[0])
+                        if width < 2:
+                            first = seen + 1 + chunk.index(rows[0])
+                            raise IngestError("need at least one dimension column", row=first)
+                    columns = [[] for _ in range(width)]
+                if set(map(len, rows)) != {width}:
+                    _raise_for_first_error(path, config, width)
+                # By column getter, not zip(*rows): zip makes an iterator
+                # per row, which would double the chunk's containers.
+                for j, column in enumerate(columns):
+                    column.extend(map(itemgetter(j), rows))
+            seen += len(chunk)
+            # Free this chunk's row lists before the next chunk makes its own.
+            del chunk, rows
+    if columns is None:
+        raise EmptyRelationError(f"no data rows in {path}")
+    return columns
+
+
+def _raise_for_first_error(
+    path: str | Path, config: IngestConfig, width: int,
+    indexes: list[dict[str, int]] | None = None,
+) -> NoReturn:
+    """Read the file again and raise IngestError for its first bad row: a
+    row that is not `width` columns ending in a number, or else, with
+    `indexes`, the first undeclared value in row order."""
+    with open(path, newline="", encoding="utf-8") as f:
+        records = list(csv.reader(f, delimiter=config.delimiter))
+    skip = 1 if config.has_header else 0
+    _raise_for_bad_row(records, skip, width)
+    if indexes is not None:
+        _raise_for_undeclared(records, skip, indexes)
+    raise IngestError(f"{path} changed while it was read")
+
+
 def _raise_for_undeclared(
     records: list[list[str]], skip: int, indexes: list[dict[str, int]]
-) -> NoReturn:
+) -> None:
     """Raise IngestError naming the first undeclared value in row order, and
     its row, as a row-by-row parse would report it."""
     for lineno, raw in enumerate(records[skip:], start=skip + 1):
         for value, index in zip(raw, indexes):
             if value not in index:
                 raise IngestError(f"undeclared dimension value {value!r}", row=lineno)
-    raise AssertionError("no undeclared value found")
 
 
-def _raise_for_bad_row(records: list[list[str]], skip: int, width: int) -> NoReturn:
+def _raise_for_bad_row(records: list[list[str]], skip: int, width: int) -> None:
     """Raise IngestError naming the first data row that is not `width`
     columns ending in a number."""
     for lineno, raw in enumerate(records[skip:], start=skip + 1):

@@ -224,9 +224,9 @@ class TestSerialization:
 
     def test_positions_round_trip(self):
         positions, total = LAYOUT
-        assert build_schc(positions, total).positions() == positions
-        assert build_lpc(positions).positions() == positions
-        assert build_boc(positions, block_len=2, offset_width=1).positions() == positions
+        assert build_schc(positions, total).positions().tolist() == positions
+        assert build_lpc(positions).positions().tolist() == positions
+        assert build_boc(positions, block_len=2, offset_width=1).positions().tolist() == positions
 
 
 class TestIntCodec:
@@ -297,8 +297,8 @@ class TestLoadRejectsDisorder:
 
     def test_schc_valid_files_load(self):
         # LAYOUT's pairs, and a first run that starts right at its end.
-        assert SchcHeader.from_bytes(schc_file([(3, 2), (5, 3)])).positions() == [2, 3, 5]
-        assert SchcHeader.from_bytes(schc_file([(3, 3), (5, 4)])).positions() == [3, 5]
+        assert SchcHeader.from_bytes(schc_file([(3, 2), (5, 3)])).positions().tolist() == [2, 3, 5]
+        assert SchcHeader.from_bytes(schc_file([(3, 3), (5, 4)])).positions().tolist() == [3, 5]
 
     @pytest.mark.parametrize(
         "pairs",
@@ -321,8 +321,14 @@ class TestLoadRejectsDisorder:
 
     def test_boc_valid_files_load(self):
         header = BocHeader.from_bytes(boc_file([10, 16], [0, 2, 5, 0, 4, 30]))
-        assert header.positions() == [10, 12, 15, 16, 20, 46]
+        assert header.positions().tolist() == [10, 12, 15, 16, 20, 46]
         assert BocHeader.from_bytes(boc_file([], [])).count == 0
+        # The last position may be 2**64 - 1; a block length past the
+        # offset count makes one block.
+        top = BocHeader.from_bytes(boc_file([10, 2**64 - 31], [0, 2, 5, 0, 4, 30]))
+        assert top.positions().tolist() == [10, 12, 15, 2**64 - 31, 2**64 - 27, 2**64 - 1]
+        one = BocHeader.from_bytes(boc_file([10], [0, 2, 5], block_len=2**64 - 1))
+        assert one.positions().tolist() == [10, 12, 15]
 
     @pytest.mark.parametrize(
         "bases, offsets, block_len",
@@ -337,6 +343,7 @@ class TestLoadRejectsDisorder:
             ([10, 200], [0, 5, 2, 0, 4, 30], 3),  # offsets fall within a block
             ([10, 200], [0, 2, 5, 0, 30, 30], 3),  # offsets repeat within a block
             ([10, 15], [0, 2, 5, 0, 4, 30], 3),  # a block reaches the next base
+            ([10, 2**64 - 30], [0, 2, 5, 0, 4, 30], 3),  # the last position passes 2**64 - 1
         ],
     )
     def test_boc_disorder_rejected(self, bases, offsets, block_len):

@@ -74,7 +74,7 @@ def test_positions_near_the_64_bit_boundary():
         (lpc, type(lpc)), (schc, type(schc)), (boc, type(boc)),
         (dsc, type(dsc)), (dhc, type(dhc)),
     ):
-        assert cls.from_bytes(header.to_bytes()).positions() == positions
+        assert cls.from_bytes(header.to_bytes()).positions().tolist() == positions
 
 
 def test_boc_width_retry_helper():

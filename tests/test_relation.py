@@ -1,16 +1,19 @@
 import csv
+import gc
 import io
 import itertools
 import random
+import re
 import tempfile
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from sparsecube import mdstore, tablestore
+from sparsecube import mdstore, relation, tablestore
 
 from sparsecube.errors import (
     EmptyRelationError,
@@ -339,24 +342,34 @@ def delimited_files(draw):
     return out.getvalue(), rows, config
 
 
+def check_against_oracle(case):
+    text, rows, config = case
+    value_lists, cells, duplicates = oracle_ingest(rows, config)
+    with tempfile.TemporaryDirectory() as tmp:
+        result = ingest_text(Path(tmp), text, config)
+    rel = result.relation
+    assert [list(d.values) for d in rel.schema.dimensions] == value_lists
+    assert result.duplicates == duplicates
+    assert list(rel.cells.items()) == list(cells.items())
+    positions, coords, measures = ordered_cells(rel)
+    by_position = sorted((encode_logical_position(k, rel.schema), k, v) for k, v in cells.items())
+    assert positions.tolist() == [p for p, _, _ in by_position]
+    assert [tuple(c) for c in coords.tolist()] == [k for _, k, _ in by_position]
+    assert measures.tolist() == [v for _, _, v in by_position]
+    assert rel.n_cells == len(cells)
+
+
 class TestIngest:
     @given(delimited_files())
     def test_matches_row_by_row_oracle(self, case):
-        text, rows, config = case
-        value_lists, cells, duplicates = oracle_ingest(rows, config)
-        with tempfile.TemporaryDirectory() as tmp:
-            result = ingest_text(Path(tmp), text, config)
-        rel = result.relation
-        assert [list(d.values) for d in rel.schema.dimensions] == value_lists
-        assert result.duplicates == duplicates
-        assert list(rel.cells.items()) == list(cells.items())
-        positions, coords, measures = ordered_cells(rel)
-        by_position = sorted((encode_logical_position(k, rel.schema), k, v) for k, v in cells.items())
-        assert positions.tolist() == [p for p, _, _ in by_position]
-        assert [tuple(c) for c in coords.tolist()] == [k for _, k, _ in by_position]
-        assert measures.tolist() == [v for _, _, v in by_position]
-        assert rel.n_cells == len(cells)
+        check_against_oracle(case)
 
+    @given(delimited_files())
+    def test_matches_oracle_across_chunk_boundaries(self, case):
+        # Two records per chunk: every file of three or more records
+        # crosses a chunk boundary.
+        with mock.patch.object(relation, "CHUNK_RECORDS", 2):
+            check_against_oracle(case)
 
     def write(self, tmp_path, text, name="in.csv"):
         p = tmp_path / name
@@ -460,3 +473,88 @@ class TestIngest:
         p = self.write(tmp_path, "")
         with pytest.raises(EmptyRelationError):
             ingest_delimited(p)
+
+
+ROWS = ["a,x,1", "b,y,2", "a,y,3", "b,x,4", "c,x,5", "c,y,6", "a,x,7"]
+
+
+def raises_at(tmp_path, lines, row, message, config=IngestConfig()):
+    """Ingest `lines` and check the IngestError and the row it names."""
+    with pytest.raises(IngestError, match=f"^row {row}: {re.escape(message)}$") as exc:
+        ingest_text(tmp_path, "\n".join(lines) + "\n", config)
+    assert exc.value.row == row
+
+
+class TestIngestChunks:
+    """Files read three records at a time: errors on either side of a chunk
+    boundary are named as a row-by-row parse names them."""
+
+    @pytest.fixture(autouse=True)
+    def three_record_chunks(self, monkeypatch):
+        monkeypatch.setattr(relation, "CHUNK_RECORDS", 3)
+
+    @pytest.mark.parametrize("has_header", [False, True])
+    @pytest.mark.parametrize("edge", ["last of a chunk", "first of the next"])
+    @pytest.mark.parametrize(
+        "bad, message",
+        [("b,y", "expected 3 columns, got 2"), ("b,y,zap", "measure 'zap' is not numeric")],
+    )
+    def test_bad_row_at_a_chunk_boundary(self, tmp_path, has_header, edge, bad, message):
+        # The header is read before the first chunk, so with one the first
+        # chunk holds records 2-4.
+        record = (3 if edge == "last of a chunk" else 4) + has_header
+        lines = ["d0,d1,m"] * has_header + ROWS
+        lines.insert(record - 1, bad)
+        raises_at(tmp_path, lines, record, message, IngestConfig(has_header=has_header))
+
+    def test_undeclared_value_in_a_later_chunk(self, tmp_path):
+        cfg = IngestConfig(declared_values=(("a", "b", "c"), ("x", "y")))
+        raises_at(tmp_path, ROWS[:5] + ["a,z,8"] + ROWS[5:], 6,
+                  "undeclared dimension value 'z'", cfg)
+
+    def test_bad_row_in_a_later_chunk_named_before_an_undeclared_value(self, tmp_path):
+        # Every row's width and measure are checked before any value.
+        cfg = IngestConfig(declared_values=(("a", "b", "c"), ("x", "y")))
+        raises_at(tmp_path, ["a,z,8"] + ROWS + ["c,zap"], 9, "expected 3 columns, got 2", cfg)
+
+    def test_dimension_count_from_a_later_chunk(self, tmp_path):
+        # The first chunk holds blank records only.
+        lines = ["", "", "", ""] + ROWS[:2]
+        rel = ingest_text(tmp_path, "\n".join(lines) + "\n").relation
+        assert rel.schema.cardinalities == (2, 2)
+        assert list(rel.cells.items()) == [((0, 0), 1.0), ((1, 1), 2.0)]
+        raises_at(tmp_path, lines + ["c,3"], 7, "expected 3 columns, got 2")
+        raises_at(tmp_path, ["", "", "", "", "5"] + ROWS, 5, "need at least one dimension column")
+
+    def test_header_and_blank_records_only(self, tmp_path):
+        with pytest.raises(EmptyRelationError):
+            ingest_text(tmp_path, "d0,d1,m\n\n\n\n\n", IngestConfig(has_header=True))
+
+
+def test_ingest_triggers_no_collection(tmp_path):
+    # Ingest keeps fewer rows alive at once than the collector's first
+    # threshold.  Counted the same way at the commit that read every record
+    # into one list: 66 generation-0 and 5 generation-1 collections.
+    rng = random.Random(3)
+    p = tmp_path / "rows.csv"
+    p.write_text("".join(
+        f"a{rng.randrange(64)},b{rng.randrange(64)},c{rng.randrange(64)},{i}.5\n"
+        for i in range(50_000)
+    ))
+    collections = [0, 0, 0]
+
+    def count(phase, info):
+        if phase == "start":
+            collections[info["generation"]] += 1
+
+    threshold = gc.get_threshold()
+    gc.collect()
+    gc.set_threshold(700, 10, 10)
+    gc.callbacks.append(count)
+    try:
+        assert ingest_delimited(p).relation.n_cells > 0
+    finally:
+        gc.callbacks.remove(count)
+        gc.set_threshold(*threshold)
+    assert collections[2] == 0
+    assert collections[0] <= 5
