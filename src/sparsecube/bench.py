@@ -15,9 +15,12 @@ processor caches; it also primes the warm query.
 The sweep replays sampled queries at a ladder of memory budgets.  Per query
 it charges a synthetic time of M when the cache absorbed every block touch
 and D otherwise; miss counts are deterministic, so the emitted CSV is too.
-It runs no queries: each store's `block_touches` derives in numpy the
-blocks every sampled query reads, and `SimCache.replay` feeds them through
-the cache's LRU rule, leaving misses and counters as the queries would.
+It runs no queries: each store's `block_touches` derives in numpy an
+integer code for every block each sampled query reads, and one
+`SimCache.replay` per budget runs those codes through the cache's LRU rule,
+leaving misses, counters and resident blocks as the queries would.  It
+reads only the blocks that stay resident, and reports the memory used at
+each pass boundary.
 The model curve is evaluated at the memory actually used mid-pass (for the
 multidimensional representation the preloaded size counts toward the
 budget), which is what the measured averages are compared against.
@@ -234,24 +237,25 @@ def memory_sweep(
             rng = random.Random(f"{seed}:{rep}:{budget}")
             drawn = positions[rng.choices(range(n), k=passes * samples)]
             if is_md:
-                keys, starts = store.block_touches(drawn, stored=positions)
+                codes, starts = store.block_touches(drawn, stored=positions)
             else:
-                keys, starts = store.block_touches(drawn)
+                codes, starts = store.block_touches(drawn)
+            misses, used = cache.replay(
+                codes, starts, readers, range(0, passes * samples + 1, samples)
+            )
             total_time = 0.0
             total_model = 0.0
             for pass_no in range(1, passes + 1):
-                used_before = cache.used_bytes
                 first = (pass_no - 1) * samples
-                misses = cache.replay(keys, starts[first : first + samples + 1], readers)
+                pass_misses = misses[first : first + samples]
                 pass_time = 0.0
-                for miss in misses:
+                for miss in pass_misses:
                     pass_time += miss_ms if miss else hit_ms
-                used_after = cache.used_bytes
-                used_mid = (used_before + used_after) // 2 + (h if is_md else 0)
+                used_mid = (used[pass_no - 1] + used[pass_no]) // 2 + (h if is_md else 0)
                 model_ms = model_fn(used_mid, params)
                 avg_ms = pass_time / samples
                 rows.append(
-                    SweepRow(rep, budget, pass_no, used_mid, sum(misses), avg_ms, model_ms)
+                    SweepRow(rep, budget, pass_no, used_mid, sum(pass_misses), avg_ms, model_ms)
                 )
                 total_time += pass_time
                 total_model += model_ms

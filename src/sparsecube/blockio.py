@@ -7,8 +7,14 @@ from memory through a BytesReader, which differs only in where a block
 comes from, so both take one path.  The cache is fill-then-LRU, counts hits
 and misses, and stores block bytes so hits never reach the file.  It is
 deterministic: identical access sequences produce identical counters and
-resident sets.  `replay` applies the same rule to a recorded sequence of
-block keys, which is how the memory sweep charges its sampled queries.
+resident sets.
+
+`replay` is how the memory sweep charges its sampled queries.  A store's
+`block_touches` names every block those queries read by an integer code
+(`touch_codes`: block number and reader index), and `replay` runs the same
+rule over those codes and the blocks' lengths in one loop, for a whole
+budget at once.  It reads from the files only the blocks left resident that
+were not resident before.
 """
 
 from __future__ import annotations
@@ -17,9 +23,11 @@ import os
 import threading
 from collections import OrderedDict
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
+
+from .errors import FormatError
 
 
 class SimCache:
@@ -31,11 +39,10 @@ class SimCache:
     for determinism, but stores themselves may be probed from many threads.
     """
 
-    def __init__(self, capacity: int, block_size: int = 4096):
+    def __init__(self, capacity: int):
         if capacity < 0:
             raise ValueError("capacity must be >= 0")
         self.capacity = capacity
-        self.block_size = block_size  # default unit handed to readers
         self.hits = 0
         self.misses = 0
         self._resident: OrderedDict[tuple[str, int], bytes] = OrderedDict()
@@ -72,7 +79,9 @@ class SimCache:
             _, dropped = self._resident.popitem(last=False)
             self._used -= len(dropped)
 
-    # `_touch` and `_admit` are the one LRU rule; callers hold the lock.
+    # `_touch` and `_admit` are the LRU rule of live reads; callers hold the
+    # lock.  `replay` keeps its own loop over block lengths, and a property
+    # test holds the two equal.
 
     def _touch(self, key: tuple[str, int]) -> bytes | None:
         """The resident block `key`, now most recent, or None; counts the hit or miss."""
@@ -108,41 +117,101 @@ class SimCache:
 
     def replay(
         self,
-        keys: Sequence[tuple[str, int]],
-        starts: Sequence[int],
-        readers: Mapping[str, "BlockReader"],
-    ) -> list[int]:
-        """Access `keys` in order, as the reads of queries whose keys are
-        `keys[starts[q]:starts[q + 1]]`; returns each query's misses.
+        codes: np.ndarray,
+        starts: np.ndarray,
+        readers: Sequence["BlockReader"],
+        marks: Sequence[int] = (),
+    ) -> tuple[list[int], list[int]]:
+        """Access the blocks `codes` name, in order, as the reads of queries
+        whose codes are `codes[starts[q]:starts[q + 1]]`.
 
-        Counters, resident blocks and their order end as if the queries
-        had run: a missed block is loaded from `readers[name]`, around any
-        cache, so the bytes resident and their lengths are the real ones.
+        Code k names block `k // len(readers)` of `readers[k % len(readers)]`
+        (see `touch_codes`).  Returns each query's misses and, for each q in
+        `marks` (ascending), `used_bytes` once the first q queries have run.  Counters,
+        resident blocks and their order end as if the queries had run.
+
+        The LRU runs over codes and block lengths, which come from each
+        reader's `file_size`, so `_admit`'s rule is restated here rather
+        than called; a property test holds the two equal.  Only the blocks
+        that end resident and were not resident before are loaded, from the
+        readers, around any cache.  One whose length is not the expected one
+        raises FormatError, since the file changed under the store, and
+        leaves the cache as it was.
         """
-        touch, admit = self._touch, self._admit
-        out = []
+        n = len(readers)
+        bounds = np.asarray(starts, dtype=np.int64)
+        codes = np.asarray(codes, dtype=np.int64)[bounds[0] : bounds[-1]]
+        bounds = bounds - bounds[0]
+        block, which = np.divmod(codes, n)
+        size = np.array([r.block_size for r in readers], dtype=np.int64)[which]
+        tail = np.array([r.file_size for r in readers], dtype=np.int64)[which] - block * size
+        lengths = np.clip(tail, 0, size).tolist()
+        codes = codes.tolist()
         with self._lock:
-            for lo, hi in zip(starts, starts[1:]):
-                missed = 0
-                for key in keys[lo:hi]:
-                    if touch(key) is None:
-                        missed += 1
-                        admit(key, readers[key[0]]._load_block(key[1]))
-                out.append(missed)
-        return out
+            # Resident blocks of other readers get codes below 0: they can
+            # only age out.
+            index = {r.name: i for i, r in enumerate(readers)}
+            before = {}
+            lru: OrderedDict[int, int] = OrderedDict()
+            for key, data in self._resident.items():
+                i = index.get(key[0])
+                code = key[1] * n + i if i is not None else -1 - len(before)
+                before[code] = key, data
+                lru[code] = len(data)
+            capacity, used = self.capacity, self._used
+            move, pop = lru.move_to_end, lru.popitem
+            missed = []
+            miss = missed.append
+            used_at = []
+            lo = 0
+            for hi in bounds[list(marks)].tolist() + [len(codes)]:
+                for i, code in enumerate(codes[lo:hi], lo):
+                    if code in lru:
+                        move(code)
+                        continue
+                    miss(i)
+                    length = lengths[i]
+                    if length <= capacity:
+                        lru[code] = length
+                        used += length
+                        while used > capacity:
+                            used -= pop(False)[1]
+                used_at.append(used)
+                lo = hi
+            resident = OrderedDict()
+            for code, length in lru.items():
+                if code in before:
+                    key, data = before[code]
+                else:
+                    reader = readers[code % n]
+                    key = (reader.name, code // n)
+                    data = reader._load_block(key[1])
+                    if len(data) != length:
+                        raise FormatError(
+                            f"block {key[1]} of {key[0]} has {len(data)} octets, "
+                            f"not {length}: the file changed under the store"
+                        )
+                resident[key] = data
+            self._resident, self._used = resident, used
+            self.misses += len(missed)
+            self.hits += len(codes) - len(missed)
+        total = np.zeros(len(codes) + 1, dtype=np.int64)
+        total[np.array(missed, dtype=np.int64) + 1] = 1
+        np.cumsum(total, out=total)
+        return (total[bounds[1:]] - total[bounds[:-1]]).tolist(), used_at[:-1]
 
 
-def touch_lists(
-    names: Sequence[str], which: np.ndarray, blocks: np.ndarray, valid: np.ndarray
-) -> tuple[list[tuple[str, int]], list[int]]:
-    """Touch lists in `replay`'s form from a grid with one row per query.
+def touch_codes(
+    n_readers: int, which: np.ndarray, blocks: np.ndarray, valid: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Block codes and query bounds in `replay`'s form from a grid with one
+    row per query.
 
-    Row q's keys are `(names[which[j]], blocks[q, j])` for its `valid`
-    columns j, left to right; the bounds give each row's share of the keys.
+    Row q's codes are `blocks[q, j] * n_readers + which[j]` for its `valid`
+    columns j, left to right; the bounds give each row's share of the codes.
     """
     starts = np.concatenate(([0], np.cumsum(valid.sum(axis=1))))
-    reader_names = map(names.__getitem__, np.broadcast_to(which, valid.shape)[valid].tolist())
-    return list(zip(reader_names, blocks[valid].tolist())), starts.tolist()
+    return (blocks * n_readers + which)[valid], starts
 
 
 class BlockReader:

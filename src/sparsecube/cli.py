@@ -176,8 +176,8 @@ def cmd_sizes(args) -> int:
 
 
 def _open_pair(args):
-    md_cache = SimCache(bench.UNBOUNDED, block_size=args.block_size)
-    tbl_cache = SimCache(bench.UNBOUNDED, block_size=args.block_size)
+    md_cache = SimCache(bench.UNBOUNDED)
+    tbl_cache = SimCache(bench.UNBOUNDED)
     md = mdstore.load(args.md_store, cache=md_cache, block_size=args.block_size)
     tbl = tablestore.load_table(args.table_store, cache=tbl_cache)
     return md, md_cache, tbl, tbl_cache

@@ -394,7 +394,8 @@ def _long_code(cb: CodeBook, data: bytes, buf: int, fill: int, cursor: int):
     kept out of `DhcHeader.lookup` so that the loop there, which runs once
     per decoded code, holds only what the table path needs.
     """
-    first, count, offset, syms, w, _ = cb._tables()
+    first, count, offset, syms = cb._ranges
+    w = cb._lut[0]
     while fill < cb.max_len:
         buf = (buf << 8) | (data[cursor] if cursor < len(data) else 0)
         cursor += 1
@@ -466,7 +467,7 @@ class DhcHeader(DifferenceHeader):
             return None
         jumps = self.jumps
         # Inlined table-driven decode: scans dominate point-query cost.
-        _, _, _, _, w, lut = self.codebook._tables()
+        w, lut = self.codebook._lut
         data = self.stream.data
         bits = self.stream.bit_length
         end = len(data)

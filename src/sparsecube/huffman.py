@@ -13,7 +13,8 @@ Whole streams are coded in numpy: `encode_sequence` gathers every code's bits
 at once, and `decode_stream` finds the code at every bit offset, then the
 offsets where codes really start.  A DHC point query
 (`diffseq.DhcHeader.lookup`) decodes its few codes from a known code end
-itself, with the tables of `CodeBook._tables()`.
+itself, with the table of `CodeBook._lut` and, past it, the canonical
+ranges of `CodeBook._ranges`, which are all the whole-stream decode needs.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import heapq
 import math
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -64,36 +66,41 @@ class CodeBook:
             prev_len = ln
         self.max_len = prev_len
         self._canonical_order = order
-        self._decode_tables: tuple | None = None
 
-    def _tables(self):
-        # Lazily built decode structures: per-length canonical ranges plus a
-        # short-prefix lookup table for the hot path.
-        if self._decode_tables is None:
-            first_code = [0] * (self.max_len + 1)
-            count = [0] * (self.max_len + 1)
-            offset = [0] * (self.max_len + 1)
-            syms = self._canonical_order
-            for s in syms:
-                count[self.lengths[s]] += 1
-            pos = 0
-            code = 0
-            for ln in range(1, self.max_len + 1):
-                code <<= 1
-                first_code[ln] = code
-                offset[ln] = pos
-                code += count[ln]
-                pos += count[ln]
-            w = min(self.max_len, _LUT_MAX_BITS)
-            lut: list[tuple[int, int] | None] = [None] * (1 << w)
-            for s in syms:
-                ln, c = self.codes[s]
-                if ln <= w:
-                    base = c << (w - ln)
-                    for i in range(base, base + (1 << (w - ln))):
-                        lut[i] = (s, ln)
-            self._decode_tables = (first_code, count, offset, syms, w, lut)
-        return self._decode_tables
+    @cached_property
+    def _ranges(self):
+        """Per-length canonical ranges: first code, count and offset into
+        the symbols in canonical order, and those symbols."""
+        first_code = [0] * (self.max_len + 1)
+        count = [0] * (self.max_len + 1)
+        offset = [0] * (self.max_len + 1)
+        syms = self._canonical_order
+        for s in syms:
+            count[self.lengths[s]] += 1
+        pos = 0
+        code = 0
+        for ln in range(1, self.max_len + 1):
+            code <<= 1
+            first_code[ln] = code
+            offset[ln] = pos
+            code += count[ln]
+            pos += count[ln]
+        return first_code, count, offset, syms
+
+    @cached_property
+    def _lut(self):
+        """The short-prefix table of a point query's decode: its width w and,
+        per w-bit prefix, the (symbol, length) of the code it starts with,
+        or None for a longer code.  Built on the first lookup."""
+        w = min(self.max_len, _LUT_MAX_BITS)
+        lut: list[tuple[int, int] | None] = [None] * (1 << w)
+        for s in self._canonical_order:
+            ln, c = self.codes[s]
+            if ln <= w:
+                base = c << (w - ln)
+                for i in range(base, base + (1 << (w - ln))):
+                    lut[i] = (s, ln)
+        return w, lut
 
     def decode_table_bytes(self) -> int:
         # Memory-model size of the resident decode structures (canonical
@@ -153,14 +160,12 @@ def build_codebook(freqs: Mapping[int, int]) -> CodeBook:
         parent.append(-1)
         heapq.heappush(heap, (w1 + w2, min(m1, m2), next_id))
         next_id += 1
-    lengths = {}
-    for i, s in enumerate(symbols):
-        depth = 0
-        node = i
-        while parent[node] != -1:
-            node = parent[node]
-            depth += 1
-        lengths[s] = depth
+    # A parent is made after its children, so one pass from the root down
+    # gives every node's depth.
+    depth = [0] * next_id
+    for node in range(next_id - 2, -1, -1):
+        depth[node] = depth[parent[node]] + 1
+    lengths = dict(zip(symbols, depth))
     return CodeBook(lengths)
 
 
@@ -221,7 +226,7 @@ def _code_lengths(cb: CodeBook, win: np.ndarray, n_bits: int, none: int) -> np.n
     windows compare limb by limb, where a limit ties on limbs 0..j-1 only
     with its prefix group, which `searchsorted` keys by the group's rank.
     """
-    first, count, _, _, _, _ = cb._tables()
+    first, count, _, _ = cb._ranges
     n_limbs = -(-cb.max_len // _LIMB)
     width = _LIMB * n_limbs
     # The end of a complete code's space is never reached by a window.
@@ -338,7 +343,7 @@ def decode_stream(cb: CodeBook, stream: BitStream, count: int) -> tuple[np.ndarr
     """
     if count == 0:
         return np.zeros(0, dtype=np.uint64), np.zeros(0, dtype=np.int64)
-    first, _, offset, syms, _, _ = cb._tables()
+    first, _, offset, syms = cb._ranges
     max_len = cb.max_len
     n_bits = stream.bit_length
     win = _windows(stream.data, n_bits + _LIMB * -(-max_len // _LIMB) + 1)

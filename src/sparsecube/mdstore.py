@@ -23,7 +23,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from . import diffseq, headers
-from .blockio import BlockReader, BytesReader, SimCache, touch_lists
+from .blockio import BlockReader, BytesReader, SimCache, touch_codes
 from .errors import FormatError, InvalidPositionError, OffsetOverflowError
 from .relation import (
     DimensionSchema,
@@ -129,9 +129,10 @@ class MultidimStore:
 
     def block_touches(
         self, positions: np.ndarray, stored: np.ndarray | None = None
-    ) -> tuple[list[tuple[str, int]], list[int]]:
-        """The cache keys `point_query` reads for each logical position, in
-        order: query q's are `keys[starts[q]:starts[q + 1]]`.
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The codes of the blocks `point_query` reads for each logical
+        position, in order: query q's are `codes[starts[q]:starts[q + 1]]`,
+        over `readers()` (see `blockio.touch_codes`).
 
         A stored cell reads the cells blocks its measure spans; any other
         position reads nothing.  `stored` is `positions()`, for a caller
@@ -148,16 +149,16 @@ class MultidimStore:
             found, (offset + self.measure_width - 1) // self._cells.block_size - first + 1, 0
         )
         width = int(spans.max(initial=0))
-        return touch_lists(
-            (self._cells.name,),
+        return touch_codes(
+            1,
             np.zeros(width, dtype=np.int64),
             first[:, None] + np.arange(width),
             np.arange(width) < spans[:, None],
         )
 
-    def readers(self) -> dict[str, BlockReader]:
-        """The store's block readers by cache-key name."""
-        return {self._cells.name: self._cells}
+    def readers(self) -> tuple[BlockReader, ...]:
+        """The store's block readers, in the order `block_touches` codes them."""
+        return (self._cells,)
 
     def schema_bytes(self) -> bytes:
         return schema_to_json(self.schema, self.measure_width)

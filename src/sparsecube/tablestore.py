@@ -30,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .blockio import BlockReader, BytesReader, SimCache, touch_lists
+from .blockio import BlockReader, BytesReader, SimCache, touch_codes
 from .errors import FormatError
 from .relation import (
     DimensionSchema,
@@ -182,9 +182,10 @@ class TableStore:
             raise FormatError(f"row group {group} does not start at its index key {entry_key}")
         return None
 
-    def block_touches(self, positions: np.ndarray) -> tuple[list[tuple[str, int]], list[int]]:
-        """The cache keys `point_query` reads for each logical position, in
-        order: query q's are `keys[starts[q]:starts[q + 1]]`.
+    def block_touches(self, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The codes of the blocks `point_query` reads for each logical
+        position, in order: query q's are `codes[starts[q]:starts[q + 1]]`,
+        over `readers()` (see `blockio.touch_codes`).
 
         The walk goes level by level, one search per index page the batch
         reaches, with the pages read around the cache.  A query reads the
@@ -241,8 +242,8 @@ class TableStore:
         first[alive] = row * self.row_width // self._rows.block_size
         spans[alive] = (end - 1) // self._rows.block_size - first[alive] + 1
         width = int(spans.max(initial=0))
-        return touch_lists(
-            (self._idx.name, self._rows.name),
+        return touch_codes(
+            2,
             np.repeat([0, 0, 1], [1, self.height, width]),
             np.hstack((np.zeros((n, 1), np.int64), path, first[:, None] + np.arange(width))),
             np.hstack((
@@ -252,9 +253,9 @@ class TableStore:
             )),
         )
 
-    def readers(self) -> dict[str, BlockReader]:
-        """The store's block readers by cache-key name."""
-        return {self._idx.name: self._idx, self._rows.name: self._rows}
+    def readers(self) -> tuple[BlockReader, ...]:
+        """The store's block readers, in the order `block_touches` codes them."""
+        return (self._idx, self._rows)
 
 
 def _pack_page(entries: list[tuple[int, int]], page_size: int) -> bytes:

@@ -12,7 +12,7 @@ def datafile(tmp_path):
 
 class TestSimCache:
     def test_hit_miss_counting(self):
-        cache = SimCache(capacity=1 << 20, block_size=4096)
+        cache = SimCache(capacity=1 << 20)
         loads = []
 
         def loader(v):
@@ -26,7 +26,7 @@ class TestSimCache:
 
     def test_lru_eviction(self):
         block = bytes(4096)
-        cache = SimCache(capacity=2 * 4096, block_size=4096)
+        cache = SimCache(capacity=2 * 4096)
         cache.access(("f", 0), lambda: block)
         cache.access(("f", 1), lambda: block)
         cache.access(("f", 0), lambda: block)  # refresh 0
@@ -50,7 +50,7 @@ class TestSimCache:
         assert cache.resident_blocks == 2
 
     def test_used_counts_actual_bytes(self):
-        cache = SimCache(capacity=1 << 20, block_size=4096)
+        cache = SimCache(capacity=1 << 20)
         cache.access(("a", 0), lambda: bytes(4096))
         cache.access(("b", 0), lambda: bytes(100))  # short tail block
         assert cache.used_bytes == 4196

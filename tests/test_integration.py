@@ -97,7 +97,7 @@ def test_concurrent_queries_through_shared_cache(tmp_path):
     rel = generate(SynthSpec((16, 16, 16), density=0.2, seed=5))
     store = build_store(rel, "dhc", StoreParams(diff_bits=8))
     mdstore.save(store, tmp_path / "c")
-    cache = SimCache(capacity=64 * 1024, block_size=512)
+    cache = SimCache(capacity=64 * 1024)
     loaded = mdstore.load(tmp_path / "c", cache=cache, block_size=512)
     probes = list(rel.cells)
     errors = []

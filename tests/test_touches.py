@@ -1,8 +1,9 @@
-"""Batch touch lists (`block_touches`) and their replay against live queries.
+"""Batch block codes (`block_touches`) and their replay against live queries.
 
 The memory sweep charges each sampled query by the misses of the blocks
 `block_touches` says it reads, replayed through `SimCache.replay`.  These
-tests hold both to what a live `point_query` sends to the cache.
+tests hold both to what a live `point_query` sends to the cache, and
+`replay`'s own LRU loop to the one `SimCache.access` takes.
 """
 
 import random
@@ -14,10 +15,22 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sparsecube import bench, headers, mdstore, tablestore
-from sparsecube.blockio import BytesReader, SimCache
+from sparsecube.blockio import BlockReader, BytesReader, SimCache
 from sparsecube.errors import FormatError, InvalidPositionError
 from sparsecube.relation import DimensionSchema, decode_logical_position, ordered_cells
 from sparsecube.synth import SynthSpec, generate
+
+
+class CountingReader(BytesReader):
+    """A BytesReader that records the number of every block it loads."""
+
+    def __init__(self, data, name, block_size):
+        super().__init__(data, name=name, block_size=block_size)
+        self.loads = []
+
+    def _load_block(self, block_no):
+        self.loads.append(block_no)
+        return super()._load_block(block_no)
 
 
 class RecordingCache(SimCache):
@@ -44,7 +57,7 @@ def probe_positions(rel, rng, misses=40):
 def live_touches(store, schema, positions):
     """The keys each live query sends to a recording cache, one list per query."""
     cache = RecordingCache()
-    readers = store.readers().values()
+    readers = store.readers()
     saved = [r.cache for r in readers]
     for r in readers:
         r.cache = cache
@@ -61,8 +74,11 @@ def live_touches(store, schema, positions):
 
 
 def batch_touches(store, positions):
-    keys, starts = store.block_touches(np.array(positions, dtype=np.uint64))
-    assert starts[0] == 0 and starts[-1] == len(keys) and len(starts) == len(positions) + 1
+    """The cache keys `block_touches` codes, one list per query."""
+    codes, starts = store.block_touches(np.array(positions, dtype=np.uint64))
+    assert starts[0] == 0 and starts[-1] == len(codes) and len(starts) == len(positions) + 1
+    names = [r.name for r in store.readers()]
+    keys = [(names[c % len(names)], c // len(names)) for c in codes.tolist()]
     return [keys[lo:hi] for lo, hi in zip(starts, starts[1:])]
 
 
@@ -191,11 +207,11 @@ class TestReplay:
                 before = live_cache.misses
                 live.point_query(decode_logical_position(p, rel.schema))
                 live_misses.append(live_cache.misses - before)
-            keys, starts = replayed.block_touches(np.array(positions, dtype=np.uint64))
-            # Two halves, as the sweep replays pass by pass.
+            codes, starts = replayed.block_touches(np.array(positions, dtype=np.uint64))
+            # Two halves, the second starting from what the first left.
             half = len(positions) // 2
-            misses = replay_cache.replay(keys, starts[: half + 1], replayed.readers())
-            misses += replay_cache.replay(keys, starts[half:], replayed.readers())
+            misses, _ = replay_cache.replay(codes, starts[: half + 1], replayed.readers())
+            misses += replay_cache.replay(codes, starts[half:], replayed.readers())[0]
         assert misses == live_misses
         assert (replay_cache.hits, replay_cache.misses) == (live_cache.hits, live_cache.misses)
         assert replay_cache.used_bytes == live_cache.used_bytes
@@ -205,10 +221,110 @@ class TestReplay:
         data = bytes(range(250))
         reader = BytesReader(data, name="f", block_size=100)
         cache = SimCache(capacity=60)
-        keys = [("f", 2), ("f", 0), ("f", 2), ("f", 1)]
-        assert cache.replay(keys, [0, 2, 4], {"f": reader}) == [2, 1]
+        codes = np.array([2, 0, 2, 1])
+        assert cache.replay(codes, [0, 2, 4], [reader], [0, 1, 2]) == ([2, 1], [0, 50, 50])
         assert (cache.hits, cache.misses, cache.used_bytes) == (1, 3, 50)
         assert list(cache._resident.items()) == [(("f", 2), data[200:])]
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_replay_matches_access(self, data):
+        """Random codes over 1-3 readers with short tails, replayed in random
+        segments from a pre-filled cache, leave what `access` leaves."""
+        draw = data.draw
+        shapes = draw(st.lists(
+            st.tuples(st.integers(2, 9), st.integers(0, 4), st.integers(1, 8)),
+            min_size=1, max_size=3,
+        ))  # (block size, whole blocks, tail: 1 to block size - 1 octets)
+        readers = [
+            CountingReader(bytes(range(i, i + bs * whole + min(tail, bs - 1))), f"r{i}", bs)
+            for i, (bs, whole, tail) in enumerate(shapes)
+        ]
+        other = BytesReader(bytes(range(50)), "other", block_size=7)
+        n = len(readers)
+        code = st.integers(0, n - 1).flatmap(
+            lambda r: st.integers(0, readers[r].block_count - 1).map(lambda b: b * n + r)
+        )
+        codes = draw(st.lists(code, max_size=60))
+        tails = [r.file_size - (r.block_count - 1) * r.block_size for r in readers]
+        largest = max(r.block_size for r in readers)
+        total = sum(r.file_size for r in readers) + other.file_size
+        capacity = draw(st.one_of(
+            st.just(0),
+            st.integers(0, min(tails) - 1),  # below a tail
+            st.integers(0, largest - 1),  # below a block
+            st.integers(largest, total),
+            st.integers(total, 2 * total),
+        ))
+        cuts = sorted(draw(st.lists(st.integers(0, len(codes)), max_size=8)))
+        starts = [0, *cuts, len(codes)]  # queries, some empty
+        queries = len(starts) - 1
+        splits = sorted(set(draw(st.lists(st.integers(0, queries), max_size=3))) | {0, queries})
+
+        def key(c):
+            return readers[c % n].name, c // n
+
+        live, replayed = SimCache(capacity), SimCache(capacity)
+        prefill = draw(st.lists(st.one_of(
+            code.map(lambda c: (readers[c % n], c // n)),
+            st.integers(0, other.block_count - 1).map(lambda b: (other, b)),
+        ), max_size=12))
+        for cache in (live, replayed):
+            for reader, block in prefill:
+                cache.access((reader.name, block), reader._load_block, block)
+
+        live_misses, live_used = [], []
+        for q in range(queries):
+            live_used.append(live.used_bytes)
+            before = live.misses
+            for c in codes[starts[q] : starts[q + 1]]:
+                live.access(key(c), readers[c % n]._load_block, c // n)
+            live_misses.append(live.misses - before)
+        live_used.append(live.used_bytes)
+
+        misses = []
+        for lo, hi in zip(splits, splits[1:]):
+            marks = sorted(draw(st.lists(st.integers(0, hi - lo), max_size=4)))
+            resident_before = set(replayed._resident)
+            for r in readers:
+                r.loads.clear()
+            got_misses, used = replayed.replay(
+                np.array(codes, dtype=np.int64), starts[lo : hi + 1], readers, marks
+            )
+            misses += got_misses
+            assert used == [live_used[lo + m] for m in marks]
+            # Each block left resident that was not before was read once;
+            # no other block was read.
+            loads = [(r.name, b) for r in readers for b in r.loads]
+            assert sorted(loads) == sorted(set(replayed._resident) - resident_before)
+        assert misses == live_misses
+        assert (replayed.hits, replayed.misses) == (live.hits, live.misses)
+        assert replayed.used_bytes == live.used_bytes
+        assert list(replayed._resident.items()) == list(live._resident.items())
+
+    def test_replay_reads_only_newly_resident_blocks(self):
+        reader = CountingReader(bytes(range(250)), "f", block_size=100)
+        cache = SimCache(capacity=150)
+        cache.access(("f", 2), reader._load_block, 2)
+        reader.loads.clear()
+        # Block 0 misses and is evicted by 1; 2 stays resident; 1 ends new.
+        misses, _ = cache.replay(np.array([0, 2, 1, 2]), [0, 4], [reader])
+        assert misses == [2]
+        assert list(cache._resident) == [("f", 1), ("f", 2)]
+        assert reader.loads == [1]
+
+    def test_replay_raises_on_a_file_that_shrank(self, tmp_path):
+        path = tmp_path / "f"
+        path.write_bytes(bytes(250))
+        with BlockReader(path, block_size=100, name="f") as reader:
+            path.write_bytes(bytes(220))  # the tail block is now 20 octets, not 50
+            cache = SimCache(capacity=1000)
+            cache.access(("f", 0), reader._load_block, 0)
+            with pytest.raises(FormatError):
+                cache.replay(np.array([1, 2]), [0, 2], [reader])
+            # The cache is as the failed replay found it.
+            assert list(cache._resident) == [("f", 0)]
+            assert (cache.hits, cache.misses, cache.used_bytes) == (0, 1, 100)
 
 
 def test_positions_are_range_checked():
