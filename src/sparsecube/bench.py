@@ -34,7 +34,6 @@ import random
 import statistics
 import time
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 from .blockio import SimCache
@@ -208,6 +207,8 @@ def memory_sweep(
     passes: int = 100,
     seed: int = 0,
 ) -> SweepResult:
+    if samples < 1 or passes < 1:
+        raise ValueError("a sweep needs at least 1 sample and 1 pass")
     positions = md_store.positions()
     n = len(positions)
     rows: list[SweepRow] = []
@@ -268,7 +269,3 @@ def memory_sweep(
                 )
             )
     return SweepResult(rows, summaries)
-
-
-def write_sweep_csv(result: SweepResult, path: str | Path) -> None:
-    Path(path).write_text(result.to_csv())

@@ -224,6 +224,8 @@ class BlockReader:
         cache: SimCache | None = None,
         name: str | None = None,
     ):
+        if block_size < 1:
+            raise ValueError("block size must be >= 1")
         self.path = str(path)
         self.block_size = block_size
         self.cache = cache

@@ -227,7 +227,7 @@ def cmd_sweep(args) -> int:
     finally:
         md.close()
         tbl.close()
-    bench.write_sweep_csv(result, args.out)
+    Path(args.out).write_text(result.to_csv())
     print(f"{'rep':<5}{'budget':>12}{'measured ms':>14}{'model ms':>12}{'dev':>8}")
     for s in result.summaries:
         print(f"{s.rep:<5}{s.budget:>12}{s.measured_ms:>14.4f}{s.model_ms:>12.4f}"

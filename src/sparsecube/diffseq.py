@@ -25,9 +25,9 @@ it already holds, and a load rebuilds it in one numpy pass over the stored
 differences (DHC decodes its whole stream with `huffman.decode_stream` for
 that).  Every cell's position comes from one `cumsum`; a load rejects
 positions that do not strictly increase, which is how a run past 2**64 - 1
-shows.  A DHC lookup decodes its window one code at a time: an 11-bit table
-settles short codes, and a longer code is matched against each longer
-length's canonical range.
+shows.  A DHC lookup decodes its window one code at a time from a buffer
+that holds at least the longest code: an 11-bit table settles short codes,
+and a longer code is matched against each longer length's canonical range.
 """
 
 from __future__ import annotations
@@ -219,6 +219,8 @@ def _checkpoints(
     Coarse entries sit at every COARSE_CELLS-th cell.  Fine entries sit at
     every coarse entry, every FINE_CELLS-th cell and every stride-th jump.
     """
+    if stride < 1:
+        raise ValueError("checkpoint stride must be >= 1")
     n = pos.size
     coarse = np.arange(0, n, COARSE_CELLS, dtype=np.int64)
     mark = np.zeros(n, dtype=bool)
@@ -385,25 +387,19 @@ def build_dsc(
     )
 
 
-def _long_code(cb: CodeBook, data: bytes, buf: int, fill: int, cursor: int):
-    """The code longer than the lookup table at the head of `fill` buffered bits.
+def _long_code(cb: CodeBook, window: int) -> tuple[int, int]:
+    """(symbol, length) of the code longer than the lookup table at the head
+    of `window`, the next max_len stream bits.
 
-    Codes may pass 56 bits, so the buffer is refilled to the longest code
-    first; then each longer length's canonical range is tried.  Returns
-    (symbol, length) and the buffer, its fill and the data cursor.  It is
-    kept out of `DhcHeader.lookup` so that the loop there, which runs once
-    per decoded code, holds only what the table path needs.
+    Each longer length's canonical range is tried.  It is kept out of
+    `DhcHeader.lookup` so that the loop there, which runs once per decoded
+    code, holds only what the table path needs.
     """
     first, count, offset, syms = cb._ranges
-    w = cb._lut[0]
-    while fill < cb.max_len:
-        buf = (buf << 8) | (data[cursor] if cursor < len(data) else 0)
-        cursor += 1
-        fill += 8
-    for ln in range(w + 1, cb.max_len + 1):
-        c = (buf >> (fill - ln)) - first[ln]
+    for ln in range(cb._lut[0] + 1, cb.max_len + 1):
+        c = (window >> (cb.max_len - ln)) - first[ln]
         if 0 <= c < count[ln]:
-            return (syms[offset[ln] + c], ln), buf, fill, cursor
+            return syms[offset[ln] + c], ln
     raise CorruptStreamError("no code matches the stream bits")
 
 
@@ -467,7 +463,9 @@ class DhcHeader(DifferenceHeader):
             return None
         jumps = self.jumps
         # Inlined table-driven decode: scans dominate point-query cost.
-        w, lut = self.codebook._lut
+        cb = self.codebook
+        w, lut = cb._lut
+        max_len = cb.max_len
         data = self.stream.data
         bits = self.stream.bit_length
         end = len(data)
@@ -482,14 +480,14 @@ class DhcHeader(DifferenceHeader):
         while idx + 1 < limit:
             if pos >= bits:
                 raise CorruptStreamError("stream ended before declared count")
-            if fill < w:
-                while fill < 56:
+            if fill < max_len:
+                while fill < 56:  # huffman.MAX_CODE_BITS, the longest code
                     buf = (buf << 8) | (data[cursor] if cursor < end else 0)
                     cursor += 1
                     fill += 8
             entry = lut[buf >> (fill - w)]
             if entry is None:
-                entry, buf, fill, cursor = _long_code(self.codebook, data, buf, fill, cursor)
+                entry = _long_code(cb, buf >> (fill - max_len))
             d, ln = entry
             if ln > bits - pos:
                 raise CorruptStreamError("code truncated at end of stream")

@@ -9,12 +9,18 @@ after one code is where the next one starts.
 A single-symbol alphabet gets a deliberate 1-bit code: a zero-bit code would
 never advance the stream.
 
+No code is longer than MAX_CODE_BITS = 56 bits, so one 56-bit window holds
+any code: a Huffman code that deep needs about 1.5e12 coded symbols, since
+Fibonacci counts are the lightest that reach a given depth.  A codebook
+with a longer length is rejected, and a load raises `FormatError`.
+
 Whole streams are coded in numpy: `encode_sequence` gathers every code's bits
-at once, and `decode_stream` finds the code at every bit offset, then the
-offsets where codes really start.  A DHC point query
-(`diffseq.DhcHeader.lookup`) decodes its few codes from a known code end
-itself, with the table of `CodeBook._lut` and, past it, the canonical
-ranges of `CodeBook._ranges`, which are all the whole-stream decode needs.
+at once, and `decode_stream` reads the 56-bit window at every bit offset to
+find the code there, then the offsets where codes really start.  A DHC
+point query (`diffseq.DhcHeader.lookup`) decodes its few codes from a known
+code end itself, with the table of `CodeBook._lut` and, past it, the
+canonical ranges of `CodeBook._ranges`, which are all the whole-stream
+decode needs.
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ import numpy as np
 
 from .errors import CorruptStreamError, FormatError
 
+MAX_CODE_BITS = 56
 _LUT_MAX_BITS = 11
 
 
@@ -56,8 +63,8 @@ class CodeBook:
         prev_len = self.lengths[order[0]]
         for sym in order:
             ln = self.lengths[sym]
-            if ln < 1:
-                raise ValueError(f"code length for symbol {sym} must be >= 1")
+            if not 1 <= ln <= MAX_CODE_BITS:
+                raise ValueError(f"code length for symbol {sym} must be 1..{MAX_CODE_BITS}")
             code <<= ln - prev_len
             if code >= (1 << ln):
                 raise ValueError("code lengths violate the Kraft inequality")
@@ -132,7 +139,7 @@ class CodeBook:
             offset += 9
         try:
             return cls(lengths), offset
-        except ValueError as exc:  # a zero length or lengths past the Kraft sum
+        except ValueError as exc:  # a length outside 1..56 or past the Kraft sum
             raise FormatError(f"bad codebook: {exc}") from exc
 
 
@@ -197,16 +204,11 @@ def encode_sequence(
     return BitStream(np.packbits(code_bits[bit_index]).tobytes(), total), ends
 
 
-# The whole-stream decode reads 56-bit limbs: one unaligned 64-bit read
-# shifted left by up to 7 bits still holds 57 valid bits.
-_LIMB = 56
-_LIMB_MASK = (1 << _LIMB) - 1
-
-
 def _windows(data: bytes, n: int) -> np.ndarray:
     """win[k] is the 56 stream bits ending at bit k, for k in [0, n).
 
-    Bits before the stream and past its data read as zero.
+    One unaligned 64-bit read shifted left by up to 7 bits still holds 57
+    valid bits.  Bits before the stream and past its data read as zero.
     """
     n_words = (n + 7) >> 3
     padded = (bytes(7) + bytes(data[:n_words])).ljust(n_words + 7, b"\0")
@@ -218,52 +220,35 @@ def _windows(data: bytes, n: int) -> np.ndarray:
 def _code_lengths(cb: CodeBook, win: np.ndarray, n_bits: int, none: int) -> np.ndarray:
     """The length of the code at each bit offset, or `none` where no code matches.
 
-    Left-justified to L = max_len bits, the codes of length ln end below
-    (first[ln] + count[ln]) << (L - ln), and these limits never decrease in
+    Left-justified to one 56-bit window, the codes of length ln end below
+    (first[ln] + count[ln]) << (56 - ln), and these limits never decrease in
     ln.  So the code at an offset has length 1 + (limits <= its window), and
-    none matches where that exceeds L.  A table over the first k <= 11 bits
-    settles every offset unless a limit has those k bits and more below; such
-    windows compare limb by limb, where a limit ties on limbs 0..j-1 only
-    with its prefix group, which `searchsorted` keys by the group's rank.
+    none matches where that exceeds max_len.  A table over the first k <= 11
+    bits settles every offset unless a limit has those k bits and more below;
+    one `searchsorted` over the limits settles those few.
     """
     first, count, _, _ = cb._ranges
-    n_limbs = -(-cb.max_len // _LIMB)
-    width = _LIMB * n_limbs
+    max_len = cb.max_len
     # The end of a complete code's space is never reached by a window.
-    limits = [
-        x for x in ((first[ln] + count[ln]) << (width - ln) for ln in range(1, cb.max_len + 1))
-        if x < 1 << width
-    ]
-    k = min(cb.max_len, _LUT_MAX_BITS)
-    shift = width - k
+    limits = [(first[ln] + count[ln]) << (MAX_CODE_BITS - ln) for ln in range(1, max_len + 1)]
+    limits = [x for x in limits if x < 1 << MAX_CODE_BITS]
+    k = min(max_len, _LUT_MAX_BITS)
+    shift = MAX_CODE_BITS - k
     # Limits below the smallest and below the largest window of each prefix.
     prefixes = np.arange(1 << k)
     low = np.searchsorted(np.array([-(-x >> shift) for x in limits], dtype=np.int64),
                           prefixes, side="right")
     high = np.searchsorted(np.array([x >> shift for x in limits], dtype=np.int64),
                            prefixes, side="right")
-    head = (win[_LIMB : _LIMB + n_bits] >> np.uint64(_LIMB - k)).view(np.int64)
-    length = np.take(np.where(low < cb.max_len, low + 1, none), head)
-    cand = np.flatnonzero((low != high)[head]) if (low != high).any() else head[:0]
-    rows = np.array(
-        [[(x >> (_LIMB * (n_limbs - 1 - j))) & _LIMB_MASK for j in range(n_limbs)]
-         for x in limits],
-        dtype=np.uint64,
-    ).reshape(-1, n_limbs)
-    tied = cand  # per candidate, the first limit it ties with on limbs 0..j-1
-    for j in range(n_limbs):
-        new_group = np.ones(len(rows), dtype=bool)
-        new_group[1:] = (rows[1:, :j] != rows[:-1, :j]).any(axis=1)
-        rank = (np.cumsum(new_group) - 1).astype(np.uint64) << np.uint64(_LIMB)
-        keys = rank | rows[:, j]
-        probe = win[cand + _LIMB * (j + 1)]
-        if j:
-            probe |= rank[tied]
-        hi = np.searchsorted(keys, probe, side="right")
-        lo = hi if j == n_limbs - 1 else np.searchsorted(keys, probe, side="left")
-        length[cand] = np.where(lo < cb.max_len, lo + 1, none)
-        tie = lo < hi
-        cand, tied = cand[tie], lo[tie]
+    window = win[MAX_CODE_BITS : MAX_CODE_BITS + n_bits]
+    head = (window >> np.uint64(shift)).view(np.int64)
+    length = np.take(np.where(low < max_len, low + 1, none), head)
+    ambiguous = low != high
+    if not ambiguous.any():
+        return length
+    cand = np.flatnonzero(ambiguous[head])
+    below = np.searchsorted(np.array(limits, dtype=np.uint64), window[cand], side="right")
+    length[cand] = np.where(below < max_len, below + 1, none)
     return length
 
 
@@ -346,7 +331,7 @@ def decode_stream(cb: CodeBook, stream: BitStream, count: int) -> tuple[np.ndarr
     first, _, offset, syms = cb._ranges
     max_len = cb.max_len
     n_bits = stream.bit_length
-    win = _windows(stream.data, n_bits + _LIMB * -(-max_len // _LIMB) + 1)
+    win = _windows(stream.data, n_bits + MAX_CODE_BITS + 1)
     length = _code_lengths(cb, win, n_bits, n_bits + 1)
     nxt = np.arange(n_bits + 2)
     nxt[:n_bits] += length
@@ -355,10 +340,9 @@ def decode_stream(cb: CodeBook, stream: BitStream, count: int) -> tuple[np.ndarr
     ln = length[starts]
     ends = starts + ln
     # The code's offset in its length class, from the 56 bits ending with it.
-    first_low = np.array([f & _LIMB_MASK for f in first], dtype=np.uint64)
-    masks = np.array([(1 << min(n, _LIMB)) - 1 for n in range(max_len + 1)], dtype=np.uint64)
+    masks = (np.uint64(1) << np.arange(max_len + 1, dtype=np.uint64)) - np.uint64(1)
     rank = np.array(offset, dtype=np.int64)[ln] + (
-        (win[ends] - first_low[ln]) & masks[ln]
+        (win[ends] & masks[ln]) - np.array(first, dtype=np.uint64)[ln]
     ).astype(np.int64)
     return np.array(syms, dtype=np.uint64)[rank], ends
 

@@ -102,6 +102,18 @@ class TestQuery:
         assert err.count("\n") == 1
         assert sorted(p.name for p in tmp_path.iterdir()) == ["rel.csv"]
 
+    @pytest.mark.parametrize("argv", [("build", "--scheme", "dsc"),
+                                      ("build", "--scheme", "dhc"), ("sizes",)])
+    @pytest.mark.parametrize("stride", ["0", "-1"])
+    def test_stride_below_one_is_data_error(self, workspace, tmp_path, capsys, argv, stride):
+        capsys.readouterr()
+        assert run(*argv, "--in", workspace / "rel.csv", "--stride", stride,
+                   "--out", tmp_path / "st") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "stride" in err
+        assert err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
     def test_unknown_scheme_is_usage_error(self, workspace):
         with pytest.raises(SystemExit) as exc:
             run("build", "--in", workspace / "rel.csv", "--scheme", "zip",
@@ -173,6 +185,26 @@ class TestEstimateSweep:
         assert run("estimate", "--md-store", workspace / "dhc",
                    "--table-store", workspace / "table",
                    "--samples", "0", "--out", tmp_path / "c.json") == 2
+
+    @pytest.mark.parametrize("argv", [
+        ("sweep", "--passes", "0"),
+        ("sweep", "--samples", "-3"),
+        ("sweep", "--samples", "0"),
+        ("sweep", "--block-size", "0"),
+        ("estimate", "--block-size", "0"),
+    ])
+    def test_counts_below_one_are_data_errors(self, workspace, tmp_path, capsys, argv):
+        constants = tmp_path / "c.json"
+        constants.write_text(json.dumps(
+            {"M_m": 0.01, "D_m": 1.0, "M_t": 0.02, "D_t": 2.0, "H": 10, "C": 100, "S": 200}
+        ))
+        extra = ("--constants", constants) if argv[0] == "sweep" else ()
+        assert run(*argv, *extra, "--md-store", workspace / "dhc",
+                   "--table-store", workspace / "table",
+                   "--out", tmp_path / "out") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
 
     def test_sweep_explicit_budgets(self, workspace, tmp_path):
         constants = tmp_path / "c2.json"

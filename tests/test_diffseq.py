@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import struct
 import sys
 from array import array
 
@@ -18,7 +19,7 @@ from sparsecube.diffseq import (
 )
 from sparsecube.errors import CorruptStreamError, FormatError
 from sparsecube.huffman import BitStream, CodeBook, encode_sequence
-from sparsecube.headers import build_boc, build_lpc
+from sparsecube.headers import build_boc, build_lpc, pack_ints, write_envelope
 from sparsecube.errors import OffsetOverflowError
 
 
@@ -279,11 +280,11 @@ class TestDhc:
         assert build_dhc(positions, diff_bits=8).positions().tolist() == positions
 
     def test_lookup_through_codes_past_one_refill(self):
-        # Gap g has a g-bit code, so the lookup decodes codes longer than the
-        # 56 bits one buffer refill holds.
+        # Gap g has a code of min(g, 55) bits, so a long code often starts
+        # with fewer bits buffered than it needs and the lookup refills first.
         rng = random.Random(69)
-        cb = CodeBook({g: g for g in range(1, 70)})
-        gaps = [rng.randint(1, 69) for _ in range(600)]
+        cb = CodeBook({g: min(g, 55) for g in range(1, 57)})
+        gaps = [rng.randint(1, 56) for _ in range(600)]
         positions = [3]
         for g in gaps:
             positions.append(positions[-1] + g)
@@ -479,10 +480,12 @@ class TestLoadChecks:
                 DhcHeader(*fields, count, jumps, codebook, stream)
 
 
-    @pytest.mark.parametrize("lengths", [(0, 2, 1), (1, 2, 1)], ids=["zero", "kraft"])
+    @pytest.mark.parametrize(
+        "lengths", [(0, 2, 1), (1, 2, 1), (1, 2, 57)], ids=["zero", "kraft", "57-bit"]
+    )
     def test_dhc_codebook_lengths_checked(self, lengths):
-        # A zero code length, and two 1-bit codes beside a third code, which
-        # break the Kraft inequality.
+        # A zero code length, two 1-bit codes beside a third code, which
+        # break the Kraft inequality, and a code past MAX_CODE_BITS.
         h = build_dhc([5, 6, 7, 9, 11, 300], diff_bits=8)
         assert h.codebook.lengths == {0: 2, 1: 2, 2: 1}
         raw = bytearray(h.to_bytes())
@@ -491,6 +494,25 @@ class TestLoadChecks:
             raw[entries + 9 * i + 8] = ln  # after each entry's 8-octet symbol
         with pytest.raises(FormatError):
             DhcHeader.from_bytes(bytes(raw))
+
+    def test_dhc_stream_of_57_bit_codes_rejected(self):
+        # Gap g < 58 has the code of g - 1 ones and a zero, and gap 58 has 57
+        # ones: a complete code one bit past MAX_CODE_BITS, which the stream
+        # uses.  The file is otherwise whole.
+        gaps = [57, 1, 58, 3, 57, 2]
+        bits = "".join("1" * 57 if g == 58 else "1" * (g - 1) + "0" for g in gaps)
+        codebook = struct.pack("<Q", 58) + b"".join(
+            struct.pack("<QB", g, min(g, 57)) for g in range(1, 59)
+        )
+        padded = bits.ljust(-(-len(bits) // 8) * 8, "0")
+        raw = (
+            write_envelope(DhcHeader.MAGIC, 8, 8, 16, len(gaps) + 1, 1, len(bits))
+            + pack_ints([4], 8)
+            + codebook
+            + int(padded, 2).to_bytes(len(padded) // 8, "big")
+        )
+        with pytest.raises(FormatError):
+            DhcHeader.from_bytes(raw)
 
 
 class TestStrideTransparency:

@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 from sparsecube.errors import CorruptStreamError
 from sparsecube.huffman import (
     _LUT_MAX_BITS,
+    MAX_CODE_BITS,
     BitStream,
     CodeBook,
     build_codebook,
@@ -296,9 +297,9 @@ def outcome(decode, cb, stream, count):
 
 @st.composite
 def chain_codes(draw):
-    """Lengths 1, 2, .., m-1, m-1 (a complete code) up to 129 bits deep,
+    """Lengths 1, 2, .., m-1, m-1 (a complete code) up to 56 bits deep,
     some symbols possibly dropped (an incomplete code), on random symbols."""
-    m = draw(st.integers(2, 130))
+    m = draw(st.integers(2, MAX_CODE_BITS + 1))
     lengths = list(range(1, m)) + [m - 1]
     keep = draw(st.lists(st.booleans(), min_size=m, max_size=m))
     symbols = draw(st.lists(st.integers(0, 2**64 - 1), min_size=m, max_size=m, unique=True))
@@ -335,9 +336,9 @@ class TestWholeStream:
                 scalar_decode, cb, damaged, count
             )
 
-    def test_codes_past_the_lookup_table_and_one_limb(self):
+    def test_codes_past_the_lookup_table(self):
         rng = random.Random(21)
-        for depth in (_LUT_MAX_BITS + 4, 56, 57, 70, 200):
+        for depth in (_LUT_MAX_BITS + 4, 56, MAX_CODE_BITS + 1):
             cb = CodeBook({s: min(s + 1, depth - 1) for s in range(depth)})
             assert cb.max_len == depth - 1
             seq = rng.choices(range(depth), k=300)
@@ -345,6 +346,11 @@ class TestWholeStream:
             symbols, decoded_ends = decode_stream(cb, stream, len(seq))
             assert symbols.tolist() == seq
             assert decoded_ends.tolist() == ends.tolist()
+
+    @pytest.mark.parametrize("depth", [MAX_CODE_BITS + 2, 70, 200])
+    def test_codes_past_the_limit_rejected(self, depth):
+        with pytest.raises(ValueError):
+            CodeBook({s: min(s + 1, depth - 1) for s in range(depth)})
 
     def test_single_symbol_alphabet(self):
         cb = build_codebook({9: 4})
