@@ -17,10 +17,11 @@ it charges a synthetic time of M when the cache absorbed every block touch
 and D otherwise; miss counts are deterministic, so the emitted CSV is too.
 It runs no queries: each store's `block_touches` derives in numpy an
 integer code for every block each sampled query reads, and one
-`SimCache.replay` per budget runs those codes through the cache's LRU rule,
-leaving misses, counters and resident blocks as the queries would.  It
-reads only the blocks that stay resident, and reports the memory used at
-each pass boundary.
+`blockio.lru_misses` per budget runs those codes through the cache's LRU
+rule from an empty cache, giving each query's misses and the memory used
+at each pass boundary.  Its only file reads are the index pages the
+table's `block_touches` walks.  The stores' caches stay as the sweep found
+them, except that their counters gain the simulated hits and misses.
 The model curve is evaluated at the memory actually used mid-pass (for the
 multidimensional representation the preloaded size counts toward the
 budget), which is what the measured averages are compared against.
@@ -36,7 +37,7 @@ import time
 from dataclasses import dataclass
 from typing import Sequence
 
-from .blockio import SimCache
+from .blockio import SimCache, lru_misses
 from .cachemodel import CacheModelParams, RepConstants, t_m, t_t
 from .mdstore import MultidimStore
 from .relation import decode_positions
@@ -228,11 +229,8 @@ def memory_sweep(
         for budget in budgets:
             capacity = budget - h if is_md else budget
             if capacity < 0:
-                raise ValueError(
-                    f"budget {budget} below the preloaded size {h}"
-                )
-            cache.set_capacity(capacity)
-            cache.clear()
+                bound = f"the preloaded size {h}" if is_md else "0"
+                raise ValueError(f"budget {budget} below {bound}")
             # String seeds hash stably across processes, unlike tuples.  One
             # draw of passes * samples takes the same stream as one per pass.
             rng = random.Random(f"{seed}:{rep}:{budget}")
@@ -241,9 +239,10 @@ def memory_sweep(
                 codes, starts = store.block_touches(drawn, stored=positions)
             else:
                 codes, starts = store.block_touches(drawn)
-            misses, used = cache.replay(
-                codes, starts, readers, range(0, passes * samples + 1, samples)
+            misses, used = lru_misses(
+                codes, starts, readers, capacity, range(0, passes * samples + 1, samples)
             )
+            cache.add_counts(len(codes) - sum(misses), sum(misses))
             total_time = 0.0
             total_model = 0.0
             for pass_no in range(1, passes + 1):

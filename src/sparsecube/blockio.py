@@ -9,12 +9,14 @@ and misses, and stores block bytes so hits never reach the file.  It is
 deterministic: identical access sequences produce identical counters and
 resident sets.
 
-`replay` is how the memory sweep charges its sampled queries.  A store's
-`block_touches` names every block those queries read by an integer code
-(`touch_codes`: block number and reader index), and `replay` runs the same
-rule over those codes and the blocks' lengths in one loop, for a whole
-budget at once.  It reads from the files only the blocks left resident that
-were not resident before.
+`lru_misses` is how the memory sweep charges its sampled queries.  A
+store's `block_touches` names every block those queries read by an integer
+code (`touch_codes`: block number and reader index), and `lru_misses` runs
+the same rule over those codes and the blocks' lengths in one loop, from an
+empty cache, for a whole budget at once.  It reads no file and touches no
+cache, so the sweep's only file reads are the index pages the table's
+`block_touches` walks, and the sweep leaves each cache as it found it
+except for the hits and misses it adds to the counters (`add_counts`).
 """
 
 from __future__ import annotations
@@ -26,8 +28,6 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
-
-from .errors import FormatError
 
 
 class SimCache:
@@ -74,14 +74,20 @@ class SimCache:
             self.hits = 0
             self.misses = 0
 
+    def add_counts(self, hits: int, misses: int) -> None:
+        """Add accesses simulated around the cache (see `lru_misses`)."""
+        with self._lock:
+            self.hits += hits
+            self.misses += misses
+
     def _evict(self) -> None:
         while self._used > self.capacity:
             _, dropped = self._resident.popitem(last=False)
             self._used -= len(dropped)
 
     # `_touch` and `_admit` are the LRU rule of live reads; callers hold the
-    # lock.  `replay` keeps its own loop over block lengths, and a property
-    # test holds the two equal.
+    # lock.  `lru_misses` runs the same rule over block codes and lengths
+    # from an empty cache, and a property test holds the two equal.
 
     def _touch(self, key: tuple[str, int]) -> bytes | None:
         """The resident block `key`, now most recent, or None; counts the hit or miss."""
@@ -115,103 +121,71 @@ class SimCache:
             self._admit(key, data)
         return data
 
-    def replay(
-        self,
-        codes: np.ndarray,
-        starts: np.ndarray,
-        readers: Sequence["BlockReader"],
-        marks: Sequence[int] = (),
-    ) -> tuple[list[int], list[int]]:
-        """Access the blocks `codes` name, in order, as the reads of queries
-        whose codes are `codes[starts[q]:starts[q + 1]]`.
-
-        Code k names block `k // len(readers)` of `readers[k % len(readers)]`
-        (see `touch_codes`).  Returns each query's misses and, for each q in
-        `marks` (ascending), `used_bytes` once the first q queries have run.  Counters,
-        resident blocks and their order end as if the queries had run.
-
-        The LRU runs over codes and block lengths, which come from each
-        reader's `file_size`, so `_admit`'s rule is restated here rather
-        than called; a property test holds the two equal.  Only the blocks
-        that end resident and were not resident before are loaded, from the
-        readers, around any cache.  One whose length is not the expected one
-        raises FormatError, since the file changed under the store, and
-        leaves the cache as it was.
-        """
-        n = len(readers)
-        bounds = np.asarray(starts, dtype=np.int64)
-        codes = np.asarray(codes, dtype=np.int64)[bounds[0] : bounds[-1]]
-        bounds = bounds - bounds[0]
-        block, which = np.divmod(codes, n)
-        size = np.array([r.block_size for r in readers], dtype=np.int64)[which]
-        tail = np.array([r.file_size for r in readers], dtype=np.int64)[which] - block * size
-        lengths = np.clip(tail, 0, size).tolist()
-        codes = codes.tolist()
-        with self._lock:
-            # Resident blocks of other readers get codes below 0: they can
-            # only age out.
-            index = {r.name: i for i, r in enumerate(readers)}
-            before = {}
-            lru: OrderedDict[int, int] = OrderedDict()
-            for key, data in self._resident.items():
-                i = index.get(key[0])
-                code = key[1] * n + i if i is not None else -1 - len(before)
-                before[code] = key, data
-                lru[code] = len(data)
-            capacity, used = self.capacity, self._used
-            move, pop = lru.move_to_end, lru.popitem
-            missed = []
-            miss = missed.append
-            used_at = []
-            lo = 0
-            for hi in bounds[list(marks)].tolist() + [len(codes)]:
-                for i, code in enumerate(codes[lo:hi], lo):
-                    if code in lru:
-                        move(code)
-                        continue
-                    miss(i)
-                    length = lengths[i]
-                    if length <= capacity:
-                        lru[code] = length
-                        used += length
-                        while used > capacity:
-                            used -= pop(False)[1]
-                used_at.append(used)
-                lo = hi
-            resident = OrderedDict()
-            for code, length in lru.items():
-                if code in before:
-                    key, data = before[code]
-                else:
-                    reader = readers[code % n]
-                    key = (reader.name, code // n)
-                    data = reader._load_block(key[1])
-                    if len(data) != length:
-                        raise FormatError(
-                            f"block {key[1]} of {key[0]} has {len(data)} octets, "
-                            f"not {length}: the file changed under the store"
-                        )
-                resident[key] = data
-            self._resident, self._used = resident, used
-            self.misses += len(missed)
-            self.hits += len(codes) - len(missed)
-        total = np.zeros(len(codes) + 1, dtype=np.int64)
-        total[np.array(missed, dtype=np.int64) + 1] = 1
-        np.cumsum(total, out=total)
-        return (total[bounds[1:]] - total[bounds[:-1]]).tolist(), used_at[:-1]
-
 
 def touch_codes(
     n_readers: int, which: np.ndarray, blocks: np.ndarray, valid: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Block codes and query bounds in `replay`'s form from a grid with one
-    row per query.
+    """Block codes and query bounds in `lru_misses`' form from a grid with
+    one row per query.
 
     Row q's codes are `blocks[q, j] * n_readers + which[j]` for its `valid`
     columns j, left to right; the bounds give each row's share of the codes.
+    The memory sweep runs them through the LRU rule from an empty cache.
     """
     starts = np.concatenate(([0], np.cumsum(valid.sum(axis=1))))
     return (blocks * n_readers + which)[valid], starts
+
+
+def lru_misses(
+    codes: np.ndarray,
+    starts: np.ndarray,
+    readers: Sequence[BlockReader],
+    capacity: int,
+    marks: Sequence[int] = (),
+) -> tuple[list[int], list[int]]:
+    """Each query's misses when the blocks `codes` names are read, in order,
+    through a fill-then-LRU cache of `capacity` octets that starts empty.
+
+    Query q reads `codes[starts[q]:starts[q + 1]]`, from `starts[0] == 0`
+    to `starts[-1] == len(codes)`; code k names block
+    `k // len(readers)` of `readers[k % len(readers)]` (see `touch_codes`).
+    A block's length follows from its reader's `block_size` and
+    `file_size`, so no file is read.  Also returns, for each q in `marks`
+    (ascending), the octets resident once the first q queries have run.
+    """
+    n = len(readers)
+    bounds = np.asarray(starts, dtype=np.int64)
+    codes = np.asarray(codes, dtype=np.int64)
+    block, which = np.divmod(codes, n)
+    size = np.array([r.block_size for r in readers], dtype=np.int64)[which]
+    tail = np.array([r.file_size for r in readers], dtype=np.int64)[which] - block * size
+    lengths = np.clip(tail, 0, size).tolist()
+    codes = codes.tolist()
+    lru: OrderedDict[int, int] = OrderedDict()  # code: length, least recent first
+    move, pop = lru.move_to_end, lru.popitem
+    used = 0
+    missed = []
+    miss = missed.append
+    used_at = []
+    lo = 0
+    for hi in bounds[list(marks)].tolist() + [len(codes)]:
+        for i, code in enumerate(codes[lo:hi], lo):
+            if code in lru:
+                move(code)
+                continue
+            miss(i)
+            length = lengths[i]
+            if length <= capacity:
+                lru[code] = length
+                used += length
+                while used > capacity:
+                    used -= pop(False)[1]
+        used_at.append(used)
+        lo = hi
+    total = np.zeros(len(codes) + 1, dtype=np.int64)
+    total[np.array(missed, dtype=np.int64) + 1] = 1
+    np.cumsum(total, out=total)
+    return (total[bounds[1:]] - total[bounds[:-1]]).tolist(), used_at[:-1]
 
 
 class BlockReader:

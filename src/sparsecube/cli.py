@@ -184,8 +184,6 @@ def _open_pair(args):
 
 
 def cmd_estimate(args) -> int:
-    if args.samples < 1:
-        raise InvalidCoordinateError("sample size must be >= 1")
     md, md_cache, tbl, tbl_cache = _open_pair(args)
     try:
         result = bench.estimate_constants(

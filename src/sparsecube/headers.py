@@ -8,7 +8,7 @@ The serialized layout is shared by every header type: a 4-octet magic tag,
 one version octet, a parameter block of 8-octet little-endian integers, then
 the sequences packed contiguously at their configured entry widths.
 `write_envelope` and `read_envelope` write and read everything before the
-sequences, for all five schemes.
+sequences, for all five schemes and the table's index meta page.
 `size_bytes()` reports the size of the structure itself (the quantity the
 size comparisons reason about); serialized files add the small envelope.
 
@@ -104,11 +104,11 @@ def read_envelope(data: bytes, magic: bytes, n_params: int) -> tuple[list[int], 
     """The parameters `write_envelope` wrote, and the offset of the payload."""
     end = 5 + 8 * n_params
     if len(data) < end:
-        raise FormatError("header file too short")
+        raise FormatError(f"file too short for its {magic!r} envelope")
     if data[:4] != magic:
         raise FormatError(f"bad magic {data[:4]!r}, expected {magic!r}")
     if data[4] != VERSION:
-        raise FormatError(f"unsupported header version {data[4]}")
+        raise FormatError(f"unsupported {magic!r} version {data[4]}")
     return list(struct.unpack_from(f"<{n_params}Q", data, 5)), end
 
 

@@ -12,10 +12,11 @@ module refuses to import on a big-endian host.  All of it goes through the
 same block-access layer as the multidimensional store: from the files for a
 loaded table, from memory for a freshly built one.
 
-Page 0 of the index is the meta page: a magic tag, a version octet and the
-seven `META_FIELDS`.  Only the page size is a free choice; every other field
-follows from the schema and the two file sizes, and a load rejects a meta
-page that disagrees with them.
+Page 0 of the index is the meta page: the seven `META_FIELDS` in the
+envelope every header file has (`headers.write_envelope`), padded with
+zeros to the page size.  Only the page size is a free choice; every other
+field follows from the schema and the two file sizes, and a load rejects a
+meta page that disagrees with them.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ import numpy as np
 
 from .blockio import BlockReader, BytesReader, SimCache, touch_codes
 from .errors import FormatError
+from .headers import read_envelope, write_envelope
 from .relation import (
     DimensionSchema,
     Relation,
@@ -43,14 +45,12 @@ from .relation import (
 
 COORD_WIDTH = 4
 _IDX_MAGIC = b"TIDX"
-_IDX_VERSION = 1
 _ENTRY = struct.Struct("<QQ")  # key, child page or row group
 _COUNT = struct.Struct("<H")
 META_FIELDS = (
     "page_size", "row_width", "n_rows", "rows_per_group", "n_groups", "root_page", "height",
 )
-_META = struct.Struct("<7Q")
-_META_END = 5 + _META.size  # magic, version, the fields
+_META_END = len(write_envelope(_IDX_MAGIC, *[0] * len(META_FIELDS)))  # the meta page's prefix
 if sys.byteorder != "little":  # lookups cast the little-endian pages in native order
     raise ImportError("sparsecube's table lookups need a little-endian host")
 
@@ -308,17 +308,15 @@ def build_table(rel: Relation, params: TableParams = TableParams()) -> TableStor
         first_page_of_level += len(level_pages)
     root_page = len(pages)  # levels are written bottom-up, root last; meta is page 0
 
-    meta = bytearray(page_size)
-    meta[:4] = _IDX_MAGIC
-    meta[4] = _IDX_VERSION
-    _META.pack_into(
-        meta, 5, page_size, row_width, n_rows, rows_per_group, n_groups, root_page,
-        height,
+    meta = write_envelope(
+        _IDX_MAGIC, page_size, row_width, n_rows, rows_per_group, n_groups, root_page, height
     )
     rows = BytesReader(
         rows_arr.tobytes(), block_size=rows_per_group * row_width, name="tbl.rows"
     )
-    idx = BytesReader(bytes(meta) + b"".join(pages), block_size=page_size, name="tbl.idx")
+    idx = BytesReader(
+        meta.ljust(page_size, b"\0") + b"".join(pages), block_size=page_size, name="tbl.idx"
+    )
     return TableStore(rel.schema, rel.measure_width, page_size, rows, idx)
 
 
@@ -338,14 +336,7 @@ def load_table(base: str | Path, cache: SimCache | None = None) -> TableStore:
     schema_p, rows_p, idx_p = table_paths(base)
     schema, measure_width = schema_from_json(schema_p.read_bytes())
     with open(idx_p, "rb") as f:
-        head = f.read(_META_END)
-    if len(head) < _META_END:
-        raise FormatError("index file shorter than its meta prefix")
-    if head[:4] != _IDX_MAGIC:
-        raise FormatError(f"bad index magic {head[:4]!r}")
-    if head[4] != _IDX_VERSION:
-        raise FormatError(f"unsupported index version {head[4]}")
-    meta = _META.unpack_from(head, 5)
+        meta, _ = read_envelope(f.read(_META_END), _IDX_MAGIC, len(META_FIELDS))
     page_size = meta[0]
     if page_size < _META_END:
         raise FormatError(f"page size {page_size} cannot hold the meta prefix")

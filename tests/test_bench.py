@@ -171,12 +171,76 @@ class TestSweep:
     def test_budget_below_preload_rejected(self, opened):
         md, md_cache, tbl, tbl_cache = opened
         params = constants_for(md, tbl)
-        with pytest.raises(ValueError):
-            memory_sweep(
-                md, md_cache, tbl, tbl_cache, params,
-                [params.preload_bytes - 1], [0],
-                samples=5, passes=1, seed=1,
-            )
+        h = params.preload_bytes
+        for md_budget, tbl_budget, message in (
+            (h - 1, 0, f"budget {h - 1} below the preloaded size {h}$"),
+            (h, -5, "budget -5 below 0$"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                memory_sweep(
+                    md, md_cache, tbl, tbl_cache, params, [md_budget], [tbl_budget],
+                    samples=5, passes=1, seed=1,
+                )
+
+    def test_reads_no_cell_or_row_block_and_leaves_the_caches(self, opened, monkeypatch):
+        md, md_cache, tbl, tbl_cache = opened
+        # Caches the sweep must leave as it finds them: bounded, part full.
+        md_cache.set_capacity(3 * 4096)
+        tbl_cache.set_capacity(5 * tbl.page_size)
+        for coords in sample_coords(md, 20, 1):
+            md.point_query(coords)
+            tbl.point_query(coords)
+        found = [
+            (c.capacity, list(c._resident.items()), c.used_bytes, c.hits, c.misses)
+            for c in (md_cache, tbl_cache)
+        ]
+        walking = []  # nonempty while the table's `block_touches` runs
+        loads = {}  # reader name: for each block loaded, whether during the walk
+
+        def spy(reader):
+            load = reader._load_block
+            loads[reader.name] = []
+
+            def spied(block_no):
+                loads[reader.name].append(bool(walking))
+                return load(block_no)
+            return spied
+
+        for reader in (*md.readers(), *tbl.readers()):
+            monkeypatch.setattr(reader, "_load_block", spy(reader))
+        walk = tbl.block_touches
+
+        def touches(positions):
+            walking.append(True)
+            try:
+                return walk(positions)
+            finally:
+                walking.pop()
+
+        monkeypatch.setattr(tbl, "block_touches", touches)
+        params = constants_for(md, tbl)
+        md_budgets, tbl_budgets = default_budgets(params, points=4)
+        samples, passes = 40, 6
+        result = memory_sweep(
+            md, md_cache, tbl, tbl_cache, params, md_budgets, tbl_budgets,
+            samples=samples, passes=passes, seed=3,
+        )
+        assert loads["md.cells"] == [] and loads["tbl.rows"] == []
+        assert loads["tbl.idx"] and all(loads["tbl.idx"])
+        # Every sampled position is a stored cell: one cells block each for
+        # the md store, and the meta page, one page per level and one rows
+        # block each for the table.
+        touches_per_query = {"md": 1, "tbl": tbl.height + 2}
+        for (capacity, resident, used, hits, misses), cache, rep, budgets in zip(
+            found, (md_cache, tbl_cache), ("md", "tbl"), (md_budgets, tbl_budgets)
+        ):
+            assert cache.capacity == capacity
+            assert list(cache._resident.items()) == resident
+            assert cache.used_bytes == used
+            swept = sum(row.misses for row in result.rows if row.rep == rep)
+            assert cache.misses - misses == swept
+            touched = touches_per_query[rep] * samples * passes * len(budgets)
+            assert cache.hits - hits == touched - swept
 
 
 @pytest.fixture(scope="module")

@@ -181,17 +181,13 @@ class TestEstimateSweep:
             "f27dd76f5fff2d93896b40dc54895ca7d1ba2ebab01022873fe6cc87597a7848"
         )
 
-    def test_estimate_rejects_zero_samples(self, workspace, tmp_path):
-        assert run("estimate", "--md-store", workspace / "dhc",
-                   "--table-store", workspace / "table",
-                   "--samples", "0", "--out", tmp_path / "c.json") == 2
-
     @pytest.mark.parametrize("argv", [
         ("sweep", "--passes", "0"),
         ("sweep", "--samples", "-3"),
         ("sweep", "--samples", "0"),
         ("sweep", "--block-size", "0"),
         ("estimate", "--block-size", "0"),
+        ("estimate", "--samples", "0"),
     ])
     def test_counts_below_one_are_data_errors(self, workspace, tmp_path, capsys, argv):
         constants = tmp_path / "c.json"

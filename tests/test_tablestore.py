@@ -136,6 +136,13 @@ class TestPersistence:
         with pytest.raises(FormatError):
             load_table(base)
 
+    @pytest.mark.parametrize("page_size", [4096, 128])
+    def test_meta_page_is_the_envelope_padded_with_zeros(self, page_size):
+        rel = generate(SynthSpec((16, 16, 8), density=0.3, seed=2))
+        table = build_table(rel, TableParams(page_size=page_size))
+        envelope = b"TIDX\x01" + struct.pack("<7Q", *table.meta())
+        assert table._idx.contents()[:page_size] == envelope.ljust(page_size, b"\0")
+
     @pytest.mark.parametrize("page_size", [4096, 128])  # index height 1 and 3
     @pytest.mark.parametrize("field", META_FIELDS)
     def test_meta_field_checked_against_files_and_schema(self, tmp_path, field, page_size):

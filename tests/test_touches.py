@@ -1,9 +1,10 @@
 """Batch block codes (`block_touches`) and their replay against live queries.
 
 The memory sweep charges each sampled query by the misses of the blocks
-`block_touches` says it reads, replayed through `SimCache.replay`.  These
-tests hold both to what a live `point_query` sends to the cache, and
-`replay`'s own LRU loop to the one `SimCache.access` takes.
+`block_touches` says it reads, replayed through `blockio.lru_misses` from
+an empty cache.  These tests hold both to what a live `point_query` sends
+to the cache, and `lru_misses`' own LRU loop to the one `SimCache.access`
+takes.
 """
 
 import random
@@ -15,22 +16,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sparsecube import bench, headers, mdstore, tablestore
-from sparsecube.blockio import BlockReader, BytesReader, SimCache
+from sparsecube.blockio import BytesReader, SimCache, lru_misses
 from sparsecube.errors import FormatError, InvalidPositionError
 from sparsecube.relation import DimensionSchema, decode_logical_position, ordered_cells
 from sparsecube.synth import SynthSpec, generate
-
-
-class CountingReader(BytesReader):
-    """A BytesReader that records the number of every block it loads."""
-
-    def __init__(self, data, name, block_size):
-        super().__init__(data, name=name, block_size=block_size)
-        self.loads = []
-
-    def _load_block(self, block_no):
-        self.loads.append(block_no)
-        return super()._load_block(block_no)
 
 
 class RecordingCache(SimCache):
@@ -191,56 +180,45 @@ class TestReplay:
 
     @pytest.mark.parametrize("capacity", [0, 150, 700, 5000, 1 << 30])
     @pytest.mark.parametrize("rep", ["md", "table"])
-    def test_replay_leaves_what_access_leaves(self, pair, rep, capacity):
+    def test_replay_counts_what_access_counts(self, pair, rep, capacity):
         rel, base = pair
         positions = probe_positions(rel, random.Random(capacity), misses=200)[:400]
-        live_cache, replay_cache = SimCache(capacity), SimCache(capacity)
-
-        def load(cache):
-            if rep == "md":
-                return mdstore.load(base / "md", cache=cache, block_size=100)
-            return tablestore.load_table(base / "t", cache=cache)
-
-        with load(live_cache) as live, load(replay_cache) as replayed:
+        cache = SimCache(capacity)
+        if rep == "md":
+            store = mdstore.load(base / "md", cache=cache, block_size=100)
+        else:
+            store = tablestore.load_table(base / "t", cache=cache)
+        with store:
             live_misses = []
             for p in positions:
-                before = live_cache.misses
-                live.point_query(decode_logical_position(p, rel.schema))
-                live_misses.append(live_cache.misses - before)
-            codes, starts = replayed.block_touches(np.array(positions, dtype=np.uint64))
-            # Two halves, the second starting from what the first left.
-            half = len(positions) // 2
-            misses, _ = replay_cache.replay(codes, starts[: half + 1], replayed.readers())
-            misses += replay_cache.replay(codes, starts[half:], replayed.readers())[0]
+                before = cache.misses
+                store.point_query(decode_logical_position(p, rel.schema))
+                live_misses.append(cache.misses - before)
+            codes, starts = store.block_touches(np.array(positions, dtype=np.uint64))
+            misses, used = lru_misses(codes, starts, store.readers(), capacity, [len(positions)])
         assert misses == live_misses
-        assert (replay_cache.hits, replay_cache.misses) == (live_cache.hits, live_cache.misses)
-        assert replay_cache.used_bytes == live_cache.used_bytes
-        assert list(replay_cache._resident.items()) == list(live_cache._resident.items())
+        assert used == [cache.used_bytes]
+        assert (len(codes) - sum(misses), sum(misses)) == (cache.hits, cache.misses)
 
-    def test_replay_loads_real_blocks_and_skips_too_large_ones(self):
-        data = bytes(range(250))
-        reader = BytesReader(data, name="f", block_size=100)
-        cache = SimCache(capacity=60)
+    def test_replay_skips_too_large_blocks(self):
+        reader = BytesReader(bytes(range(250)), name="f", block_size=100)
         codes = np.array([2, 0, 2, 1])
-        assert cache.replay(codes, [0, 2, 4], [reader], [0, 1, 2]) == ([2, 1], [0, 50, 50])
-        assert (cache.hits, cache.misses, cache.used_bytes) == (1, 3, 50)
-        assert list(cache._resident.items()) == [(("f", 2), data[200:])]
+        assert lru_misses(codes, [0, 2, 4], [reader], 60, [0, 1, 2]) == ([2, 1], [0, 50, 50])
 
     @given(data=st.data())
     @settings(max_examples=200, deadline=None)
     def test_replay_matches_access(self, data):
-        """Random codes over 1-3 readers with short tails, replayed in random
-        segments from a pre-filled cache, leave what `access` leaves."""
+        """Random codes over 1-3 readers with short tails give the misses and
+        resident octets that `access` gives from an empty cache."""
         draw = data.draw
         shapes = draw(st.lists(
             st.tuples(st.integers(2, 9), st.integers(0, 4), st.integers(1, 8)),
             min_size=1, max_size=3,
         ))  # (block size, whole blocks, tail: 1 to block size - 1 octets)
         readers = [
-            CountingReader(bytes(range(i, i + bs * whole + min(tail, bs - 1))), f"r{i}", bs)
+            BytesReader(bytes(range(i, i + bs * whole + min(tail, bs - 1))), f"r{i}", bs)
             for i, (bs, whole, tail) in enumerate(shapes)
         ]
-        other = BytesReader(bytes(range(50)), "other", block_size=7)
         n = len(readers)
         code = st.integers(0, n - 1).flatmap(
             lambda r: st.integers(0, readers[r].block_count - 1).map(lambda b: b * n + r)
@@ -248,7 +226,7 @@ class TestReplay:
         codes = draw(st.lists(code, max_size=60))
         tails = [r.file_size - (r.block_count - 1) * r.block_size for r in readers]
         largest = max(r.block_size for r in readers)
-        total = sum(r.file_size for r in readers) + other.file_size
+        total = max(largest, sum(r.file_size for r in readers))  # holds them all
         capacity = draw(st.one_of(
             st.just(0),
             st.integers(0, min(tails) - 1),  # below a tail
@@ -259,72 +237,21 @@ class TestReplay:
         cuts = sorted(draw(st.lists(st.integers(0, len(codes)), max_size=8)))
         starts = [0, *cuts, len(codes)]  # queries, some empty
         queries = len(starts) - 1
-        splits = sorted(set(draw(st.lists(st.integers(0, queries), max_size=3))) | {0, queries})
+        marks = sorted(draw(st.lists(st.integers(0, queries), max_size=4)))
 
-        def key(c):
-            return readers[c % n].name, c // n
-
-        live, replayed = SimCache(capacity), SimCache(capacity)
-        prefill = draw(st.lists(st.one_of(
-            code.map(lambda c: (readers[c % n], c // n)),
-            st.integers(0, other.block_count - 1).map(lambda b: (other, b)),
-        ), max_size=12))
-        for cache in (live, replayed):
-            for reader, block in prefill:
-                cache.access((reader.name, block), reader._load_block, block)
-
+        live = SimCache(capacity)
         live_misses, live_used = [], []
         for q in range(queries):
             live_used.append(live.used_bytes)
             before = live.misses
             for c in codes[starts[q] : starts[q + 1]]:
-                live.access(key(c), readers[c % n]._load_block, c // n)
+                live.access((readers[c % n].name, c // n), readers[c % n]._load_block, c // n)
             live_misses.append(live.misses - before)
         live_used.append(live.used_bytes)
 
-        misses = []
-        for lo, hi in zip(splits, splits[1:]):
-            marks = sorted(draw(st.lists(st.integers(0, hi - lo), max_size=4)))
-            resident_before = set(replayed._resident)
-            for r in readers:
-                r.loads.clear()
-            got_misses, used = replayed.replay(
-                np.array(codes, dtype=np.int64), starts[lo : hi + 1], readers, marks
-            )
-            misses += got_misses
-            assert used == [live_used[lo + m] for m in marks]
-            # Each block left resident that was not before was read once;
-            # no other block was read.
-            loads = [(r.name, b) for r in readers for b in r.loads]
-            assert sorted(loads) == sorted(set(replayed._resident) - resident_before)
+        misses, used = lru_misses(np.array(codes, dtype=np.int64), starts, readers, capacity, marks)
         assert misses == live_misses
-        assert (replayed.hits, replayed.misses) == (live.hits, live.misses)
-        assert replayed.used_bytes == live.used_bytes
-        assert list(replayed._resident.items()) == list(live._resident.items())
-
-    def test_replay_reads_only_newly_resident_blocks(self):
-        reader = CountingReader(bytes(range(250)), "f", block_size=100)
-        cache = SimCache(capacity=150)
-        cache.access(("f", 2), reader._load_block, 2)
-        reader.loads.clear()
-        # Block 0 misses and is evicted by 1; 2 stays resident; 1 ends new.
-        misses, _ = cache.replay(np.array([0, 2, 1, 2]), [0, 4], [reader])
-        assert misses == [2]
-        assert list(cache._resident) == [("f", 1), ("f", 2)]
-        assert reader.loads == [1]
-
-    def test_replay_raises_on_a_file_that_shrank(self, tmp_path):
-        path = tmp_path / "f"
-        path.write_bytes(bytes(250))
-        with BlockReader(path, block_size=100, name="f") as reader:
-            path.write_bytes(bytes(220))  # the tail block is now 20 octets, not 50
-            cache = SimCache(capacity=1000)
-            cache.access(("f", 0), reader._load_block, 0)
-            with pytest.raises(FormatError):
-                cache.replay(np.array([1, 2]), [0, 2], [reader])
-            # The cache is as the failed replay found it.
-            assert list(cache._resident) == [("f", 0)]
-            assert (cache.hits, cache.misses, cache.used_bytes) == (0, 1, 100)
+        assert used == [live_used[m] for m in marks]
 
 
 def test_positions_are_range_checked():
