@@ -216,6 +216,15 @@ def memory_sweep(
     summaries: list[SweepSummary] = []
     h = params.preload_bytes
 
+    # Every budget is checked before the first simulation, so a rejected
+    # sweep adds nothing to either cache's counters.
+    for budget in md_budgets:
+        if budget < h:
+            raise ValueError(f"budget {budget} below the preloaded size {h}")
+    for budget in tbl_budgets:
+        if budget < 0:
+            raise ValueError(f"budget {budget} below 0")
+
     jobs = (
         ("md", md_store, md_cache, md_budgets, params.md, True),
         ("tbl", tbl_store, tbl_cache, tbl_budgets, params.tbl, False),
@@ -228,9 +237,6 @@ def memory_sweep(
         hit_ms, miss_ms = consts.M, consts.M + (consts.D - consts.M)
         for budget in budgets:
             capacity = budget - h if is_md else budget
-            if capacity < 0:
-                bound = f"the preloaded size {h}" if is_md else "0"
-                raise ValueError(f"budget {budget} below {bound}")
             # String seeds hash stably across processes, unlike tuples.  One
             # draw of passes * samples takes the same stream as one per pass.
             rng = random.Random(f"{seed}:{rep}:{budget}")

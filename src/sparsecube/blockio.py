@@ -85,40 +85,29 @@ class SimCache:
             _, dropped = self._resident.popitem(last=False)
             self._used -= len(dropped)
 
-    # `_touch` and `_admit` are the LRU rule of live reads; callers hold the
-    # lock.  `lru_misses` runs the same rule over block codes and lengths
-    # from an empty cache, and a property test holds the two equal.
-
-    def _touch(self, key: tuple[str, int]) -> bytes | None:
-        """The resident block `key`, now most recent, or None; counts the hit or miss."""
-        cached = self._resident.get(key)
-        if cached is None:
-            self.misses += 1
-        else:
-            self.hits += 1
-            self._resident.move_to_end(key)
-        return cached
-
-    def _admit(self, key: tuple[str, int], data: bytes) -> None:
-        """Hold a missed block if it fits, then evict least recent first."""
-        if self.capacity >= len(data) and key not in self._resident:
-            self._resident[key] = data
-            self._used += len(data)
-            self._evict()
-
     def access(self, key: tuple[str, int], loader: Callable[..., bytes], *args) -> bytes:
         """The block named `key`: from the cache on a hit, else `loader(*args)`.
 
         Readers pass their block loader and the block number as `args`, so
-        no closure is built per access.
+        no closure is built per access.  This is the LRU rule of live reads:
+        a hit becomes most recent, and a missed block is held if it fits,
+        evicting least recent first.  `lru_misses` runs the same rule over
+        block codes and lengths from an empty cache, and a property test
+        holds it to this method.
         """
         with self._lock:
-            cached = self._touch(key)
-        if cached is not None:
-            return cached
+            cached = self._resident.get(key)
+            if cached is not None:
+                self.hits += 1
+                self._resident.move_to_end(key)
+                return cached
+            self.misses += 1
         data = loader(*args)
         with self._lock:
-            self._admit(key, data)
+            if self.capacity >= len(data) and key not in self._resident:
+                self._resident[key] = data
+                self._used += len(data)
+                self._evict()
         return data
 
 

@@ -17,6 +17,8 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
+from .errors import FormatError
+
 
 @dataclass(frozen=True)
 class RepConstants:
@@ -125,11 +127,14 @@ def save_params(params: CacheModelParams, path: str | Path) -> None:
 
 
 def load_params(path: str | Path) -> CacheModelParams:
-    doc = json.loads(Path(path).read_text())
-    return CacheModelParams(
-        md=RepConstants(doc["M_m"], doc["D_m"]),
-        tbl=RepConstants(doc["M_t"], doc["D_t"]),
-        preload_bytes=int(doc["H"]),
-        cell_bytes=int(doc["C"]),
-        table_bytes=int(doc["S"]),
-    )
+    try:
+        doc = json.loads(Path(path).read_text())
+        return CacheModelParams(
+            md=RepConstants(doc["M_m"], doc["D_m"]),
+            tbl=RepConstants(doc["M_t"], doc["D_t"]),
+            preload_bytes=int(doc["H"]),
+            cell_bytes=int(doc["C"]),
+            table_bytes=int(doc["S"]),
+        )
+    except (ValueError, KeyError, TypeError) as exc:
+        raise FormatError(f"bad constants file: {exc}") from exc

@@ -212,7 +212,7 @@ def cmd_sweep(args) -> int:
             md_budgets = [b for b in args.budget_list if b >= params.preload_bytes]
             tbl_budgets = list(args.budget_list)
             if not md_budgets:
-                raise InvalidCoordinateError(
+                raise ValueError(
                     "no budget reaches the preloaded size of the multidimensional store"
                 )
         else:

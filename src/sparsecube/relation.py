@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+from array import array
 from dataclasses import dataclass, field
 from itertools import islice
 from operator import itemgetter
@@ -319,9 +320,7 @@ class IngestConfig:
     delimiter: str = ","
     has_header: bool = False
     sorted_values: bool = False
-    dimension_names: tuple[str, ...] | None = None
     declared_values: tuple[tuple[str, ...], ...] | None = None
-    measure_width: int = 8
 
 
 @dataclass
@@ -341,44 +340,78 @@ CHUNK_RECORDS = 512
 def ingest_delimited(path: str | Path, config: IngestConfig = IngestConfig()) -> IngestResult:
     """Load a relation from delimited text, one `dim...,measure` row per cell.
 
-    Dimension values are collected in first-seen order (or sorted when the
+    Dimension values are indexed in first-seen order (or sorted when the
     config asks for it) unless pre-declared.  Duplicate keys are
-    last-write-wins and counted.  The rows are parsed by column into the
-    arrays `ordered_cells` returns: each dimension column goes through its
-    value index into a coordinate column, positions are `coords @ strides`,
-    and one stable sort orders the rows, so the last of equal neighbours is
-    the last write of its key.  The relation's dict is built from the
-    arrays only when asked for, keyed in first-seen order.
+    last-write-wins and counted.  The file is read once, CHUNK_RECORDS
+    records at a time.  While a chunk is in hand, its row widths are
+    checked, its measures go into one float array and each dimension
+    column goes through its value index into int64 codes; no text is kept
+    past its chunk.  The row width is the declared dimensions plus one, or
+    else the width of the first data row.  Positions are `coords @
+    strides`, and one stable sort orders the rows, so the last of equal
+    neighbours is the last write of its key.  The relation's dict is built
+    from the arrays only when asked for, keyed in first-seen order.
 
-    An error names its record, counting the header line and blank records:
-    the file is read again to find the first bad row, as a row-by-row parse
-    would report it.
+    An error names its record, counting the header line and blank records,
+    as a row-by-row parse would.  A bad width or measure is raised from its
+    chunk; the first undeclared value is raised only after every width and
+    measure in the file has been checked.
     """
-    *columns, measure_texts = _read_columns(path, config)
-    n_dims, n = len(columns), len(measure_texts)
-    try:
-        measures = np.fromiter(map(float, measure_texts), dtype=np.float64, count=n)
-    except ValueError:
-        _raise_for_first_error(path, config, n_dims + 1)
-
-    if config.declared_values is not None:
-        value_lists = [list(vs) for vs in config.declared_values]
+    declared = config.declared_values
+    if declared is None:
+        width = indexes = None
     else:
-        value_lists = [list(dict.fromkeys(col)) for col in columns]
-        if config.sorted_values:
-            value_lists = [sorted(vs) for vs in value_lists]
+        width = len(declared) + 1
+        indexes = [{v: i for i, v in enumerate(vs)} for vs in declared]
+    measures = array("d")
+    pieces: list[np.ndarray] = []  # each chunk's (rows, dims) codes
+    undeclared: IngestError | None = None
+    seen = 1 if config.has_header else 0  # records read before the chunk
+    with open(path, newline="", encoding="utf-8") as f:
+        reader = csv.reader(f, delimiter=config.delimiter)
+        if config.has_header:
+            next(reader, None)
+        while chunk := list(islice(reader, CHUNK_RECORDS)):
+            rows = list(filter(None, chunk))
+            if rows:
+                if width is None:
+                    width = len(rows[0])
+                    if width < 2:
+                        first = seen + 1 + chunk.index(rows[0])
+                        raise IngestError("need at least one dimension column", row=first)
+                    indexes = [_FirstSeen() for _ in range(width - 1)]
+                if set(map(len, rows)) != {width}:
+                    _raise_for_bad_row(chunk, seen, width)
+                try:
+                    measures.extend(map(float, map(itemgetter(-1), rows)))
+                except ValueError:
+                    _raise_for_bad_row(chunk, seen, width)
+                if undeclared is None:
+                    try:
+                        pieces.append(_codes(rows, indexes))
+                    except KeyError:
+                        undeclared = _undeclared(chunk, seen, indexes)
+            seen += len(chunk)
+            # Free this chunk's row lists before the next chunk makes its own.
+            del chunk, rows
+    if not measures:
+        raise EmptyRelationError(f"no data rows in {path}")
 
-    names = config.dimension_names or tuple(f"d{i}" for i in range(n_dims))
+    sort = declared is None and config.sorted_values
+    if declared is not None:
+        value_lists = declared
+    else:
+        value_lists = [sorted(index) if sort else tuple(index) for index in indexes]
     schema = DimensionSchema(
-        tuple(Dimension(name, tuple(vs)) for name, vs in zip(names, value_lists))
+        tuple(Dimension(f"d{i}", tuple(vs)) for i, vs in enumerate(value_lists))
     )
-    indexes = [{v: i for i, v in enumerate(vs)} for vs in value_lists]
-    coords = np.empty((n, n_dims), dtype=np.int64)
-    try:
-        for j, (index, col) in enumerate(zip(indexes, columns)):
-            coords[:, j] = np.fromiter(map(index.__getitem__, col), dtype=np.int64, count=n)
-    except KeyError:
-        _raise_for_first_error(path, config, n_dims + 1, indexes)
+    if undeclared is not None:
+        raise undeclared
+    coords = np.concatenate(pieces)
+    if sort:  # from first-seen codes to sorted ones
+        for j, (index, vs) in enumerate(zip(indexes, value_lists)):
+            first_seen = np.fromiter(map(index.__getitem__, vs), dtype=np.int64, count=len(vs))
+            coords[:, j] = np.argsort(first_seen)[coords[:, j]]
 
     positions = _positions(coords, schema)
     order = np.argsort(positions, kind="stable")
@@ -389,85 +422,38 @@ def ingest_delimited(path: str | Path, config: IngestConfig = IngestConfig()) ->
     ends = np.append(starts[1:], True)
     kept = order[ends]
     rel = Relation.from_ordered(
-        schema, positions[ends], coords[kept], measures[kept],
-        measure_width=config.measure_width, first_seen=order[starts],
+        schema, positions[ends], coords[kept], np.frombuffer(measures, dtype=np.float64)[kept],
+        first_seen=order[starts],
     )
-    return IngestResult(rel, n - len(kept))
+    return IngestResult(rel, len(measures) - len(kept))
 
 
-def _read_columns(path: str | Path, config: IngestConfig) -> list[list[str]]:
-    """The text of every data row by column: the dimension columns, then
-    the measures.
+class _FirstSeen(dict):
+    """A value index that codes each new value by the order it is first seen."""
 
-    Reads CHUNK_RECORDS records at a time and keeps no record past its
-    chunk.  The row width is the declared dimensions plus one, or else the
-    width of the first data row.  Raises EmptyRelationError for a file with
-    no data rows and IngestError for a first row with no dimension column
-    or any row of another width.
-    """
-    declared = config.declared_values
-    width = None if declared is None else len(declared) + 1
-    columns: list[list[str]] | None = None
-    seen = 1 if config.has_header else 0  # records read before the chunk
-    with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.reader(f, delimiter=config.delimiter)
-        if config.has_header:
-            next(reader, None)
-        while chunk := list(islice(reader, CHUNK_RECORDS)):
-            rows = list(filter(None, chunk))
-            if rows:
-                if columns is None:
-                    if width is None:
-                        width = len(rows[0])
-                        if width < 2:
-                            first = seen + 1 + chunk.index(rows[0])
-                            raise IngestError("need at least one dimension column", row=first)
-                    columns = [[] for _ in range(width)]
-                if set(map(len, rows)) != {width}:
-                    _raise_for_first_error(path, config, width)
-                # By column getter, not zip(*rows): zip makes an iterator
-                # per row, which would double the chunk's containers.
-                for j, column in enumerate(columns):
-                    column.extend(map(itemgetter(j), rows))
-            seen += len(chunk)
-            # Free this chunk's row lists before the next chunk makes its own.
-            del chunk, rows
-    if columns is None:
-        raise EmptyRelationError(f"no data rows in {path}")
-    return columns
+    def __missing__(self, value: str) -> int:
+        self[value] = code = len(self)
+        return code
 
 
-def _raise_for_first_error(
-    path: str | Path, config: IngestConfig, width: int,
-    indexes: list[dict[str, int]] | None = None,
-) -> NoReturn:
-    """Read the file again and raise IngestError for its first bad row: a
-    row that is not `width` columns ending in a number, or else, with
-    `indexes`, the first undeclared value in row order."""
-    with open(path, newline="", encoding="utf-8") as f:
-        records = list(csv.reader(f, delimiter=config.delimiter))
-    skip = 1 if config.has_header else 0
-    _raise_for_bad_row(records, skip, width)
-    if indexes is not None:
-        _raise_for_undeclared(records, skip, indexes)
-    raise IngestError(f"{path} changed while it was read")
+def _codes(rows: list[list[str]], indexes: list[dict[str, int]]) -> np.ndarray:
+    """The (rows, dims) int64 codes of the rows' dimension values; raises
+    KeyError for a value a declared index does not hold."""
+    codes = np.empty((len(rows), len(indexes)), dtype=np.int64)
+    # By column getter, not zip(*rows): zip makes an iterator per row, which
+    # would double the chunk's containers.
+    for j, index in enumerate(indexes):
+        codes[:, j] = np.fromiter(
+            map(index.__getitem__, map(itemgetter(j), rows)), dtype=np.int64, count=len(rows)
+        )
+    return codes
 
 
-def _raise_for_undeclared(
-    records: list[list[str]], skip: int, indexes: list[dict[str, int]]
-) -> None:
-    """Raise IngestError naming the first undeclared value in row order, and
-    its row, as a row-by-row parse would report it."""
-    for lineno, raw in enumerate(records[skip:], start=skip + 1):
-        for value, index in zip(raw, indexes):
-            if value not in index:
-                raise IngestError(f"undeclared dimension value {value!r}", row=lineno)
-
-
-def _raise_for_bad_row(records: list[list[str]], skip: int, width: int) -> None:
-    """Raise IngestError naming the first data row that is not `width`
-    columns ending in a number."""
-    for lineno, raw in enumerate(records[skip:], start=skip + 1):
+def _raise_for_bad_row(chunk: list[list[str]], seen: int, width: int) -> None:
+    """Raise IngestError naming the first record of `chunk`, which follows
+    `seen` records, that is neither blank nor `width` columns ending in a
+    number."""
+    for lineno, raw in enumerate(chunk, start=seen + 1):
         if not raw:
             continue
         if len(raw) != width:
@@ -476,3 +462,14 @@ def _raise_for_bad_row(records: list[list[str]], skip: int, width: int) -> None:
             float(raw[-1])
         except ValueError:
             raise IngestError(f"measure {raw[-1]!r} is not numeric", row=lineno) from None
+
+
+def _undeclared(chunk: list[list[str]], seen: int, indexes: list[dict[str, int]]) -> IngestError:
+    """The error naming the first undeclared value of `chunk`, which follows
+    `seen` records, in row order."""
+    return next(
+        IngestError(f"undeclared dimension value {value!r}", row=lineno)
+        for lineno, raw in enumerate(chunk, start=seen + 1)
+        for value, index in zip(raw, indexes)
+        if value not in index
+    )

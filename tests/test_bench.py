@@ -178,9 +178,11 @@ class TestSweep:
         ):
             with pytest.raises(ValueError, match=message):
                 memory_sweep(
-                    md, md_cache, tbl, tbl_cache, params, [md_budget], [tbl_budget],
+                    md, md_cache, tbl, tbl_cache, params, [h, md_budget], [tbl_budget],
                     samples=5, passes=1, seed=1,
                 )
+            # Every budget is checked before either side is simulated.
+            assert [(c.hits, c.misses) for c in (md_cache, tbl_cache)] == [(0, 0), (0, 0)]
 
     def test_reads_no_cell_or_row_block_and_leaves_the_caches(self, opened, monkeypatch):
         md, md_cache, tbl, tbl_cache = opened

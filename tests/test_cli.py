@@ -188,6 +188,7 @@ class TestEstimateSweep:
         ("sweep", "--block-size", "0"),
         ("estimate", "--block-size", "0"),
         ("estimate", "--samples", "0"),
+        ("sweep", "--budget-list", "1,2"),
     ])
     def test_counts_below_one_are_data_errors(self, workspace, tmp_path, capsys, argv):
         constants = tmp_path / "c.json"
@@ -200,6 +201,19 @@ class TestEstimateSweep:
                    "--out", tmp_path / "out") == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+
+    @pytest.mark.parametrize("doc", [
+        {"M_m": 0.01, "D_m": 1.0, "M_t": 0.02, "D_t": 2.0, "C": 100, "S": 200},
+        [0.01, 1.0, 0.02, 2.0, 10, 100, 200],
+    ])
+    def test_bad_constants_file_is_a_data_error(self, workspace, tmp_path, capsys, doc):
+        constants = tmp_path / "c.json"
+        constants.write_text(json.dumps(doc))
+        assert run("sweep", "--constants", constants, "--md-store", workspace / "dhc",
+                   "--table-store", workspace / "table", "--out", tmp_path / "out") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad constants file: ") and err.count("\n") == 1
         assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
 
     def test_sweep_explicit_budgets(self, workspace, tmp_path):

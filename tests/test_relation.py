@@ -531,6 +531,43 @@ class TestIngestChunks:
             ingest_text(tmp_path, "d0,d1,m\n\n\n\n\n", IngestConfig(has_header=True))
 
 
+class TestIngestReadsOnce:
+    """The file is opened once, whether it loads or raises."""
+
+    DECLARED = IngestConfig(declared_values=(("a", "b", "c"), ("x", "y")))
+
+    @pytest.fixture(autouse=True)
+    def opens(self, monkeypatch):
+        paths = []
+
+        def counting_open(path, *args, **kwargs):
+            paths.append(path)
+            return open(path, *args, **kwargs)
+
+        monkeypatch.setattr(relation, "open", counting_open, raising=False)
+        monkeypatch.setattr(relation, "CHUNK_RECORDS", 3)
+        return paths
+
+    def test_good_file(self, tmp_path, opens):
+        assert ingest_text(tmp_path, "\n".join(ROWS) + "\n").relation.n_cells == 6
+        assert len(opens) == 1
+
+    @pytest.mark.parametrize("lines, row, message, config", [
+        (ROWS[:4] + ["c,y"] + ROWS[4:], 5, "expected 3 columns, got 2", IngestConfig()),
+        (ROWS[:4] + ["c,y,zap"] + ROWS[4:], 5, "measure 'zap' is not numeric", IngestConfig()),
+        (ROWS[:4] + ["c,z,1"] + ROWS[4:], 5, "undeclared dimension value 'z'", DECLARED),
+        (["", "5"] + ROWS, 2, "need at least one dimension column", IngestConfig()),
+    ])
+    def test_each_error(self, tmp_path, opens, lines, row, message, config):
+        raises_at(tmp_path, lines, row, message, config)
+        assert len(opens) == 1
+
+    def test_duplicate_declared_values_rejected(self, tmp_path):
+        config = IngestConfig(declared_values=(("a", "b", "a"), ("x", "y")))
+        with pytest.raises(ValueError, match="duplicate values"):
+            ingest_text(tmp_path, "\n".join(ROWS[:2]) + "\n", config)
+
+
 def test_ingest_triggers_no_collection(tmp_path):
     # Ingest keeps fewer rows alive at once than the collector's first
     # threshold.  Counted the same way at the commit that read every record
