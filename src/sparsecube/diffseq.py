@@ -84,12 +84,8 @@ def difference_arrays(
 
 def pack_diffs(values: Sequence[int], diff_bits: int) -> bytes:
     """Pack diff_bits-wide unsigned values into little-endian bit groups."""
-    if diff_bits == 8:
-        return np.asarray(values, dtype="<u1").tobytes()
-    if diff_bits == 16:
-        return np.asarray(values, dtype="<u2").tobytes()
-    if diff_bits == 32:
-        return np.asarray(values, dtype="<u4").tobytes()
+    if diff_bits % 8 == 0:
+        return pack_ints(values, diff_bits // 8)
     octets = np.asarray(values, dtype="<u4").view(np.uint8).reshape(-1, 4)
     bits = np.unpackbits(octets, axis=1, bitorder="little")
     return np.packbits(bits[:, :diff_bits], bitorder="little").tobytes()
@@ -101,9 +97,8 @@ def packed_size(count: int, diff_bits: int) -> int:
 
 def _diff_array(data: bytes, diff_bits: int, count: int) -> np.ndarray:
     """The first `count` packed differences as a uint64 array."""
-    if diff_bits in (8, 16, 32):
-        raw = np.frombuffer(data, dtype=f"<u{diff_bits // 8}", count=count)
-        return raw.astype(np.uint64)
+    if diff_bits % 8 == 0:
+        return unpack_ints(data, diff_bits // 8, count)
     bits = np.unpackbits(
         np.frombuffer(data, dtype=np.uint8), count=count * diff_bits, bitorder="little"
     ).reshape(count, diff_bits)
@@ -395,11 +390,10 @@ def _long_code(cb: CodeBook, window: int) -> tuple[int, int]:
     `DhcHeader.lookup` so that the loop there, which runs once per decoded
     code, holds only what the table path needs.
     """
-    first, count, offset, syms = cb._ranges
     for ln in range(cb._lut[0] + 1, cb.max_len + 1):
-        c = (window >> (cb.max_len - ln)) - first[ln]
-        if 0 <= c < count[ln]:
-            return syms[offset[ln] + c], ln
+        c = (window >> (cb.max_len - ln)) - cb.first[ln]
+        if 0 <= c < cb.count[ln]:
+            return cb.symbols[cb.offset[ln] + c], ln
     raise CorruptStreamError("no code matches the stream bits")
 
 
@@ -434,19 +428,11 @@ class DhcHeader(DifferenceHeader):
         jump_idx = _jump_indices(diffs, len(self.jumps))
         return diffs, jump_idx, np.frombuffer(self.jumps, dtype=np.uint64), ends
 
-    def codebook_bytes(self) -> int:
-        return self.codebook.size_bytes() if self.codebook is not None else 0
-
-    def stream_bytes(self) -> int:
-        # Raw octets plus the stored bit length.
-        return 8 + len(self.stream.data)
-
     def size_bytes(self) -> int:
-        return (
-            self.entry_width * len(self.jumps)
-            + self.codebook_bytes()
-            + self.stream_bytes()
-        )
+        # The jumps, the codebook, and the stream's octets plus its stored
+        # bit length.
+        codebook = self.codebook.size_bytes() if self.codebook is not None else 0
+        return self.entry_width * len(self.jumps) + codebook + 8 + len(self.stream.data)
 
     def memory_bytes(self) -> int:
         tables = self.codebook.decode_table_bytes() if self.codebook is not None else 0

@@ -54,6 +54,8 @@ def unpack_ints(data: bytes, width: int, count: int, offset: int = 0) -> np.ndar
         raise FormatError(f"entry width {width} is not 1..8 octets")
     if offset + width * count > len(data):
         raise FormatError("truncated header payload")
+    if width in (1, 2, 4, 8):  # read as it is, without the strided copy below
+        return np.frombuffer(data, dtype=f"<u{width}", count=count, offset=offset).astype(np.uint64)
     wide = np.zeros((count, 8), dtype=np.uint8)
     wide[:, :width] = np.frombuffer(
         data, dtype=np.uint8, count=width * count, offset=offset

@@ -1,10 +1,14 @@
 """Canonical prefix coding over unsigned integer symbols.
 
 Codes are optimal (Huffman lengths) and assigned canonically by
-(length, symbol), so a codebook is fully described by its lengths.  Bits are
-MSB-first within octets; the final partial octet is zero-padded.  A stream
-position is a plain bit offset: 0 is the very start, and the offset right
-after one code is where the next one starts.
+(length, symbol), so a codebook is fully described by its symbols in that
+order and the number of codes of each length.  `CodeBook` holds just that,
+as the per-length canonical ranges (first code, count, offset into the
+symbols) beside one compact array of the symbols; a symbol's length and
+code are derived when needed.  Bits are MSB-first within octets; the final
+partial octet is zero-padded.  A stream position is a plain bit offset: 0
+is the very start, and the offset right after one code is where the next
+one starts.
 
 A single-symbol alphabet gets a deliberate 1-bit code: a zero-bit code would
 never advance the stream.
@@ -19,8 +23,7 @@ at once, and `decode_stream` reads the 56-bit window at every bit offset to
 find the code there, then the offsets where codes really start.  A DHC
 point query (`diffseq.DhcHeader.lookup`) decodes its few codes from a known
 code end itself, with the table of `CodeBook._lut` and, past it, the
-canonical ranges of `CodeBook._ranges`, which are all the whole-stream
-decode needs.
+canonical ranges, which are all the whole-stream decode needs.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from __future__ import annotations
 import heapq
 import math
 import struct
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Sequence
@@ -38,6 +42,8 @@ from .errors import CorruptStreamError, FormatError
 
 MAX_CODE_BITS = 56
 _LUT_MAX_BITS = 11
+# One stored codebook entry: the symbol, then its code length.
+_ENTRY = np.dtype([("symbol", "<u8"), ("length", "u1")])
 
 
 @dataclass(frozen=True)
@@ -51,78 +57,85 @@ class BitStream:
 
 
 class CodeBook:
-    """Prefix-free code table: symbol -> (length, canonical code bits)."""
+    """A canonical prefix code, held once as its canonical ranges.
+
+    `symbols` is every symbol in canonical order (by code length, then by
+    symbol) as an `array('Q')`.  `first`, `count` and `offset` are indexed
+    by code length 0..max_len: the codes of length ln are the count[ln]
+    integers from first[ln], and code first[ln] + i stands for
+    symbols[offset[ln] + i].  That is all a canonical code is (Moffat &
+    Turpin 1997), so nothing else is held per symbol: `lengths` is derived
+    on each access, and so are the codes `encode_sequence` writes.  Only a
+    point query adds to it, the short-prefix table `_lut`.
+    """
 
     def __init__(self, lengths: Mapping[int, int]):
         if not lengths:
             raise ValueError("codebook needs at least one symbol")
-        self.lengths = dict(lengths)
-        order = sorted(self.lengths, key=lambda s: (self.lengths[s], s))
-        self.codes: dict[int, tuple[int, int]] = {}
-        code = 0
-        prev_len = self.lengths[order[0]]
-        for sym in order:
-            ln = self.lengths[sym]
+        canonical = sorted((ln, sym) for sym, ln in lengths.items())
+        for ln, sym in (canonical[0], canonical[-1]):  # the shortest and the longest
             if not 1 <= ln <= MAX_CODE_BITS:
                 raise ValueError(f"code length for symbol {sym} must be 1..{MAX_CODE_BITS}")
-            code <<= ln - prev_len
-            if code >= (1 << ln):
-                raise ValueError("code lengths violate the Kraft inequality")
-            self.codes[sym] = (ln, code)
-            code += 1
-            prev_len = ln
-        self.max_len = prev_len
-        self._canonical_order = order
-
-    @cached_property
-    def _ranges(self):
-        """Per-length canonical ranges: first code, count and offset into
-        the symbols in canonical order, and those symbols."""
-        first_code = [0] * (self.max_len + 1)
-        count = [0] * (self.max_len + 1)
-        offset = [0] * (self.max_len + 1)
-        syms = self._canonical_order
-        for s in syms:
-            count[self.lengths[s]] += 1
-        pos = 0
-        code = 0
+        self.max_len = canonical[-1][0]
+        self.symbols = array("Q", [sym for _, sym in canonical])
+        self.count = [0] * (self.max_len + 1)
+        for ln, _ in canonical:
+            self.count[ln] += 1
+        self.first = [0] * (self.max_len + 1)
+        self.offset = [0] * (self.max_len + 1)
+        code = pos = 0
         for ln in range(1, self.max_len + 1):
             code <<= 1
-            first_code[ln] = code
-            offset[ln] = pos
-            code += count[ln]
-            pos += count[ln]
-        return first_code, count, offset, syms
+            self.first[ln] = code
+            self.offset[ln] = pos
+            code += self.count[ln]
+            pos += self.count[ln]
+        # Past the Kraft sum, the codes of some length overrun its range, and
+        # the overrun carries down to the longest length.
+        if code > 1 << self.max_len:
+            raise ValueError("code lengths violate the Kraft inequality")
+
+    def _canonical_lengths(self) -> np.ndarray:
+        """The code length of each entry of `symbols`."""
+        return np.repeat(np.arange(self.max_len + 1), self.count)
+
+    @property
+    def lengths(self) -> dict[int, int]:
+        """Each symbol's code length, derived from the canonical ranges."""
+        return dict(zip(self.symbols, self._canonical_lengths().tolist()))
 
     @cached_property
     def _lut(self):
         """The short-prefix table of a point query's decode: its width w and,
         per w-bit prefix, the (symbol, length) of the code it starts with,
-        or None for a longer code.  Built on the first lookup."""
+        or None for a longer code.  Built on the first lookup.  Left-justified
+        to w bits, the codes of at most w bits tile the table from 0 in
+        canonical order, and every slot of one code holds the same tuple."""
         w = min(self.max_len, _LUT_MAX_BITS)
         lut: list[tuple[int, int] | None] = [None] * (1 << w)
-        for s in self._canonical_order:
-            ln, c = self.codes[s]
-            if ln <= w:
-                base = c << (w - ln)
-                for i in range(base, base + (1 << (w - ln))):
-                    lut[i] = (s, ln)
+        at = 0
+        for ln in range(1, w + 1):
+            span = 1 << (w - ln)
+            for sym in self.symbols[self.offset[ln] : self.offset[ln] + self.count[ln]]:
+                lut[at : at + span] = [(sym, ln)] * span
+                at += span
         return w, lut
 
     def decode_table_bytes(self) -> int:
         # Memory-model size of the resident decode structures (canonical
         # per-length tables), analogous to a decoding tree.
-        return 8 * len(self.codes) + 16 * self.max_len
+        return 8 * len(self.symbols) + 16 * self.max_len
 
     def size_bytes(self) -> int:
         # Serialized: symbol count (8) + per symbol (symbol 8, length 1).
-        return 8 + 9 * len(self.codes)
+        return 8 + 9 * len(self.symbols)
 
     def to_bytes(self) -> bytes:
-        out = bytearray(struct.pack("<Q", len(self.codes)))
-        for sym in sorted(self.codes):
-            out += struct.pack("<QB", sym, self.lengths[sym])
-        return bytes(out)
+        entries = np.empty(len(self.symbols), dtype=_ENTRY)
+        entries["symbol"] = self.symbols
+        entries["length"] = self._canonical_lengths()
+        by_symbol = entries[np.argsort(entries["symbol"])]
+        return struct.pack("<Q", len(entries)) + by_symbol.tobytes()
 
     @classmethod
     def from_bytes(cls, data: bytes, offset: int = 0) -> tuple["CodeBook", int]:
@@ -132,13 +145,12 @@ class CodeBook:
         offset += 8
         if len(data) < offset + 9 * n:
             raise FormatError("truncated codebook entries")
-        lengths = {}
-        for _ in range(n):
-            sym, ln = struct.unpack_from("<QB", data, offset)
-            lengths[sym] = ln
-            offset += 9
+        entries = np.frombuffer(data, dtype=_ENTRY, count=n, offset=offset)
+        symbols = entries["symbol"]
+        if (symbols[1:] <= symbols[:-1]).any():
+            raise FormatError("codebook symbols do not strictly increase")
         try:
-            return cls(lengths), offset
+            return cls(dict(zip(symbols.tolist(), entries["length"].tolist()))), offset + 9 * n
         except ValueError as exc:  # a length outside 1..56 or past the Kraft sum
             raise FormatError(f"bad codebook: {exc}") from exc
 
@@ -184,20 +196,20 @@ def encode_sequence(
     Returns the stream and, per symbol, the bit offset right after its code,
     which is where the following symbol's code starts.
     """
-    alphabet = sorted(cb.codes)
-    table = np.array(alphabet, dtype=np.uint64)
+    canonical = np.frombuffer(cb.symbols, dtype=np.uint64)
+    by_symbol = np.argsort(canonical)
     seq = np.asarray(symbols, dtype=np.uint64)
-    row = np.minimum(np.searchsorted(table, seq), len(alphabet) - 1)
-    missing = table[row] != seq
+    row = by_symbol[np.minimum(np.searchsorted(canonical[by_symbol], seq), len(by_symbol) - 1)]
+    missing = canonical[row] != seq
     if missing.any():
         raise ValueError(f"symbol {int(seq[missing.argmax()])} not in codebook")
-    # One row of left-justified code bits per symbol of the alphabet.
+    # One row of left-justified code bits per symbol, in canonical order.
+    width = cb._canonical_lengths()
+    code = np.array(cb.first)[width] + np.arange(width.size) - np.array(cb.offset)[width]
+    left = (code.astype(np.uint64) << (64 - width).astype(np.uint64)).astype(">u8")
     nbytes = (cb.max_len + 7) // 8
-    code_bits = np.unpackbits(np.frombuffer(b"".join(
-        (code << (8 * nbytes - ln)).to_bytes(nbytes, "big")
-        for ln, code in (cb.codes[s] for s in alphabet)
-    ), dtype=np.uint8))
-    lengths = np.array([cb.lengths[s] for s in alphabet], dtype=np.int64)[row]
+    code_bits = np.unpackbits(left.view(np.uint8).reshape(-1, 8)[:, :nbytes])
+    lengths = width[row]
     ends = np.cumsum(lengths)
     total = int(ends[-1]) if ends.size else 0
     bit_index = np.repeat(row * (8 * nbytes) - (ends - lengths), lengths) + np.arange(total)
@@ -227,8 +239,7 @@ def _code_lengths(cb: CodeBook, win: np.ndarray, n_bits: int, none: int) -> np.n
     bits settles every offset unless a limit has those k bits and more below;
     one `searchsorted` over the limits settles those few.
     """
-    first, count, _, _ = cb._ranges
-    max_len = cb.max_len
+    first, count, max_len = cb.first, cb.count, cb.max_len
     # The end of a complete code's space is never reached by a window.
     limits = [(first[ln] + count[ln]) << (MAX_CODE_BITS - ln) for ln in range(1, max_len + 1)]
     limits = [x for x in limits if x < 1 << MAX_CODE_BITS]
@@ -328,7 +339,6 @@ def decode_stream(cb: CodeBook, stream: BitStream, count: int) -> tuple[np.ndarr
     """
     if count == 0:
         return np.zeros(0, dtype=np.uint64), np.zeros(0, dtype=np.int64)
-    first, _, offset, syms = cb._ranges
     max_len = cb.max_len
     n_bits = stream.bit_length
     win = _windows(stream.data, n_bits + MAX_CODE_BITS + 1)
@@ -341,8 +351,8 @@ def decode_stream(cb: CodeBook, stream: BitStream, count: int) -> tuple[np.ndarr
     ends = starts + ln
     # The code's offset in its length class, from the 56 bits ending with it.
     masks = (np.uint64(1) << np.arange(max_len + 1, dtype=np.uint64)) - np.uint64(1)
-    rank = np.array(offset, dtype=np.int64)[ln] + (
-        (win[ends] & masks[ln]) - np.array(first, dtype=np.uint64)[ln]
+    rank = np.array(cb.offset, dtype=np.int64)[ln] + (
+        (win[ends] & masks[ln]) - np.array(cb.first, dtype=np.uint64)[ln]
     ).astype(np.int64)
-    return np.array(syms, dtype=np.uint64)[rank], ends
+    return np.frombuffer(cb.symbols, dtype=np.uint64)[rank], ends
 

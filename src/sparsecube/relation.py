@@ -81,13 +81,12 @@ class DimensionSchema:
         return len(self.dimensions)
 
     @classmethod
-    def from_cardinalities(cls, cards: Sequence[int], names: Sequence[str] | None = None) -> "DimensionSchema":
-        """Schema with synthetic value labels v0..v{c-1} per dimension."""
-        dims = []
-        for i, c in enumerate(cards):
-            name = names[i] if names else f"d{i}"
-            dims.append(Dimension(name, tuple(f"v{j}" for j in range(c))))
-        return cls(tuple(dims))
+    def from_cardinalities(cls, cards: Sequence[int]) -> "DimensionSchema":
+        """Schema of dimensions d0, d1, .. with synthetic value labels
+        v0..v{c-1} per dimension."""
+        return cls(tuple(
+            Dimension(f"d{i}", tuple(f"v{j}" for j in range(c))) for i, c in enumerate(cards)
+        ))
 
 
 def schema_to_json(schema: DimensionSchema, measure_width: int) -> bytes:
@@ -370,8 +369,8 @@ def ingest_delimited(path: str | Path, config: IngestConfig = IngestConfig()) ->
     with open(path, newline="", encoding="utf-8") as f:
         reader = csv.reader(f, delimiter=config.delimiter)
         if config.has_header:
-            next(reader, None)
-        while chunk := list(islice(reader, CHUNK_RECORDS)):
+            _next_chunk(reader, 0, 1)
+        while chunk := _next_chunk(reader, seen, CHUNK_RECORDS):
             rows = list(filter(None, chunk))
             if rows:
                 if width is None:
@@ -426,6 +425,17 @@ def ingest_delimited(path: str | Path, config: IngestConfig = IngestConfig()) ->
         first_seen=order[starts],
     )
     return IngestResult(rel, len(measures) - len(kept))
+
+
+def _next_chunk(reader: Iterator[list[str]], seen: int, size: int) -> list[list[str]]:
+    """The next `size` records of `reader`, which has read `seen`; a record
+    the csv module refuses raises IngestError naming it."""
+    chunk: list[list[str]] = []
+    try:
+        chunk.extend(islice(reader, size))
+    except csv.Error as exc:  # list.extend keeps the records read before it
+        raise IngestError(str(exc), row=seen + len(chunk) + 1) from None
+    return chunk
 
 
 class _FirstSeen(dict):

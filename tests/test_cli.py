@@ -46,6 +46,13 @@ class TestGenIngest:
         bad.write_text("a,b,1\nc,2\n")
         assert run("ingest", "--in", bad) == 1
 
+    def test_field_past_the_csv_limit_is_data_error(self, tmp_path, capsys):
+        big = tmp_path / "big.csv"
+        big.write_text("x" * 140_000 + ",a,1\nb,c,2\n")
+        assert run("ingest", "--in", big) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: row 1: field larger than field limit")
+
 
 class TestQuery:
     def test_stored_cell(self, workspace, capsys):

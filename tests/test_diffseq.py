@@ -495,6 +495,16 @@ class TestLoadChecks:
         with pytest.raises(FormatError):
             DhcHeader.from_bytes(bytes(raw))
 
+    def test_dhc_codebook_symbols_must_increase(self):
+        # A repeated symbol would collapse into one codebook entry and leave
+        # the stream to fail later, if at all.
+        h = build_dhc([5, 6, 7, 9, 11, 300], diff_bits=8)
+        raw = bytearray(h.to_bytes())
+        entries = len(raw) - len(h.stream.data) - h.codebook.size_bytes() + 8
+        raw[entries + 9 : entries + 17] = bytes(8)  # symbols 0, 0, 2
+        with pytest.raises(FormatError, match="symbols"):
+            DhcHeader.from_bytes(bytes(raw))
+
     def test_dhc_stream_of_57_bit_codes_rejected(self):
         # Gap g < 58 has the code of g - 1 ones and a zero, and gap 58 has 57
         # ones: a complete code one bit past MAX_CODE_BITS, which the stream

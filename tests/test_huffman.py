@@ -51,6 +51,17 @@ def optimal_tree_cost(weights):
     return cost((1 << len(w)) - 1)
 
 
+def canonical_codes(cb):
+    """symbol -> (length, code), numbering codes from `cb.lengths` in
+    (length, symbol) order: the reference for the codes `CodeBook` implies."""
+    codes, code, prev = {}, 0, 0
+    for ln, sym in sorted((ln, sym) for sym, ln in cb.lengths.items()):
+        code <<= ln - prev
+        codes[sym] = (ln, code)
+        code, prev = code + 1, ln
+    return codes
+
+
 freq_maps = st.dictionaries(
     st.integers(0, 300), st.integers(1, 50), min_size=1, max_size=40
 )
@@ -60,8 +71,8 @@ class TestCodebook:
     def test_two_symbols_one_bit(self):
         cb = build_codebook({7: 1, 9: 1})
         assert cb.lengths == {7: 1, 9: 1}
-        assert cb.codes[7] == (1, 0)
-        assert cb.codes[9] == (1, 1)
+        assert canonical_codes(cb) == {7: (1, 0), 9: (1, 1)}
+        assert encode_sequence(cb, [9, 7])[0].data == bytes([0b10000000])
 
     def test_three_symbols(self):
         # Oracle over all 3-leaf prefix trees gives lengths (2, 2, 1).
@@ -90,7 +101,7 @@ class TestCodebook:
     @given(freq_maps)
     def test_prefix_free(self, freqs):
         cb = build_codebook(freqs)
-        codes = [(format(c, f"0{l}b")) for l, c in cb.codes.values()]
+        codes = [(format(c, f"0{l}b")) for l, c in canonical_codes(cb).values()]
         for i, a in enumerate(codes):
             for b in codes[i + 1 :]:
                 assert not a.startswith(b) and not b.startswith(a)
@@ -121,14 +132,14 @@ class TestCodebook:
 
     def test_deterministic_construction(self):
         freqs = {3: 2, 1: 2, 7: 2, 5: 2}
-        assert build_codebook(freqs).codes == build_codebook(freqs).codes
+        assert build_codebook(freqs).to_bytes() == build_codebook(freqs).to_bytes()
 
     def test_serialization_round_trip(self):
         cb = build_codebook({0: 3, 1: 1, 2: 1, 9: 7})
         data = cb.to_bytes()
         again, end = CodeBook.from_bytes(data)
         assert end == len(data) == cb.size_bytes()
-        assert again.codes == cb.codes
+        assert (again.symbols, again.lengths) == (cb.symbols, cb.lengths)
 
 
 class TestEncode:
@@ -248,11 +259,12 @@ class TestDecode:
 def scalar_encode(cb, symbols):
     """One code at a time through an integer accumulator: the reference for
     `encode_sequence`.  Returns the octets, the bit count and each code's end."""
+    codes = canonical_codes(cb)
     out = bytearray()
     acc = acc_bits = total = 0
     ends = []
     for sym in symbols:
-        ln, code = cb.codes[sym]
+        ln, code = codes[sym]
         acc = (acc << ln) | code
         acc_bits += ln
         total += ln
@@ -268,10 +280,10 @@ def scalar_encode(cb, symbols):
 
 def scalar_decode(cb, stream, count, start=0):
     """`count` codes from bit offset `start`, read one bit at a time and
-    matched against `cb.codes`: the reference for `decode_stream`.  Returns
+    matched against `canonical_codes`: the reference for `decode_stream`.  Returns
     the symbols and each code's end; a code that runs past the stream's bit
     length, or bits that match no code, are corrupt."""
-    symbol_of = {code: sym for sym, code in cb.codes.items()}  # (length, bits) -> symbol
+    symbol_of = {code: sym for sym, code in canonical_codes(cb).items()}  # (length, bits) -> symbol
     longest = max(cb.lengths.values())
     symbols, ends = [], []
     pos = start
@@ -317,7 +329,7 @@ codebooks = st.one_of(
 class TestWholeStream:
     @given(codebooks, st.data())
     def test_matches_scalar_coder(self, cb, data):
-        alphabet = sorted(cb.codes)
+        alphabet = sorted(cb.lengths)
         seq = data.draw(st.lists(st.sampled_from(alphabet), max_size=150))
         stream, ends = encode_sequence(cb, seq)
         octets, bits, scalar_ends = scalar_encode(cb, seq)

@@ -337,3 +337,31 @@ class TestResidentHeap:
         finally:
             tracemalloc.stop()
         assert heap <= 1.10 * header.memory_bytes(), (heap, header.memory_bytes())
+
+    @pytest.mark.parametrize(
+        "spec, bound",
+        [
+            # Scan-clustered, 158 distinct gaps at 16 bits.
+            (SynthSpec((128, 128, 64), density=0.02, clustering=0.5, seed=1), 2.5),
+            # Uniform 1000^3 at 1e-5, 4,648 distinct gaps at 16 bits.
+            (SynthSpec((1000, 1000, 1000), density=1e-5, seed=3), 1.6),
+        ],
+        ids=["scan-clustered", "uniform"],
+    )
+    def test_dhc_heap_after_a_lookup(self, spec, bound):
+        # A codebook with many distinct gaps is held as its canonical ranges,
+        # and the first lookup adds one short-prefix table on top of them.
+        rel = generate(spec)
+        positions = ordered_cells(rel)[0]
+        data = mdstore.REGISTRY["dhc"].build(
+            positions, rel.schema.total_cells, StoreParams(diff_bits=16)
+        ).to_bytes()
+        tracemalloc.start()
+        try:
+            header = mdstore.REGISTRY["dhc"].header.from_bytes(data)
+            assert header.lookup(int(positions[-1])) == len(positions) - 1
+            assert "_lut" in vars(header.codebook)  # the lookup decoded
+            heap = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert heap <= bound * header.memory_bytes(), (heap, header.memory_bytes())

@@ -497,7 +497,14 @@ class TestIngestChunks:
     @pytest.mark.parametrize("edge", ["last of a chunk", "first of the next"])
     @pytest.mark.parametrize(
         "bad, message",
-        [("b,y", "expected 3 columns, got 2"), ("b,y,zap", "measure 'zap' is not numeric")],
+        [
+            ("b,y", "expected 3 columns, got 2"),
+            ("b,y,zap", "measure 'zap' is not numeric"),
+            pytest.param(
+                "b," + "y" * 140_000 + ",1", "field larger than field limit (131072)",
+                id="csv-field-limit",
+            ),
+        ],
     )
     def test_bad_row_at_a_chunk_boundary(self, tmp_path, has_header, edge, bad, message):
         # The header is read before the first chunk, so with one the first
@@ -506,6 +513,10 @@ class TestIngestChunks:
         lines = ["d0,d1,m"] * has_header + ROWS
         lines.insert(record - 1, bad)
         raises_at(tmp_path, lines, record, message, IngestConfig(has_header=has_header))
+
+    def test_header_past_the_csv_field_limit(self, tmp_path):
+        raises_at(tmp_path, ["d" * 140_000 + ",d1,m"] + ROWS, 1,
+                  "field larger than field limit (131072)", IngestConfig(has_header=True))
 
     def test_undeclared_value_in_a_later_chunk(self, tmp_path):
         cfg = IngestConfig(declared_values=(("a", "b", "c"), ("x", "y")))
