@@ -44,6 +44,8 @@ from .relation import decode_positions
 from .tablestore import TableStore
 
 UNBOUNDED = 1 << 60
+# The most draws of one kind: estimate samples, ladder points, sweep samples x passes.
+MAX_DRAWS = 1 << 20
 
 SWEEP_COLUMNS = ("rep", "budget_octets", "pass", "used_octets", "misses", "avg_sim_ms", "model_ms")
 
@@ -61,8 +63,8 @@ def sample_coords(
     store: MultidimStore, size: int, seed: int
 ) -> list[tuple[int, ...]]:
     """Uniform sample, with replacement, of stored cell coordinates."""
-    if size < 1:
-        raise ValueError("sample size must be >= 1")
+    if not 1 <= size <= MAX_DRAWS:
+        raise ValueError(f"sample size {size} is not in 1..{MAX_DRAWS}")
     positions = store.positions()
     drawn = positions[random.Random(seed).choices(range(len(positions)), k=size)]
     return list(zip(*(column.tolist() for column in decode_positions(drawn, store.schema))))
@@ -188,8 +190,8 @@ class SweepResult:
 
 def default_budgets(params: CacheModelParams, points: int = 20) -> tuple[list[int], list[int]]:
     """Evenly spaced budgets covering each representation's full range."""
-    if points < 2:
-        raise ValueError("a sweep needs at least 2 budget points")
+    if not 2 <= points <= MAX_DRAWS:
+        raise ValueError(f"a sweep needs 2..{MAX_DRAWS} budget points, not {points}")
     h, c, s = params.preload_bytes, params.cell_bytes, params.table_bytes
     md = [h + round(i * c / (points - 1)) for i in range(points)]
     tbl = [round(i * s / (points - 1)) for i in range(points)]
@@ -208,8 +210,8 @@ def memory_sweep(
     passes: int = 100,
     seed: int = 0,
 ) -> SweepResult:
-    if samples < 1 or passes < 1:
-        raise ValueError("a sweep needs at least 1 sample and 1 pass")
+    if samples < 1 or passes < 1 or samples * passes > MAX_DRAWS:
+        raise ValueError(f"samples {samples} times passes {passes} is not in 1..{MAX_DRAWS}")
     positions = md_store.positions()
     n = len(positions)
     rows: list[SweepRow] = []

@@ -29,6 +29,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+# The largest block, and table page, in octets.
+MAX_BLOCK_SIZE = 1 << 20
+
 
 class SimCache:
     """Fill-then-LRU block cache, accounted in actual resident bytes.
@@ -40,14 +43,12 @@ class SimCache:
     """
 
     def __init__(self, capacity: int):
-        if capacity < 0:
-            raise ValueError("capacity must be >= 0")
-        self.capacity = capacity
         self.hits = 0
         self.misses = 0
         self._resident: OrderedDict[tuple[str, int], bytes] = OrderedDict()
         self._used = 0
         self._lock = threading.Lock()
+        self.set_capacity(capacity)
 
     @property
     def resident_blocks(self) -> int:
@@ -187,8 +188,8 @@ class BlockReader:
         cache: SimCache | None = None,
         name: str | None = None,
     ):
-        if block_size < 1:
-            raise ValueError("block size must be >= 1")
+        if not 1 <= block_size <= MAX_BLOCK_SIZE:
+            raise ValueError(f"block size {block_size} is not in 1..{MAX_BLOCK_SIZE}")
         self.path = str(path)
         self.block_size = block_size
         self.cache = cache

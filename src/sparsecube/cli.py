@@ -46,13 +46,7 @@ def _load_relation(args) -> Relation:
 
 
 def _store_params(args) -> mdstore.StoreParams:
-    return mdstore.StoreParams(
-        entry_width=args.entry_width,
-        offset_width=args.offset_width,
-        block_len=args.block_len,
-        diff_bits=args.s_bits,
-        stride=args.stride,
-    )
+    return mdstore.StoreParams(**{name: getattr(args, name) for name in mdstore.PARAM_RANGES})
 
 
 def _add_ingest_flags(p) -> None:
@@ -66,7 +60,8 @@ def _add_param_flags(p) -> None:
     p.add_argument("--entry-width", type=int, default=8, help="octets per stored position")
     p.add_argument("--offset-width", type=int, default=2, help="octets per base+offset entry")
     p.add_argument("--block-len", type=int, default=16, help="positions per base+offset block")
-    p.add_argument("--s-bits", type=int, default=16, help="bits per difference entry")
+    p.add_argument("--s-bits", dest="diff_bits", type=int, default=16,
+                   help="bits per difference entry")
     p.add_argument("--stride", type=int, default=16, help="a checkpoint every N jumps")
 
 

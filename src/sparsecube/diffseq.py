@@ -68,8 +68,6 @@ def difference_arrays(
     diffs[i] is the gap to the previous position when it fits diff_bits bits,
     else 0; diffs[0] is always 0.  The positions at the zeros are the jumps.
     """
-    if not 1 <= diff_bits <= 32:
-        raise ValueError("difference width must be 1..32 bits")
     arr = _check_positions(positions)
     max_diff = np.uint64((1 << diff_bits) - 1)
     deltas = np.diff(arr)
@@ -214,8 +212,6 @@ def _checkpoints(
     Coarse entries sit at every COARSE_CELLS-th cell.  Fine entries sit at
     every coarse entry, every FINE_CELLS-th cell and every stride-th jump.
     """
-    if stride < 1:
-        raise ValueError("checkpoint stride must be >= 1")
     n = pos.size
     coarse = np.arange(0, n, COARSE_CELLS, dtype=np.int64)
     mark = np.zeros(n, dtype=bool)

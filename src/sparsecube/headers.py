@@ -283,8 +283,7 @@ class BocHeader:
         return None
 
     def positions(self) -> np.ndarray:
-        # A block length past the offset count makes one block, as on load.
-        block = np.arange(self.count) // min(self.block_len, max(self.count, 1))
+        block = _block_of(self.count, self.block_len)
         return np.frombuffer(self.bases, dtype=np.uint64)[block] + np.asarray(self.offsets)
 
     def to_bytes(self) -> bytes:
@@ -319,21 +318,27 @@ class BocHeader:
         )
 
 
+def _block_of(count: int, block_len: int) -> np.ndarray:
+    """The BOC block of each of `count` offsets.
+
+    A block length past the count still makes one block; clamping it keeps
+    the arithmetic within int64 for any 8-octet block length.
+    """
+    return np.arange(count) // min(block_len, max(count, 1))
+
+
 def _check_blocks(bases: np.ndarray, offsets: np.ndarray, block_len: int) -> None:
     """Raise FormatError unless the sequences are ordered as `build_boc`
     leaves them: the bases strictly increase, each block's offsets start at
     0 and strictly increase, each block's last position is below the next
     base, and the last position fits 64 bits."""
-    # A block length past the offset count still makes one block; clamping
-    # it keeps the index arithmetic within int64.
-    block_len = min(block_len, max(offsets.size, 1))
-    within = np.arange(1, offsets.size) % block_len != 0
-    last = np.arange(1, bases.size) * block_len - 1
+    within = np.diff(_block_of(offsets.size, block_len)) == 0  # offset i + 1 in i's block
     if not (
         _increasing(bases)
-        and not offsets[::block_len].any()
+        and not offsets[:1].any()
+        and not offsets[1:][~within].any()
         and (offsets[1:] > offsets[:-1])[within].all()
-        and (offsets[last] < np.diff(bases)).all()
+        and (offsets[:-1][~within] < np.diff(bases)).all()
         and (not offsets.size or int(bases[-1]) + int(offsets[-1]) < 1 << 64)
     ):
         raise FormatError("BOC bases or offsets are out of order")
@@ -345,13 +350,11 @@ def build_boc(
     entry_width: int = 8,
     offset_width: int = 2,
 ) -> BocHeader:
-    if block_len < 1:
-        raise ValueError("block length must be >= 1")
     if not 1 <= offset_width < entry_width:
         raise ValueError("offset width must satisfy 1 <= offset_width < entry_width")
     arr = _check_positions(positions)
     bases = arr[::block_len]
-    offsets = arr - np.repeat(bases, block_len)[: arr.size]
+    offsets = arr - bases[_block_of(arr.size, block_len)]
     bound = 1 << (8 * offset_width)
     if int(offsets.max()) >= bound:
         bad = int(np.argmax(offsets >= np.uint64(bound)))

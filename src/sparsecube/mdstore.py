@@ -37,6 +37,11 @@ from .relation import (
 _MEASURE_FMT = {4: "<f", 8: "<d"}
 
 
+# Each build parameter's range; BOC's offsets-narrower-than-entries rule is `build_boc`'s.
+PARAM_RANGES = dict(entry_width=(1, 8), offset_width=(1, 7), block_len=(1, (1 << 64) - 1),
+                    diff_bits=(1, 32), stride=(1, (1 << 64) - 1))
+
+
 @dataclass(frozen=True)
 class StoreParams:
     entry_width: int = 8
@@ -44,6 +49,11 @@ class StoreParams:
     block_len: int = 16
     diff_bits: int = 16
     stride: int = 16
+
+    def __post_init__(self):
+        for name, (lo, hi) in PARAM_RANGES.items():
+            if not lo <= getattr(self, name) <= hi:
+                raise ValueError(f"{name} {getattr(self, name)} is not in {lo}..{hi}")
 
 
 @dataclass

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from array import array
 from dataclasses import dataclass, field
 from itertools import islice
@@ -29,6 +30,15 @@ from .errors import (
 )
 
 MAX_TOTAL_CELLS = 1 << 64
+# The most value labels `DimensionSchema.from_cardinalities` makes.
+MAX_LABELS = 1 << 20
+
+
+def _cell_count(cards: Sequence[int]) -> int:
+    total = math.prod(cards)
+    if total >= MAX_TOTAL_CELLS:
+        raise ValueError(f"total cell count {total} does not fit a 64-bit logical position")
+    return total
 
 
 @dataclass(frozen=True)
@@ -60,21 +70,10 @@ class DimensionSchema:
         if not self.dimensions:
             raise ValueError("schema needs at least one dimension")
         cards = tuple(dim.cardinality for dim in self.dimensions)
-        total = 1
-        for card in cards:
-            total *= card
-        if total >= MAX_TOTAL_CELLS:
-            raise ValueError(
-                f"total cell count {total} does not fit a 64-bit logical position"
-            )
-        strides = []
-        acc = 1
-        for card in reversed(cards):
-            strides.append(acc)
-            acc *= card
-        object.__setattr__(self, "strides", tuple(reversed(strides)))
+        object.__setattr__(self, "total_cells", _cell_count(cards))
+        strides = tuple([math.prod(cards[i + 1 :]) for i in range(len(cards))])
+        object.__setattr__(self, "strides", strides)
         object.__setattr__(self, "cardinalities", cards)
-        object.__setattr__(self, "total_cells", total)
 
     @property
     def n_dims(self) -> int:
@@ -82,8 +81,11 @@ class DimensionSchema:
 
     @classmethod
     def from_cardinalities(cls, cards: Sequence[int]) -> "DimensionSchema":
-        """Schema of dimensions d0, d1, .. with synthetic value labels
-        v0..v{c-1} per dimension."""
+        """Schema of dimensions d0, d1, .. with labels v0..v{c-1} per dimension;
+        the cell count and MAX_LABELS are checked before any label is made."""
+        _cell_count(cards)
+        if sum(cards) > MAX_LABELS:
+            raise ValueError(f"{sum(cards)} value labels, more than {MAX_LABELS}")
         return cls(tuple(
             Dimension(f"d{i}", tuple(f"v{j}" for j in range(c))) for i, c in enumerate(cards)
         ))

@@ -31,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .blockio import BlockReader, BytesReader, SimCache, touch_codes
+from .blockio import MAX_BLOCK_SIZE, BlockReader, BytesReader, SimCache, touch_codes
 from .errors import FormatError
 from .headers import read_envelope, write_envelope
 from .relation import (
@@ -274,8 +274,9 @@ def build_table(rel: Relation, params: TableParams = TableParams()) -> TableStor
     n_rows = len(positions)
     n_dims = rel.schema.n_dims
     row_width = n_dims * COORD_WIDTH + rel.measure_width
-    if row_width > page_size or page_size < _META_END:
-        raise ValueError(f"a page must hold a row and the {_META_END}-octet meta prefix")
+    if row_width > page_size or not _META_END <= page_size <= MAX_BLOCK_SIZE:
+        raise ValueError(f"a page must hold a row and the {_META_END}-octet meta prefix, "
+                         f"in at most {MAX_BLOCK_SIZE} octets")
 
     dtype = np.dtype(
         [("c", "<u4", (n_dims,)), ("m", "<f4" if rel.measure_width == 4 else "<f8")]
@@ -338,8 +339,8 @@ def load_table(base: str | Path, cache: SimCache | None = None) -> TableStore:
     with open(idx_p, "rb") as f:
         meta, _ = read_envelope(f.read(_META_END), _IDX_MAGIC, len(META_FIELDS))
     page_size = meta[0]
-    if page_size < _META_END:
-        raise FormatError(f"page size {page_size} cannot hold the meta prefix")
+    if not _META_END <= page_size <= MAX_BLOCK_SIZE:
+        raise FormatError(f"page size {page_size} is not in {_META_END}..{MAX_BLOCK_SIZE}")
     row_width = schema.n_dims * COORD_WIDTH + measure_width
     # Row groups are the natural I/O unit of the packed row file; reading in
     # group-sized blocks keeps every query on exactly one rows-file block.

@@ -57,6 +57,11 @@ class TestEstimate:
         with pytest.raises(ValueError):
             sample_coords(md, 0, 1)
 
+    def test_sample_past_the_draw_bound_rejected(self, opened):
+        md, *_ = opened
+        with pytest.raises(ValueError, match=f"sample size {bench.MAX_DRAWS + 1} is not in"):
+            sample_coords(md, bench.MAX_DRAWS + 1, 1)
+
     def test_sample_deterministic(self, opened):
         md, *_ = opened
         assert sample_coords(md, 50, 9) == sample_coords(md, 50, 9)
@@ -167,6 +172,17 @@ class TestSweep:
         md, md_cache, tbl, tbl_cache = opened
         with pytest.raises(ValueError):
             default_budgets(constants_for(md, tbl), points=1)
+
+    def test_draws_past_the_bound_rejected(self, opened):
+        md, md_cache, tbl, tbl_cache = opened
+        params = constants_for(md, tbl)
+        with pytest.raises(ValueError, match=f"needs 2..{bench.MAX_DRAWS} budget points"):
+            default_budgets(params, points=bench.MAX_DRAWS + 1)
+        # Each count is within the bound; their product, the draws per budget, is not.
+        with pytest.raises(ValueError, match=f"times passes 1025 is not in 1..{bench.MAX_DRAWS}"):
+            memory_sweep(md, md_cache, tbl, tbl_cache, params, [params.preload_bytes], [0],
+                         samples=1024, passes=1025)
+        assert [(c.hits, c.misses) for c in (md_cache, tbl_cache)] == [(0, 0), (0, 0)]
 
     def test_budget_below_preload_rejected(self, opened):
         md, md_cache, tbl, tbl_cache = opened

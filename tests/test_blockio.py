@@ -1,6 +1,6 @@
 import pytest
 
-from sparsecube.blockio import BlockReader, BytesReader, SimCache
+from sparsecube.blockio import MAX_BLOCK_SIZE, BlockReader, BytesReader, SimCache
 
 
 @pytest.fixture
@@ -71,6 +71,16 @@ class TestBlockReader:
             assert r.read_at(4090, 12) == raw[4090:4102]  # straddles a boundary
             assert r.read_at(10230, 10) == raw[10230:]
             assert r.block_count == 3
+
+    @pytest.mark.parametrize("size", [0, -1, MAX_BLOCK_SIZE + 1, 10**12, 10**23, 2**64])
+    def test_block_size_outside_its_bound_rejected(self, datafile, size):
+        with pytest.raises(ValueError, match=f"^block size {size} is not in 1..{MAX_BLOCK_SIZE}$"):
+            BlockReader(datafile, block_size=size)
+
+    def test_block_size_at_its_bound(self, datafile):
+        raw = datafile.read_bytes()
+        with BlockReader(datafile, block_size=MAX_BLOCK_SIZE) as r:
+            assert r.block_count == 1 and r.read_at(4090, 12) == raw[4090:4102]
 
     def test_read_past_end_raises(self, datafile):
         with BlockReader(datafile) as r:

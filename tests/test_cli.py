@@ -1,10 +1,15 @@
 import csv
 import hashlib
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import sparsecube
 from sparsecube.cli import main
 
 
@@ -108,6 +113,15 @@ class TestQuery:
         assert err.startswith("error: ") and "2 octets" in err
         assert err.count("\n") == 1
         assert sorted(p.name for p in tmp_path.iterdir()) == ["rel.csv"]
+
+    def test_entry_width_below_the_default_offset_width(self, tmp_path):
+        # Offsets narrower than entries is BOC's rule alone: LPC builds at
+        # entry width 2 with the default offset width of 2.
+        rel_csv = tmp_path / "rel.csv"
+        assert run("gen", "--dims", "32,32,16", "--density", "0.05", "--out", rel_csv) == 0
+        assert run("build", "--in", rel_csv, "--scheme", "lpc", "--entry-width", "2",
+                   "--out", tmp_path / "st") == 0
+        assert sum(p.stat().st_size for p in tmp_path.glob("st.*")) == 8770
 
     @pytest.mark.parametrize("argv", [("build", "--scheme", "dsc"),
                                       ("build", "--scheme", "dhc"), ("sizes",)])
@@ -235,3 +249,147 @@ class TestEstimateSweep:
                    "--constants", constants, "--budget-list", budgets,
                    "--samples", "20", "--passes", "2", "--seed", "3",
                    "--out", tmp_path / "s.csv") == 0
+
+
+# Every numeric flag is tried at each of these values, one flag at a time.
+EDGES = (*map(str, (-1, 0, 1, 3, 7, 9, 65, 10**12, 10**23, 2**63, 2**64 - 1, 2**64)), "nan", "inf")
+MD_FLAGS = ("--entry-width", "--offset-width", "--block-len", "--s-bits", "--stride")
+# Each subcommand variant's numeric flags.  A build tries each parameter on the
+# schemes that read it and on LPC, which ignores all but the entry width.
+FUZZED = {
+    "gen": ("--dims", "--density", "--clustering", "--seed"),
+    "ingest": (),
+    "build:schc": ("--entry-width",),
+    "build:lpc": MD_FLAGS + ("--block-size",),
+    "build:boc": ("--entry-width", "--offset-width", "--block-len"),
+    "build:dsc": ("--entry-width", "--s-bits", "--stride"),
+    "build:dhc": ("--entry-width", "--s-bits", "--stride"),
+    "build:table": ("--block-size",),
+    "query:dhc": ("--coords",),
+    "query:table": ("--coords",),
+    "sizes": MD_FLAGS + ("--block-size",),
+    "estimate": ("--samples", "--seed", "--block-size"),
+    "sweep": ("--points", "--samples", "--passes", "--seed", "--block-size", "--budget-list"),
+}
+SHAPE = {"--dims": "{},4", "--coords": "{},0,0"}
+GRID = [(key, None, None) for key, flags in FUZZED.items() if not flags] + [
+    (key, flag, SHAPE.get(flag, "{}").format(value))
+    for key, flags in FUZZED.items() for flag in flags for value in EDGES
+]
+# Cases that once ended in a traceback (struct.error, OverflowError or
+# MemoryError), each with the exit code it must give and the words of its
+# one error line.
+T12, T23 = str(10**12), str(10**23)
+ESCAPES = [
+    ("build:lpc", "--entry-width", "-1", 1, "entry_width -1 is not in 1..8"),
+    ("build:lpc", "--entry-width", T23, 1, "entry_width"),
+    ("sizes", "--entry-width", "-1", 1, "entry_width"),
+    ("build:dsc", "--stride", T23, 1, "stride"),
+    *[(key, "--block-len", v, 0, "") for key in ("build:boc", "sizes") for v in (T12, str(2**63))],
+    *[(key, "--block-size", v, 1, words) for v in (T12, T23) for key, words in (
+        ("build:table", "meta prefix"), ("sizes", "meta prefix"),
+        ("estimate", "block size"), ("sweep", "block size"))],
+    *[("estimate", "--samples", v, 1, "sample size") for v in (T12, T23)],
+    *[("sweep", "--points", v, 1, "budget points") for v in (T12, T23)],
+    *[("sweep", flag, v, 1, "times passes")
+      for flag in ("--samples", "--passes") for v in (T12, T23)],
+    ("gen", "--dims", "2147483648,2", 1, "value labels"),
+    ("gen", "--dims", "4294967296,4294967296,4", 1, "64-bit"),
+]
+# Runs each argv through `main` in one process whose address space is capped
+# at 3 GiB, so a runaway allocation fails there instead of exhausting the host,
+# and stops any case still running after 5 s with a traceback.
+CHILD = """
+import contextlib, io, json, resource, signal, sys, traceback
+from sparsecube.cli import main
+class Overran(BaseException):
+    pass
+def overran(*_):
+    raise Overran("still running after 5 s")
+signal.signal(signal.SIGALRM, overran)
+resource.setrlimit(resource.RLIMIT_AS, (3 << 30, resource.getrlimit(resource.RLIMIT_AS)[1]))
+results = []
+for argv in json.load(sys.stdin):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        signal.alarm(5)
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        except BaseException:
+            code = None
+            traceback.print_exc()
+        signal.alarm(0)
+    results.append([code, err.getvalue()])
+json.dump(results, sys.stdout)
+"""
+
+
+def _argv(ws: Path, key: str, flag, value, out: Path) -> list[str]:
+    """A valid, quick command on the tiny relation, with `flag` set to `value`."""
+    cmd, _, variant = key.partition(":")
+    pair = ("--md-store", ws / "dhc", "--table-store", ws / "table", "--samples", "3",
+            "--out", out)
+    base = {
+        "gen": ("gen", "--dims", "8,8,4", "--density", "0.25", "--out", out),
+        "ingest": ("ingest", "--in", ws / "rel.csv"),
+        "build": ("build", "--in", ws / "rel.csv", "--scheme", variant, "--out", out),
+        "query": ("query", "--store", ws / variant, "--coords", "0,0,0"),
+        "sizes": ("sizes", "--in", ws / "rel.csv"),
+        "estimate": ("estimate", *pair),
+        "sweep": ("sweep", *pair, "--constants", ws / "c.json", "--points", "3",
+                  "--passes", "2"),
+    }[cmd]
+    # A repeated option takes its last value.
+    return [str(a) for a in base + ((flag, value) if flag else ())]
+
+
+@pytest.fixture(scope="module")
+def guarded(tmp_path_factory):
+    """(exit code, stderr) of every GRID and ESCAPES case, keyed by case."""
+    ws = tmp_path_factory.mktemp("guarded")
+    assert run("gen", "--dims", "8,8,4", "--density", "0.25", "--seed", "1",
+               "--out", ws / "rel.csv") == 0
+    for scheme in ("dhc", "table"):
+        assert run("build", "--in", ws / "rel.csv", "--scheme", scheme,
+                   "--out", ws / scheme) == 0
+    assert run("estimate", "--md-store", ws / "dhc", "--table-store", ws / "table",
+               "--samples", "3", "--out", ws / "c.json") == 0
+    cases = list(dict.fromkeys(GRID + [case[:3] for case in ESCAPES]))
+    argvs = [_argv(ws, *case, ws / f"out{i}") for i, case in enumerate(cases)]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(sparsecube.__file__).parents[1]), env.get("PYTHONPATH")])
+    )
+    child = subprocess.run(
+        [sys.executable, "-c", CHILD], input=json.dumps(argvs), capture_output=True,
+        text=True, env=env, timeout=900,
+    )
+    assert child.returncode == 0, child.stderr
+    results = json.loads(child.stdout)
+    assert len(results) == len(cases)
+    return dict(zip(cases, map(tuple, results)))
+
+
+def _one_error_line(err: str) -> bool:
+    return sum(line.startswith("error: ") for line in err.splitlines()) == 1
+
+
+class TestNoEscapes:
+    def test_no_failure_escapes_the_cli(self, guarded):
+        escaped = {
+            case: (code, err[-300:])
+            for case, (code, err) in guarded.items()
+            if code not in (0, 1, 2) or "Traceback" in err
+            or (code == 1 and not _one_error_line(err))
+        }
+        assert not escaped
+
+    @pytest.mark.parametrize("key, flag, value, code, words", ESCAPES,
+                             ids=[" ".join(case[:3]) for case in ESCAPES])
+    def test_former_escape(self, guarded, key, flag, value, code, words):
+        got, err = guarded[key, flag, value]
+        assert (got, "Traceback" in err) == (code, False), err[-300:]
+        if code:
+            assert err.startswith("error: ") and words in err and err.count("\n") == 1

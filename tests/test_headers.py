@@ -146,6 +146,14 @@ class TestBoc:
         with pytest.raises(ValueError):
             build_boc([1, 2], block_len=2, entry_width=8, offset_width=8)
 
+    @pytest.mark.parametrize("block_len", [4, 10**12, 2**63, 2**64 - 1])
+    def test_block_past_the_count_is_one_block(self, block_len):
+        h = build_boc([10, 12, 15], block_len=block_len, offset_width=1)
+        assert (list(h.bases), list(h.offsets)) == ([10], [0, 2, 5])
+        for header in (h, BocHeader.from_bytes(h.to_bytes())):
+            assert header.positions().tolist() == [10, 12, 15]
+            assert [header.lookup(p) for p in (9, 10, 14, 15, 16)] == [None, 0, None, 2, None]
+
     @given(position_sets, st.integers(1, 7))
     def test_reconstruction(self, positions, block_len):
         h = build_boc(positions, block_len=block_len, offset_width=2)

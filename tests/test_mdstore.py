@@ -79,6 +79,29 @@ class TestBuild:
         with pytest.raises(ValueError):
             build_store(rel, "zip")
 
+    @pytest.mark.parametrize("field, value", [
+        ("entry_width", 0), ("entry_width", 9), ("entry_width", -1), ("entry_width", 10**23),
+        ("offset_width", 0), ("offset_width", 8),
+        ("block_len", 0), ("block_len", -1), ("block_len", 2**64),
+        ("diff_bits", 0), ("diff_bits", 33),
+        ("stride", 0), ("stride", -1), ("stride", 2**64), ("stride", 10**23),
+    ])
+    def test_params_out_of_range_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} {value} is not in "):
+            StoreParams(**{field: value})
+
+    def test_params_at_their_bounds_accepted(self):
+        low = StoreParams(entry_width=1, offset_width=1, block_len=1, diff_bits=1, stride=1)
+        high = StoreParams(entry_width=8, offset_width=7, block_len=2**64 - 1, diff_bits=32,
+                           stride=2**64 - 1)
+        rel = small_relation()  # 210 cells: every position fits one octet
+        for params, schemes in ((low, ("schc", "lpc", "dsc", "dhc")), (high, SCHEMES)):
+            # A BOC offset must be narrower than its entry, so no BOC entry is one octet.
+            for scheme in schemes:
+                header = build_boc_with_retry(rel, scheme, params).header
+                loaded = type(header).from_bytes(header.to_bytes())
+                assert loaded.positions().tolist() == ordered_cells(rel)[0].tolist()
+
 
 class TestQueries:
     def test_stored_cells(self, relation, stores):

@@ -160,6 +160,20 @@ class TestSchema:
         with pytest.raises(ValueError, match="64-bit"):
             DimensionSchema.from_cardinalities([2000] * 6)
 
+    def test_labels_past_their_bound_refused(self):
+        bound = relation.MAX_LABELS
+        with pytest.raises(ValueError, match=f"^{bound + 1} value labels, more than {bound}$"):
+            DimensionSchema.from_cardinalities([bound, 1])
+
+    def test_cells_then_labels_checked_before_any_label_is_made(self, monkeypatch):
+        monkeypatch.setattr(relation, "MAX_LABELS", 10)
+        assert DimensionSchema.from_cardinalities([5, 5]).total_cells == 25
+        with pytest.raises(ValueError, match="^11 value labels, more than 10$"):
+            DimensionSchema.from_cardinalities([5, 6])
+        # Past both bounds, the cell count is named.
+        with pytest.raises(ValueError, match="64-bit"):
+            DimensionSchema.from_cardinalities([2**32, 2**32, 4])
+
     def test_large_but_valid_schema(self):
         s = DimensionSchema.from_cardinalities([1000] * 6)  # 10^18 < 2^64
         assert s.total_cells == 10**18

@@ -6,7 +6,7 @@ import struct
 import numpy as np
 import pytest
 
-from sparsecube.blockio import SimCache
+from sparsecube.blockio import MAX_BLOCK_SIZE, SimCache
 from sparsecube.errors import EmptyRelationError, FormatError
 from sparsecube.relation import (
     DimensionSchema,
@@ -162,6 +162,21 @@ class TestPersistence:
             idx.write_bytes(valid[:slot] + struct.pack("<Q", bad) + valid[slot + 8 :])
             with pytest.raises(FormatError):
                 load_table(base)
+
+    def test_page_size_bound(self, relation):
+        with pytest.raises(ValueError, match=f"in at most {MAX_BLOCK_SIZE} octets"):
+            build_table(relation, TableParams(page_size=MAX_BLOCK_SIZE + 1))
+        assert build_table(relation, TableParams(page_size=MAX_BLOCK_SIZE)).height == 1
+
+    @pytest.mark.parametrize("page_size", [MAX_BLOCK_SIZE + 1, 10**12, 2**64 - 1])
+    def test_meta_page_size_past_the_bound_is_format_error(self, tmp_path, table, page_size):
+        base = tmp_path / "p"
+        save_table(table, base)
+        idx = tmp_path / "p.idx"
+        valid = idx.read_bytes()
+        idx.write_bytes(valid[:5] + struct.pack("<Q", page_size) + valid[13:])
+        with pytest.raises(FormatError, match=f"^page size {page_size} is not in "):
+            load_table(base)
 
     @pytest.mark.parametrize("suffix", [".rows", ".idx"])
     def test_files_must_be_whole_rows_and_pages(self, tmp_path, table, suffix):
