@@ -81,12 +81,21 @@ def cold_miss_counts(query, coords: Sequence, cache: SimCache) -> list[int]:
     return out
 
 
+WARMUP_QUERIES = 8
+
+
 def _paired_times(query, coords: Sequence, cache: SimCache):
     """Per-query cold and warm times (ms) and miss counts, each pair back to back.
 
     The cold query runs on an emptied cache and leaves every block it touched
-    resident, so it also primes the warm query that follows it.
+    resident, so it also primes the warm query that follows it.  The first
+    WARMUP_QUERIES sample elements run once, untimed, before any pair: the
+    first queries of a process pay one-time costs (a decode table, the
+    interpreter specializing a lookup path), and in a sample of three those
+    alone could put the warm median above the cold one.
     """
+    for c in coords[:WARMUP_QUERIES]:
+        query(c)
     clock = time.perf_counter
     cold_ms, warm_ms, cold_misses, warm_misses = [], [], [], []
     for c in coords:

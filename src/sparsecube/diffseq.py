@@ -25,16 +25,21 @@ it already holds, and a load rebuilds it in one numpy pass over the stored
 differences (DHC decodes its whole stream with `huffman.decode_stream` for
 that).  Every cell's position comes from one `cumsum`; a load rejects
 positions that do not strictly increase, which is how a run past 2**64 - 1
-shows.  A DHC lookup decodes its window one code at a time from a buffer
-that holds at least the longest code: an 11-bit table settles short codes,
-and a longer code is matched against each longer length's canonical range.
+shows.  A DHC lookup decodes its window from a buffer that holds at least
+the longest code: an 11-bit table settles short codes, and a longer code is
+matched against each longer length's canonical range.  The table's
+all-zero slot goes the same way, and there the lookup steps over a whole
+run of the all-zero code at once: the buffer's leading zeros, counted by
+`int.bit_length()`, give the run's length, and a run of a positive gap d0
+is resolved by arithmetic, a run of jumps by one `bisect`.  A load rejects
+a `diff_bits` outside 1..MAX_DIFF_BITS, and DHC a codebook symbol wider.
 """
 
 from __future__ import annotations
 
 import struct
 from array import array
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, fields
 from typing import Iterable, Iterator, Sequence
 
@@ -57,6 +62,9 @@ from .huffman import BitStream, CodeBook, build_codebook, decode_stream, encode_
 # and dense relations, and 0.67 where a gap overflows every few cells.
 FINE_CELLS = 32
 COARSE_CELLS = 512
+# The widest difference a header stores: DSC packs and reads each one
+# through a 32-bit word.
+MAX_DIFF_BITS = 32
 
 
 def difference_arrays(
@@ -298,6 +306,8 @@ class DifferenceHeader:
         them and the offset of the payload after the jumps."""
         params, off = read_envelope(data, cls.MAGIC, 5 + n_extra)
         entry_width, diff_bits, stride, count, n_jumps = params[:5]
+        if not 1 <= diff_bits <= MAX_DIFF_BITS:
+            raise FormatError(f"diff_bits {diff_bits} is not in 1..{MAX_DIFF_BITS}")
         if stride < 1:
             raise FormatError("checkpoint stride must be positive")
         jumps = held(unpack_ints(data, entry_width, n_jumps, off))
@@ -378,15 +388,19 @@ def build_dsc(
     )
 
 
-def _long_code(cb: CodeBook, window: int) -> tuple[int, int]:
+def _long_code(cb: CodeBook, window: int) -> tuple[int, int] | None:
     """(symbol, length) of the code longer than the lookup table at the head
-    of `window`, the next max_len stream bits.
+    of `window`, the next max_len stream bits, or None where the window
+    starts with the all-zero code, a run of which the lookup steps over.
 
     Each longer length's canonical range is tried.  It is kept out of
     `DhcHeader.lookup` so that the loop there, which runs once per decoded
     code, holds only what the table path needs.
     """
-    for ln in range(cb._lut[0] + 1, cb.max_len + 1):
+    w, _, ln0, _ = cb._lut
+    if not window >> (cb.max_len - ln0):
+        return None
+    for ln in range(w + 1, cb.max_len + 1):
         c = (window >> (cb.max_len - ln)) - cb.first[ln]
         if 0 <= c < cb.count[ln]:
             return cb.symbols[cb.offset[ln] + c], ln
@@ -446,7 +460,7 @@ class DhcHeader(DifferenceHeader):
         jumps = self.jumps
         # Inlined table-driven decode: scans dominate point-query cost.
         cb = self.codebook
-        w, lut = cb._lut
+        w, lut, ln0, d0 = cb._lut
         max_len = cb.max_len
         data = self.stream.data
         bits = self.stream.bit_length
@@ -459,34 +473,64 @@ class DhcHeader(DifferenceHeader):
             buf = data[cursor] & (0xFF >> lead)
             fill = 8 - lead
             cursor += 1
-        while idx + 1 < limit:
-            if pos >= bits:
-                raise CorruptStreamError("stream ended before declared count")
-            if fill < max_len:
-                while fill < 56:  # huffman.MAX_CODE_BITS, the longest code
-                    buf = (buf << 8) | (data[cursor] if cursor < end else 0)
-                    cursor += 1
-                    fill += 8
-            entry = lut[buf >> (fill - w)]
-            if entry is None:
-                entry = _long_code(cb, buf >> (fill - max_len))
-            d, ln = entry
-            if ln > bits - pos:
-                raise CorruptStreamError("code truncated at end of stream")
-            fill -= ln
-            buf &= (1 << fill) - 1
-            pos += ln
-            idx += 1
-            if d == 0:
-                k += 1
-                if k >= len(jumps):
-                    raise CorruptStreamError("more zero differences than jumps")
-                cur = jumps[k]
+        # The inner loop decodes one code per turn and leaves by `break` at a
+        # run of the all-zero code, which the outer loop steps over at once.
+        # Kept outside, the run step adds no long jumps to the inner loop.
+        while True:
+            while idx + 1 < limit:
+                if pos >= bits:
+                    raise CorruptStreamError("stream ended before declared count")
+                if fill < max_len:
+                    while fill < 56:  # huffman.MAX_CODE_BITS, the longest code
+                        buf = (buf << 8) | (data[cursor] if cursor < end else 0)
+                        cursor += 1
+                        fill += 8
+                entry = lut[buf >> (fill - w)]
+                if entry is None:
+                    entry = _long_code(cb, buf >> (fill - max_len))
+                    if entry is None:
+                        break
+                d, ln = entry
+                if ln > bits - pos:
+                    raise CorruptStreamError("code truncated at end of stream")
+                fill -= ln
+                buf &= (1 << fill) - 1
+                pos += ln
+                idx += 1
+                if d == 0:
+                    k += 1
+                    if k >= len(jumps):
+                        raise CorruptStreamError("more zero differences than jumps")
+                    cur = jumps[k]
+                else:
+                    cur += d
+                if cur >= position:
+                    return idx if cur == position else None
             else:
-                cur += d
-            if cur >= position:
-                return idx if cur == position else None
-        return None
+                return None
+            # As many all-zero codes as the buffer's leading zeros hold, up
+            # to the window, the stream and the jumps.
+            run = min((fill - buf.bit_length()) // ln0, limit - idx - 1, (bits - pos) // ln0)
+            if not run:
+                raise CorruptStreamError("code truncated at end of stream")
+            if d0:
+                if cur + run * d0 >= position:
+                    step, off = divmod(position - cur, d0)
+                    return None if off else idx + step
+                cur += run * d0
+            else:
+                run = min(run, len(jumps) - 1 - k)
+                if not run:
+                    raise CorruptStreamError("more zero differences than jumps")
+                if jumps[k + run] >= position:
+                    j = bisect_left(jumps, position, k + 1, k + run + 1)
+                    return idx + j - k if jumps[j] == position else None
+                k += run
+                cur = jumps[k]
+            # The run's bits are zeros above the rest of `buf`.
+            idx += run
+            pos += run * ln0
+            fill -= run * ln0
 
     def to_bytes(self) -> bytes:
         cb = self.codebook.to_bytes() if self.codebook is not None else struct.pack("<Q", 0)
@@ -503,6 +547,9 @@ class DhcHeader(DifferenceHeader):
             off += 8
         else:
             codebook, off = CodeBook.from_bytes(data, off)
+            widest = max(codebook.symbols)
+            if widest >> fields[0]:
+                raise FormatError(f"codebook symbol {widest} does not fit diff_bits {fields[0]}")
         nbytes = (bit_length + 7) // 8
         raw = data[off : off + nbytes]
         if len(raw) < nbytes:

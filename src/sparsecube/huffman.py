@@ -23,7 +23,9 @@ at once, and `decode_stream` reads the 56-bit window at every bit offset to
 find the code there, then the offsets where codes really start.  A DHC
 point query (`diffseq.DhcHeader.lookup`) decodes its few codes from a known
 code end itself, with the table of `CodeBook._lut` and, past it, the
-canonical ranges, which are all the whole-stream decode needs.
+canonical ranges, which are all the whole-stream decode needs.  The first
+code of the shortest length is all zeros (Moffat & Turpin 1997), so a run
+of that code is a run of zero bits, which the lookup steps over at once.
 """
 
 from __future__ import annotations
@@ -108,9 +110,13 @@ class CodeBook:
     def _lut(self):
         """The short-prefix table of a point query's decode: its width w and,
         per w-bit prefix, the (symbol, length) of the code it starts with,
-        or None for a longer code.  Built on the first lookup.  Left-justified
-        to w bits, the codes of at most w bits tile the table from 0 in
-        canonical order, and every slot of one code holds the same tuple."""
+        or None for a longer code; then the length ln0 and symbol d0 of the
+        all-zero code.  Built on the first lookup.  Left-justified to w bits,
+        the codes of at most w bits tile the table from 0 in canonical order,
+        and every slot of one code holds the same tuple.  The first code of
+        the shortest length is all zeros, so slot 0, w zero bits, starts a
+        run of it (or a code longer than w): it holds None, and the lookup
+        steps over the whole run there."""
         w = min(self.max_len, _LUT_MAX_BITS)
         lut: list[tuple[int, int] | None] = [None] * (1 << w)
         at = 0
@@ -119,7 +125,9 @@ class CodeBook:
             for sym in self.symbols[self.offset[ln] : self.offset[ln] + self.count[ln]]:
                 lut[at : at + span] = [(sym, ln)] * span
                 at += span
-        return w, lut
+        lut[0] = None
+        ln0 = next(ln for ln, n in enumerate(self.count) if n)
+        return w, lut, ln0, self.symbols[0]
 
     def decode_table_bytes(self) -> int:
         # Memory-model size of the resident decode structures (canonical

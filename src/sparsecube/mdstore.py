@@ -39,7 +39,7 @@ _MEASURE_FMT = {4: "<f", 8: "<d"}
 
 # Each build parameter's range; BOC's offsets-narrower-than-entries rule is `build_boc`'s.
 PARAM_RANGES = dict(entry_width=(1, 8), offset_width=(1, 7), block_len=(1, (1 << 64) - 1),
-                    diff_bits=(1, 32), stride=(1, (1 << 64) - 1))
+                    diff_bits=(1, diffseq.MAX_DIFF_BITS), stride=(1, (1 << 64) - 1))
 
 
 @dataclass(frozen=True)

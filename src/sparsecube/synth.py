@@ -19,6 +19,11 @@ import numpy as np
 
 from .relation import DimensionSchema, Relation, decode_positions
 
+# The most cells `generate` makes: 80 times the largest benchmark relation,
+# and a few GiB of arrays at most, where 10^9 cells would ask for 7.45 GiB of
+# positions alone.
+MAX_CELLS = 1 << 24
+
 
 @dataclass(frozen=True)
 class SynthSpec:
@@ -93,6 +98,8 @@ def generate(spec: SynthSpec) -> Relation:
     schema = DimensionSchema.from_cardinalities(spec.cardinalities)
     total = schema.total_cells
     n = min(total, max(1, round(spec.density * total)))
+    if n > MAX_CELLS:
+        raise ValueError(f"{n} cells, more than {MAX_CELLS}")
     rng = random.Random(spec.seed)
     if n == total:
         positions = np.arange(total, dtype=np.uint64)

@@ -52,6 +52,14 @@ class TestEstimate:
         assert p.cell_bytes == md.size_report().cell_bytes
         assert p.table_bytes == tbl.total_size()
 
+    def test_first_samples_run_once_untimed(self):
+        # One-time costs of a fresh process fall before the timed pairs.
+        calls = []
+        coords = list(range(bench.WARMUP_QUERIES + 2))
+        cold, warm, _, _ = bench._paired_times(calls.append, coords, SimCache(bench.UNBOUNDED))
+        assert calls == coords[: bench.WARMUP_QUERIES] + [c for c in coords for _ in "cw"]
+        assert len(cold) == len(warm) == len(coords)
+
     def test_sample_requires_positive_size(self, opened):
         md, md_cache, *_ = opened
         with pytest.raises(ValueError):

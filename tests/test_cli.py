@@ -295,6 +295,7 @@ ESCAPES = [
       for flag in ("--samples", "--passes") for v in (T12, T23)],
     ("gen", "--dims", "2147483648,2", 1, "value labels"),
     ("gen", "--dims", "4294967296,4294967296,4", 1, "64-bit"),
+    ("gen:1", "--dims", "1000,1000,1000", 1, "1000000000 cells, more than"),
 ]
 # Runs each argv through `main` in one process whose address space is capped
 # at 3 GiB, so a runaway allocation fails there instead of exhausting the host,
@@ -327,12 +328,13 @@ json.dump(results, sys.stdout)
 
 
 def _argv(ws: Path, key: str, flag, value, out: Path) -> list[str]:
-    """A valid, quick command on the tiny relation, with `flag` set to `value`."""
+    """A valid, quick command on the tiny relation, with `flag` set to `value`.
+    A `gen` variant names the density."""
     cmd, _, variant = key.partition(":")
     pair = ("--md-store", ws / "dhc", "--table-store", ws / "table", "--samples", "3",
             "--out", out)
     base = {
-        "gen": ("gen", "--dims", "8,8,4", "--density", "0.25", "--out", out),
+        "gen": ("gen", "--dims", "8,8,4", "--density", variant or "0.25", "--out", out),
         "ingest": ("ingest", "--in", ws / "rel.csv"),
         "build": ("build", "--in", ws / "rel.csv", "--scheme", variant, "--out", out),
         "query": ("query", "--store", ws / variant, "--coords", "0,0,0"),

@@ -6,7 +6,7 @@ from array import array
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from sparsecube import diffseq
 from sparsecube.diffseq import (
@@ -443,6 +443,155 @@ class TestCheckpoints:
             DscHeader.from_bytes(bytes(raw))
 
 
+def _alternating(long_gap, short_gap):
+    """Long runs of one of `long_gap`'s gaps, each followed by a short run of
+    one of `short_gap`'s, and a long run last, which ends the stream."""
+    long_run = st.tuples(long_gap, st.integers(20, 150))
+    pair = st.tuples(long_run, st.tuples(short_gap, st.integers(1, 3)))
+    return st.tuples(st.lists(pair, max_size=8), long_run).map(
+        lambda t: [seg for p in t[0] for seg in p] + [t[1]]
+    )
+
+
+# Gaps 1..4, each in a run of 30 to 50 per round: the two rarest together
+# always outweigh the most frequent, so all four codes have two bits.
+_BALANCED = st.lists(
+    st.permutations([1, 2, 3, 4]).flatmap(
+        lambda gaps: st.tuples(*(st.tuples(st.just(g), st.integers(30, 50)) for g in gaps))
+    ),
+    min_size=1, max_size=3,
+).map(lambda rounds: [seg for r in rounds for seg in r])
+
+# (diff_bits, [(gap, repeat), ...]) in four shapes of all-zero-code runs.
+RUN_SHAPES = {
+    # Gap 1, more than half the gaps, is the 1-bit all-zero code (d0 = 1).
+    "unit": st.tuples(st.sampled_from([8, 16]), _alternating(
+        st.just(1), st.one_of(st.integers(2, 300), st.integers(1 << 16, 1 << 20)))),
+    # At 1 or 2 bits a gap of 4 or more overflows, so 0 (a jump) is the
+    # 1-bit all-zero code.
+    "jump": st.tuples(st.sampled_from([1, 2]), _alternating(st.integers(4, 90), st.integers(1, 3))),
+    # ln0 = 2: the all-zero code 00 stands for gap 1.
+    "wide": st.tuples(st.just(4), _BALANCED),
+    # One gap only: a single-symbol codebook (gap 1, a fully dense relation).
+    "single": st.tuples(st.just(8), st.tuples(st.sampled_from([1, 7, 255]),
+                                              st.integers(1, 700)).map(lambda seg: [seg])),
+}
+
+
+def _run_positions(start, segments):
+    positions = [start]
+    for gap, repeat in segments:
+        for _ in range(repeat):
+            positions.append(positions[-1] + gap)
+    return positions
+
+
+def _scanned_cells(h, positions, q):
+    """The cells a lookup of q decodes, from its checkpoint's next cell to
+    the one that settles it; empty when the checkpoint settles it."""
+    start = h.checkpoints.find(q)
+    if start is None or start[1] == q:
+        return range(0)
+    first, limit = start[0] + 1, start[4]
+    stop = first
+    while stop < limit - 1 and positions[stop] < q:
+        stop += 1
+    return range(first, min(stop + 1, limit))
+
+
+class TestDhcRuns:
+    """A lookup steps over a run of the all-zero code at once."""
+
+    @given(st.sampled_from(sorted(RUN_SHAPES)).flatmap(RUN_SHAPES.get),
+           st.integers(0, 50), st.sampled_from([1, 2, 3, 7, 32]),
+           st.sampled_from([1, 4, 16]), st.randoms(use_true_random=False))
+    @settings(max_examples=150)
+    def test_lookup_matches_dict_oracle(self, shape, start, fine, stride, rng):
+        diff_bits, segments = shape
+        positions = _run_positions(start, segments)
+        stored = {p: i for i, p in enumerate(positions)}
+        probes = {q for p in positions for q in (p - 1, p, p + 1)}
+        probes.update(rng.randrange(positions[-1] + 3) for _ in range(100))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(diffseq, "FINE_CELLS", fine)
+            mp.setattr(diffseq, "COARSE_CELLS", fine * (2 + fine % 2))
+            for h in built_and_reloaded(build_dhc, DhcHeader, positions,
+                                        diff_bits=diff_bits, stride=stride):
+                for q in sorted(probes):
+                    assert h.lookup(q) == stored.get(q), q
+
+    @given(st.sampled_from(sorted(RUN_SHAPES)).flatmap(RUN_SHAPES.get), st.data())
+    @settings(max_examples=150)
+    def test_stream_cut_inside_a_run_raises(self, shape, data):
+        # The bits after the cut are the rest of the run: zeros, which must
+        # not be read as codes.
+        diff_bits, segments = shape
+        positions = _run_positions(3, segments)
+        h = build_dhc(positions, diff_bits=diff_bits)
+        _, diffs, _ = difference_arrays(positions, diff_bits)
+        _, ends = encode_sequence(h.codebook, diffs[1:])
+        ends = [0] + ends.tolist()
+        _, lut, ln0, d0 = h.codebook._lut
+        assert lut[0] is None  # w zero bits go to the run step
+        runs = [i for i in range(2, h.count) if diffs[i] == diffs[i - 1] == d0]
+        assume(runs)
+        i = data.draw(st.sampled_from(runs))
+        cut = data.draw(st.integers(ends[i - 2] + 1, ends[i] - 1))
+        cut_h = DhcHeader(h.diff_bits, h.entry_width, h.stride, h.count, h.jumps, h.codebook,
+                          BitStream(h.stream.data, cut), checkpoints=h.checkpoints)
+        stored = {p: i for i, p in enumerate(positions)}
+        for q in sorted({q for p in positions for q in (p - 1, p, p + 1)}):
+            if any(ends[c] > cut for c in _scanned_cells(h, positions, q)):
+                with pytest.raises(CorruptStreamError):
+                    cut_h.lookup(q)
+            else:
+                assert cut_h.lookup(q) == stored.get(q), q
+
+    def test_zero_padding_is_not_read_as_codes(self):
+        # Seventeen cells at unit gaps, each gap the 1-bit code 0, but a
+        # stream of only twelve codes: its last four bits and every bit
+        # past the data read as zeros.
+        h = build_dhc(range(5, 22), diff_bits=8)
+        short = DhcHeader(h.diff_bits, h.entry_width, h.stride, h.count, h.jumps, h.codebook,
+                          BitStream(bytes(2), 12), checkpoints=h.checkpoints)
+        assert [short.lookup(q) for q in (4, 5, 16, 17)] == [None, 0, 11, 12]
+        for q in range(18, 23):
+            with pytest.raises(CorruptStreamError):
+                short.lookup(q)
+
+    def test_long_code_with_a_leading_zero_is_not_a_run(self):
+        # Gap 1 is the 2-bit code 00 and 3072 gaps have 12-bit codes, the
+        # first of them 010000000000: longer than the 11-bit table, and
+        # starting with a zero bit.
+        cb = CodeBook({1: 2, **{g: 12 for g in range(2, 3074)}})
+        gaps = [1, 1, 2, 1, 3000, 1, 1, 1, 2, 7, 1, 1]
+        positions = _run_positions(3, [(g, 1) for g in gaps])
+        stream, _ = encode_sequence(cb, gaps)
+        built = DhcHeader(16, 8, 16, len(positions), array("Q", [3]), cb, stream)
+        stored = {p: i for i, p in enumerate(positions)}
+        for h in (built, DhcHeader.from_bytes(built.to_bytes())):
+            assert [h.lookup(q) for q in range(positions[-1] + 2)] == [
+                stored.get(q) for q in range(positions[-1] + 2)
+            ]
+
+    def test_run_past_the_stream_or_the_jumps_raises(self):
+        # Unit gaps as the 2-bit code 00, in a stream that ends inside the
+        # fourth code.
+        full = build_dhc(range(5, 12), diff_bits=8)
+        h = DhcHeader(8, 8, 16, 7, full.jumps, CodeBook({1: 2, 2: 2, 3: 2, 4: 2}),
+                      BitStream(bytes(2), 7), checkpoints=full.checkpoints)
+        assert h.lookup(8) == 3
+        with pytest.raises(CorruptStreamError, match="truncated"):
+            h.lookup(9)
+        # Every gap overflows 2 bits, so each is a jump, the 1-bit code 0,
+        # but only three jumps are left.
+        full = build_dhc(range(5, 33, 4), diff_bits=2)
+        h = dataclasses.replace(full, jumps=full.jumps[:3], checkpoints=full.checkpoints)
+        assert h.lookup(13) == 2
+        with pytest.raises(CorruptStreamError, match="more zero differences than jumps"):
+            h.lookup(29)
+
+
 class TestLoadChecks:
     @pytest.mark.parametrize("build, cls", SCHEMES)
     def test_positions_past_64_bits_rejected(self, build, cls):
@@ -459,6 +608,21 @@ class TestLoadChecks:
         with pytest.raises(CorruptStreamError):
             cls.from_bytes(h.to_bytes())
 
+
+    @pytest.mark.parametrize("bits", [0, 33, 64, 200])
+    @pytest.mark.parametrize("build, cls", SCHEMES)
+    def test_diff_bits_checked(self, build, cls, bits):
+        raw = bytearray(build([5, 6, 7, 300], diff_bits=8).to_bytes())
+        raw[13:21] = struct.pack("<Q", bits)  # after magic, version and the entry width
+        with pytest.raises(FormatError, match=f"diff_bits {bits} is not in 1..32"):
+            cls.from_bytes(bytes(raw))
+
+    def test_dhc_codebook_symbols_fit_diff_bits(self):
+        raw = bytearray(build_dhc([5, 6, 7, 300], diff_bits=9).to_bytes())
+        assert DhcHeader.from_bytes(bytes(raw)).codebook.lengths == {1: 1, 293: 1}
+        raw[13:21] = struct.pack("<Q", 8)
+        with pytest.raises(FormatError, match="symbol 293 does not fit diff_bits 8"):
+            DhcHeader.from_bytes(bytes(raw))
 
     def test_dhc_stream_checks(self):
         h = build_dhc([5, 6, 7, 9, 300], diff_bits=8)
