@@ -34,7 +34,9 @@ class OffsetOverflowError(StoreError):
 
 
 class FormatError(StoreError):
-    """A persisted file has an unknown magic tag or version."""
+    """A persisted file is malformed: an unknown magic tag or version, a bad
+    codebook, out-of-order header sequences, a failed index page check or a
+    parameter out of range, such as `diff_bits`."""
 
 
 class CorruptStreamError(StoreError):

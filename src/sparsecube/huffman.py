@@ -19,19 +19,19 @@ Fibonacci counts are the lightest that reach a given depth.  A codebook
 with a longer length is rejected, and a load raises `FormatError`.
 
 Whole streams are coded in numpy: `encode_sequence` gathers every code's bits
-at once, and `decode_stream` reads the 56-bit window at every bit offset to
-find the code there, then the offsets where codes really start.  A DHC
-point query (`diffseq.DhcHeader.lookup`) decodes its few codes from a known
-code end itself, with the table of `CodeBook._lut` and, past it, the
-canonical ranges, which are all the whole-stream decode needs.  The first
-code of the shortest length is all zeros (Moffat & Turpin 1997), so a run
-of that code is a run of zero bits, which the lookup steps over at once.
+at once.  `decode_stream` reads the 56-bit window at every bit offset for
+the offset after the code there, and hops from offset 0 over 16 codes at a
+time to find where codes really start.  A DHC point query
+(`diffseq.DhcHeader.lookup`) decodes its few codes from a known code end
+itself, with the table of `CodeBook._lut` and, past it, the canonical
+ranges, which are all the whole-stream decode needs.  The first code of
+the shortest length is all zeros (Moffat & Turpin 1997), so a run of that
+code is a run of zero bits, which the lookup steps over at once.
 """
 
 from __future__ import annotations
 
 import heapq
-import math
 import struct
 from array import array
 from dataclasses import dataclass
@@ -44,6 +44,8 @@ from .errors import CorruptStreamError, FormatError
 
 MAX_CODE_BITS = 56
 _LUT_MAX_BITS = 11
+# Codes `decode_stream` hops over at a time: its nxt squared four times.
+_HOP = 16
 # One stored codebook entry: the symbol, then its code length.
 _ENTRY = np.dtype([("symbol", "<u8"), ("length", "u1")])
 
@@ -271,94 +273,51 @@ def _code_lengths(cb: CodeBook, win: np.ndarray, n_bits: int, none: int) -> np.n
     return length
 
 
-def _walk(nxt: np.ndarray, pos: np.ndarray, stop: np.ndarray, seen=None, until=None):
-    """Move walkers along nxt until each reaches its stop or a position in `until`.
-
-    Returns where they ended, and marks in `seen` every position they left.
-    """
-    shape = np.broadcast_shapes(pos.shape, stop.shape)
-    end = np.broadcast_to(pos, shape).ravel().copy()
-    stop = np.broadcast_to(stop, shape).ravel()
-    idx = np.arange(end.size)
-    cur = end
-    while idx.size:
-        live = cur < stop
-        if until is not None:
-            live &= ~until[cur]
-        if not live.all():
-            end[idx[~live]] = cur[~live]
-            idx, cur, stop = idx[live], cur[live], stop[live]
-        if seen is not None:
-            seen[cur] = True
-        cur = nxt[cur]
-    return end.reshape(shape)
-
-
-def _code_starts(nxt: np.ndarray, n_bits: int, max_len: int, count: int) -> np.ndarray:
-    """Bit offsets of the first `count` codes, following nxt from offset 0.
-
-    nxt[i] is the offset after the code at i for i < n_bits, where n_bits + 1
-    marks no whole code; both n_bits and n_bits + 1 lead to themselves.  One
-    walker per chunk of the stream walks, in lockstep with the others, the
-    codes from the chunk's first offset.  The real path enters a chunk at one
-    of its first max_len offsets and, prefix codes being self-synchronising,
-    soon lands on that chunk path and follows it (Weissenberger & Schmidt
-    2018).  So each possible entry is walked only until it joins the chunk
-    path or leaves the chunk, and the chunks are chained from offset 0.  The
-    starts are the real entries' walks plus the chunk paths from where those
-    joined.  The chunk grows with the square root of the stream, which
-    balances the lockstep steps against the chained chunks.
-    """
-    chunk = max(max_len, math.isqrt(n_bits))
-    n_chunks = -(-n_bits // chunk)
-    head = np.arange(n_chunks, dtype=np.int64) * chunk
-    stop = np.minimum(head + chunk, n_bits)
-    on_path = np.zeros(n_bits + 2, dtype=bool)
-    path_exit = _walk(nxt, head, stop, on_path)
-    entries = np.minimum(head[:, None] + np.arange(max_len), n_bits)
-    joined = _walk(nxt, entries, stop[:, None], until=on_path)
-    exits = np.where(joined < stop[:, None], path_exit[:, None], joined).tolist()
-    at, entered = 0, []
-    while at < n_bits:
-        entered.append(at)
-        c = at // chunk
-        at = exits[c][at - c * chunk]
-    entered = np.array(entered, dtype=np.int64)
-    seen = np.zeros(n_bits + 2, dtype=bool)
-    join = stop.copy()  # the path of a chunk never entered is not real
-    join[entered // chunk] = _walk(nxt, entered, stop[entered // chunk], seen, on_path)
-    before_join = np.zeros(n_bits + 2, dtype=bool)
-    _walk(nxt, head, np.minimum(join, stop), before_join)
-    starts = np.flatnonzero((seen | (on_path & ~before_join))[:n_bits])
-    if starts.size - (at > n_bits) < count:
-        if at == n_bits:
-            raise CorruptStreamError("stream ended before declared count")
-        raise CorruptStreamError(f"no whole code at bit {starts[-1]}")
-    return starts[:count]
-
-
 def decode_stream(cb: CodeBook, stream: BitStream, count: int) -> tuple[np.ndarray, np.ndarray]:
     """The first `count` symbols from bit 0, and the bit offset after each code.
 
     Raises `CorruptStreamError` when the first `count` codes are not whole
-    codes within the stream's bit length.  The code length and symbol are
-    found at every bit offset (Klein & Wiseman 2003), and a walk from offset 0
-    picks the offsets where a code really starts.
+    codes within the stream's bit length, at once for a count past it, since
+    every code takes a bit.  The code length at every bit offset (Klein &
+    Wiseman 2003) gives nxt, the offset after the code there; n_bits + 1
+    stands for no whole code, and n_bits and n_bits + 1 lead to themselves.
+    Codes start at 0, nxt[0], nxt[nxt[0]] and so on.  Squared four times,
+    nxt hops _HOP codes: ceil(count / _HOP) hops from offset 0 give every
+    _HOP-th start, and gathers through nxt give the starts between.
     """
     if count == 0:
         return np.zeros(0, dtype=np.uint64), np.zeros(0, dtype=np.int64)
-    max_len = cb.max_len
     n_bits = stream.bit_length
+    if count > n_bits:
+        raise CorruptStreamError("stream ended before declared count")
     win = _windows(stream.data, n_bits + MAX_CODE_BITS + 1)
     length = _code_lengths(cb, win, n_bits, n_bits + 1)
     nxt = np.arange(n_bits + 2)
     nxt[:n_bits] += length
     np.minimum(nxt, n_bits + 1, out=nxt)  # past the end: no whole code
-    starts = _code_starts(nxt, n_bits, max_len, count)
-    ln = length[starts]
-    ends = starts + ln
+    del length  # freed, like hop below, to lower the decode's peak bytes
+    hop = nxt
+    for _ in range(_HOP.bit_length() - 1):
+        hop = hop[hop]
+    starts = np.empty((_HOP, -(-count // _HOP)), dtype=np.int64)
+    hops, heads, at = memoryview(hop), memoryview(starts[0]), 0
+    for i in range(len(heads)):
+        heads[i] = at
+        at = hops[at]
+    del hop, hops
+    for j in range(1, _HOP):
+        np.take(nxt, starts[j - 1], out=starts[j])
+    starts = starts.T.ravel()[:count]
+    ends = nxt[starts]
+    bad = (starts >= n_bits) | (ends > n_bits)
+    if bad[-1]:  # a bad start leads only to bad starts
+        first = starts[bad.argmax()]
+        if first == n_bits:
+            raise CorruptStreamError("stream ended before declared count")
+        raise CorruptStreamError(f"no whole code at bit {first}")
+    ln = ends - starts
     # The code's offset in its length class, from the 56 bits ending with it.
-    masks = (np.uint64(1) << np.arange(max_len + 1, dtype=np.uint64)) - np.uint64(1)
+    masks = (np.uint64(1) << np.arange(cb.max_len + 1, dtype=np.uint64)) - np.uint64(1)
     rank = np.array(cb.offset, dtype=np.int64)[ln] + (
         (win[ends] & masks[ln]) - np.array(cb.first, dtype=np.uint64)[ln]
     ).astype(np.int64)

@@ -637,6 +637,12 @@ class TestLoadChecks:
             with pytest.raises(CorruptStreamError):
                 DhcHeader(*fields, count, jumps, codebook, stream)
 
+    def test_dhc_count_far_past_its_stream_raises_at_once(self):
+        raw = bytearray(build_dhc([5, 6, 7, 9, 300], diff_bits=8).to_bytes())
+        raw[29:37] = struct.pack("<Q", 2**62)  # the count, after entry width, diff_bits, stride
+        with pytest.raises(CorruptStreamError, match="stream ended before declared count"):
+            DhcHeader.from_bytes(bytes(raw))
+
 
     @pytest.mark.parametrize(
         "lengths", [(0, 2, 1), (1, 2, 1), (1, 2, 57)], ids=["zero", "kraft", "57-bit"]

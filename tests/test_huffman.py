@@ -4,7 +4,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from sparsecube.errors import CorruptStreamError
 from sparsecube.huffman import (
@@ -246,14 +246,28 @@ class TestDecode:
         stream, _ = encode_sequence(cb, [4, 4, 4])
         assert decoded(cb, stream, 3) == [4, 4, 4]
 
-    def test_skewed_codebook_slow_path(self):
+    # 42 is the whole sequence.  The others end around a multiple of
+    # decode_stream's 16-code hop, and one more code runs past the stream.
+    @pytest.mark.parametrize("count", [42, 15, 16, 17, 33])
+    def test_skewed_codebook_slow_path(self, count):
         # Fibonacci-like weights force code lengths past the lookup table.
         freqs = {i: fib for i, fib in enumerate([1, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377])}
         cb = build_codebook(freqs)
         assert cb.max_len > 11
-        seq = list(freqs) * 3
+        seq = (list(freqs) * 3)[:count]
         stream, _ = encode_sequence(cb, seq)
         assert decoded(cb, stream, len(seq)) == seq
+        assert count + 1 <= stream.bit_length  # so the hop walk meets the end
+        for decode in (decode_stream, scalar_decode):
+            with pytest.raises(CorruptStreamError):
+                decode(cb, stream, count + 1)
+
+    def test_count_past_the_bits_raises_at_once(self):
+        # Every code takes a bit, so 2**62 codes cannot fit in one octet;
+        # the decode raises before it sizes anything by the count.
+        cb = build_codebook({0: 1, 1: 1})
+        with pytest.raises(CorruptStreamError, match="stream ended before declared count"):
+            decode_stream(cb, BitStream(bytes([0b01010101]), 8), 2**62)
 
 
 def scalar_encode(cb, symbols):
@@ -328,6 +342,7 @@ codebooks = st.one_of(
 
 class TestWholeStream:
     @given(codebooks, st.data())
+    @settings(max_examples=400)
     def test_matches_scalar_coder(self, cb, data):
         alphabet = sorted(cb.lengths)
         seq = data.draw(st.lists(st.sampled_from(alphabet), max_size=150))
