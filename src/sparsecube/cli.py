@@ -26,12 +26,14 @@ def _parse_int_list(text: str) -> list[int]:
 
 
 def _write_relation_csv(rel: Relation, path: str) -> None:
-    dims = rel.schema.dimensions
+    _, coords, measures = ordered_cells(rel)
+    # Each dimension's labels are decoded once, then indexed per cell.
+    columns = [
+        map(dim.values.__getitem__, column)
+        for dim, column in zip(rel.schema.dimensions, coords.T.tolist())
+    ]
     with open(path, "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        _, coords, measures = ordered_cells(rel)
-        for key, measure in zip(coords.tolist(), measures.tolist()):
-            w.writerow([dims[d].values[i] for d, i in enumerate(key)] + [repr(measure)])
+        csv.writer(f).writerows(zip(*columns, map(repr, measures.tolist())))
 
 
 def _load_relation(args) -> Relation:
@@ -114,15 +116,16 @@ def _parse_coords(text: str, schema) -> tuple[int, ...]:
         )
     coords = []
     for part, dim in zip(parts, schema.dimensions):
-        if part in dim.values:
-            coords.append(dim.values.index(part))
-        else:
+        # A label wins over an index: label "7" need not be at index 7.
+        index = dict(zip(dim.values, range(dim.cardinality))).get(part)
+        if index is None:
             try:
-                coords.append(int(part))
+                index = int(part)
             except ValueError:
                 raise InvalidCoordinateError(
                     f"{part!r} is neither a value of dimension {dim.name!r} nor an index"
                 ) from None
+        coords.append(index)
     return tuple(coords)
 
 

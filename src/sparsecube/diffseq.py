@@ -50,6 +50,7 @@ from .headers import (
     _check_positions,
     held,
     held_bytes,
+    narrow,
     pack_ints,
     read_envelope,
     unpack_ints,
@@ -206,12 +207,6 @@ def _positions(diffs: np.ndarray, jump_idx: np.ndarray, jumps: np.ndarray) -> np
     return pos
 
 
-def _narrow(values: np.ndarray) -> array:
-    """`values` in the narrowest typecode that holds the largest of them."""
-    top = int(values.max()) if values.size else 0
-    return held(values, max(1, (top.bit_length() + 7) // 8))
-
-
 def _checkpoints(
     pos: np.ndarray, jump_idx: np.ndarray, stride: int, ends: np.ndarray | None = None
 ) -> Checkpoints:
@@ -232,19 +227,19 @@ def _checkpoints(
 
     def split(col: np.ndarray) -> tuple[array, array]:
         """The coarse column and the fine deltas of one value per fine entry."""
-        return _narrow(col[first]), _narrow(col - col[base])
+        return narrow(col[first]), narrow(col - col[base])
 
     at, fine_pos = split(pos[cells])
     run, fine_jump = split(np.searchsorted(jump_idx, cells, side="right") - 1)
     bit, fine_bit = split(ends[cells]) if ends is not None else (array("B"), array("B"))
     return Checkpoints(
         pos=at,
-        cell=_narrow(np.append(coarse, n)),
+        cell=narrow(np.append(coarse, n)),
         jump=run,
         bit=bit,
-        first=_narrow(np.append(first, cells.size)),
+        first=narrow(np.append(first, cells.size)),
         fine_pos=fine_pos,
-        fine_cell=_narrow(cells - cells[base]),
+        fine_cell=narrow(cells - cells[base]),
         fine_jump=fine_jump,
         fine_bit=fine_bit,
     )

@@ -35,8 +35,9 @@ class OffsetOverflowError(StoreError):
 
 class FormatError(StoreError):
     """A persisted file is malformed: an unknown magic tag or version, a bad
-    codebook, out-of-order header sequences, a failed index page check or a
-    parameter out of range, such as `diff_bits`."""
+    codebook, out-of-order header sequences, a failed index page check, a
+    schema whose labels or measure width are not valid, or a parameter out
+    of range, such as `diff_bits`."""
 
 
 class CorruptStreamError(StoreError):

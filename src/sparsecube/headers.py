@@ -79,6 +79,12 @@ def held(values, width: int = 8) -> array:
     return out
 
 
+def narrow(values: np.ndarray) -> array:
+    """`values` in the narrowest typecode that holds the largest of them."""
+    top = int(values.max()) if values.size else 0
+    return held(values, max(1, (top.bit_length() + 7) // 8))
+
+
 def held_bytes(*arrays: array) -> int:
     """The octets `arrays` hold, without the objects' fixed overhead."""
     return sum(a.itemsize * len(a) for a in arrays)

@@ -14,10 +14,10 @@ import json
 import math
 from array import array
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import chain, islice
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterator, NoReturn, Sequence
+from typing import Iterable, Iterator, NoReturn, Sequence
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from .errors import (
     InvalidCoordinateError,
     InvalidPositionError,
 )
+from .headers import narrow
 
 MAX_TOTAL_CELLS = 1 << 64
 # The most value labels `DimensionSchema.from_cardinalities` makes.
@@ -41,20 +42,60 @@ def _cell_count(cards: Sequence[int]) -> int:
     return total
 
 
-@dataclass(frozen=True)
 class Dimension:
-    name: str
-    values: tuple[str, ...]
+    """A named dimension and its value labels, in index order.
 
-    def __post_init__(self):
-        if len(self.values) < 1:
-            raise ValueError(f"dimension {self.name!r} has no values")
-        if len(set(self.values)) != len(self.values):
-            raise ValueError(f"dimension {self.name!r} has duplicate values")
+    The labels are held packed: one UTF-8 buffer, and each label's end
+    offset in it in the narrowest array typecode that holds the buffer's
+    length, so a schema holds no `str` per label.  `values` decodes them to
+    a tuple on each call; `cardinality` reads only the offsets.  Raises
+    ValueError for no labels, a repeated label or one UTF-8 cannot encode
+    (a lone surrogate), and TypeError for a label that is not a `str`.
+    """
+
+    __slots__ = ("name", "_packed", "_ends")
+
+    def __init__(self, name: str, values: Iterable[str]):
+        try:
+            encoded = [v.encode("utf-8") for v in values]
+        except AttributeError:
+            raise TypeError(f"dimension {name!r} has a value that is not a str") from None
+        except UnicodeEncodeError:
+            raise ValueError(f"dimension {name!r} has a value UTF-8 cannot encode") from None
+        if not encoded:
+            raise ValueError(f"dimension {name!r} has no values")
+        if len(set(encoded)) != len(encoded):
+            raise ValueError(f"dimension {name!r} has duplicate values")
+        ends = np.fromiter(map(len, encoded), dtype=np.uint64, count=len(encoded)).cumsum()
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "_packed", b"".join(encoded))
+        object.__setattr__(self, "_ends", narrow(ends))
+
+    def __setattr__(self, attr, value):
+        raise AttributeError(f"Dimension is read-only: cannot set {attr!r}")
+
+    @property
+    def values(self) -> tuple[str, ...]:
+        packed, ends = self._packed, self._ends
+        return tuple(packed[a:b].decode("utf-8") for a, b in zip(chain((0,), ends), ends))
 
     @property
     def cardinality(self) -> int:
-        return len(self.values)
+        return len(self._ends)
+
+    def _key(self) -> tuple:
+        return self.name, self._packed, self._ends.tobytes()
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Dimension):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return f"Dimension(name={self.name!r}, values={self.values!r})"
 
 
 @dataclass(frozen=True)
@@ -87,7 +128,7 @@ class DimensionSchema:
         if sum(cards) > MAX_LABELS:
             raise ValueError(f"{sum(cards)} value labels, more than {MAX_LABELS}")
         return cls(tuple(
-            Dimension(f"d{i}", tuple(f"v{j}" for j in range(c))) for i, c in enumerate(cards)
+            Dimension(f"d{i}", (f"v{j}" for j in range(c))) for i, c in enumerate(cards)
         ))
 
 
@@ -103,14 +144,37 @@ def schema_to_json(schema: DimensionSchema, measure_width: int) -> bytes:
 
 
 def schema_from_json(raw: bytes) -> tuple[DimensionSchema, int]:
+    """The schema and measure width a `.schema` file holds.
+
+    Each dimension is packed as soon as its object is parsed, so no label
+    `str` outlives its dimension.  Raises FormatError for a file that is
+    not such a document: no dimensions, a name that is not a string, values
+    that are not a non-empty list of distinct strings UTF-8 can encode, or
+    a measure width other than 4 or 8.
+    """
     try:
-        doc = json.loads(raw.decode("utf-8"))
-        dims = tuple(
-            Dimension(d["name"], tuple(d["values"])) for d in doc["dimensions"]
-        )
-        return DimensionSchema(dims), int(doc["measure_width"])
+        doc = json.loads(raw.decode("utf-8"), object_hook=_dimension_from_json)
+        dims = doc["dimensions"]
+        if type(dims) is not list or not all(isinstance(d, Dimension) for d in dims):
+            raise TypeError("dimensions are not a list of dimension objects")
+        width = doc["measure_width"]
+        if type(width) is not int or width not in (4, 8):
+            raise ValueError(f"measure width {width!r} is not 4 or 8")
+        return DimensionSchema(tuple(dims)), width
     except (ValueError, KeyError, TypeError) as exc:
         raise FormatError(f"bad schema file: {exc}") from exc
+
+
+def _dimension_from_json(obj: dict):
+    """`json.loads`'s hook: an object with values becomes a Dimension."""
+    if "values" not in obj:
+        return obj
+    name, values = obj.get("name"), obj["values"]
+    if type(name) is not str:
+        raise TypeError(f"dimension name {name!r} is not a string")
+    if type(values) is not list:
+        raise TypeError(f"values of dimension {name!r} are not a list")
+    return Dimension(name, values)
 
 
 def encode_logical_position(coords: Sequence[int], schema: DimensionSchema) -> int:
@@ -404,7 +468,7 @@ def ingest_delimited(path: str | Path, config: IngestConfig = IngestConfig()) ->
     else:
         value_lists = [sorted(index) if sort else tuple(index) for index in indexes]
     schema = DimensionSchema(
-        tuple(Dimension(f"d{i}", tuple(vs)) for i, vs in enumerate(value_lists))
+        tuple(Dimension(f"d{i}", vs) for i, vs in enumerate(value_lists))
     )
     if undeclared is not None:
         raise undeclared

@@ -10,7 +10,9 @@ from pathlib import Path
 import pytest
 
 import sparsecube
+from sparsecube import mdstore, tablestore
 from sparsecube.cli import main
+from sparsecube.errors import FormatError
 
 
 def run(*argv):
@@ -74,6 +76,17 @@ class TestQuery:
         assert run("query", "--store", workspace / "table", "--coords", "0,0,0") in (0,)
         out = capsys.readouterr().out
         assert out  # either a value or "empty", but exit code is 0
+
+    def test_label_wins_over_index(self, tmp_path, capsys):
+        # Label "7" sits at index 0; index 7 holds label "6".
+        labels = ["7", "3", "0", "1", "2", "4", "5", "6", "8"]
+        rel_csv = tmp_path / "rel.csv"
+        rel_csv.write_text("".join(f"{v},a,{k}.5\n" for k, v in enumerate(labels)))
+        assert run("build", "--in", rel_csv, "--scheme", "lpc", "--out", tmp_path / "st") == 0
+        for coords, value in [("7,a", "0.5"), ("6,a", "7.5"), ("8,0", "8.5")]:
+            capsys.readouterr()
+            assert run("query", "--store", tmp_path / "st", "--coords", coords) == 0
+            assert capsys.readouterr().out.splitlines()[0] == value
 
     def test_bad_coordinate_count_is_usage_error(self, workspace):
         assert run("query", "--store", workspace / "dhc", "--coords", "1,2") == 2
@@ -140,6 +153,46 @@ class TestQuery:
             run("build", "--in", workspace / "rel.csv", "--scheme", "zip",
                 "--out", workspace / "x")
         assert exc.value.code == 2
+
+
+def _set_values(values):
+    def edit(doc):
+        doc["dimensions"][1]["values"] = values
+    return edit
+
+
+# A schema file edit that a load must refuse, and a word of its error.
+BAD_SCHEMAS = {
+    "values-a-string": (_set_values("abc"), "not a list"),
+    "values-ints": (_set_values(list(range(20))), "not a str"),
+    "values-empty": (_set_values([]), "no values"),
+    "values-repeated": (_set_values(["a", "b", "a"]), "duplicate"),
+    "lone-surrogate": (_set_values(["v0", "\ud800"]), "UTF-8"),
+    "name-not-a-string": (lambda doc: doc["dimensions"][0].update(name=5), "name 5"),
+    "measure-width-5": (lambda doc: doc.update(measure_width=5), "measure width 5"),
+    "measure-width-float": (lambda doc: doc.update(measure_width=8.0), "measure width 8.0"),
+    "measure-width-bool": (lambda doc: doc.update(measure_width=True), "measure width True"),
+}
+
+
+class TestMalformedSchema:
+    @pytest.mark.parametrize("case", BAD_SCHEMAS)
+    @pytest.mark.parametrize("rep", ["dhc", "table"])
+    def test_load_and_query_refuse(self, workspace, tmp_path, capsys, rep, case):
+        edit, words = BAD_SCHEMAS[case]
+        for src in workspace.glob(rep + ".*"):
+            shutil.copy(src, tmp_path / src.name)
+        schema = tmp_path / (rep + ".schema")
+        doc = json.loads(schema.read_bytes())
+        edit(doc)
+        schema.write_text(json.dumps(doc))
+        load = tablestore.load_table if rep == "table" else mdstore.load
+        with pytest.raises(FormatError, match=words):
+            load(tmp_path / rep)
+        capsys.readouterr()
+        assert run("query", "--store", tmp_path / rep, "--coords", "0,0,0") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad schema file: ") and err.count("\n") == 1, err
 
 
 class TestSizes:

@@ -16,7 +16,7 @@ from sparsecube.mdstore import (
     load,
     save,
 )
-from sparsecube.relation import DimensionSchema, Relation, ordered_cells
+from sparsecube.relation import DimensionSchema, Relation, ordered_cells, schema_to_json
 from sparsecube.synth import SynthSpec, generate
 
 
@@ -388,3 +388,42 @@ class TestResidentHeap:
         finally:
             tracemalloc.stop()
         assert heap <= bound * header.memory_bytes(), (heap, header.memory_bytes())
+
+    # Heap over `memory_bytes()` plus the schema JSON after a load and one
+    # probe of the scan-clustered relation (measured 1.59, 1.02, 1.05, 1.10
+    # and 1.94); DHC's excess is its lookup's short-prefix table.
+    WHOLE_STORE_BOUNDS = {"schc": 1.7, "lpc": 1.15, "boc": 1.15, "dsc": 1.15, "dhc": 2.1}
+
+    @pytest.fixture(scope="class")
+    def scan_clustered_files(self, tmp_path_factory):
+        rel = generate(SynthSpec((128, 128, 64), density=0.02, clustering=0.5, seed=1))
+        tmp = tmp_path_factory.mktemp("heap")
+        for rep, store in {
+            **{s: build_boc_with_retry(rel, s, StoreParams()) for s in SCHEMES},
+            "table": tablestore.build_table(rel),
+        }.items():
+            save_rep(rep, store, tmp / rep)
+        # The last cell: DHC decodes up to it, so its lookup table is built.
+        _, coords, measures = ordered_cells(rel)
+        return tmp, tuple(coords[-1].tolist()), float(measures[-1])
+
+    @pytest.mark.parametrize("rep", REPS)
+    def test_loaded_store_heap_after_a_probe(self, scan_clustered_files, rep):
+        # The whole store, schema included: each label is no `str` of its own.
+        base, probe, value = scan_clustered_files
+        tracemalloc.start()
+        try:
+            store = load_rep(rep, base / rep)
+            try:
+                assert store.point_query(probe) == value
+                heap = tracemalloc.get_traced_memory()[0]
+            finally:
+                store.close()
+        finally:
+            tracemalloc.stop()
+        schema = len(schema_to_json(store.schema, store.measure_width))
+        if rep == "table":
+            assert heap <= 3 * schema, (heap, schema)
+        else:
+            modelled = store.header.memory_bytes() + schema
+            assert heap <= self.WHOLE_STORE_BOUNDS[rep] * modelled, (heap, modelled)

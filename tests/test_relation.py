@@ -2,9 +2,11 @@ import csv
 import gc
 import io
 import itertools
+import json
 import random
 import re
 import tempfile
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 from unittest import mock
@@ -31,6 +33,8 @@ from sparsecube.relation import (
     ingest_delimited,
     logical_position_sequence,
     ordered_cells,
+    schema_from_json,
+    schema_to_json,
 )
 from sparsecube.synth import SynthSpec, generate
 
@@ -146,6 +150,14 @@ class TestEncodeDecode:
             decode_logical_position(-1, schema(3, 4, 5))
 
 
+# Labels from all of Unicode but lone surrogates, which UTF-8 cannot encode,
+# plus the text of integers.
+any_label = st.one_of(
+    st.text(st.characters(exclude_categories=("Cs",)), max_size=5),
+    st.integers(-99, 999).map(str),
+)
+
+
 class TestSchema:
     def test_rejects_empty_dimension(self):
         with pytest.raises(ValueError):
@@ -177,6 +189,42 @@ class TestSchema:
     def test_large_but_valid_schema(self):
         s = DimensionSchema.from_cardinalities([1000] * 6)  # 10^18 < 2^64
         assert s.total_cells == 10**18
+
+    @given(st.lists(st.lists(any_label, min_size=1, max_size=12, unique=True),
+                    min_size=1, max_size=3))
+    @example([["", ",", '"', "\n", "7", "-1", "\U0001d518", "\x00"]])
+    def test_labels_round_trip(self, value_lists):
+        dims = tuple(Dimension(f"d{i}", vs) for i, vs in enumerate(value_lists))
+        assert [d.values for d in dims] == [tuple(vs) for vs in value_lists]
+        s = DimensionSchema(dims)
+        raw = schema_to_json(s, 4)
+        back, width = schema_from_json(raw)
+        assert (back, hash(back), width) == (s, hash(s), 4)
+        # Byte for byte what the plain lists give, so `.schema` files do not move.
+        plain = {
+            "dimensions": [{"name": f"d{i}", "values": vs} for i, vs in enumerate(value_lists)],
+            "measure_width": 4,
+        }
+        assert raw == json.dumps(plain, sort_keys=True, separators=(",", ":")).encode()
+        with pytest.raises(ValueError, match="duplicate"):
+            Dimension("d", value_lists[0] + value_lists[0][:1])
+
+    def test_equal_only_with_equal_labels(self):
+        # One packed buffer, split two ways, is two different dimensions.
+        assert Dimension("d", ["ab", "c"]) == Dimension("d", ("ab", "c"))
+        assert Dimension("d", ["ab", "c"]) != Dimension("d", ["a", "bc"])
+        assert Dimension("d", ["ab"]) != Dimension("e", ["ab"])
+
+    def test_loaded_schema_holds_no_str_per_label(self):
+        raw = schema_to_json(schema(128, 128, 64), 8)
+        tracemalloc.start()
+        try:
+            loaded, _ = schema_from_json(raw)
+            heap = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert loaded == schema(128, 128, 64)
+        assert heap <= 2 * len(raw), (heap, len(raw))
 
 
 class TestPositionSequence:
