@@ -70,17 +70,6 @@ def sample_coords(
     return list(zip(*(column.tolist() for column in decode_positions(drawn, store.schema))))
 
 
-def cold_miss_counts(query, coords: Sequence, cache: SimCache) -> list[int]:
-    """Per-query miss counts, each query issued against an emptied cache."""
-    out = []
-    for c in coords:
-        cache.clear()
-        before = cache.misses
-        query(c)
-        out.append(cache.misses - before)
-    return out
-
-
 WARMUP_QUERIES = 8
 
 
@@ -113,6 +102,12 @@ def _paired_times(query, coords: Sequence, cache: SimCache):
         cold_ms.append((t1 - t0) * 1000.0)
         warm_ms.append((t3 - t2) * 1000.0)
     return cold_ms, warm_ms, cold_misses, warm_misses
+
+
+def cold_miss_counts(query, coords: Sequence, cache: SimCache) -> list[int]:
+    """Per-query miss counts, each query issued against an emptied cache: the cold
+    half of `_paired_times`."""
+    return _paired_times(query, coords, cache)[2]
 
 
 def estimate_constants(

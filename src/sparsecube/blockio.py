@@ -178,7 +178,17 @@ def lru_misses(
     return (total[bounds[1:]] - total[bounds[:-1]]).tolist(), used_at[:-1]
 
 
-class BlockReader:
+class Closing:
+    """`with` support for the readers and stores: leaving the block calls `close()`."""
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+
+
+class BlockReader(Closing):
     """Reads byte ranges from a file in fixed-size blocks."""
 
     def __init__(
@@ -207,12 +217,6 @@ class BlockReader:
             self.close()
         except Exception:
             pass
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
 
     @property
     def block_count(self) -> int:

@@ -9,12 +9,13 @@ import argparse
 import csv
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import bench, cachemodel, mdstore, tablestore
 from .blockio import SimCache
 from .errors import InvalidCoordinateError, StoreError
-from .relation import IngestConfig, Relation, ingest_delimited, ordered_cells
+from .relation import IngestConfig, IngestResult, Relation, ingest_delimited, ordered_cells
 from .synth import SynthSpec, generate
 
 
@@ -36,12 +37,13 @@ def _write_relation_csv(rel: Relation, path: str) -> None:
         csv.writer(f).writerows(zip(*columns, map(repr, measures.tolist())))
 
 
+def _ingest(args) -> IngestResult:
+    config = IngestConfig(has_header=args.header, sorted_values=args.sorted_values)
+    return ingest_delimited(args.infile, config)
+
+
 def _load_relation(args) -> Relation:
-    config = IngestConfig(
-        has_header=args.header,
-        sorted_values=args.sorted_values,
-    )
-    result = ingest_delimited(args.infile, config)
+    result = _ingest(args)
     if result.duplicates:
         print(f"warning: {result.duplicates} duplicate keys (last write wins)", file=sys.stderr)
     return result.relation
@@ -65,6 +67,8 @@ def _add_param_flags(p) -> None:
     p.add_argument("--s-bits", dest="diff_bits", type=int, default=16,
                    help="bits per difference entry")
     p.add_argument("--stride", type=int, default=16, help="a checkpoint every N jumps")
+    p.add_argument("--block-size", type=int, default=4096,
+                   help="the table's page size in octets; no md scheme reads it")
 
 
 def cmd_gen(args) -> int:
@@ -82,14 +86,16 @@ def cmd_gen(args) -> int:
 
 
 def cmd_ingest(args) -> int:
-    config = IngestConfig(has_header=args.header, sorted_values=args.sorted_values)
-    result = ingest_delimited(args.infile, config)
+    result = _ingest(args)
     rel = result.relation
-    cards = "x".join(str(c) for c in rel.schema.cardinalities)
-    print(f"dimensions: {cards} ({rel.schema.total_cells} cells)")
+    print(f"dimensions: {_shape(rel.schema)} ({rel.schema.total_cells} cells)")
     print(f"nonempty:   {rel.n_cells}")
     print(f"duplicates: {result.duplicates}")
     return 0
+
+
+def _shape(schema) -> str:
+    return "x".join(map(str, schema.cardinalities))
 
 
 def cmd_build(args) -> int:
@@ -160,36 +166,46 @@ def cmd_sizes(args) -> int:
         else:
             rows.append((scheme, report.disk_total))
 
+    rows = [(name, size, f"{100.0 * size / base_size:.1f}") for name, size in rows]
     print(f"{'representation':<20}{'octets':>14}{'percent':>10}")
-    for name, size in rows:
-        print(f"{name:<20}{size:>14}{100.0 * size / base_size:>9.1f}%")
+    for name, size, percent in rows:
+        print(f"{name:<20}{size:>14}{percent:>9}%")
     if args.out:
         with open(args.out, "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(["representation", "octets", "percent"])
-            for name, size in rows:
-                w.writerow([name, size, f"{100.0 * size / base_size:.1f}"])
+            csv.writer(f).writerows([("representation", "octets", "percent"), *rows])
         print(f"wrote {args.out}")
     return 0
 
 
+@contextmanager
 def _open_pair(args):
+    """The loaded md and table stores with their caches, closed on exit.
+    A pair whose stores hold different relations raises ValueError."""
     md_cache = SimCache(bench.UNBOUNDED)
     tbl_cache = SimCache(bench.UNBOUNDED)
-    md = mdstore.load(args.md_store, cache=md_cache, block_size=args.block_size)
-    tbl = tablestore.load_table(args.table_store, cache=tbl_cache)
-    return md, md_cache, tbl, tbl_cache
+    with (
+        mdstore.load(args.md_store, cache=md_cache, block_size=args.block_size) as md,
+        tablestore.load_table(args.table_store, cache=tbl_cache) as tbl,
+    ):
+        differ = []
+        if md.schema != tbl.schema:
+            a, b = _shape(md.schema), _shape(tbl.schema)
+            differ.append(f"dimensions {a} against {b}" if a != b else "dimension labels")
+        if md.measure_width != tbl.measure_width:
+            differ.append(f"measure width {md.measure_width} against {tbl.measure_width}")
+        if md.n_cells != tbl.n_rows:
+            differ.append(f"{md.n_cells} cells against {tbl.n_rows} rows")
+        if differ:
+            raise ValueError(f"{args.md_store} and {args.table_store} hold different "
+                             f"relations: {', '.join(differ)}")
+        yield md, md_cache, tbl, tbl_cache
 
 
 def cmd_estimate(args) -> int:
-    md, md_cache, tbl, tbl_cache = _open_pair(args)
-    try:
+    with _open_pair(args) as (md, md_cache, tbl, tbl_cache):
         result = bench.estimate_constants(
             md, md_cache, tbl, tbl_cache, sample_size=args.samples, seed=args.seed
         )
-    finally:
-        md.close()
-        tbl.close()
     p = result.params
     cachemodel.save_params(p, args.out)
     print(f"M_m={p.md.M:.6f} D_m={p.md.D:.6f} M_t={p.tbl.M:.6f} D_t={p.tbl.D:.6f} (ms)")
@@ -204,8 +220,7 @@ def cmd_estimate(args) -> int:
 
 def cmd_sweep(args) -> int:
     params = cachemodel.load_params(args.constants)
-    md, md_cache, tbl, tbl_cache = _open_pair(args)
-    try:
+    with _open_pair(args) as (md, md_cache, tbl, tbl_cache):
         if args.budget_list:
             md_budgets = [b for b in args.budget_list if b >= params.preload_bytes]
             tbl_budgets = list(args.budget_list)
@@ -220,9 +235,6 @@ def cmd_sweep(args) -> int:
             md_budgets, tbl_budgets,
             samples=args.samples, passes=args.passes, seed=args.seed,
         )
-    finally:
-        md.close()
-        tbl.close()
     Path(args.out).write_text(result.to_csv())
     print(f"{'rep':<5}{'budget':>12}{'measured ms':>14}{'model ms':>12}{'dev':>8}")
     for s in result.summaries:
@@ -230,6 +242,9 @@ def cmd_sweep(args) -> int:
               f"{s.rel_deviation:>7.1%}")
     print(f"wrote {args.out}")
     return 0
+
+
+MD_BLOCK_HELP = "block size in octets of the md cell file at load; the table keeps its page size"
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -257,7 +272,6 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--scheme", required=True,
                    choices=list(mdstore.SCHEMES) + ["table"])
     p.add_argument("--out", required=True, help="output base path")
-    p.add_argument("--block-size", type=int, default=4096)
     _add_param_flags(p)
     p.set_defaults(func=cmd_build)
 
@@ -269,7 +283,6 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sizes", help="size table across all representations")
     _add_ingest_flags(p)
-    p.add_argument("--block-size", type=int, default=4096)
     p.add_argument("--out", default=None, help="also write CSV here")
     _add_param_flags(p)
     p.set_defaults(func=cmd_sizes)
@@ -279,7 +292,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--table-store", required=True)
     p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--block-size", type=int, default=4096)
+    p.add_argument("--block-size", type=int, default=4096, help=MD_BLOCK_HELP)
     p.add_argument("--out", required=True, help="constants JSON output")
     p.set_defaults(func=cmd_estimate)
 
@@ -293,7 +306,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=300)
     p.add_argument("--passes", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--block-size", type=int, default=4096)
+    p.add_argument("--block-size", type=int, default=4096, help=MD_BLOCK_HELP)
     p.add_argument("--out", required=True, help="sweep CSV output")
     p.set_defaults(func=cmd_sweep)
 

@@ -23,9 +23,10 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from . import diffseq, headers
-from .blockio import BlockReader, BytesReader, SimCache, touch_codes
+from .blockio import BlockReader, BytesReader, Closing, SimCache, touch_codes
 from .errors import FormatError, InvalidPositionError, OffsetOverflowError
 from .relation import (
+    MEASURE_FORMATS,
     DimensionSchema,
     Relation,
     encode_logical_position,
@@ -33,9 +34,6 @@ from .relation import (
     schema_from_json,
     schema_to_json,
 )
-
-_MEASURE_FMT = {4: "<f", 8: "<d"}
-
 
 # Each build parameter's range; BOC's offsets-narrower-than-entries rule is `build_boc`'s.
 PARAM_RANGES = dict(entry_width=(1, 8), offset_width=(1, 7), block_len=(1, (1 << 64) - 1),
@@ -81,7 +79,7 @@ class SizeReport:
         return self.memory_total - self.cell_bytes
 
 
-class MultidimStore:
+class MultidimStore(Closing):
     def __init__(
         self,
         schema: DimensionSchema,
@@ -89,7 +87,7 @@ class MultidimStore:
         measure_width: int,
         cells: BlockReader,
     ):
-        if measure_width not in _MEASURE_FMT:
+        if measure_width not in MEASURE_FORMATS:
             raise ValueError(f"unsupported measure width {measure_width}")
         self.scheme = _scheme_of(header.MAGIC)
         self.schema = schema
@@ -97,7 +95,7 @@ class MultidimStore:
         self.measure_width = measure_width
         self.n_cells = header.count
         self._cells = cells
-        self._measure = struct.Struct(_MEASURE_FMT[measure_width])
+        self._measure = struct.Struct(MEASURE_FORMATS[measure_width])
         if cells.file_size != self.n_cells * measure_width:
             cells.close()
             raise FormatError(
@@ -107,12 +105,6 @@ class MultidimStore:
 
     def close(self) -> None:
         self._cells.close()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
 
     def cell_measure(self, physical: int) -> float:
         raw = self._cells.read_at(physical * self.measure_width, self.measure_width)
@@ -225,8 +217,9 @@ def _scheme_of(magic: bytes) -> str:
 
 
 def _new_store(rel: Relation, header, measures: np.ndarray) -> MultidimStore:
-    dtype = "<f4" if rel.measure_width == 4 else "<f8"
-    cells = BytesReader(measures.astype(dtype).tobytes(), name="md.cells")
+    cells = BytesReader(
+        measures.astype(MEASURE_FORMATS[rel.measure_width]).tobytes(), name="md.cells"
+    )
     return MultidimStore(rel.schema, header, rel.measure_width, cells)
 
 

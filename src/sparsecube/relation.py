@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from itertools import chain, islice
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator, NoReturn, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -31,6 +31,9 @@ from .errors import (
 from .headers import narrow
 
 MAX_TOTAL_CELLS = 1 << 64
+# The measure widths in octets, each with the little-endian float format that
+# `struct` and numpy both read; a relation and both stores take no other.
+MEASURE_FORMATS = {4: "<f", 8: "<d"}
 # The most value labels `DimensionSchema.from_cardinalities` makes.
 MAX_LABELS = 1 << 20
 
@@ -150,7 +153,7 @@ def schema_from_json(raw: bytes) -> tuple[DimensionSchema, int]:
     `str` outlives its dimension.  Raises FormatError for a file that is
     not such a document: no dimensions, a name that is not a string, values
     that are not a non-empty list of distinct strings UTF-8 can encode, or
-    a measure width other than 4 or 8.
+    a measure width that is not a key of MEASURE_FORMATS.
     """
     try:
         doc = json.loads(raw.decode("utf-8"), object_hook=_dimension_from_json)
@@ -158,8 +161,8 @@ def schema_from_json(raw: bytes) -> tuple[DimensionSchema, int]:
         if type(dims) is not list or not all(isinstance(d, Dimension) for d in dims):
             raise TypeError("dimensions are not a list of dimension objects")
         width = doc["measure_width"]
-        if type(width) is not int or width not in (4, 8):
-            raise ValueError(f"measure width {width!r} is not 4 or 8")
+        if type(width) is not int or width not in MEASURE_FORMATS:
+            raise ValueError(f"measure width {width!r} is not one of {sorted(MEASURE_FORMATS)}")
         return DimensionSchema(tuple(dims)), width
     except (ValueError, KeyError, TypeError) as exc:
         raise FormatError(f"bad schema file: {exc}") from exc
@@ -180,8 +183,8 @@ def _dimension_from_json(obj: dict):
 def encode_logical_position(coords: Sequence[int], schema: DimensionSchema) -> int:
     """Row-major rank of a coordinate vector (last dimension fastest).
 
-    Coordinates are `int`s or numpy integers; anything else, such as a
-    float that would give a float position, raises InvalidCoordinateError.
+    Coordinates are `int`s or numpy integers; the first that is anything
+    else (a bool or a float too) or out of range raises InvalidCoordinateError.
     """
     strides = schema.strides
     if len(coords) != len(strides):
@@ -189,52 +192,40 @@ def encode_logical_position(coords: Sequence[int], schema: DimensionSchema) -> i
             f"expected {len(strides)} coordinates, got {len(coords)}"
         )
     pos = 0
-    try:
-        for idx, stride, card in zip(coords, strides, schema.cardinalities):
-            if not 0 <= idx < card:
-                raise _out_of_range(coords, schema)
-            pos += idx * stride
-    except (TypeError, OverflowError):  # not a number, or a numpy integer too narrow
-        return _integral_position(coords, schema)
-    # One type check on the sum: a float or numpy coordinate makes it no int.
-    if type(pos) is not int:
-        return _integral_position(coords, schema)
+    for idx, stride, card in zip(coords, strides, schema.cardinalities):
+        # Exactly `int` (not bool, float or numpy), so nothing below can raise.
+        if idx.__class__ is not int or not 0 <= idx < card:
+            return _checked_position(coords, schema)
+        pos += idx * stride
     return pos
 
 
-def _integral_position(coords: Sequence[int], schema: DimensionSchema) -> int:
-    """The position of coordinates that are not all `int`: numpy integers
-    are encoded as `int`s, with every range checked again, and anything
-    else raises InvalidCoordinateError."""
-    for idx in coords:
-        if not isinstance(idx, (int, np.integer)):
+def _checked_position(coords: Sequence[int], schema: DimensionSchema) -> int:
+    """The position of coordinates that are not all in-range `int`s: each
+    one is checked in turn, numpy integers are encoded as `int`s, and the
+    first bad one raises InvalidCoordinateError."""
+    pos = 0
+    for idx, stride, dim in zip(coords, schema.strides, schema.dimensions):
+        if isinstance(idx, bool) or not isinstance(idx, (int, np.integer)):
             raise InvalidCoordinateError(f"coordinate {idx!r} is not an integer")
-    return encode_logical_position(tuple(map(int, coords)), schema)
-
-
-def _out_of_range(coords: Sequence[int], schema: DimensionSchema) -> InvalidCoordinateError:
-    """The error naming the first coordinate outside its dimension."""
-    idx, dim = next(
-        (i, d) for i, d in zip(coords, schema.dimensions) if not 0 <= i < d.cardinality
-    )
-    return InvalidCoordinateError(
-        f"coordinate {idx} out of range for dimension {dim.name!r} "
-        f"(cardinality {dim.cardinality})"
-    )
+        if not 0 <= idx < dim.cardinality:
+            raise InvalidCoordinateError(
+                f"coordinate {idx} out of range for dimension {dim.name!r} "
+                f"(cardinality {dim.cardinality})"
+            )
+        pos += int(idx) * stride
+    return pos
 
 
 def decode_logical_position(position: int, schema: DimensionSchema) -> tuple[int, ...]:
-    """Inverse of encode_logical_position."""
+    """Inverse of encode_logical_position, as `int`s, by `decode_positions`;
+    a position outside the schema raises InvalidPositionError."""
     if not 0 <= position < schema.total_cells:
         raise InvalidPositionError(
             f"position {position} out of range [0, {schema.total_cells})"
         )
-    coords = []
-    rest = position
-    for stride in schema.strides:
-        idx, rest = divmod(rest, stride)
-        coords.append(idx)
-    return tuple(coords)
+    columns = decode_positions(np.array([position], dtype=np.uint64), schema)
+    return tuple(np.concatenate(columns).tolist())
 
 
 def decode_positions(positions: np.ndarray, schema: DimensionSchema) -> list[np.ndarray]:
@@ -262,11 +253,14 @@ class Relation:
     as ingest and the generator do) builds the dict on the first
     `cells`, `get` or `iter_cells` call; `n_cells` never builds it.  Either
     form is worked out at most once, so a relation is read-only once made:
-    mutating `cells` afterwards leaves the arrays stale.
+    mutating `cells` afterwards leaves the arrays stale.  A measure width
+    that is not a key of MEASURE_FORMATS raises ValueError.
     """
 
     def __init__(self, schema: DimensionSchema, cells: dict[tuple[int, ...], float],
                  measure_width: int = 8):
+        if type(measure_width) is not int or measure_width not in MEASURE_FORMATS:
+            raise ValueError(f"unsupported measure width {measure_width!r}")
         self.schema = schema
         self.measure_width = measure_width
         self._cells: dict[tuple[int, ...], float] | None = cells
@@ -330,9 +324,9 @@ def ordered_cells(rel: Relation) -> OrderedCells:
     Returns the strictly increasing positions (uint64), the coordinates in
     the same order as an (n, d) int64 array, and the measures (float64) in
     the same order.  They are worked out once per relation and the same
-    arrays are returned to every caller.  For a relation made from a dict,
-    raises the error `encode_logical_position` raises for the first key, in
-    insertion order, that does not fit the schema.
+    arrays are returned to every caller.  A relation made from a dict has
+    each key encoded once by `encode_logical_position`, in insertion order,
+    so the first key that does not fit the schema raises that encoder's error.
     """
     if rel._ordered is None:
         rel._ordered = _order_dict(rel)
@@ -341,38 +335,18 @@ def ordered_cells(rel: Relation) -> OrderedCells:
 
 def _order_dict(rel: Relation) -> OrderedCells:
     schema, cells = rel.schema, rel.cells
-    n, d = len(cells), schema.n_dims
-    if n == 0:
+    if not cells:
         raise EmptyRelationError("relation has no cells")
-    if set(map(len, cells)) != {d}:
-        _raise_for_invalid_key(rel)
-    # Python ints beyond 64 bits make an object array, floats a float one.
-    coords = np.array(list(cells))
-    if coords.dtype.kind not in "biu":
-        _raise_for_invalid_key(rel)
-    if ((coords < 0) | (coords >= np.array(schema.cardinalities))).any():
-        _raise_for_invalid_key(rel)
-    coords = coords.astype(np.int64)
-    positions = _positions(coords, schema)
+    positions = np.fromiter(
+        (encode_logical_position(key, schema) for key in cells), dtype=np.uint64, count=len(cells)
+    )
     order = np.argsort(positions)
-    measures = np.fromiter(cells.values(), dtype=np.float64, count=n)
+    coords = np.array(list(cells), dtype=np.int64)
+    measures = np.fromiter(cells.values(), dtype=np.float64, count=len(cells))
     ordered = positions[order], coords[order], measures[order]
     for a in ordered:
         a.flags.writeable = False
     return ordered
-
-
-def _positions(coords: np.ndarray, schema: DimensionSchema) -> np.ndarray:
-    """`encode_logical_position` of every row of in-range (n, d) coordinates."""
-    # Every product and partial sum is below total_cells < 2**64.
-    return coords.astype(np.uint64) @ np.array(schema.strides, dtype=np.uint64)
-
-
-def _raise_for_invalid_key(rel: Relation) -> NoReturn:
-    """Raise the scalar encoder's error for the first key that does not fit."""
-    for key in rel.cells:
-        encode_logical_position(key, rel.schema)
-    raise InvalidCoordinateError("relation holds a key that is not a coordinate vector")
 
 
 def logical_position_sequence(rel: Relation) -> list[int]:
@@ -478,7 +452,8 @@ def ingest_delimited(path: str | Path, config: IngestConfig = IngestConfig()) ->
             first_seen = np.fromiter(map(index.__getitem__, vs), dtype=np.int64, count=len(vs))
             coords[:, j] = np.argsort(first_seen)[coords[:, j]]
 
-    positions = _positions(coords, schema)
+    # Every product and partial sum is below total_cells < 2**64.
+    positions = coords.astype(np.uint64) @ np.array(schema.strides, dtype=np.uint64)
     order = np.argsort(positions, kind="stable")
     positions = positions[order]
     # Equal positions sit together in row order: each key keeps its last

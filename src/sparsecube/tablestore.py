@@ -31,10 +31,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .blockio import MAX_BLOCK_SIZE, BlockReader, BytesReader, SimCache, touch_codes
+from .blockio import MAX_BLOCK_SIZE, BlockReader, BytesReader, Closing, SimCache, touch_codes
 from .errors import FormatError
 from .headers import read_envelope, write_envelope
 from .relation import (
+    MEASURE_FORMATS,
     DimensionSchema,
     Relation,
     encode_logical_position,
@@ -64,7 +65,7 @@ def _rows_per_group(page_size: int, row_width: int) -> int:
     return max(1, page_size // row_width)
 
 
-class TableStore:
+class TableStore(Closing):
     def __init__(
         self,
         schema: DimensionSchema,
@@ -90,7 +91,7 @@ class TableStore:
             self.height, level = self.height + 1, -(-level // self.entries_per_page)
         self._rows = rows
         self._idx = idx
-        self._measure = struct.Struct("<f" if measure_width == 4 else "<d")
+        self._measure = struct.Struct(MEASURE_FORMATS[measure_width])
 
     def meta(self) -> tuple[int, ...]:
         return tuple(getattr(self, name) for name in META_FIELDS)
@@ -98,12 +99,6 @@ class TableStore:
     def close(self) -> None:
         self._rows.close()
         self._idx.close()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
 
     # -- sizes ------------------------------------------------------------
 
@@ -278,9 +273,7 @@ def build_table(rel: Relation, params: TableParams = TableParams()) -> TableStor
         raise ValueError(f"a page must hold a row and the {_META_END}-octet meta prefix, "
                          f"in at most {MAX_BLOCK_SIZE} octets")
 
-    dtype = np.dtype(
-        [("c", "<u4", (n_dims,)), ("m", "<f4" if rel.measure_width == 4 else "<f8")]
-    )
+    dtype = np.dtype([("c", "<u4", (n_dims,)), ("m", MEASURE_FORMATS[rel.measure_width])])
     rows_arr = np.empty(n_rows, dtype=dtype)
     rows_arr["c"] = coords
     rows_arr["m"] = measures

@@ -13,6 +13,8 @@ import sparsecube
 from sparsecube import mdstore, tablestore
 from sparsecube.cli import main
 from sparsecube.errors import FormatError
+from sparsecube.relation import Dimension, DimensionSchema, Relation, ordered_cells
+from sparsecube.synth import SynthSpec, generate
 
 
 def run(*argv):
@@ -302,6 +304,48 @@ class TestEstimateSweep:
                    "--constants", constants, "--budget-list", budgets,
                    "--samples", "20", "--passes", "2", "--seed", "3",
                    "--out", tmp_path / "s.csv") == 0
+
+
+@pytest.fixture(scope="module")
+def unpaired(tmp_path_factory):
+    """A DHC store of a 16x16x8 relation and three tables, each of a relation
+    that differs from it: other dimensions, other cells, other labels."""
+    tmp = tmp_path_factory.mktemp("unpaired")
+    rel = generate(SynthSpec((16, 16, 8), 0.1, seed=1))
+    mdstore.save(mdstore.build_store(rel, "dhc"), tmp / "md")
+    relabelled = DimensionSchema(tuple(
+        Dimension(d.name, reversed(d.values)) for d in rel.schema.dimensions
+    ))
+    for name, other in (
+        ("other-dims", generate(SynthSpec((8, 8, 8), 0.1, seed=1))),
+        ("other-cells", generate(SynthSpec((16, 16, 8), 0.2, seed=1))),
+        ("other-labels", Relation.from_ordered(relabelled, *ordered_cells(rel))),
+    ):
+        tablestore.save_table(tablestore.build_table(other), tmp / name)
+    return tmp
+
+
+class TestUnpairedStores:
+    @pytest.mark.parametrize("table, words", [
+        ("other-dims", "dimensions 16x16x8 against 8x8x8, 205 cells against 51 rows"),
+        ("other-cells", "205 cells against 410 rows"),
+        ("other-labels", "dimension labels"),
+    ], ids=["other-dims", "other-cells", "other-labels"])
+    @pytest.mark.parametrize("command", ["estimate", "sweep"])
+    def test_stores_of_different_relations_are_a_data_error(
+        self, unpaired, tmp_path, capsys, command, table, words
+    ):
+        constants = tmp_path / "c.json"
+        constants.write_text(json.dumps(
+            {"M_m": 0.01, "D_m": 1.0, "M_t": 0.02, "D_t": 2.0, "H": 10, "C": 100, "S": 200}
+        ))
+        extra = ("--constants", constants, "--points", "3") if command == "sweep" else ()
+        assert run(command, "--md-store", unpaired / "md", "--table-store", unpaired / table,
+                   *extra, "--samples", "20", "--out", tmp_path / "out") == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: ") and err.rstrip().endswith(f"different relations: {words}")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
 
 
 # Every numeric flag is tried at each of these values, one flag at a time.

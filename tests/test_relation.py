@@ -29,6 +29,7 @@ from sparsecube.relation import (
     IngestConfig,
     Relation,
     decode_logical_position,
+    decode_positions,
     encode_logical_position,
     ingest_delimited,
     logical_position_sequence,
@@ -105,7 +106,9 @@ class TestEncodeDecode:
         with pytest.raises(InvalidCoordinateError):
             encode_logical_position((0, 0), schema(3, 4, 5))
 
-    @pytest.mark.parametrize("coords", [(0.5, 0, 4), (0, 0, 4.0), (0, "0", 4), (None, 0, 0)])
+    @pytest.mark.parametrize(
+        "coords", [(0.5, 0, 4), (0, 0, 4.0), (0, "0", 4), (None, 0, 0), (0, True, 4)]
+    )
     def test_non_integer_coordinate_rejected(self, coords):
         # A float made (0.5, 0, 4) position 32.0, a stored cell's, in LPC.
         rel = generate(SynthSpec((6, 7, 8), 0.3, seed=1))
@@ -263,6 +266,29 @@ class TestPositionSequence:
 NEAR_2_64 = DimensionSchema.from_cardinalities((1 << 16, 1 << 16, 1 << 16, (1 << 16) - 1))
 
 
+class TestDecodeNear2To64:
+    @given(st.integers(0, NEAR_2_64.total_cells - 1))
+    @example(NEAR_2_64.total_cells - 1)
+    @example(1 << 63)
+    def test_scalar_decoder_is_the_array_decoder(self, position):
+        coords = decode_logical_position(position, NEAR_2_64)
+        assert all(type(c) is int for c in coords)
+        columns = decode_positions(np.array([position], dtype=np.uint64), NEAR_2_64)
+        assert coords == tuple(int(column[0]) for column in columns)
+        # Oracle: Python's unbounded integers, one stride at a time.
+        rest, want = position, []
+        for stride in NEAR_2_64.strides:
+            want.append(rest // stride)
+            rest %= stride
+        assert coords == tuple(want)
+        assert encode_logical_position(coords, NEAR_2_64) == position
+
+    @pytest.mark.parametrize("position", [-1, NEAR_2_64.total_cells, 1 << 64])
+    def test_position_outside_the_schema_raises(self, position):
+        with pytest.raises(InvalidPositionError, match="out of range"):
+            decode_logical_position(position, NEAR_2_64)
+
+
 @st.composite
 def relations(draw):
     s = draw(st.one_of(schemas, st.just(NEAR_2_64)))
@@ -271,6 +297,18 @@ def relations(draw):
     values = st.floats(allow_nan=False, allow_infinity=False, width=64)
     measures = draw(st.lists(values, min_size=len(keys), max_size=len(keys)))
     return Relation(s, dict(zip(keys, measures)))
+
+
+# Each bad key of test_builders_reject_invalid_keys and the error it raises.
+BAD_KEYS = [
+    ((-1, 0, 0), "coordinate -1 out of range for dimension 'd0' (cardinality 3)"),
+    ((3, 0, 0), "coordinate 3 out of range for dimension 'd0' (cardinality 3)"),
+    ((0, 0, 5), "coordinate 5 out of range for dimension 'd2' (cardinality 5)"),
+    ((0, 0), "expected 3 coordinates, got 2"),
+    ((0, 0, 0, 0), "expected 3 coordinates, got 4"),
+    ((0, 1.0, 0), "coordinate 1.0 is not an integer"),
+    ((True, 0, 0), "coordinate True is not an integer"),
+]
 
 
 class TestOrderedCells:
@@ -299,7 +337,7 @@ class TestOrderedCells:
         assert logical_position_sequence(rel) == [0, NEAR_2_64.total_cells - 1]
         assert NEAR_2_64.total_cells - 1 > 1 << 63
 
-    @pytest.mark.parametrize("bad_key", [(-1, 0, 0), (3, 0, 0), (0, 0, 5), (0, 0), (0, 0, 0, 0)])
+    @pytest.mark.parametrize("bad_key", [key for key, _ in BAD_KEYS])
     @pytest.mark.parametrize("build", [
         *(lambda rel, s=s: mdstore.build_store(rel, s) for s in mdstore.SCHEMES),
         lambda rel: mdstore.build_boc_with_retry(rel, "boc"),
@@ -307,9 +345,27 @@ class TestOrderedCells:
         logical_position_sequence,
     ])
     def test_builders_reject_invalid_keys(self, build, bad_key):
+        message = next(m for key, m in BAD_KEYS if key is bad_key)
         rel = Relation(schema(3, 4, 5), {(0, 0, 0): 1.0, bad_key: 2.0, (2, 3, 4): 3.0})
-        with pytest.raises(InvalidCoordinateError):
+        with pytest.raises(InvalidCoordinateError) as raised:
             build(rel)
+        assert type(raised.value) is InvalidCoordinateError
+        assert str(raised.value) == message
+
+    def test_numpy_integer_keys_accepted(self):
+        cells = {(2, 1, 4): 1.5, (0, 3, 0): 2.5, (1, 0, 2): 3.5}
+        want = ordered_cells(Relation(schema(3, 4, 5), cells))
+        as_numpy = {
+            (np.uint8(a), np.int64(b), np.int32(c)): v for (a, b, c), v in cells.items()
+        }
+        rel = Relation(schema(3, 4, 5), as_numpy)
+        got = ordered_cells(rel)
+        assert all(np.array_equal(a, b) and a.dtype == b.dtype for a, b in zip(got, want))
+        assert got[0].tolist() == sorted(encode_logical_position(k, rel.schema) for k in cells)
+        table = tablestore.build_table(rel)
+        dhc = mdstore.build_store(rel, "dhc")
+        for key, value in cells.items():
+            assert table.point_query(key) == dhc.point_query(key) == value
 
     @pytest.mark.parametrize("make", [
         lambda tmp: generate(SynthSpec((6, 7, 8), 0.3, seed=1)),
@@ -668,3 +724,20 @@ def test_ingest_triggers_no_collection(tmp_path):
         gc.set_threshold(*threshold)
     assert collections[2] == 0
     assert collections[0] <= 5
+
+
+@pytest.mark.parametrize("width", [0, 5, 16, 8.0, True])
+@pytest.mark.parametrize("make", [
+    lambda w: Relation(schema(4, 5), {(0, 0): 1.0, (3, 4): 2.0}, measure_width=w),
+    lambda w: Relation.from_ordered(
+        schema(4, 5), np.array([0, 19], dtype=np.uint64), np.array([[0, 0], [3, 4]]),
+        np.array([1.0, 2.0]), measure_width=w,
+    ),
+    lambda w: generate(SynthSpec((4, 5), 0.5, seed=1, measure_width=w)),
+], ids=["dict", "from_ordered", "generate"])
+def test_relation_rejects_a_measure_width_without_a_format(make, width):
+    # Width 5 once reached build_table, which packed 8-octet floats into
+    # 13-octet rows and then answered 9 of this relation's 10 cells as empty;
+    # a width of 8.0 or True made the builders fail with TypeError.
+    with pytest.raises(ValueError, match=f"unsupported measure width {width!r}"):
+        make(width)
