@@ -4,10 +4,11 @@ Every stored part of both physical representations is read through a
 BlockReader so a SimCache can observe exactly which blocks a query touches.
 A loaded store reads its files; a freshly built one reads the same octets
 from memory through a BytesReader, which differs only in where a block
-comes from, so both take one path.  The cache is fill-then-LRU, counts hits
-and misses, and stores block bytes so hits never reach the file.  It is
-deterministic: identical access sequences produce identical counters and
-resident sets.
+comes from, so both take one path.  Every read is one block: a 4- or 8-octet
+md cell never crosses a 4096-octet boundary, and a table index page or row
+group is a whole block.  The cache is fill-then-LRU, counts hits and misses,
+and stores block bytes so hits never reach the file.  It is deterministic:
+identical access sequences produce identical counters and resident sets.
 
 `lru_misses` is how the memory sweep charges its sampled queries.  A
 store's `block_touches` names every block those queries read by an integer
@@ -189,7 +190,7 @@ class Closing:
 
 
 class BlockReader(Closing):
-    """Reads byte ranges from a file in fixed-size blocks."""
+    """Reads byte ranges, each within one fixed-size block, from a file."""
 
     def __init__(
         self,
@@ -235,22 +236,15 @@ class BlockReader(Closing):
         return self.cache.access((self.name, block_no), self._load_block, block_no)
 
     def read_at(self, offset: int, length: int) -> bytes:
-        if not 0 <= offset <= offset + length <= self.file_size:
-            raise ValueError(
-                f"read [{offset}, {offset + length}) outside file of {self.file_size} bytes"
-            )
+        """The `length` octets at `offset`, which must lie within one block."""
         bs = self.block_size
         first, start = divmod(offset, bs)
-        if start + length <= bs:  # one block, or none for an empty read
-            return self.read_block(first)[start : start + length] if length else b""
-        last = (offset + length - 1) // bs
-        parts = []
-        for bno in range(first, last + 1):
-            block = self.read_block(bno)
-            lo = start if bno == first else 0
-            hi = offset + length - bno * bs if bno == last else bs
-            parts.append(block[lo:hi])
-        return b"".join(parts)
+        if not 0 <= offset <= offset + length <= self.file_size or start + length > bs:
+            raise ValueError(
+                f"read [{offset}, {offset + length}) outside file of {self.file_size} bytes "
+                f"or across its {bs}-octet blocks"
+            )
+        return self.read_block(first)[start : start + length] if length else b""
 
 
 class BytesReader(BlockReader):

@@ -184,7 +184,7 @@ def _open_pair(args):
     md_cache = SimCache(bench.UNBOUNDED)
     tbl_cache = SimCache(bench.UNBOUNDED)
     with (
-        mdstore.load(args.md_store, cache=md_cache, block_size=args.block_size) as md,
+        mdstore.load(args.md_store, cache=md_cache) as md,
         tablestore.load_table(args.table_store, cache=tbl_cache) as tbl,
     ):
         differ = []
@@ -195,6 +195,8 @@ def _open_pair(args):
             differ.append(f"measure width {md.measure_width} against {tbl.measure_width}")
         if md.n_cells != tbl.n_rows:
             differ.append(f"{md.n_cells} cells against {tbl.n_rows} rows")
+        if not differ and (md.positions() != tbl.positions()).any():
+            differ.append("cells at other coordinates")
         if differ:
             raise ValueError(f"{args.md_store} and {args.table_store} hold different "
                              f"relations: {', '.join(differ)}")
@@ -244,9 +246,6 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-MD_BLOCK_HELP = "block size in octets of the md cell file at load; the table keeps its page size"
-
-
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sparsecube",
@@ -292,7 +291,6 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--table-store", required=True)
     p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--block-size", type=int, default=4096, help=MD_BLOCK_HELP)
     p.add_argument("--out", required=True, help="constants JSON output")
     p.set_defaults(func=cmd_estimate)
 
@@ -306,7 +304,6 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=300)
     p.add_argument("--passes", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--block-size", type=int, default=4096, help=MD_BLOCK_HELP)
     p.add_argument("--out", required=True, help="sweep CSV output")
     p.set_defaults(func=cmd_sweep)
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import diffseq, headers
 from .blockio import BlockReader, BytesReader, Closing, SimCache, touch_codes
-from .errors import FormatError, InvalidPositionError, OffsetOverflowError
+from .errors import FormatError, InvalidPositionError
 from .relation import (
     MEASURE_FORMATS,
     DimensionSchema,
@@ -136,27 +136,17 @@ class MultidimStore(Closing):
         position, in order: query q's are `codes[starts[q]:starts[q + 1]]`,
         over `readers()` (see `blockio.touch_codes`).
 
-        A stored cell reads the cells blocks its measure spans; any other
-        position reads nothing.  `stored` is `positions()`, for a caller
-        that holds it already.
+        A stored cell reads the one cells block that holds its measure; any
+        other position reads nothing.  `stored` is `positions()`, for a
+        caller that holds it already.
         """
         stored = self.positions() if stored is None else stored
         positions = np.asarray(positions, dtype=np.uint64)
         physical = np.searchsorted(stored, positions)
         found = physical < len(stored)
         found[found] = stored[physical[found]] == positions[found]
-        offset = physical * self.measure_width
-        first = offset // self._cells.block_size
-        spans = np.where(
-            found, (offset + self.measure_width - 1) // self._cells.block_size - first + 1, 0
-        )
-        width = int(spans.max(initial=0))
-        return touch_codes(
-            1,
-            np.zeros(width, dtype=np.int64),
-            first[:, None] + np.arange(width),
-            np.arange(width) < spans[:, None],
-        )
+        block = physical * self.measure_width // self._cells.block_size
+        return touch_codes(1, np.zeros(1, dtype=np.int64), block[:, None], found[:, None])
 
     def readers(self) -> tuple[BlockReader, ...]:
         """The store's block readers, in the order `block_touches` codes them."""
@@ -216,13 +206,6 @@ def _scheme_of(magic: bytes) -> str:
     raise FormatError(f"unknown header magic {magic!r}")
 
 
-def _new_store(rel: Relation, header, measures: np.ndarray) -> MultidimStore:
-    cells = BytesReader(
-        measures.astype(MEASURE_FORMATS[rel.measure_width]).tobytes(), name="md.cells"
-    )
-    return MultidimStore(rel.schema, header, rel.measure_width, cells)
-
-
 def build_store(
     rel: Relation, scheme: str, params: StoreParams = StoreParams()
 ) -> MultidimStore:
@@ -231,31 +214,31 @@ def build_store(
         raise ValueError(f"unknown scheme {scheme!r}")
     positions, _, measures = ordered_cells(rel)
     header = REGISTRY[scheme].build(positions, rel.schema.total_cells, params)
-    return _new_store(rel, header, measures)
+    cells = BytesReader(
+        measures.astype(MEASURE_FORMATS[rel.measure_width]).tobytes(), name="md.cells"
+    )
+    return MultidimStore(rel.schema, header, rel.measure_width, cells)
 
 
 def build_boc_with_retry(
     rel: Relation, scheme: str, params: StoreParams = StoreParams()
 ) -> MultidimStore:
-    """Like `build_store`, but widen BOC offsets until every block fits.
+    """Like `build_store`, but give BOC offsets the width they need.
 
-    Other schemes are built unchanged.  For BOC the offset width grows from
-    `params.offset_width` up to `entry_width - 1` octets; if no width fits,
-    the block length falls back to 1, where every offset is zero.
+    Other schemes are built unchanged.  For BOC the offset width is the
+    octets of the largest offset in its block, and at least
+    `params.offset_width`; if that is not below `entry_width`, the block
+    length falls back to 1, where every offset is zero.
     """
-    if scheme != "boc":
-        return build_store(rel, scheme, params)
-    positions, _, measures = ordered_cells(rel)
-    build, total = REGISTRY["boc"].build, rel.schema.total_cells
-    for width in range(params.offset_width, params.entry_width):
-        try:
-            header = build(positions, total, replace(params, offset_width=width))
-            break
-        except OffsetOverflowError:
-            continue
-    else:
-        header = build(positions, total, replace(params, block_len=1))
-    return _new_store(rel, header, measures)
+    if scheme == "boc":
+        positions, block_len = ordered_cells(rel)[0], params.block_len
+        offsets = positions - positions[::block_len][headers._block_of(positions.size, block_len)]
+        width = max(params.offset_width, (int(offsets.max(initial=0)).bit_length() + 7) // 8)
+        if width < params.entry_width:
+            params = replace(params, offset_width=width)
+        else:
+            params = replace(params, block_len=1)
+    return build_store(rel, scheme, params)
 
 
 def store_paths(base: str | Path) -> tuple[Path, Path, Path]:
@@ -271,12 +254,11 @@ def save(store: MultidimStore, base: str | Path) -> None:
     cells_p.write_bytes(store._cells.contents())
 
 
-def load(
-    base: str | Path, cache: SimCache | None = None, block_size: int = 4096
-) -> MultidimStore:
+def load(base: str | Path, cache: SimCache | None = None) -> MultidimStore:
+    """The store saved at `base`, whose cells are read in 4096-octet blocks, one per read."""
     schema_p, hdr_p, cells_p = store_paths(base)
     schema, measure_width = schema_from_json(schema_p.read_bytes())
     raw = hdr_p.read_bytes()
     header = REGISTRY[_scheme_of(raw[:4])].header.from_bytes(raw)
-    reader = BlockReader(cells_p, block_size=block_size, cache=cache, name="md.cells")
+    reader = BlockReader(cells_p, cache=cache, name="md.cells")
     return MultidimStore(schema, header, measure_width, reader)

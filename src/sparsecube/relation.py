@@ -219,7 +219,10 @@ def _checked_position(coords: Sequence[int], schema: DimensionSchema) -> int:
 
 def decode_logical_position(position: int, schema: DimensionSchema) -> tuple[int, ...]:
     """Inverse of encode_logical_position, as `int`s, by `decode_positions`;
-    a position outside the schema raises InvalidPositionError."""
+    a position that is not an `int` or numpy integer (a bool is not), or is
+    outside the schema, raises InvalidPositionError."""
+    if isinstance(position, bool) or not isinstance(position, (int, np.integer)):
+        raise InvalidPositionError(f"position {position!r} is not an integer")
     if not 0 <= position < schema.total_cells:
         raise InvalidPositionError(
             f"position {position} out of range [0, {schema.total_cells})"

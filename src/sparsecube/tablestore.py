@@ -100,6 +100,16 @@ class TableStore(Closing):
         self._rows.close()
         self._idx.close()
 
+    def positions(self) -> np.ndarray:
+        """Logical positions of the rows in file order, as uint64, from one
+        read of the row file around the cache.  A coordinate past its
+        dimension raises FormatError."""
+        words = np.frombuffer(self._rows.contents(), dtype="<u4").reshape(self.n_rows, -1)
+        coords = words[:, : self.schema.n_dims]
+        if (coords >= np.array(self.schema.cardinalities)).any():
+            raise FormatError("a row holds a coordinate past its dimension")
+        return coords @ np.array(self.schema.strides, dtype=np.uint64)
+
     # -- sizes ------------------------------------------------------------
 
     def rows_file_size(self) -> int:
@@ -184,21 +194,21 @@ class TableStore(Closing):
 
         The walk goes level by level, one search per index page the batch
         reaches, with the pages read around the cache.  A query reads the
-        meta page, the pages on its path and its row group's blocks, and
-        stops where `point_query` returns None.  The page checks of
+        meta page, the pages on its path and its row group, each one block,
+        and stops where `point_query` returns None.  The page checks of
         `point_query` raise FormatError here too; the row group's own check
         on a miss is not made, since it needs the rows.
         """
         positions = np.asarray(positions, dtype=np.uint64)
         n = len(positions)
-        path = np.zeros((n, self.height), dtype=np.int64)  # the page read at each depth
-        reached = np.zeros(n, dtype=np.int64)  # how many pages were read
+        # The blocks each query reads: the meta page, a page per level, its row group.
+        path = np.zeros((n, self.height + 2), dtype=np.int64)
+        path[:, 1] = self.root_page
+        page = path[:, 1]
+        reached = np.full(n, 2, dtype=np.int64)  # how many of them it reads
         alive = np.arange(n)  # the queries still walking
-        page = np.full(n, self.root_page, dtype=np.int64)
         lead = None  # the keys of the entries that led to `page`
-        for depth, level in enumerate(range(self.height - 1, -1, -1)):
-            path[alive, depth] = page
-            reached[alive] += 1
+        for depth, level in enumerate(range(self.height - 1, -1, -1), 2):
             entry_key = np.zeros(len(alive), dtype=np.uint64)
             child = np.zeros(len(alive), dtype=np.uint64)
             found = np.zeros(len(alive), dtype=bool)
@@ -227,25 +237,11 @@ class TableStore(Closing):
                 problem = f"row group {{}} is past the last of {self.n_groups}"
             if bad.size:
                 raise FormatError(problem.format(bad[0]))
-            page = child.astype(np.int64)
-
-        # The queries left read their row group (`page`) from the row file.
-        row = page * self.rows_per_group
-        end = np.minimum(row + self.rows_per_group, self.n_rows) * self.row_width
-        first = np.zeros(n, dtype=np.int64)
-        spans = np.zeros(n, dtype=np.int64)
-        first[alive] = row * self.row_width // self._rows.block_size
-        spans[alive] = (end - 1) // self._rows.block_size - first[alive] + 1
-        width = int(spans.max(initial=0))
+            page = path[alive, depth] = child.astype(np.int64)
+            reached[alive] += 1
         return touch_codes(
-            2,
-            np.repeat([0, 0, 1], [1, self.height, width]),
-            np.hstack((np.zeros((n, 1), np.int64), path, first[:, None] + np.arange(width))),
-            np.hstack((
-                np.ones((n, 1), bool),
-                np.arange(self.height) < reached[:, None],
-                np.arange(width) < spans[:, None],
-            )),
+            2, np.repeat([0, 1], [self.height + 1, 1]), path,
+            np.arange(self.height + 2) < reached[:, None],
         )
 
     def readers(self) -> tuple[BlockReader, ...]:

@@ -283,12 +283,12 @@ def small_page_pair(tmp_path_factory):
     return tmp
 
 
-def pinned_sweep(base, block_size=4096):
+def pinned_sweep(base):
     """Digest of a fixed sweep over the pair saved at `base`, and the four
     cache counters it leaves (md hits, md misses, table hits, table misses)."""
     md_cache = SimCache(bench.UNBOUNDED)
     tbl_cache = SimCache(bench.UNBOUNDED)
-    with mdstore.load(base / "md", cache=md_cache, block_size=block_size) as md, \
+    with mdstore.load(base / "md", cache=md_cache) as md, \
             tablestore.load_table(base / "tbl", cache=tbl_cache) as tbl:
         params = constants_for(md, tbl)
         md_b, tbl_b = default_budgets(params, points=5)
@@ -313,11 +313,4 @@ class TestSweepPinned:
         assert pinned_sweep(small_page_pair) == (
             "c3d82c6cf19442369f51462c648c99f6e1d8e35e78f0918bffffb284c422579c",
             (479, 721, 3994, 2006),
-        )
-
-    def test_cells_straddle_blocks(self, small_page_pair):
-        # 100-octet blocks put some 8-octet cells across two blocks.
-        assert pinned_sweep(small_page_pair, block_size=100) == (
-            "486b96cea620e5a5ff67da9a913cea57aadb87cdaf55be39645f2ec6b0a5fe58",
-            (471, 780, 3994, 2006),
         )

@@ -68,7 +68,8 @@ class TestBlockReader:
         raw = datafile.read_bytes()
         with BlockReader(datafile) as r:
             assert r.read_at(0, 10) == raw[:10]
-            assert r.read_at(4090, 12) == raw[4090:4102]  # straddles a boundary
+            assert r.read_at(4090, 6) == raw[4090:4096]  # ends at a boundary
+            assert r.read_at(4096, 4096) == raw[4096:8192]  # a whole block
             assert r.read_at(10230, 10) == raw[10230:]
             assert r.block_count == 3
 
@@ -97,6 +98,16 @@ class TestBlockReader:
                     r.read_at(offset, length)
         assert (cache.hits, cache.misses) == (0, 0)
 
+    @pytest.mark.parametrize("offset, length", [(4090, 12), (4095, 2), (100, 8200), (0, 4097)])
+    def test_read_across_a_block_boundary_raises(self, datafile, offset, length):
+        raw = datafile.read_bytes()
+        cache = SimCache(capacity=1 << 20)
+        with BlockReader(datafile, cache=cache) as f, BytesReader(raw, "blob") as m:
+            for r in (f, m):
+                with pytest.raises(ValueError, match="across its 4096-octet blocks"):
+                    r.read_at(offset, length)
+        assert (cache.hits, cache.misses) == (0, 0)
+
     @pytest.mark.parametrize("offset", [0, 4096, 5000, 10240])
     def test_empty_read_touches_no_block(self, datafile, offset):
         cache = SimCache(capacity=1 << 20)
@@ -120,7 +131,9 @@ class TestBlockReader:
             assert (cache.hits, cache.misses) == (0, 1)
             r.read_at(8, 8)
             assert (cache.hits, cache.misses) == (1, 1)
-            r.read_at(4090, 12)  # touches blocks 0 (hit) and 1 (miss)
+            r.read_at(4090, 6)  # the end of block 0
+            assert (cache.hits, cache.misses) == (2, 1)
+            r.read_at(4096, 6)  # the start of block 1
             assert (cache.hits, cache.misses) == (2, 2)
 
     def test_cached_reads_bypass_file(self, datafile):
@@ -142,7 +155,7 @@ class TestBlockReader:
 
     def test_bytes_reader_reads_like_the_file(self, datafile):
         raw = datafile.read_bytes()
-        reads = [(0, 10), (4090, 12), (10230, 10), (100, 8200), (8, 8)]
+        reads = [(0, 10), (4090, 6), (4096, 4096), (10230, 10), (8192, 2048), (8, 8)]
         with BlockReader(datafile) as f, BytesReader(raw, "blob") as m:
             assert (m.file_size, m.block_count) == (f.file_size, f.block_count)
             assert [m.read_at(o, n) for o, n in reads] == [f.read_at(o, n) for o, n in reads]

@@ -238,8 +238,7 @@ class TestEstimateSweep:
         }
 
     def test_sweep_csv_pinned(self, workspace, tmp_path):
-        # Fixed constants, so the CSV depends on miss counts alone; the
-        # 1020-octet blocks put some cells across two blocks.
+        # Fixed constants, so the CSV depends on miss counts alone.
         constants = tmp_path / "constants.json"
         assert run("estimate", "--md-store", workspace / "dhc",
                    "--table-store", workspace / "table",
@@ -252,17 +251,27 @@ class TestEstimateSweep:
                    "--table-store", workspace / "table",
                    "--constants", constants, "--points", "4",
                    "--samples", "30", "--passes", "4", "--seed", "2",
-                   "--block-size", "1020", "--out", sweep_csv) == 0
+                   "--out", sweep_csv) == 0
         assert hashlib.sha256(sweep_csv.read_bytes()).hexdigest() == (
-            "f27dd76f5fff2d93896b40dc54895ca7d1ba2ebab01022873fe6cc87597a7848"
+            "a9338d2eeaf79504f56273ea8a29b7b275c69bd09c8b9da8c05f7a9d0f3ea82a"
         )
+
+    @pytest.mark.parametrize("value", ["512", "0", str(10**12), str(10**23)])
+    @pytest.mark.parametrize("command", ["estimate", "sweep"])
+    def test_md_block_size_is_a_usage_error(self, workspace, tmp_path, capsys, command, value):
+        # The md cell file is always read in 4096-octet blocks.
+        extra = ("--constants", workspace / "none.json") if command == "sweep" else ()
+        with pytest.raises(SystemExit) as exc:
+            run(command, "--md-store", workspace / "dhc", "--table-store", workspace / "table",
+                *extra, "--block-size", value, "--out", tmp_path / "out")
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --block-size" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("argv", [
         ("sweep", "--passes", "0"),
         ("sweep", "--samples", "-3"),
         ("sweep", "--samples", "0"),
-        ("sweep", "--block-size", "0"),
-        ("estimate", "--block-size", "0"),
         ("estimate", "--samples", "0"),
         ("sweep", "--budget-list", "1,2"),
     ])
@@ -308,8 +317,9 @@ class TestEstimateSweep:
 
 @pytest.fixture(scope="module")
 def unpaired(tmp_path_factory):
-    """A DHC store of a 16x16x8 relation and three tables, each of a relation
-    that differs from it: other dimensions, other cells, other labels."""
+    """A DHC store of a 16x16x8 relation and four tables, each of a relation
+    that differs from it: other dimensions, other cells, other labels, and
+    as many cells at other coordinates."""
     tmp = tmp_path_factory.mktemp("unpaired")
     rel = generate(SynthSpec((16, 16, 8), 0.1, seed=1))
     mdstore.save(mdstore.build_store(rel, "dhc"), tmp / "md")
@@ -320,6 +330,7 @@ def unpaired(tmp_path_factory):
         ("other-dims", generate(SynthSpec((8, 8, 8), 0.1, seed=1))),
         ("other-cells", generate(SynthSpec((16, 16, 8), 0.2, seed=1))),
         ("other-labels", Relation.from_ordered(relabelled, *ordered_cells(rel))),
+        ("other-seed", generate(SynthSpec((16, 16, 8), 0.1, seed=2))),
     ):
         tablestore.save_table(tablestore.build_table(other), tmp / name)
     return tmp
@@ -330,7 +341,8 @@ class TestUnpairedStores:
         ("other-dims", "dimensions 16x16x8 against 8x8x8, 205 cells against 51 rows"),
         ("other-cells", "205 cells against 410 rows"),
         ("other-labels", "dimension labels"),
-    ], ids=["other-dims", "other-cells", "other-labels"])
+        ("other-seed", "cells at other coordinates"),
+    ], ids=["other-dims", "other-cells", "other-labels", "other-seed"])
     @pytest.mark.parametrize("command", ["estimate", "sweep"])
     def test_stores_of_different_relations_are_a_data_error(
         self, unpaired, tmp_path, capsys, command, table, words
@@ -365,8 +377,8 @@ FUZZED = {
     "query:dhc": ("--coords",),
     "query:table": ("--coords",),
     "sizes": MD_FLAGS + ("--block-size",),
-    "estimate": ("--samples", "--seed", "--block-size"),
-    "sweep": ("--points", "--samples", "--passes", "--seed", "--block-size", "--budget-list"),
+    "estimate": ("--samples", "--seed"),
+    "sweep": ("--points", "--samples", "--passes", "--seed", "--budget-list"),
 }
 SHAPE = {"--dims": "{},4", "--coords": "{},0,0"}
 GRID = [(key, None, None) for key, flags in FUZZED.items() if not flags] + [
@@ -383,9 +395,8 @@ ESCAPES = [
     ("sizes", "--entry-width", "-1", 1, "entry_width"),
     ("build:dsc", "--stride", T23, 1, "stride"),
     *[(key, "--block-len", v, 0, "") for key in ("build:boc", "sizes") for v in (T12, str(2**63))],
-    *[(key, "--block-size", v, 1, words) for v in (T12, T23) for key, words in (
-        ("build:table", "meta prefix"), ("sizes", "meta prefix"),
-        ("estimate", "block size"), ("sweep", "block size"))],
+    *[(key, "--block-size", v, 1, "meta prefix") for v in (T12, T23)
+      for key in ("build:table", "sizes")],
     *[("estimate", "--samples", v, 1, "sample size") for v in (T12, T23)],
     *[("sweep", "--points", v, 1, "budget points") for v in (T12, T23)],
     *[("sweep", flag, v, 1, "times passes")

@@ -38,9 +38,7 @@ def test_randomized_configs_agree_everywhere(tmp_path):
             store = build_store(rel, scheme, params)
             base = tmp_path / f"{trial}-{scheme}"
             mdstore.save(store, base)
-            stores[scheme] = mdstore.load(
-                base, cache=SimCache(1 << 30), block_size=rng.choice([64, 512, 4096])
-            )
+            stores[scheme] = mdstore.load(base, cache=SimCache(1 << 30))
         table = tablestore.build_table(rel, tablestore.TableParams(page_size=256))
         try:
             probes = list(rel.cells) + [
@@ -98,7 +96,7 @@ def test_concurrent_queries_through_shared_cache(tmp_path):
     store = build_store(rel, "dhc", StoreParams(diff_bits=8))
     mdstore.save(store, tmp_path / "c")
     cache = SimCache(capacity=64 * 1024)
-    loaded = mdstore.load(tmp_path / "c", cache=cache, block_size=512)
+    loaded = mdstore.load(tmp_path / "c", cache=cache)
     probes = list(rel.cells)
     errors = []
 

@@ -2,12 +2,15 @@ import hashlib
 import itertools
 import random
 import tracemalloc
+from dataclasses import replace
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sparsecube import mdstore, tablestore
 from sparsecube.blockio import SimCache
-from sparsecube.errors import EmptyRelationError, FormatError, StoreError
+from sparsecube.errors import EmptyRelationError, FormatError, OffsetOverflowError, StoreError
 from sparsecube.mdstore import (
     SCHEMES,
     StoreParams,
@@ -16,7 +19,13 @@ from sparsecube.mdstore import (
     load,
     save,
 )
-from sparsecube.relation import DimensionSchema, Relation, ordered_cells, schema_to_json
+from sparsecube.relation import (
+    DimensionSchema,
+    Relation,
+    decode_positions,
+    ordered_cells,
+    schema_to_json,
+)
 from sparsecube.synth import SynthSpec, generate
 
 
@@ -101,6 +110,55 @@ class TestBuild:
                 header = build_boc_with_retry(rel, scheme, params).header
                 loaded = type(header).from_bytes(header.to_bytes())
                 assert loaded.positions().tolist() == ordered_cells(rel)[0].tolist()
+
+
+def boc_by_trial(rel, params):
+    """The BOC header one build per offset width gives: the first width from
+    `params.offset_width` below `entry_width` whose offsets fit, else block
+    length 1.  `build_boc_with_retry` must match it without the trials."""
+    positions, _, _ = ordered_cells(rel)
+    build, total = mdstore.REGISTRY["boc"].build, rel.schema.total_cells
+    for width in range(params.offset_width, params.entry_width):
+        try:
+            return build(positions, total, replace(params, offset_width=width))
+        except OffsetOverflowError:
+            continue
+    return build(positions, total, replace(params, block_len=1))
+
+
+def outcome(make):
+    """The header bytes `make()` gives, or the class and text of what it raises."""
+    try:
+        return make().to_bytes()
+    except Exception as exc:  # noqa: BLE001
+        return type(exc), str(exc)
+
+
+class TestBocWidth:
+    @given(
+        cards=st.lists(st.integers(1, 1 << 10), min_size=1, max_size=4),
+        data=st.data(),
+        entry_width=st.integers(1, 8),
+        block_len=st.one_of(st.integers(1, 40), st.just(2**64 - 1)),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_one_build_matches_the_trial_builds(self, cards, data, entry_width, block_len):
+        # An offset as wide as its entry (only at entry width 1) raises.
+        offset_width = data.draw(st.integers(1, max(1, entry_width - 1)))
+        schema = DimensionSchema.from_cardinalities(cards)
+        total = schema.total_cells
+        # Positions below 300 mixed with ones anywhere in up to 2^40 cells, so
+        # the largest offset is anything from zero to five octets wide.
+        positions = sorted(data.draw(st.sets(
+            st.one_of(st.integers(0, min(300, total - 1)), st.integers(0, total - 1)),
+            min_size=1, max_size=60,
+        )))
+        coords = np.column_stack(decode_positions(np.array(positions, dtype=np.uint64), schema))
+        rel = Relation(schema, {tuple(c): 1.0 for c in coords.tolist()})
+        params = StoreParams(entry_width=entry_width, offset_width=offset_width,
+                             block_len=block_len)
+        want = outcome(lambda: boc_by_trial(rel, params))
+        assert outcome(lambda: build_boc_with_retry(rel, "boc", params).header) == want
 
 
 class TestQueries:

@@ -152,6 +152,16 @@ class TestEncodeDecode:
         with pytest.raises(InvalidPositionError):
             decode_logical_position(-1, schema(3, 4, 5))
 
+    @pytest.mark.parametrize("position", [5.5, 5.0, True, False, np.float64(5.0), np.bool_(True),
+                                          "5", None])
+    def test_non_integer_position_rejected(self, position):
+        with pytest.raises(InvalidPositionError, match="is not an integer"):
+            decode_logical_position(position, schema(3, 4, 5))
+
+    def test_numpy_integer_positions_accepted(self):
+        for position in (np.uint64(59), np.int64(59), np.uint8(59)):
+            assert decode_logical_position(position, schema(3, 4, 5)) == (2, 3, 4)
+
 
 # Labels from all of Unicode but lone surrogates, which UTF-8 cannot encode,
 # plus the text of integers.

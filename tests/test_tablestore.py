@@ -240,6 +240,30 @@ class TestPersistence:
         assert (tmp_path / "t3.rows").stat().st_size == table.rows_file_size()
         assert (tmp_path / "t3.idx").stat().st_size == table.idx_file_size()
 
+    def test_positions_are_the_row_keys_read_around_the_cache(self, tmp_path, relation, table):
+        save_table(table, tmp_path / "t")
+        cache = SimCache(1 << 20)
+        with load_table(tmp_path / "t", cache=cache) as loaded:
+            for store in (table, loaded):
+                got = store.positions()
+                assert got.dtype == np.uint64
+                assert got.tolist() == ordered_cells(relation)[0].tolist()
+        assert (cache.hits, cache.misses, cache.used_bytes) == (0, 0, 0)
+
+    @pytest.mark.parametrize("column, value", [(0, 6), (2, 8), (1, 2**32 - 1)])
+    def test_row_coordinate_past_its_dimension_is_format_error(
+        self, tmp_path, table, column, value
+    ):
+        save_table(table, tmp_path / "t")
+        rows = tmp_path / "t.rows"
+        raw = bytearray(rows.read_bytes())
+        row = 5 * table.row_width  # the sixth row
+        raw[row + 4 * column : row + 4 * column + 4] = value.to_bytes(4, "little")
+        rows.write_bytes(bytes(raw))
+        with load_table(tmp_path / "t") as loaded:
+            with pytest.raises(FormatError, match="past its dimension"):
+                loaded.positions()
+
 
 class _RecordingCache(SimCache):
     def __init__(self):

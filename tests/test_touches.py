@@ -71,41 +71,36 @@ def batch_touches(store, positions):
     return [keys[lo:hi] for lo, hi in zip(starts, starts[1:])]
 
 
-def representations(rel, base: Path, params, table_params, block_size):
+def representations(rel, base: Path, params, table_params):
     """All six representations of `rel`, built and then loaded."""
     for scheme in mdstore.SCHEMES:
         built = mdstore.build_boc_with_retry(rel, scheme, params)
         mdstore.save(built, base / scheme)
         yield f"{scheme}-built", built
-        yield f"{scheme}-loaded", mdstore.load(base / scheme, block_size=block_size)
+        yield f"{scheme}-loaded", mdstore.load(base / scheme)
     built = tablestore.build_table(rel, table_params)
     tablestore.save_table(built, base / "table")
     yield "table-built", built
     yield "table-loaded", tablestore.load_table(base / "table")
 
 
-def check_all(rel, seed, params=mdstore.StoreParams(), table_params=tablestore.TableParams(),
-              block_size=4096):
+def check_all(rel, seed, params=mdstore.StoreParams(), table_params=tablestore.TableParams()):
     positions = probe_positions(rel, random.Random(seed))
     with tempfile.TemporaryDirectory() as tmp:
-        for name, store in representations(rel, Path(tmp), params, table_params, block_size):
+        for name, store in representations(rel, Path(tmp), params, table_params):
             with store:
                 want = live_touches(store, rel.schema, positions)
                 assert batch_touches(store, positions) == want, name
 
 
 class TestTouchesMatchLiveQueries:
-    def test_three_level_index_and_straddling_cells(self):
+    def test_three_level_index(self):
         rel = generate(SynthSpec((30, 20, 16), density=0.12, clustering=0.4, seed=11))
         assert tablestore.build_table(rel, tablestore.TableParams(page_size=128)).height >= 3
-        check_all(rel, 1, mdstore.StoreParams(diff_bits=4), tablestore.TableParams(128), 100)
+        check_all(rel, 1, mdstore.StoreParams(diff_bits=4), tablestore.TableParams(128))
 
     def test_default_parameters(self):
         check_all(generate(SynthSpec((40, 40, 24), density=0.13, seed=6)), 2)
-
-    def test_cells_wider_than_blocks(self):
-        # Three-octet blocks: every eight-octet cell spans three or four.
-        check_all(generate(SynthSpec((9, 8), density=0.3, seed=3)), 3, block_size=3)
 
     @given(
         cards=st.lists(st.integers(1, 12), min_size=1, max_size=4),
@@ -114,16 +109,15 @@ class TestTouchesMatchLiveQueries:
         seed=st.integers(0, 1000),
         measure_width=st.sampled_from([4, 8]),
         page_size=st.sampled_from([64, 96, 128, 4096]),
-        block_size=st.sampled_from([5, 64, 100, 4096]),
         diff_bits=st.sampled_from([2, 4, 16]),
     )
     @settings(max_examples=25)
     def test_random_relations(self, cards, density, clustering, seed, measure_width,
-                              page_size, block_size, diff_bits):
+                              page_size, diff_bits):
         rel = generate(SynthSpec(tuple(cards), density, clustering, seed, measure_width))
         check_all(
             rel, seed, mdstore.StoreParams(diff_bits=diff_bits, stride=4),
-            tablestore.TableParams(page_size), block_size,
+            tablestore.TableParams(page_size),
         )
 
 
@@ -185,7 +179,7 @@ class TestReplay:
         positions = probe_positions(rel, random.Random(capacity), misses=200)[:400]
         cache = SimCache(capacity)
         if rep == "md":
-            store = mdstore.load(base / "md", cache=cache, block_size=100)
+            store = mdstore.load(base / "md", cache=cache)
         else:
             store = tablestore.load_table(base / "t", cache=cache)
         with store:
