@@ -25,14 +25,17 @@ it already holds, and a load rebuilds it in one numpy pass over the stored
 differences (DHC decodes its whole stream with `huffman.decode_stream` for
 that).  Every cell's position comes from one `cumsum`; a load rejects
 positions that do not strictly increase, which is how a run past 2**64 - 1
-shows.  A DHC lookup decodes its window from a buffer that holds at least
-the longest code: an 11-bit table settles short codes, and a longer code is
-matched against each longer length's canonical range.  The table's
-all-zero slot goes the same way, and there the lookup steps over a whole
-run of the all-zero code at once: the buffer's leading zeros, counted by
-`int.bit_length()`, give the run's length, and a run of a positive gap d0
-is resolved by arithmetic, a run of jumps by one `bisect`.  A load rejects
-a `diff_bits` outside 1..MAX_DIFF_BITS, and DHC a codebook symbol wider.
+shows.  A DSC lookup unpacks its window in one `struct` call at 8, 16 and
+32 bits, and elsewhere masks and shifts each difference off one integer.  A
+DHC lookup decodes its window from a buffer that holds at least the longest
+code, masked only at a refill and before a code longer than the 11-bit
+table that settles short codes; a longer code is matched against each
+longer length's canonical range.  The table's all-zero slot goes the same
+way, and there the lookup steps over a whole run of the all-zero code at
+once: the buffer's leading zeros, counted by `int.bit_length()`, give the
+run's length, and a run of a positive gap d0 is resolved by arithmetic, a
+run of jumps by one `bisect`.  A load rejects a `diff_bits` outside
+1..MAX_DIFF_BITS, and DHC a codebook symbol wider.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ import struct
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, fields
-from typing import Iterable, Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -115,28 +118,12 @@ def _diff_array(data: bytes, diff_bits: int, count: int) -> np.ndarray:
     return words.ravel().astype(np.uint64)
 
 
-def _diff_window(data: bytes, diff_bits: int, first: int, stop: int) -> Iterable[int]:
-    """The packed differences first .. stop-1, for a scan that may stop early.
-
-    Whole-octet widths unpack in one call.  Other widths read the window's
-    octets as one integer and shift each difference off its low end.
-    """
+def _diff_window(data: bytes, diff_bits: int, first: int, stop: int) -> Sequence[int]:
+    """The packed differences first .. stop-1 at 8, 16 or 32 bits, in one call."""
     if diff_bits == 8:
         return data[first:stop]
-    if diff_bits in (16, 32):
-        code = "H" if diff_bits == 16 else "I"
-        return struct.unpack_from(f"<{stop - first}{code}", data, first * diff_bits // 8)
-    return _bit_window(data, diff_bits, first, stop)
-
-
-def _bit_window(data: bytes, diff_bits: int, first: int, stop: int) -> Iterator[int]:
-    start = first * diff_bits
-    window = int.from_bytes(data[start >> 3 : (stop * diff_bits + 7) >> 3], "little")
-    window >>= start & 7
-    mask = (1 << diff_bits) - 1
-    for _ in range(first, stop):
-        yield window & mask
-        window >>= diff_bits
+    code = "H" if diff_bits == 16 else "I"
+    return struct.unpack_from(f"<{stop - first}{code}", data, first * diff_bits // 8)
 
 
 @dataclass
@@ -338,8 +325,27 @@ class DscHeader(DifferenceHeader):
         if cur == position:
             return i
         jumps = self.jumps
-        diffs = _diff_window(self.diff_data, self.diff_bits, i + 1, limit)
-        for i, d in zip(range(i + 1, limit), diffs):
+        bits = self.diff_bits
+        if bits in (8, 16, 32):
+            for i, d in zip(range(i + 1, limit), _diff_window(self.diff_data, bits, i + 1, limit)):
+                if d == 0:
+                    k += 1
+                    if k >= len(jumps):
+                        raise CorruptStreamError("more zero differences than jumps")
+                    cur = jumps[k]
+                else:
+                    cur += d
+                if cur >= position:
+                    return i if cur == position else None
+            return None
+        # The window's octets as one integer: each turn masks the next
+        # difference off its low end, then shifts it away.
+        at, mask = (i + 1) * bits, (1 << bits) - 1
+        window = int.from_bytes(self.diff_data[at >> 3 : (limit * bits + 7) >> 3], "little")
+        window >>= at & 7
+        for i in range(i + 1, limit):
+            d = window & mask
+            window >>= bits
             if d == 0:
                 k += 1
                 if k >= len(jumps):
@@ -456,41 +462,45 @@ class DhcHeader(DifferenceHeader):
         # Inlined table-driven decode: scans dominate point-query cost.
         cb = self.codebook
         w, lut, ln0, d0 = cb._lut
+        wmask = (1 << w) - 1
         max_len = cb.max_len
         data = self.stream.data
-        bits = self.stream.bit_length
+        left = self.stream.bit_length - pos  # stream bits not yet decoded
         end = len(data)
         cursor = pos >> 3
-        buf = 0
-        fill = 0
-        lead = pos & 7
-        if lead and cursor < end:
-            buf = data[cursor] & (0xFF >> lead)
-            fill = 8 - lead
+        # `buf` holds the next `fill` bits at its low end.  A table step reads
+        # the next w, so the decoded bits above are masked off only before a
+        # long code (which a run step follows) and at a refill, to keep it short.
+        buf = fill = 0
+        if pos & 7 and cursor < end:
+            buf = data[cursor]
+            fill = 8 - (pos & 7)
             cursor += 1
         # The inner loop decodes one code per turn and leaves by `break` at a
         # run of the all-zero code, which the outer loop steps over at once.
         # Kept outside, the run step adds no long jumps to the inner loop.
         while True:
             while idx + 1 < limit:
-                if pos >= bits:
-                    raise CorruptStreamError("stream ended before declared count")
                 if fill < max_len:
+                    buf &= (1 << fill) - 1
                     while fill < 56:  # huffman.MAX_CODE_BITS, the longest code
                         buf = (buf << 8) | (data[cursor] if cursor < end else 0)
                         cursor += 1
                         fill += 8
-                entry = lut[buf >> (fill - w)]
+                entry = lut[(buf >> (fill - w)) & wmask]
                 if entry is None:
+                    if left <= 0:
+                        raise CorruptStreamError("stream ended before declared count")
+                    buf &= (1 << fill) - 1
                     entry = _long_code(cb, buf >> (fill - max_len))
                     if entry is None:
                         break
                 d, ln = entry
-                if ln > bits - pos:
-                    raise CorruptStreamError("code truncated at end of stream")
+                if ln > left:  # with no bits left, the stream ended before this code
+                    raise CorruptStreamError("code truncated at end of stream" if left > 0
+                                             else "stream ended before declared count")
                 fill -= ln
-                buf &= (1 << fill) - 1
-                pos += ln
+                left -= ln
                 idx += 1
                 if d == 0:
                     k += 1
@@ -505,7 +515,7 @@ class DhcHeader(DifferenceHeader):
                 return None
             # As many all-zero codes as the buffer's leading zeros hold, up
             # to the window, the stream and the jumps.
-            run = min((fill - buf.bit_length()) // ln0, limit - idx - 1, (bits - pos) // ln0)
+            run = min((fill - buf.bit_length()) // ln0, limit - idx - 1, left // ln0)
             if not run:
                 raise CorruptStreamError("code truncated at end of stream")
             if d0:
@@ -524,7 +534,7 @@ class DhcHeader(DifferenceHeader):
                 cur = jumps[k]
             # The run's bits are zeros above the rest of `buf`.
             idx += run
-            pos += run * ln0
+            left -= run * ln0
             fill -= run * ln0
 
     def to_bytes(self) -> bytes:

@@ -16,7 +16,8 @@ Page 0 of the index is the meta page: the seven `META_FIELDS` in the
 envelope every header file has (`headers.write_envelope`), padded with
 zeros to the page size.  Only the page size is a free choice; every other
 field follows from the schema and the two file sizes, and a load rejects a
-meta page that disagrees with them.
+meta page that disagrees with them, or rows that `TableStore.positions()`
+rejects: a coordinate past its dimension, or keys out of order.
 """
 
 from __future__ import annotations
@@ -103,12 +104,17 @@ class TableStore(Closing):
     def positions(self) -> np.ndarray:
         """Logical positions of the rows in file order, as uint64, from one
         read of the row file around the cache.  A coordinate past its
-        dimension raises FormatError."""
-        words = np.frombuffer(self._rows.contents(), dtype="<u4").reshape(self.n_rows, -1)
-        coords = words[:, : self.schema.n_dims]
-        if (coords >= np.array(self.schema.cardinalities)).any():
-            raise FormatError("a row holds a coordinate past its dimension")
-        return coords @ np.array(self.schema.strides, dtype=np.uint64)
+        dimension, or keys that do not strictly increase, raise FormatError."""
+        words = np.frombuffer(self._rows.contents(), dtype="<u4")
+        columns = words.reshape(-1, self.row_width // COORD_WIDTH).T  # coordinates, then measure
+        keys = np.zeros(columns.shape[1], dtype=np.uint64)
+        for column, n, stride in zip(columns, self.schema.cardinalities, self.schema.strides):
+            if column.max(initial=0) >= n:
+                raise FormatError("a row holds a coordinate past its dimension")
+            keys += column * np.uint64(stride)
+        if not (keys[1:] > keys[:-1]).all():
+            raise FormatError("row keys do not strictly increase")
+        return keys
 
     # -- sizes ------------------------------------------------------------
 
@@ -348,7 +354,11 @@ def load_table(base: str | Path, cache: SimCache | None = None) -> TableStore:
     ]
     if store.total_size() != rows.file_size + idx.file_size:
         bad.append("the files are not whole rows and pages")
-    if bad:
+    try:
+        if bad:
+            raise FormatError("index meta page does not match: " + "; ".join(bad))
+        store.positions()  # checks every row's coordinates and order
+    except FormatError:
         store.close()
-        raise FormatError("index meta page does not match: " + "; ".join(bad))
+        raise
     return store

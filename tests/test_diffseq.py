@@ -111,7 +111,8 @@ class TestPacking:
         data = pack_diffs(values, bits)
         assert len(data) == (bits * len(values) + 7) // 8
         assert diffseq._diff_array(data, bits, len(values)).tolist() == values
-        assert list(diffseq._diff_window(data, bits, 0, len(values))) == values
+        if bits in (8, 16, 32):
+            assert list(diffseq._diff_window(data, bits, 0, len(values))) == values
 
 
 def theorem_block_len(positions, offset_width, cap=64):
@@ -590,6 +591,81 @@ class TestDhcRuns:
         assert h.lookup(13) == 2
         with pytest.raises(CorruptStreamError, match="more zero differences than jumps"):
             h.lookup(29)
+
+
+def _gaps(bits):
+    """Gaps that mostly fit `bits` bits, and some that overflow into jumps."""
+    return st.lists(
+        st.one_of(st.integers(1, (1 << bits) - 1), st.integers(1 << bits, 1 << (bits + 1))),
+        min_size=1, max_size=80,
+    )
+
+
+class TestScans:
+    """A DSC lookup shifts each difference off one window integer (one
+    unpack at 8, 16 and 32 bits); a DHC lookup masks its buffer only at a
+    refill and before a long code or a run."""
+
+    @pytest.mark.parametrize("bits", range(1, diffseq.MAX_DIFF_BITS + 1))
+    @given(st.data())
+    @settings(max_examples=25)
+    def test_dsc_lookup_matches_oracle_at_every_width(self, bits, data):
+        # Fine entries every 1, 2, 3, 5 or 7 cells put most windows' first
+        # difference mid-octet at a width that is not a whole number of
+        # octets; the probes past the last cell scan the last window, which
+        # ends on the data's last octet.
+        fine = data.draw(st.sampled_from([1, 2, 3, 5, 7]))
+        positions = _run_positions(data.draw(st.integers(0, 9)), [
+            (g, 1) for g in data.draw(_gaps(bits))
+        ])
+        stored = {p: i for i, p in enumerate(positions)}
+        probes = {q for p in positions for q in (p - 1, p, p + 1)}
+        probes.update(data.draw(st.lists(st.integers(0, positions[-1] + 2), max_size=20)))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(diffseq, "FINE_CELLS", fine)
+            mp.setattr(diffseq, "COARSE_CELLS", fine * (2 + fine % 2))
+            for h in built_and_reloaded(build_dsc, DscHeader, positions,
+                                        diff_bits=bits, stride=4):
+                for q in sorted(probes):
+                    assert h.lookup(q) == stored.get(q), q
+
+    def test_dsc_more_zero_differences_than_jumps(self):
+        # At 5 bits every gap of 32 or more is a jump; with only two jumps
+        # kept, the scan that meets the third zero difference raises.
+        positions = _run_positions(2, [(3, 4), (40, 1), (3, 4), (40, 1), (3, 4)])
+        full = build_dsc(positions, diff_bits=5)
+        assert len(full.jumps) == 3
+        h = dataclasses.replace(full, jumps=full.jumps[:2], checkpoints=full.checkpoints)
+        assert h.lookup(positions[8]) == 8
+        with pytest.raises(CorruptStreamError, match="more zero differences than jumps"):
+            h.lookup(positions[11])
+
+    def test_dhc_window_from_mid_octet_through_refill_run_and_long_code(self, monkeypatch):
+        # Gap 1 is the 2-bit code 00 and 3072 gaps have 12-bit codes, all
+        # longer than the 11-bit table.  Each 16-cell window holds five long
+        # codes (60 bits, past one 56-bit refill), a run of six 00 codes, a
+        # long code, a run of three and a long code: 102 bits, so most
+        # windows start mid-octet.
+        monkeypatch.setattr(diffseq, "FINE_CELLS", 16)
+        monkeypatch.setattr(diffseq, "COARSE_CELLS", 32)
+        cb = CodeBook({1: 2, **{g: 12 for g in range(2, 3074)}})
+        rng = random.Random(27)
+        gaps = []
+        for _ in range(12):
+            long = [rng.randint(2, 3073) for _ in range(7)]
+            gaps += long[:5] + [1] * 6 + long[5:6] + [1] * 3 + long[6:]
+        positions = _run_positions(3, [(g, 1) for g in gaps])
+        stream, ends = encode_sequence(cb, gaps)
+        built = DhcHeader(16, 8, 16, len(positions), array("Q", [3]), cb, stream)
+        starts = [bit for _, _, _, bit in fine_entries(built.checkpoints)]
+        assert starts == [0] + ends[15::16].tolist()
+        assert sum(bit % 8 != 0 for bit in starts) > len(starts) // 2
+        stored = {p: i for i, p in enumerate(positions)}
+        probes = {q for p in positions for q in (p - 1, p, p + 1)}
+        probes.update(rng.randrange(positions[-1] + 2) for _ in range(500))
+        for h in (built, DhcHeader.from_bytes(built.to_bytes())):
+            for q in sorted(probes):
+                assert h.lookup(q) == stored.get(q), q
 
 
 class TestLoadChecks:

@@ -250,7 +250,9 @@ class TestPersistence:
                 assert got.tolist() == ordered_cells(relation)[0].tolist()
         assert (cache.hits, cache.misses, cache.used_bytes) == (0, 0, 0)
 
-    @pytest.mark.parametrize("column, value", [(0, 6), (2, 8), (1, 2**32 - 1)])
+    # (2, 9) made `point_query((0, 3, 6))` answer None for a stored cell
+    # when only `positions()` checked the rows.
+    @pytest.mark.parametrize("column, value", [(0, 6), (2, 8), (2, 9), (1, 2**32 - 1)])
     def test_row_coordinate_past_its_dimension_is_format_error(
         self, tmp_path, table, column, value
     ):
@@ -260,9 +262,18 @@ class TestPersistence:
         row = 5 * table.row_width  # the sixth row
         raw[row + 4 * column : row + 4 * column + 4] = value.to_bytes(4, "little")
         rows.write_bytes(bytes(raw))
-        with load_table(tmp_path / "t") as loaded:
-            with pytest.raises(FormatError, match="past its dimension"):
-                loaded.positions()
+        with pytest.raises(FormatError, match="past its dimension"):
+            load_table(tmp_path / "t")
+
+    def test_rows_out_of_order_are_format_error(self, tmp_path, table):
+        save_table(table, tmp_path / "t")
+        rows = tmp_path / "t.rows"
+        raw = bytearray(rows.read_bytes())
+        w = table.row_width
+        raw[5 * w : 6 * w], raw[6 * w : 7 * w] = raw[6 * w : 7 * w], raw[5 * w : 6 * w]
+        rows.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="do not strictly increase"):
+            load_table(tmp_path / "t")
 
 
 class _RecordingCache(SimCache):
