@@ -15,13 +15,17 @@ processor caches; it also primes the warm query.
 The sweep replays sampled queries at a ladder of memory budgets.  Per query
 it charges a synthetic time of M when the cache absorbed every block touch
 and D otherwise; miss counts are deterministic, so the emitted CSV is too.
-It runs no queries: each store's `block_touches` derives in numpy an
-integer code for every block each sampled query reads, and one
+It runs no queries.  Each sampled query is a stored cell drawn by its rank
+(its place in position order), and each store's `block_touches` works out
+from the ranks in numpy an integer code for every block each query reads:
+the cell's block for the multidimensional store, and for the table the
+meta page, one index page per level and the row group, which follow from
+the rank since a load has proved the index canonical.  One
 `blockio.lru_misses` per budget runs those codes through the cache's LRU
 rule from an empty cache, giving each query's misses and the memory used
-at each pass boundary.  Its only file reads are the index pages the
-table's `block_touches` walks.  The stores' caches stay as the sweep found
-them, except that their counters gain the simulated hits and misses.
+at each pass boundary.  The sweep reads no file, and the stores' caches
+stay as it found them, except that their counters gain the simulated hits
+and misses.
 The model curve is evaluated at the memory actually used mid-pass (for the
 multidimensional representation the preloaded size counts toward the
 budget), which is what the measured averages are compared against.
@@ -216,8 +220,9 @@ def memory_sweep(
 ) -> SweepResult:
     if samples < 1 or passes < 1 or samples * passes > MAX_DRAWS:
         raise ValueError(f"samples {samples} times passes {passes} is not in 1..{MAX_DRAWS}")
-    positions = md_store.positions()
-    n = len(positions)
+    n = md_store.n_cells
+    if n != tbl_store.n_rows:
+        raise ValueError(f"the stores hold {n} cells against {tbl_store.n_rows} rows")
     rows: list[SweepRow] = []
     summaries: list[SweepSummary] = []
     h = params.preload_bytes
@@ -246,15 +251,11 @@ def memory_sweep(
             # String seeds hash stably across processes, unlike tuples.  One
             # draw of passes * samples takes the same stream as one per pass.
             rng = random.Random(f"{seed}:{rep}:{budget}")
-            drawn = positions[rng.choices(range(n), k=passes * samples)]
-            if is_md:
-                codes, starts = store.block_touches(drawn, stored=positions)
-            else:
-                codes, starts = store.block_touches(drawn)
+            codes = store.block_touches(rng.choices(range(n), k=passes * samples))
             misses, used = lru_misses(
-                codes, starts, readers, capacity, range(0, passes * samples + 1, samples)
+                codes, readers, capacity, range(0, passes * samples + 1, samples)
             )
-            cache.add_counts(len(codes) - sum(misses), sum(misses))
+            cache.add_counts(codes.size - sum(misses), sum(misses))
             total_time = 0.0
             total_model = 0.0
             for pass_no in range(1, passes + 1):

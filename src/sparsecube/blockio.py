@@ -6,18 +6,20 @@ A loaded store reads its files; a freshly built one reads the same octets
 from memory through a BytesReader, which differs only in where a block
 comes from, so both take one path.  Every read is one block: a 4- or 8-octet
 md cell never crosses a 4096-octet boundary, and a table index page or row
-group is a whole block.  The cache is fill-then-LRU, counts hits and misses,
-and stores block bytes so hits never reach the file.  It is deterministic:
-identical access sequences produce identical counters and resident sets.
+group is a whole block.  Only `contents()`, for saving and for a load's
+checks, reads a whole file at once, around the cache.  The cache is
+fill-then-LRU, counts hits and misses, and stores block bytes so hits never
+reach the file.  It is deterministic: identical access sequences produce
+identical counters and resident sets.
 
 `lru_misses` is how the memory sweep charges its sampled queries.  A
-store's `block_touches` names every block those queries read by an integer
-code (`touch_codes`: block number and reader index), and `lru_misses` runs
-the same rule over those codes and the blocks' lengths in one loop, from an
-empty cache, for a whole budget at once.  It reads no file and touches no
-cache, so the sweep's only file reads are the index pages the table's
-`block_touches` walks, and the sweep leaves each cache as it found it
-except for the hits and misses it adds to the counters (`add_counts`).
+store's `block_touches` names every block a sampled query reads by an
+integer code (block number times the store's reader count, plus the
+reader's index), one row of codes per query, and `lru_misses` runs the
+same rule over those codes and the blocks' lengths in one loop, from an
+empty cache, for a whole budget at once.  Neither reads a file or touches
+a cache, so the sweep reads no file, and it leaves each cache as it found
+it except for the hits and misses it adds to the counters (`add_counts`).
 """
 
 from __future__ import annotations
@@ -29,6 +31,8 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
+
+from .errors import FormatError
 
 # The largest block, and table page, in octets.
 MAX_BLOCK_SIZE = 1 << 20
@@ -113,23 +117,8 @@ class SimCache:
         return data
 
 
-def touch_codes(
-    n_readers: int, which: np.ndarray, blocks: np.ndarray, valid: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Block codes and query bounds in `lru_misses`' form from a grid with
-    one row per query.
-
-    Row q's codes are `blocks[q, j] * n_readers + which[j]` for its `valid`
-    columns j, left to right; the bounds give each row's share of the codes.
-    The memory sweep runs them through the LRU rule from an empty cache.
-    """
-    starts = np.concatenate(([0], np.cumsum(valid.sum(axis=1))))
-    return (blocks * n_readers + which)[valid], starts
-
-
 def lru_misses(
     codes: np.ndarray,
-    starts: np.ndarray,
     readers: Sequence[BlockReader],
     capacity: int,
     marks: Sequence[int] = (),
@@ -137,16 +126,16 @@ def lru_misses(
     """Each query's misses when the blocks `codes` names are read, in order,
     through a fill-then-LRU cache of `capacity` octets that starts empty.
 
-    Query q reads `codes[starts[q]:starts[q + 1]]`, from `starts[0] == 0`
-    to `starts[-1] == len(codes)`; code k names block
-    `k // len(readers)` of `readers[k % len(readers)]` (see `touch_codes`).
-    A block's length follows from its reader's `block_size` and
-    `file_size`, so no file is read.  Also returns, for each q in `marks`
-    (ascending), the octets resident once the first q queries have run.
+    `codes` holds one row per query, read left to right; code k names block
+    `k // len(readers)` of `readers[k % len(readers)]`.  A block's length
+    follows from its reader's `block_size` and `file_size`, so no file is
+    read.  Also returns, for each q in `marks` (ascending), the octets
+    resident once the first q queries have run.
     """
-    n = len(readers)
-    bounds = np.asarray(starts, dtype=np.int64)
     codes = np.asarray(codes, dtype=np.int64)
+    queries, width = codes.shape
+    codes = codes.ravel()
+    n = len(readers)
     block, which = np.divmod(codes, n)
     size = np.array([r.block_size for r in readers], dtype=np.int64)[which]
     tail = np.array([r.file_size for r in readers], dtype=np.int64)[which] - block * size
@@ -159,7 +148,7 @@ def lru_misses(
     miss = missed.append
     used_at = []
     lo = 0
-    for hi in bounds[list(marks)].tolist() + [len(codes)]:
+    for hi in [q * width for q in marks] + [len(codes)]:
         for i, code in enumerate(codes[lo:hi], lo):
             if code in lru:
                 move(code)
@@ -173,10 +162,8 @@ def lru_misses(
                     used -= pop(False)[1]
         used_at.append(used)
         lo = hi
-    total = np.zeros(len(codes) + 1, dtype=np.int64)
-    total[np.array(missed, dtype=np.int64) + 1] = 1
-    np.cumsum(total, out=total)
-    return (total[bounds[1:]] - total[bounds[:-1]]).tolist(), used_at[:-1]
+    by_query = np.array(missed, dtype=np.int64) // width
+    return np.bincount(by_query, minlength=queries).tolist(), used_at[:-1]
 
 
 class Closing:
@@ -227,8 +214,13 @@ class BlockReader(Closing):
         return os.pread(self._fd, self.block_size, block_no * self.block_size)
 
     def contents(self) -> bytes:
-        """The whole file, read around the cache so saving leaves it untouched."""
-        return b"".join(map(self._load_block, range(self.block_count)))
+        """The whole file in one read, around the cache so saving leaves it
+        untouched.  A file now shorter than when it was opened raises
+        FormatError."""
+        data = os.pread(self._fd, self.file_size, 0)
+        if len(data) != self.file_size:
+            raise FormatError(f"{self.name} holds {len(data)} octets, not {self.file_size}")
+        return data
 
     def read_block(self, block_no: int) -> bytes:
         if self.cache is None:
@@ -261,3 +253,6 @@ class BytesReader(BlockReader):
     def _load_block(self, block_no: int) -> bytes:
         start = block_no * self.block_size
         return self._data[start : start + self.block_size]
+
+    def contents(self) -> bytes:
+        return self._data

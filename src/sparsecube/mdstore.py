@@ -23,7 +23,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from . import diffseq, headers
-from .blockio import BlockReader, BytesReader, Closing, SimCache, touch_codes
+from .blockio import BlockReader, BytesReader, Closing, SimCache
 from .errors import FormatError, InvalidPositionError
 from .relation import (
     MEASURE_FORMATS,
@@ -129,24 +129,12 @@ class MultidimStore(Closing):
             )
         return stored
 
-    def block_touches(
-        self, positions: np.ndarray, stored: np.ndarray | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """The codes of the blocks `point_query` reads for each logical
-        position, in order: query q's are `codes[starts[q]:starts[q + 1]]`,
-        over `readers()` (see `blockio.touch_codes`).
-
-        A stored cell reads the one cells block that holds its measure; any
-        other position reads nothing.  `stored` is `positions()`, for a
-        caller that holds it already.
-        """
-        stored = self.positions() if stored is None else stored
-        positions = np.asarray(positions, dtype=np.uint64)
-        physical = np.searchsorted(stored, positions)
-        found = physical < len(stored)
-        found[found] = stored[physical[found]] == positions[found]
-        block = physical * self.measure_width // self._cells.block_size
-        return touch_codes(1, np.zeros(1, dtype=np.int64), block[:, None], found[:, None])
+    def block_touches(self, ranks: np.ndarray) -> np.ndarray:
+        """The codes of the blocks `point_query` reads for the stored cells
+        of these ranks, one row per query, over `readers()`: the one cells
+        block that holds the cell's measure."""
+        ranks = np.asarray(ranks, dtype=np.int64)
+        return (ranks * self.measure_width // self._cells.block_size)[:, None]
 
     def readers(self) -> tuple[BlockReader, ...]:
         """The store's block readers, in the order `block_touches` codes them."""

@@ -14,10 +14,13 @@ loaded table, from memory for a freshly built one.
 
 Page 0 of the index is the meta page: the seven `META_FIELDS` in the
 envelope every header file has (`headers.write_envelope`), padded with
-zeros to the page size.  Only the page size is a free choice; every other
-field follows from the schema and the two file sizes, and a load rejects a
-meta page that disagrees with them, or rows that `TableStore.positions()`
-rejects: a coordinate past its dimension, or keys out of order.
+zeros to the page size.  The whole index follows from the sorted row keys
+and the page size (`_index_bytes`): a build writes it, and a load checks
+the rows (`_row_keys`: whole rows, each coordinate within its dimension,
+keys in order) and then the saved index against it octet for octet.  So a
+loaded index is canonical, and `block_touches` works out from a row's rank
+alone which blocks its query reads.  `point_query` still checks every page
+it reads, since a file can change after it is loaded.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .blockio import MAX_BLOCK_SIZE, BlockReader, BytesReader, Closing, SimCache, touch_codes
+from .blockio import MAX_BLOCK_SIZE, BlockReader, BytesReader, Closing, SimCache
 from .errors import FormatError
 from .headers import read_envelope, write_envelope
 from .relation import (
@@ -71,31 +74,27 @@ class TableStore(Closing):
         self,
         schema: DimensionSchema,
         measure_width: int,
-        page_size: int,
         rows: BlockReader,
         idx: BlockReader,
+        level_first: Sequence[int],
     ):
-        """Every meta field but the page size follows from the schema and
-        the sizes of the row file and the index."""
+        """`idx` reads in pages and `rows` in row groups; `level_first` is
+        the first page of each index level, leaf level first (see
+        `_index_bytes`)."""
         self.schema = schema
         self.measure_width = measure_width
-        self.page_size = page_size
+        self.page_size = idx.block_size
         self.row_width = schema.n_dims * COORD_WIDTH + measure_width
         self.n_rows = rows.file_size // self.row_width
-        self.rows_per_group = _rows_per_group(page_size, self.row_width)
+        self.rows_per_group = _rows_per_group(self.page_size, self.row_width)
         self.n_groups = -(-self.n_rows // self.rows_per_group)
-        self.n_pages = idx.file_size // page_size
-        self.root_page = self.n_pages - 1  # levels are written bottom-up, root last
-        self.entries_per_page = (page_size - 2) // _ENTRY.size
-        self.height, level = 1, self.n_groups
-        while level > self.entries_per_page:
-            self.height, level = self.height + 1, -(-level // self.entries_per_page)
+        self.entries_per_page = _entries_per_page(self.page_size)
+        self.level_first = tuple(level_first)
+        self.height = len(self.level_first)
+        self.root_page = self.level_first[-1]  # levels are written bottom-up, root last
         self._rows = rows
         self._idx = idx
         self._measure = struct.Struct(MEASURE_FORMATS[measure_width])
-
-    def meta(self) -> tuple[int, ...]:
-        return tuple(getattr(self, name) for name in META_FIELDS)
 
     def close(self) -> None:
         self._rows.close()
@@ -103,18 +102,8 @@ class TableStore(Closing):
 
     def positions(self) -> np.ndarray:
         """Logical positions of the rows in file order, as uint64, from one
-        read of the row file around the cache.  A coordinate past its
-        dimension, or keys that do not strictly increase, raise FormatError."""
-        words = np.frombuffer(self._rows.contents(), dtype="<u4")
-        columns = words.reshape(-1, self.row_width // COORD_WIDTH).T  # coordinates, then measure
-        keys = np.zeros(columns.shape[1], dtype=np.uint64)
-        for column, n, stride in zip(columns, self.schema.cardinalities, self.schema.strides):
-            if column.max(initial=0) >= n:
-                raise FormatError("a row holds a coordinate past its dimension")
-            keys += column * np.uint64(stride)
-        if not (keys[1:] > keys[:-1]).all():
-            raise FormatError("row keys do not strictly increase")
-        return keys
+        read of the row file around the cache (see `_row_keys`)."""
+        return _row_keys(self._rows.contents(), self.schema, self.row_width)
 
     # -- sizes ------------------------------------------------------------
 
@@ -122,7 +111,7 @@ class TableStore(Closing):
         return self.n_rows * self.row_width
 
     def idx_file_size(self) -> int:
-        return self.n_pages * self.page_size
+        return (self.root_page + 1) * self.page_size
 
     def total_size(self) -> int:
         return self.rows_file_size() + self.idx_file_size()
@@ -193,82 +182,92 @@ class TableStore(Closing):
             raise FormatError(f"row group {group} does not start at its index key {entry_key}")
         return None
 
-    def block_touches(self, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The codes of the blocks `point_query` reads for each logical
-        position, in order: query q's are `codes[starts[q]:starts[q + 1]]`,
-        over `readers()` (see `blockio.touch_codes`).
+    def block_touches(self, ranks: np.ndarray) -> np.ndarray:
+        """The codes of the blocks `point_query` reads for the stored rows of
+        these ranks, one row per query, over `readers()`: code k names block
+        `k // 2` of reader `k % 2`.
 
-        The walk goes level by level, one search per index page the batch
-        reaches, with the pages read around the cache.  A query reads the
-        meta page, the pages on its path and its row group, each one block,
-        and stops where `point_query` returns None.  The page checks of
-        `point_query` raise FormatError here too; the row group's own check
-        on a miss is not made, since it needs the rows.
+        A stored row's query reads the meta page, one page per level from
+        the root down to the leaf and then its row group.  A load has proved
+        the index is `_index_bytes` of the rows, so those blocks follow from
+        the rank alone and no file is read.
         """
-        positions = np.asarray(positions, dtype=np.uint64)
-        n = len(positions)
-        # The blocks each query reads: the meta page, a page per level, its row group.
-        path = np.zeros((n, self.height + 2), dtype=np.int64)
-        path[:, 1] = self.root_page
-        page = path[:, 1]
-        reached = np.full(n, 2, dtype=np.int64)  # how many of them it reads
-        alive = np.arange(n)  # the queries still walking
-        lead = None  # the keys of the entries that led to `page`
-        for depth, level in enumerate(range(self.height - 1, -1, -1), 2):
-            entry_key = np.zeros(len(alive), dtype=np.uint64)
-            child = np.zeros(len(alive), dtype=np.uint64)
-            found = np.zeros(len(alive), dtype=bool)
-            # One search per distinct page, over the queries that reached it.
-            order = np.argsort(page, kind="stable")
-            pages, firsts = np.unique(page[order], return_index=True)
-            bounds = np.append(firsts, len(order))
-            for i, page_no in enumerate(pages.tolist()):
-                members = order[bounds[i] : bounds[i + 1]]
-                block = self._idx._load_block(page_no)
-                # Every distinct lead is checked; at most one can match.
-                for page_lead in [None] if lead is None else np.unique(lead[members]).tolist():
-                    entries = np.asarray(self._entries(block, page_lead))
-                slot = np.searchsorted(entries[::2], positions[alive[members]], side="right") - 1
-                hit = slot >= 0
-                members, slot = members[hit], 2 * slot[hit]
-                found[members] = True
-                entry_key[members] = entries[slot]
-                child[members] = entries[slot + 1]
-            alive, lead, child = alive[found], entry_key[found], child[found]
-            if level:
-                bad = child[(child == 0) | (child >= self.root_page)]
-                problem = "index page {} is not between meta and root"
-            else:
-                bad = child[child >= self.n_groups]
-                problem = f"row group {{}} is past the last of {self.n_groups}"
-            if bad.size:
-                raise FormatError(problem.format(bad[0]))
-            page = path[alive, depth] = child.astype(np.int64)
-            reached[alive] += 1
-        return touch_codes(
-            2, np.repeat([0, 1], [self.height + 1, 1]), path,
-            np.arange(self.height + 2) < reached[:, None],
-        )
+        group = np.asarray(ranks, dtype=np.int64) // self.rows_per_group
+        path = [np.zeros_like(group)]  # the meta page
+        for level in range(self.height - 1, -1, -1):
+            path.append(self.level_first[level] + group // self.entries_per_page ** (level + 1))
+        codes = np.stack([*path, group], axis=1) * 2
+        codes[:, -1] += 1  # the row group, in the row file
+        return codes
 
     def readers(self) -> tuple[BlockReader, ...]:
         """The store's block readers, in the order `block_touches` codes them."""
         return (self._idx, self._rows)
 
 
-def _pack_page(entries: list[tuple[int, int]], page_size: int) -> bytes:
-    page = bytearray(page_size)
-    _COUNT.pack_into(page, 0, len(entries))
-    off = 2
-    for key, val in entries:
-        _ENTRY.pack_into(page, off, key, val)
-        off += 16
-    return bytes(page)
+def _entries_per_page(page_size: int) -> int:
+    return (page_size - _COUNT.size) // _ENTRY.size
+
+
+def _row_keys(data: bytes, schema: DimensionSchema, row_width: int) -> np.ndarray:
+    """The logical position of each row in `data`, as uint64.  Anything but
+    a nonzero whole number of rows, a coordinate past its dimension, or keys
+    that do not strictly increase raise FormatError."""
+    if not data or len(data) % row_width:
+        raise FormatError(f"the row file is not a nonzero whole number of {row_width}-octet rows")
+    words = np.frombuffer(data, dtype="<u4")
+    columns = words.reshape(-1, row_width // COORD_WIDTH).T  # coordinates, then measure
+    keys = np.zeros(columns.shape[1], dtype=np.uint64)
+    for column, n, stride in zip(columns, schema.cardinalities, schema.strides):
+        if column.max(initial=0) >= n:
+            raise FormatError("a row holds a coordinate past its dimension")
+        keys += column * np.uint64(stride)
+    if not (keys[1:] > keys[:-1]).all():
+        raise FormatError("row keys do not strictly increase")
+    return keys
+
+
+def _index_bytes(positions: np.ndarray, page_size: int, row_width: int) -> tuple[bytes, list[int]]:
+    """The index file over rows with these keys, in order, and the first page
+    of each level, leaf level first.
+
+    Page 0 is the meta page; the levels follow bottom-up, root last.  A leaf
+    entry is a row group's first key and its number, an entry above it its
+    child page's first key and page number, and a page holds its entry
+    count, then as many entries as fit, then zeros.
+    """
+    rows_per_group = _rows_per_group(page_size, row_width)
+    fanout = _entries_per_page(page_size)
+    page = np.dtype({"names": ["count", "entries"], "formats": ["<u2", ("<u8", (fanout, 2))],
+                     "offsets": [0, _COUNT.size], "itemsize": page_size})  # zeros in the gaps
+    keys = np.asarray(positions, dtype=np.uint64)[::rows_per_group]
+    n_groups = len(keys)
+    children = np.arange(n_groups, dtype=np.uint64)
+    level_first, pages = [1], []
+    while True:
+        n_pages = -(-len(keys) // fanout)
+        entries = np.zeros((n_pages * fanout, 2), dtype=np.uint64)
+        entries[: len(keys)] = np.column_stack((keys, children))
+        level = np.zeros(n_pages, dtype=page)
+        level["entries"] = entries.reshape(n_pages, fanout, 2)
+        level["count"] = fanout
+        level["count"][-1] = len(keys) - (n_pages - 1) * fanout
+        pages.append(level.tobytes())
+        if n_pages == 1:
+            break
+        keys = keys[::fanout]
+        children = np.arange(level_first[-1], level_first[-1] + n_pages, dtype=np.uint64)
+        level_first.append(level_first[-1] + n_pages)
+    meta = write_envelope(
+        _IDX_MAGIC, page_size, row_width, len(positions), rows_per_group, n_groups,
+        level_first[-1], len(level_first),
+    )
+    return meta.ljust(page_size, b"\0") + b"".join(pages), level_first
 
 
 def build_table(rel: Relation, params: TableParams = TableParams()) -> TableStore:
     page_size = params.page_size
     positions, coords, measures = ordered_cells(rel)
-    n_rows = len(positions)
     n_dims = rel.schema.n_dims
     row_width = n_dims * COORD_WIDTH + rel.measure_width
     if row_width > page_size or not _META_END <= page_size <= MAX_BLOCK_SIZE:
@@ -276,44 +275,16 @@ def build_table(rel: Relation, params: TableParams = TableParams()) -> TableStor
                          f"in at most {MAX_BLOCK_SIZE} octets")
 
     dtype = np.dtype([("c", "<u4", (n_dims,)), ("m", MEASURE_FORMATS[rel.measure_width])])
-    rows_arr = np.empty(n_rows, dtype=dtype)
+    rows_arr = np.empty(len(positions), dtype=dtype)
     rows_arr["c"] = coords
     rows_arr["m"] = measures
-
-    rows_per_group = _rows_per_group(page_size, row_width)
-    n_groups = (n_rows + rows_per_group - 1) // rows_per_group
-
-    entries_per_page = (page_size - 2) // 16
-    level = list(zip(positions[::rows_per_group].tolist(), range(n_groups)))
-    pages: list[bytes] = []
-    first_page_of_level = 1  # page 0 is the meta page
-    height = 0
-    while True:
-        height += 1
-        level_pages = [
-            level[i : i + entries_per_page]
-            for i in range(0, len(level), entries_per_page)
-        ]
-        pages.extend(_pack_page(chunk, page_size) for chunk in level_pages)
-        if len(level_pages) == 1:
-            break
-        level = [
-            (chunk[0][0], first_page_of_level + i)
-            for i, chunk in enumerate(level_pages)
-        ]
-        first_page_of_level += len(level_pages)
-    root_page = len(pages)  # levels are written bottom-up, root last; meta is page 0
-
-    meta = write_envelope(
-        _IDX_MAGIC, page_size, row_width, n_rows, rows_per_group, n_groups, root_page, height
-    )
+    index, level_first = _index_bytes(positions, page_size, row_width)
     rows = BytesReader(
-        rows_arr.tobytes(), block_size=rows_per_group * row_width, name="tbl.rows"
+        rows_arr.tobytes(), block_size=_rows_per_group(page_size, row_width) * row_width,
+        name="tbl.rows",
     )
-    idx = BytesReader(
-        meta.ljust(page_size, b"\0") + b"".join(pages), block_size=page_size, name="tbl.idx"
-    )
-    return TableStore(rel.schema, rel.measure_width, page_size, rows, idx)
+    idx = BytesReader(index, block_size=page_size, name="tbl.idx")
+    return TableStore(rel.schema, rel.measure_width, rows, idx, level_first)
 
 
 def table_paths(base: str | Path) -> tuple[Path, Path, Path]:
@@ -329,6 +300,8 @@ def save_table(store: TableStore, base: str | Path) -> None:
 
 
 def load_table(base: str | Path, cache: SimCache | None = None) -> TableStore:
+    """The table saved at `base`.  Its rows must pass `_row_keys`, and its
+    index must be, octet for octet, the one `_index_bytes` makes of them."""
     schema_p, rows_p, idx_p = table_paths(base)
     schema, measure_width = schema_from_json(schema_p.read_bytes())
     with open(idx_p, "rb") as f:
@@ -346,19 +319,14 @@ def load_table(base: str | Path, cache: SimCache | None = None) -> TableStore:
         name="tbl.rows",
     )
     idx = BlockReader(idx_p, block_size=page_size, cache=cache, name="tbl.idx")
-    store = TableStore(schema, measure_width, page_size, rows, idx)
-    bad = [
-        f"{name} {stored}, but the files and schema give {derived}"
-        for name, stored, derived in zip(META_FIELDS, meta, store.meta())
-        if stored != derived
-    ]
-    if store.total_size() != rows.file_size + idx.file_size:
-        bad.append("the files are not whole rows and pages")
     try:
-        if bad:
-            raise FormatError("index meta page does not match: " + "; ".join(bad))
-        store.positions()  # checks every row's coordinates and order
-    except FormatError:
-        store.close()
+        index, level_first = _index_bytes(
+            _row_keys(rows.contents(), schema, row_width), page_size, row_width
+        )
+        if idx.file_size != len(index) or idx.contents() != index:
+            raise FormatError("the index is not the one its rows and page size give")
+    except BaseException:
+        rows.close()
+        idx.close()
         raise
-    return store
+    return TableStore(schema, measure_width, rows, idx, level_first)

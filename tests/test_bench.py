@@ -208,6 +208,17 @@ class TestSweep:
             # Every budget is checked before either side is simulated.
             assert [(c.hits, c.misses) for c in (md_cache, tbl_cache)] == [(0, 0), (0, 0)]
 
+    def test_stores_of_other_sizes_rejected(self, opened):
+        md, md_cache, tbl, tbl_cache = opened
+        params = constants_for(md, tbl)
+        other = tablestore.build_table(generate(SynthSpec((8, 8, 8), density=0.1, seed=1)))
+        assert other.n_rows != md.n_cells
+        message = f"^the stores hold {md.n_cells} cells against {other.n_rows} rows$"
+        with pytest.raises(ValueError, match=message):
+            memory_sweep(md, md_cache, other, tbl_cache, params, [params.preload_bytes], [0],
+                         samples=5, passes=1)
+        assert [(c.hits, c.misses) for c in (md_cache, tbl_cache)] == [(0, 0), (0, 0)]
+
     def test_reads_no_cell_or_row_block_and_leaves_the_caches(self, opened, monkeypatch):
         md, md_cache, tbl, tbl_cache = opened
         # Caches the sweep must leave as it finds them: bounded, part full.
@@ -220,30 +231,19 @@ class TestSweep:
             (c.capacity, list(c._resident.items()), c.used_bytes, c.hits, c.misses)
             for c in (md_cache, tbl_cache)
         ]
-        walking = []  # nonempty while the table's `block_touches` runs
-        loads = {}  # reader name: for each block loaded, whether during the walk
+        reads = []  # (reader name, what it read) for every read of a file or of memory
 
-        def spy(reader):
-            load = reader._load_block
-            loads[reader.name] = []
+        def spy(reader, method):
+            read = getattr(reader, method)
 
-            def spied(block_no):
-                loads[reader.name].append(bool(walking))
-                return load(block_no)
+            def spied(*args):
+                reads.append((reader.name, method))
+                return read(*args)
             return spied
 
         for reader in (*md.readers(), *tbl.readers()):
-            monkeypatch.setattr(reader, "_load_block", spy(reader))
-        walk = tbl.block_touches
-
-        def touches(positions):
-            walking.append(True)
-            try:
-                return walk(positions)
-            finally:
-                walking.pop()
-
-        monkeypatch.setattr(tbl, "block_touches", touches)
+            for method in ("_load_block", "contents"):
+                monkeypatch.setattr(reader, method, spy(reader, method))
         params = constants_for(md, tbl)
         md_budgets, tbl_budgets = default_budgets(params, points=4)
         samples, passes = 40, 6
@@ -251,8 +251,7 @@ class TestSweep:
             md, md_cache, tbl, tbl_cache, params, md_budgets, tbl_budgets,
             samples=samples, passes=passes, seed=3,
         )
-        assert loads["md.cells"] == [] and loads["tbl.rows"] == []
-        assert loads["tbl.idx"] and all(loads["tbl.idx"])
+        assert reads == []
         # Every sampled position is a stored cell: one cells block each for
         # the md store, and the meta page, one page per level and one rows
         # block each for the table.

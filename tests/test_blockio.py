@@ -1,6 +1,7 @@
 import pytest
 
 from sparsecube.blockio import MAX_BLOCK_SIZE, BlockReader, BytesReader, SimCache
+from sparsecube.errors import FormatError
 
 
 @pytest.fixture
@@ -171,3 +172,11 @@ class TestBlockReader:
             assert r.contents() == raw
         assert BytesReader(raw, "blob").contents() == raw
         assert (cache.hits, cache.misses, cache.resident_blocks) == (0, 1, 1)
+
+    def test_contents_of_a_file_cut_short_is_format_error(self, tmp_path):
+        path = tmp_path / "cut"
+        path.write_bytes(bytes(10000))
+        with BlockReader(path) as r:
+            path.write_bytes(bytes(9999))
+            with pytest.raises(FormatError, match="holds 9999 octets, not 10000"):
+                r.contents()

@@ -5,6 +5,7 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sparsecube.blockio import MAX_BLOCK_SIZE, SimCache
 from sparsecube.errors import EmptyRelationError, FormatError
@@ -21,7 +22,12 @@ from sparsecube.tablestore import (
     build_table,
     load_table,
     save_table,
+    table_paths,
 )
+
+
+def meta(table):
+    return tuple(getattr(table, name) for name in META_FIELDS)
 
 
 @pytest.fixture(scope="module")
@@ -140,7 +146,7 @@ class TestPersistence:
     def test_meta_page_is_the_envelope_padded_with_zeros(self, page_size):
         rel = generate(SynthSpec((16, 16, 8), density=0.3, seed=2))
         table = build_table(rel, TableParams(page_size=page_size))
-        envelope = b"TIDX\x01" + struct.pack("<7Q", *table.meta())
+        envelope = b"TIDX\x01" + struct.pack("<7Q", *meta(table))
         assert table._idx.contents()[:page_size] == envelope.ljust(page_size, b"\0")
 
     @pytest.mark.parametrize("page_size", [4096, 128])  # index height 1 and 3
@@ -151,7 +157,7 @@ class TestPersistence:
         base = tmp_path / "m"
         save_table(table, base)
         with load_table(base) as loaded:
-            assert loaded.meta() == table.meta()
+            assert meta(loaded) == meta(table)
         idx = tmp_path / "m.idx"
         valid = idx.read_bytes()
         slot = 5 + 8 * META_FIELDS.index(field)
@@ -207,9 +213,9 @@ class TestPersistence:
         else:
             struct.pack_into("<H", raw, leaf, value)
             damaged = rel.n_cells
-        idx.write_bytes(bytes(raw))
         raised = 0
         with load_table(base) as loaded:
+            idx.write_bytes(bytes(raw))  # a file can change after the load has checked it
             for coords, measure in rel.iter_cells():
                 try:
                     assert loaded.point_query(coords) == measure
@@ -230,9 +236,19 @@ class TestPersistence:
         for child in (0, second_child, table.root_page, table.root_page + 1):
             raw = bytearray(valid)
             struct.pack_into("<Q", raw, root + 2 + 8, child)
-            idx.write_bytes(bytes(raw))
-            with load_table(base) as loaded, pytest.raises(FormatError):
-                loaded.point_query(coords)
+            with load_table(base) as loaded:
+                idx.write_bytes(bytes(raw))  # after the load, which checks the whole index
+                with pytest.raises(FormatError):
+                    loaded.point_query(coords)
+            idx.write_bytes(valid)
+
+    def test_rows_cut_short_after_the_load_are_format_error(self, tmp_path, table):
+        save_table(table, tmp_path / "t")
+        rows = tmp_path / "t.rows"
+        with load_table(tmp_path / "t") as loaded:
+            rows.write_bytes(rows.read_bytes()[:-3])
+            with pytest.raises(FormatError):
+                loaded.positions()
 
     def test_sizes_from_files(self, tmp_path, table):
         base = tmp_path / "t3"
@@ -274,6 +290,35 @@ class TestPersistence:
         rows.write_bytes(bytes(raw))
         with pytest.raises(FormatError, match="do not strictly increase"):
             load_table(tmp_path / "t")
+
+
+@pytest.fixture(scope="module", params=[4096, 128], ids=["two-pages", "three-levels"])
+def saved_index(request, tmp_path_factory):
+    """A saved table whose index is the meta page and one root page, or
+    three levels high, and its valid index."""
+    table = build_table(generate(SynthSpec((16, 16, 8), density=0.3, seed=2)),
+                        TableParams(page_size=request.param))
+    assert table.height == {4096: 1, 128: 3}[request.param]
+    base = tmp_path_factory.mktemp("index") / "t"
+    save_table(table, base)
+    return base, table._idx.contents()
+
+
+class TestWholeIndexChecked:
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_any_one_octet_changed_is_format_error(self, saved_index, data):
+        """Padding included: the last octet of the root page is one."""
+        base, valid = saved_index
+        offset = data.draw(st.one_of(st.just(len(valid) - 1), st.integers(0, len(valid) - 1)))
+        value = data.draw(st.integers(0, 255).filter(lambda v: v != valid[offset]))
+        idx = table_paths(base)[2]
+        idx.write_bytes(valid[:offset] + bytes([value]) + valid[offset + 1 :])
+        try:
+            with pytest.raises(FormatError):
+                load_table(base)
+        finally:
+            idx.write_bytes(valid)
 
 
 class _RecordingCache(SimCache):

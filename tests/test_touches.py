@@ -1,10 +1,10 @@
 """Batch block codes (`block_touches`) and their replay against live queries.
 
-The memory sweep charges each sampled query by the misses of the blocks
-`block_touches` says it reads, replayed through `blockio.lru_misses` from
-an empty cache.  These tests hold both to what a live `point_query` sends
-to the cache, and `lru_misses`' own LRU loop to the one `SimCache.access`
-takes.
+The memory sweep charges each sampled stored cell by the misses of the
+blocks `block_touches` says its query reads, worked out from the cell's
+rank and replayed through `blockio.lru_misses` from an empty cache.  These
+tests hold both to what a live `point_query` sends to the cache, and
+`lru_misses`' own LRU loop to the one `SimCache.access` takes.
 """
 
 import random
@@ -32,17 +32,6 @@ class RecordingCache(SimCache):
         return super().access(key, loader, *args)
 
 
-def probe_positions(rel, rng, misses=40):
-    """Every stored position, uniform positions (mostly empty cells), and the
-    positions before the first row, shuffled."""
-    stored = ordered_cells(rel)[0].tolist()
-    total = rel.schema.total_cells
-    probes = stored + [rng.randrange(total) for _ in range(misses)]
-    probes += list(range(min(stored[0], 5)))
-    rng.shuffle(probes)
-    return probes
-
-
 def live_touches(store, schema, positions):
     """The keys each live query sends to a recording cache, one list per query."""
     cache = RecordingCache()
@@ -62,13 +51,12 @@ def live_touches(store, schema, positions):
             r.cache = c
 
 
-def batch_touches(store, positions):
+def batch_touches(store, ranks):
     """The cache keys `block_touches` codes, one list per query."""
-    codes, starts = store.block_touches(np.array(positions, dtype=np.uint64))
-    assert starts[0] == 0 and starts[-1] == len(codes) and len(starts) == len(positions) + 1
+    codes = store.block_touches(np.array(ranks, dtype=np.int64))
+    assert codes.shape[0] == len(ranks)
     names = [r.name for r in store.readers()]
-    keys = [(names[c % len(names)], c // len(names)) for c in codes.tolist()]
-    return [keys[lo:hi] for lo, hi in zip(starts, starts[1:])]
+    return [[(names[c % len(names)], c // len(names)) for c in row] for row in codes.tolist()]
 
 
 def representations(rel, base: Path, params, table_params):
@@ -85,12 +73,15 @@ def representations(rel, base: Path, params, table_params):
 
 
 def check_all(rel, seed, params=mdstore.StoreParams(), table_params=tablestore.TableParams()):
-    positions = probe_positions(rel, random.Random(seed))
+    """The codes of every stored rank, in shuffled order, against its live query."""
+    positions = ordered_cells(rel)[0]
+    ranks = list(range(len(positions)))
+    random.Random(seed).shuffle(ranks)
     with tempfile.TemporaryDirectory() as tmp:
         for name, store in representations(rel, Path(tmp), params, table_params):
             with store:
-                want = live_touches(store, rel.schema, positions)
-                assert batch_touches(store, positions) == want, name
+                want = live_touches(store, rel.schema, positions[ranks].tolist())
+                assert batch_touches(store, ranks) == want, name
 
 
 class TestTouchesMatchLiveQueries:
@@ -121,8 +112,15 @@ class TestTouchesMatchLiveQueries:
         )
 
 
+DAMAGES = [
+    ("count", 0), ("count", 65535), ("lead", 1), ("child", 0), ("child", "root"),
+    ("group", "past"),
+]
+
+
 class TestTouchChecks:
-    """The batch walk raises FormatError on the index pages a query would."""
+    """A damaged index page makes a load raise FormatError, and a query that
+    reads it once the table is loaded."""
 
     @pytest.fixture
     def saved(self, tmp_path):
@@ -132,12 +130,8 @@ class TestTouchChecks:
         tablestore.save_table(table, tmp_path / "t")
         return rel, table, tmp_path / "t"
 
-    @pytest.mark.parametrize("where, value", [
-        ("count", 0), ("count", 65535), ("lead", 1), ("child", 0), ("child", "root"),
-        ("group", "past"),
-    ])
-    def test_damaged_page_raises_like_a_query(self, saved, where, value):
-        rel, table, base = saved
+    @staticmethod
+    def damage(base, table, where, value):
         idx = Path(str(base) + ".idx")
         raw = bytearray(idx.read_bytes())
         ps = table.page_size
@@ -154,12 +148,22 @@ class TestTouchChecks:
             leaf = 1 * ps
             raw[leaf + 2 + 8 : leaf + 2 + 16] = table.n_groups.to_bytes(8, "little")
         idx.write_bytes(bytes(raw))
+
+    @pytest.mark.parametrize("where, value", DAMAGES)
+    def test_damage_after_the_load_raises_on_query(self, saved, where, value):
+        rel, table, base = saved
         first = int(ordered_cells(rel)[0][0])
         with tablestore.load_table(base) as loaded:
+            self.damage(base, table, where, value)
             with pytest.raises(FormatError):
                 loaded.point_query(decode_logical_position(first, rel.schema))
-            with pytest.raises(FormatError):
-                loaded.block_touches(np.array([first], dtype=np.uint64))
+
+    @pytest.mark.parametrize("where, value", DAMAGES)
+    def test_damage_before_the_load_raises_on_load(self, saved, where, value):
+        rel, table, base = saved
+        self.damage(base, table, where, value)
+        with pytest.raises(FormatError, match="^the index is not the one"):
+            tablestore.load_table(base)
 
 
 class TestReplay:
@@ -176,7 +180,8 @@ class TestReplay:
     @pytest.mark.parametrize("rep", ["md", "table"])
     def test_replay_counts_what_access_counts(self, pair, rep, capacity):
         rel, base = pair
-        positions = probe_positions(rel, random.Random(capacity), misses=200)[:400]
+        positions = ordered_cells(rel)[0]
+        ranks = random.Random(capacity).choices(range(len(positions)), k=400)
         cache = SimCache(capacity)
         if rep == "md":
             store = mdstore.load(base / "md", cache=cache)
@@ -184,26 +189,27 @@ class TestReplay:
             store = tablestore.load_table(base / "t", cache=cache)
         with store:
             live_misses = []
-            for p in positions:
+            for p in positions[ranks].tolist():
                 before = cache.misses
                 store.point_query(decode_logical_position(p, rel.schema))
                 live_misses.append(cache.misses - before)
-            codes, starts = store.block_touches(np.array(positions, dtype=np.uint64))
-            misses, used = lru_misses(codes, starts, store.readers(), capacity, [len(positions)])
+            codes = store.block_touches(ranks)
+            misses, used = lru_misses(codes, store.readers(), capacity, [len(ranks)])
         assert misses == live_misses
         assert used == [cache.used_bytes]
-        assert (len(codes) - sum(misses), sum(misses)) == (cache.hits, cache.misses)
+        assert (codes.size - sum(misses), sum(misses)) == (cache.hits, cache.misses)
 
     def test_replay_skips_too_large_blocks(self):
         reader = BytesReader(bytes(range(250)), name="f", block_size=100)
-        codes = np.array([2, 0, 2, 1])
-        assert lru_misses(codes, [0, 2, 4], [reader], 60, [0, 1, 2]) == ([2, 1], [0, 50, 50])
+        codes = np.array([[2, 0], [2, 1]])
+        assert lru_misses(codes, [reader], 60, [0, 1, 2]) == ([2, 1], [0, 50, 50])
 
     @given(data=st.data())
     @settings(max_examples=200, deadline=None)
     def test_replay_matches_access(self, data):
-        """Random codes over 1-3 readers with short tails give the misses and
-        resident octets that `access` gives from an empty cache."""
+        """A random grid of codes over 1-3 readers with short tails, one row
+        per query, gives the misses and resident octets that `access` gives
+        from an empty cache."""
         draw = data.draw
         shapes = draw(st.lists(
             st.tuples(st.integers(2, 9), st.integers(0, 4), st.integers(1, 8)),
@@ -217,7 +223,8 @@ class TestReplay:
         code = st.integers(0, n - 1).flatmap(
             lambda r: st.integers(0, readers[r].block_count - 1).map(lambda b: b * n + r)
         )
-        codes = draw(st.lists(code, max_size=60))
+        queries, width = draw(st.integers(0, 12)), draw(st.integers(0, 5))
+        grid = [draw(st.lists(code, min_size=width, max_size=width)) for _ in range(queries)]
         tails = [r.file_size - (r.block_count - 1) * r.block_size for r in readers]
         largest = max(r.block_size for r in readers)
         total = max(largest, sum(r.file_size for r in readers))  # holds them all
@@ -228,22 +235,20 @@ class TestReplay:
             st.integers(largest, total),
             st.integers(total, 2 * total),
         ))
-        cuts = sorted(draw(st.lists(st.integers(0, len(codes)), max_size=8)))
-        starts = [0, *cuts, len(codes)]  # queries, some empty
-        queries = len(starts) - 1
         marks = sorted(draw(st.lists(st.integers(0, queries), max_size=4)))
 
         live = SimCache(capacity)
         live_misses, live_used = [], []
-        for q in range(queries):
+        for row in grid:
             live_used.append(live.used_bytes)
             before = live.misses
-            for c in codes[starts[q] : starts[q + 1]]:
+            for c in row:
                 live.access((readers[c % n].name, c // n), readers[c % n]._load_block, c // n)
             live_misses.append(live.misses - before)
         live_used.append(live.used_bytes)
 
-        misses, used = lru_misses(np.array(codes, dtype=np.int64), starts, readers, capacity, marks)
+        codes = np.array(grid, dtype=np.int64).reshape(queries, width)
+        misses, used = lru_misses(codes, readers, capacity, marks)
         assert misses == live_misses
         assert used == [live_used[m] for m in marks]
 
@@ -254,7 +259,6 @@ def test_positions_are_range_checked():
     store = mdstore.MultidimStore(
         schema, headers.build_lpc([0, 7, 50]), 8, BytesReader(bytes(24), name="md.cells")
     )
-    for call in (store.positions, lambda: bench.sample_coords(store, 3, 1),
-                 lambda: store.block_touches(np.array([7], dtype=np.uint64))):
+    for call in (store.positions, lambda: bench.sample_coords(store, 3, 1)):
         with pytest.raises(InvalidPositionError):
             call()
