@@ -30,7 +30,7 @@ from .relation import (
     logical_position_sequence,
 )
 from .synth import SynthSpec, generate
-from .tablestore import TableParams, TableStore, build_table, load_table, save_table
+from .tablestore import TableStore, build_table, load_table, save_table
 
 __all__ = [
     "BlockReader",
@@ -61,7 +61,6 @@ __all__ = [
     "SynthSpec",
     "generate",
     "TableStore",
-    "TableParams",
     "build_table",
     "save_table",
     "load_table",

@@ -64,9 +64,15 @@ class EstimateResult:
 
 
 def sample_coords(
-    store: MultidimStore, size: int, seed: int
+    store: MultidimStore | TableStore, size: int, seed: int
 ) -> list[tuple[int, ...]]:
-    """Uniform sample, with replacement, of stored cell coordinates."""
+    """Uniform sample, with replacement, of stored cell coordinates.
+
+    Either store serves: both give their positions in rank order
+    (`positions()`) and their `schema`, so a pair that holds one relation
+    gives the same sample from either side.  The table's come from one read
+    of its row file, with no header to decode.
+    """
     if not 1 <= size <= MAX_DRAWS:
         raise ValueError(f"sample size {size} is not in 1..{MAX_DRAWS}")
     positions = store.positions()
@@ -123,7 +129,7 @@ def estimate_constants(
     seed: int = 0,
 ) -> EstimateResult:
     """Fit D and M per representation as medians of paired cold/warm queries."""
-    coords = sample_coords(md_store, sample_size, seed)
+    coords = sample_coords(tbl_store, sample_size, seed)
 
     results = {}
     misses = {}

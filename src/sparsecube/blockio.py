@@ -206,10 +206,6 @@ class BlockReader(Closing):
         except Exception:
             pass
 
-    @property
-    def block_count(self) -> int:
-        return (self.file_size + self.block_size - 1) // self.block_size
-
     def _load_block(self, block_no: int) -> bytes:
         return os.pread(self._fd, self.block_size, block_no * self.block_size)
 

@@ -52,14 +52,6 @@ def expected_time(p: float, c: RepConstants) -> float:
     return p * c.M + (1.0 - p) * c.D
 
 
-def cache_fraction(cached: int, total: int) -> float:
-    if total <= 0:
-        raise ValueError("total size must be positive")
-    if not 0 <= cached <= total:
-        raise ValueError(f"cached size {cached} outside [0, {total}]")
-    return cached / total
-
-
 def md_sufficient_threshold(params: CacheModelParams) -> float:
     """Below this table cached fraction, md wins regardless of its own caching."""
     md, tbl = params.md, params.tbl

@@ -67,8 +67,6 @@ def _add_param_flags(p) -> None:
     p.add_argument("--s-bits", dest="diff_bits", type=int, default=16,
                    help="bits per difference entry")
     p.add_argument("--stride", type=int, default=16, help="a checkpoint every N jumps")
-    p.add_argument("--block-size", type=int, default=4096,
-                   help="the table's page size in octets; no md scheme reads it")
 
 
 def cmd_gen(args) -> int:
@@ -101,12 +99,12 @@ def _shape(schema) -> str:
 def cmd_build(args) -> int:
     rel = _load_relation(args)
     if args.scheme == "table":
-        store = tablestore.build_table(rel, tablestore.TableParams(page_size=args.block_size))
+        store = tablestore.build_table(rel)
         tablestore.save_table(store, args.out)
         print(f"table: {store.n_rows} rows, {store.total_size()} octets "
               f"(index height {store.height})")
         return 0
-    store = mdstore.build_boc_with_retry(rel, args.scheme, _store_params(args))
+    store = mdstore.build_store(rel, args.scheme, _store_params(args))
     mdstore.save(store, args.out)
     report = store.size_report()
     print(f"{args.scheme}: {store.n_cells} cells, disk {report.disk_total} octets, "
@@ -155,11 +153,11 @@ def cmd_sizes(args) -> int:
     rel = _load_relation(args)
     params = _store_params(args)
 
-    table = tablestore.build_table(rel, tablestore.TableParams(page_size=args.block_size))
+    table = tablestore.build_table(rel)
     base_size = table.total_size()
     rows = [("table_uncompressed", base_size)]
     for scheme in mdstore.SCHEMES:
-        report = mdstore.build_boc_with_retry(rel, scheme, params).size_report()
+        report = mdstore.build_store(rel, scheme, params).size_report()
         if scheme == "dhc":
             rows.append(("dhc_disk", report.disk_total))
             rows.append(("dhc_memory", report.memory_total))

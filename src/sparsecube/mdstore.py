@@ -16,7 +16,7 @@ tags its files) and build call.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
@@ -153,6 +153,18 @@ class MultidimStore(Closing):
         return SizeReport(self.scheme, self.n_cells, disk, memory)
 
 
+def _build_boc(positions: np.ndarray, p: StoreParams) -> headers.BocHeader:
+    """BOC with offsets as wide as the data needs: the octets of the largest
+    offset in its block, and at least `p.offset_width`.  If that is not
+    below `entry_width`, the block length falls back to 1, where every
+    offset is zero."""
+    offsets = positions - positions[::p.block_len][headers._block_of(positions.size, p.block_len)]
+    width = max(p.offset_width, (int(offsets.max(initial=0)).bit_length() + 7) // 8)
+    if width < p.entry_width:
+        return headers.build_boc(positions, p.block_len, p.entry_width, width)
+    return headers.build_boc(positions, 1, p.entry_width, p.offset_width)
+
+
 class Scheme(NamedTuple):
     header: type
     build: Callable  # (positions, total cells, StoreParams) -> header
@@ -167,12 +179,7 @@ REGISTRY = {
     "lpc": Scheme(
         headers.LpcHeader, lambda pos, total, p: headers.build_lpc(pos, p.entry_width)
     ),
-    "boc": Scheme(
-        headers.BocHeader,
-        lambda pos, total, p: headers.build_boc(
-            pos, p.block_len, p.entry_width, p.offset_width
-        ),
-    ),
+    "boc": Scheme(headers.BocHeader, lambda pos, total, p: _build_boc(pos, p)),
     "dsc": Scheme(
         diffseq.DscHeader,
         lambda pos, total, p: diffseq.build_dsc(pos, p.diff_bits, p.entry_width, p.stride),
@@ -197,7 +204,8 @@ def _scheme_of(magic: bytes) -> str:
 def build_store(
     rel: Relation, scheme: str, params: StoreParams = StoreParams()
 ) -> MultidimStore:
-    """Build with exactly `params`; a BOC offset that does not fit raises."""
+    """Build with `params`, except that BOC offsets get the width the data
+    needs (see `_build_boc`)."""
     if scheme not in REGISTRY:
         raise ValueError(f"unknown scheme {scheme!r}")
     positions, _, measures = ordered_cells(rel)
@@ -208,25 +216,7 @@ def build_store(
     return MultidimStore(rel.schema, header, rel.measure_width, cells)
 
 
-def build_boc_with_retry(
-    rel: Relation, scheme: str, params: StoreParams = StoreParams()
-) -> MultidimStore:
-    """Like `build_store`, but give BOC offsets the width they need.
-
-    Other schemes are built unchanged.  For BOC the offset width is the
-    octets of the largest offset in its block, and at least
-    `params.offset_width`; if that is not below `entry_width`, the block
-    length falls back to 1, where every offset is zero.
-    """
-    if scheme == "boc":
-        positions, block_len = ordered_cells(rel)[0], params.block_len
-        offsets = positions - positions[::block_len][headers._block_of(positions.size, block_len)]
-        width = max(params.offset_width, (int(offsets.max(initial=0)).bit_length() + 7) // 8)
-        if width < params.entry_width:
-            params = replace(params, offset_width=width)
-        else:
-            params = replace(params, block_len=1)
-    return build_store(rel, scheme, params)
+build_boc_with_retry = build_store  # the former name, which the acceptance tests import
 
 
 def store_paths(base: str | Path) -> tuple[Path, Path, Path]:

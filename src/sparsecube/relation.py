@@ -359,7 +359,6 @@ def logical_position_sequence(rel: Relation) -> list[int]:
 
 @dataclass(frozen=True)
 class IngestConfig:
-    delimiter: str = ","
     has_header: bool = False
     sorted_values: bool = False
     declared_values: tuple[tuple[str, ...], ...] | None = None
@@ -380,7 +379,7 @@ CHUNK_RECORDS = 512
 
 
 def ingest_delimited(path: str | Path, config: IngestConfig = IngestConfig()) -> IngestResult:
-    """Load a relation from delimited text, one `dim...,measure` row per cell.
+    """Load a relation from comma-separated text, one `dim...,measure` row per cell.
 
     Dimension values are indexed in first-seen order (or sorted when the
     config asks for it) unless pre-declared.  Duplicate keys are
@@ -410,7 +409,7 @@ def ingest_delimited(path: str | Path, config: IngestConfig = IngestConfig()) ->
     undeclared: IngestError | None = None
     seen = 1 if config.has_header else 0  # records read before the chunk
     with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.reader(f, delimiter=config.delimiter)
+        reader = csv.reader(f)
         if config.has_header:
             _next_chunk(reader, 0, 1)
         while chunk := _next_chunk(reader, seen, CHUNK_RECORDS):

@@ -12,12 +12,14 @@ module refuses to import on a big-endian host.  All of it goes through the
 same block-access layer as the multidimensional store: from the files for a
 loaded table, from memory for a freshly built one.
 
-Page 0 of the index is the meta page: the seven `META_FIELDS` in the
-envelope every header file has (`headers.write_envelope`), padded with
-zeros to the page size.  The whole index follows from the sorted row keys
-and the page size (`_index_bytes`): a build writes it, and a load checks
-the rows (`_row_keys`: whole rows, each coordinate within its dimension,
-keys in order) and then the saved index against it octet for octet.  So a
+Index pages are `PAGE_SIZE` octets, the size of the multidimensional
+store's cell blocks.  Page 0 of the index is the meta page: the seven
+`META_FIELDS` in the envelope every header file has
+(`headers.write_envelope`), padded with zeros to the page size.  The whole
+index follows from the sorted row keys (`_index_bytes`): a build writes it,
+and a load checks the rows (`_row_keys`: whole rows, each coordinate within
+its dimension, keys in order) and then the saved index against it octet for
+octet, so an index written at another page size is refused.  So a
 loaded index is canonical, and `block_touches` works out from a row's rank
 alone which blocks its query reads.  `point_query` still checks every page
 it reads, since a file can change after it is loaded.
@@ -28,16 +30,16 @@ from __future__ import annotations
 import struct
 import sys
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from contextlib import ExitStack
 from operator import mul
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .blockio import MAX_BLOCK_SIZE, BlockReader, BytesReader, Closing, SimCache
+from .blockio import BlockReader, BytesReader, Closing, SimCache
 from .errors import FormatError
-from .headers import read_envelope, write_envelope
+from .headers import write_envelope
 from .relation import (
     MEASURE_FORMATS,
     DimensionSchema,
@@ -49,20 +51,15 @@ from .relation import (
 )
 
 COORD_WIDTH = 4
+PAGE_SIZE = 4096  # octets per index page, and about per row group
 _IDX_MAGIC = b"TIDX"
 _ENTRY = struct.Struct("<QQ")  # key, child page or row group
 _COUNT = struct.Struct("<H")
 META_FIELDS = (
     "page_size", "row_width", "n_rows", "rows_per_group", "n_groups", "root_page", "height",
 )
-_META_END = len(write_envelope(_IDX_MAGIC, *[0] * len(META_FIELDS)))  # the meta page's prefix
 if sys.byteorder != "little":  # lookups cast the little-endian pages in native order
     raise ImportError("sparsecube's table lookups need a little-endian host")
-
-
-@dataclass(frozen=True)
-class TableParams:
-    page_size: int = 4096
 
 
 def _rows_per_group(page_size: int, row_width: int) -> int:
@@ -265,14 +262,15 @@ def _index_bytes(positions: np.ndarray, page_size: int, row_width: int) -> tuple
     return meta.ljust(page_size, b"\0") + b"".join(pages), level_first
 
 
-def build_table(rel: Relation, params: TableParams = TableParams()) -> TableStore:
-    page_size = params.page_size
+def build_table(rel: Relation) -> TableStore:
+    """The table of `rel`, in `PAGE_SIZE`-octet pages.  A row wider than a
+    page raises ValueError."""
+    page_size = PAGE_SIZE
     positions, coords, measures = ordered_cells(rel)
     n_dims = rel.schema.n_dims
     row_width = n_dims * COORD_WIDTH + rel.measure_width
-    if row_width > page_size or not _META_END <= page_size <= MAX_BLOCK_SIZE:
-        raise ValueError(f"a page must hold a row and the {_META_END}-octet meta prefix, "
-                         f"in at most {MAX_BLOCK_SIZE} octets")
+    if row_width > page_size:
+        raise ValueError(f"a row of {row_width} octets does not fit a {page_size}-octet page")
 
     dtype = np.dtype([("c", "<u4", (n_dims,)), ("m", MEASURE_FORMATS[rel.measure_width])])
     rows_arr = np.empty(len(positions), dtype=dtype)
@@ -301,32 +299,28 @@ def save_table(store: TableStore, base: str | Path) -> None:
 
 def load_table(base: str | Path, cache: SimCache | None = None) -> TableStore:
     """The table saved at `base`.  Its rows must pass `_row_keys`, and its
-    index must be, octet for octet, the one `_index_bytes` makes of them."""
+    index must be, octet for octet, the one `_index_bytes` makes of them at
+    `PAGE_SIZE`."""
+    page_size = PAGE_SIZE
     schema_p, rows_p, idx_p = table_paths(base)
     schema, measure_width = schema_from_json(schema_p.read_bytes())
-    with open(idx_p, "rb") as f:
-        meta, _ = read_envelope(f.read(_META_END), _IDX_MAGIC, len(META_FIELDS))
-    page_size = meta[0]
-    if not _META_END <= page_size <= MAX_BLOCK_SIZE:
-        raise FormatError(f"page size {page_size} is not in {_META_END}..{MAX_BLOCK_SIZE}")
     row_width = schema.n_dims * COORD_WIDTH + measure_width
     # Row groups are the natural I/O unit of the packed row file; reading in
     # group-sized blocks keeps every query on exactly one rows-file block.
-    rows = BlockReader(
-        rows_p,
-        block_size=_rows_per_group(page_size, row_width) * row_width,
-        cache=cache,
-        name="tbl.rows",
-    )
-    idx = BlockReader(idx_p, block_size=page_size, cache=cache, name="tbl.idx")
-    try:
+    with ExitStack() as opened:  # closes what is open if the checks raise
+        rows = opened.enter_context(BlockReader(
+            rows_p,
+            block_size=_rows_per_group(page_size, row_width) * row_width,
+            cache=cache,
+            name="tbl.rows",
+        ))
+        idx = opened.enter_context(
+            BlockReader(idx_p, block_size=page_size, cache=cache, name="tbl.idx")
+        )
         index, level_first = _index_bytes(
             _row_keys(rows.contents(), schema, row_width), page_size, row_width
         )
         if idx.file_size != len(index) or idx.contents() != index:
             raise FormatError("the index is not the one its rows and page size give")
-    except BaseException:
-        rows.close()
-        idx.close()
-        raise
+        opened.pop_all()
     return TableStore(schema, measure_width, rows, idx, level_first)

@@ -276,9 +276,11 @@ def small_page_pair(tmp_path_factory):
     rel = generate(SynthSpec((30, 20, 16), density=0.12, clustering=0.4, seed=11))
     st = mdstore.build_store(rel, "dhc", mdstore.StoreParams(diff_bits=4, stride=16))
     mdstore.save(st, tmp / "md")
-    tb = tablestore.build_table(rel, tablestore.TableParams(page_size=128))
-    assert tb.height >= 3
-    tablestore.save_table(tb, tmp / "tbl")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tablestore, "PAGE_SIZE", 128)
+        tb = tablestore.build_table(rel)
+        assert tb.height >= 3
+        tablestore.save_table(tb, tmp / "tbl")
     return tmp
 
 
@@ -308,7 +310,8 @@ class TestSweepPinned:
             (557, 643, 2441, 1159),
         )
 
-    def test_three_level_index(self, small_page_pair):
+    def test_three_level_index(self, small_page_pair, monkeypatch):
+        monkeypatch.setattr(tablestore, "PAGE_SIZE", 128)  # the load's page size too
         assert pinned_sweep(small_page_pair) == (
             "c3d82c6cf19442369f51462c648c99f6e1d8e35e78f0918bffffb284c422579c",
             (479, 721, 3994, 2006),

@@ -4,7 +4,6 @@ from hypothesis import given, strategies as st
 from sparsecube.cachemodel import (
     CacheModelParams,
     RepConstants,
-    cache_fraction,
     expected_time,
     load_params,
     md_faster_iff,
@@ -54,19 +53,6 @@ class TestExpectedTime:
     def test_monotone_non_increasing(self, p1, p2):
         lo, hi = sorted((p1, p2))
         assert expected_time(hi, TPCD.md) <= expected_time(lo, TPCD.md)
-
-
-class TestCacheFraction:
-    def test_values(self):
-        assert cache_fraction(0, 100) == 0.0
-        assert cache_fraction(100, 100) == 1.0
-        assert cache_fraction(25, 100) == 0.25
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            cache_fraction(101, 100)
-        with pytest.raises(ValueError):
-            cache_fraction(-1, 100)
 
 
 class TestThresholds:

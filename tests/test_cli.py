@@ -21,6 +21,10 @@ def run(*argv):
     return main([str(a) for a in argv])
 
 
+# Every numeric flag is tried at each of these values, one flag at a time.
+EDGES = (*map(str, (-1, 0, 1, 3, 7, 9, 65, 10**12, 10**23, 2**63, 2**64 - 1, 2**64)), "nan", "inf")
+
+
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
     """gen -> build every representation once; reused across tests."""
@@ -256,14 +260,20 @@ class TestEstimateSweep:
             "a9338d2eeaf79504f56273ea8a29b7b275c69bd09c8b9da8c05f7a9d0f3ea82a"
         )
 
-    @pytest.mark.parametrize("value", ["512", "0", str(10**12), str(10**23)])
-    @pytest.mark.parametrize("command", ["estimate", "sweep"])
+    @pytest.mark.parametrize("value", ["512", "4096", *EDGES])
+    @pytest.mark.parametrize("command", ["build:table", "build:lpc", "sizes", "estimate", "sweep"])
     def test_md_block_size_is_a_usage_error(self, workspace, tmp_path, capsys, command, value):
-        # The md cell file is always read in 4096-octet blocks.
-        extra = ("--constants", workspace / "none.json") if command == "sweep" else ()
+        # The md cell file and the table's pages are always 4096-octet blocks.
+        command, _, scheme = command.partition(":")
+        argv = {
+            "build": ("--in", workspace / "rel.csv", "--scheme", scheme),
+            "sizes": ("--in", workspace / "rel.csv"),
+            "estimate": ("--md-store", workspace / "dhc", "--table-store", workspace / "table"),
+            "sweep": ("--md-store", workspace / "dhc", "--table-store", workspace / "table",
+                      "--constants", workspace / "none.json"),
+        }[command]
         with pytest.raises(SystemExit) as exc:
-            run(command, "--md-store", workspace / "dhc", "--table-store", workspace / "table",
-                *extra, "--block-size", value, "--out", tmp_path / "out")
+            run(command, *argv, "--block-size", value, "--out", tmp_path / "out")
         assert exc.value.code == 2
         assert "unrecognized arguments: --block-size" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
@@ -360,8 +370,6 @@ class TestUnpairedStores:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
 
 
-# Every numeric flag is tried at each of these values, one flag at a time.
-EDGES = (*map(str, (-1, 0, 1, 3, 7, 9, 65, 10**12, 10**23, 2**63, 2**64 - 1, 2**64)), "nan", "inf")
 MD_FLAGS = ("--entry-width", "--offset-width", "--block-len", "--s-bits", "--stride")
 # Each subcommand variant's numeric flags.  A build tries each parameter on the
 # schemes that read it and on LPC, which ignores all but the entry width.
@@ -369,14 +377,14 @@ FUZZED = {
     "gen": ("--dims", "--density", "--clustering", "--seed"),
     "ingest": (),
     "build:schc": ("--entry-width",),
-    "build:lpc": MD_FLAGS + ("--block-size",),
+    "build:lpc": MD_FLAGS,
     "build:boc": ("--entry-width", "--offset-width", "--block-len"),
     "build:dsc": ("--entry-width", "--s-bits", "--stride"),
     "build:dhc": ("--entry-width", "--s-bits", "--stride"),
-    "build:table": ("--block-size",),
+    "build:table": (),
     "query:dhc": ("--coords",),
     "query:table": ("--coords",),
-    "sizes": MD_FLAGS + ("--block-size",),
+    "sizes": MD_FLAGS,
     "estimate": ("--samples", "--seed"),
     "sweep": ("--points", "--samples", "--passes", "--seed", "--budget-list"),
 }
@@ -395,8 +403,6 @@ ESCAPES = [
     ("sizes", "--entry-width", "-1", 1, "entry_width"),
     ("build:dsc", "--stride", T23, 1, "stride"),
     *[(key, "--block-len", v, 0, "") for key in ("build:boc", "sizes") for v in (T12, str(2**63))],
-    *[(key, "--block-size", v, 1, "meta prefix") for v in (T12, T23)
-      for key in ("build:table", "sizes")],
     *[("estimate", "--samples", v, 1, "sample size") for v in (T12, T23)],
     *[("sweep", "--points", v, 1, "budget points") for v in (T12, T23)],
     *[("sweep", flag, v, 1, "times passes")

@@ -15,7 +15,8 @@ from sparsecube.relation import DimensionSchema, Relation
 from sparsecube.synth import SynthSpec, generate
 
 
-def test_randomized_configs_agree_everywhere(tmp_path):
+def test_randomized_configs_agree_everywhere(tmp_path, monkeypatch):
+    monkeypatch.setattr(tablestore, "PAGE_SIZE", 256)
     rng = random.Random(77)
     for trial in range(12):
         n_dims = rng.randint(1, 4)
@@ -39,7 +40,7 @@ def test_randomized_configs_agree_everywhere(tmp_path):
             base = tmp_path / f"{trial}-{scheme}"
             mdstore.save(store, base)
             stores[scheme] = mdstore.load(base, cache=SimCache(1 << 30))
-        table = tablestore.build_table(rel, tablestore.TableParams(page_size=256))
+        table = tablestore.build_table(rel)
         try:
             probes = list(rel.cells) + [
                 tuple(rng.randrange(c) for c in cards) for _ in range(300)
@@ -84,9 +85,11 @@ def test_boc_width_retry_helper():
     )
     params = StoreParams(offset_width=2, block_len=16)
     with pytest.raises(OffsetOverflowError):
-        build_store(rel, "boc", params)
-    store = build_boc_with_retry(rel, "boc", params)
+        build_boc(positions, block_len=16, offset_width=2)
+    assert build_boc_with_retry is build_store
+    store = build_store(rel, "boc", params)
     assert store.header.offset_width == 3
+    assert store.header.block_len == 16
     for p in positions:
         assert store.point_query((p,)) == 1.0
 

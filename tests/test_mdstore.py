@@ -2,19 +2,17 @@ import hashlib
 import itertools
 import random
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sparsecube import mdstore, tablestore
+from sparsecube import headers, mdstore, tablestore
 from sparsecube.blockio import SimCache
 from sparsecube.errors import EmptyRelationError, FormatError, OffsetOverflowError, StoreError
 from sparsecube.mdstore import (
     SCHEMES,
     StoreParams,
-    build_boc_with_retry,
     build_store,
     load,
     save,
@@ -107,7 +105,7 @@ class TestBuild:
         for params, schemes in ((low, ("schc", "lpc", "dsc", "dhc")), (high, SCHEMES)):
             # A BOC offset must be narrower than its entry, so no BOC entry is one octet.
             for scheme in schemes:
-                header = build_boc_with_retry(rel, scheme, params).header
+                header = build_store(rel, scheme, params).header
                 loaded = type(header).from_bytes(header.to_bytes())
                 assert loaded.positions().tolist() == ordered_cells(rel)[0].tolist()
 
@@ -115,15 +113,15 @@ class TestBuild:
 def boc_by_trial(rel, params):
     """The BOC header one build per offset width gives: the first width from
     `params.offset_width` below `entry_width` whose offsets fit, else block
-    length 1.  `build_boc_with_retry` must match it without the trials."""
+    length 1.  `build_store` must match it without the trials."""
     positions, _, _ = ordered_cells(rel)
-    build, total = mdstore.REGISTRY["boc"].build, rel.schema.total_cells
-    for width in range(params.offset_width, params.entry_width):
+    block_len, entry_width = params.block_len, params.entry_width
+    for width in range(params.offset_width, entry_width):
         try:
-            return build(positions, total, replace(params, offset_width=width))
+            return headers.build_boc(positions, block_len, entry_width, width)
         except OffsetOverflowError:
             continue
-    return build(positions, total, replace(params, block_len=1))
+    return headers.build_boc(positions, 1, entry_width, params.offset_width)
 
 
 def outcome(make):
@@ -158,7 +156,7 @@ class TestBocWidth:
         params = StoreParams(entry_width=entry_width, offset_width=offset_width,
                              block_len=block_len)
         want = outcome(lambda: boc_by_trial(rel, params))
-        assert outcome(lambda: build_boc_with_retry(rel, "boc", params).header) == want
+        assert outcome(lambda: build_store(rel, "boc", params).header) == want
 
 
 class TestQueries:
@@ -275,7 +273,7 @@ class TestPersistence:
         # coder must write the same octets.
         rel = generate(spec)
         for scheme, digest in (("boc", boc), ("dhc", dhc)):
-            header = build_boc_with_retry(rel, scheme, params).header
+            header = build_store(rel, scheme, params).header
             data = header.to_bytes()
             assert hashlib.sha256(data).hexdigest() == digest
             assert type(header).from_bytes(data).positions().tolist() == header.positions().tolist()
@@ -457,7 +455,7 @@ class TestResidentHeap:
         rel = generate(SynthSpec((128, 128, 64), density=0.02, clustering=0.5, seed=1))
         tmp = tmp_path_factory.mktemp("heap")
         for rep, store in {
-            **{s: build_boc_with_retry(rel, s, StoreParams()) for s in SCHEMES},
+            **{s: build_store(rel, s, StoreParams()) for s in SCHEMES},
             "table": tablestore.build_table(rel),
         }.items():
             save_rep(rep, store, tmp / rep)

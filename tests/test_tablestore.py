@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 import math
 import random
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sparsecube import tablestore
 from sparsecube.blockio import MAX_BLOCK_SIZE, SimCache
 from sparsecube.errors import EmptyRelationError, FormatError
 from sparsecube.relation import (
@@ -18,7 +20,6 @@ from sparsecube.relation import (
 from sparsecube.synth import SynthSpec, generate
 from sparsecube.tablestore import (
     META_FIELDS,
-    TableParams,
     build_table,
     load_table,
     save_table,
@@ -28,6 +29,14 @@ from sparsecube.tablestore import (
 
 def meta(table):
     return tuple(getattr(table, name) for name in META_FIELDS)
+
+
+@contextlib.contextmanager
+def pages_of(size):
+    """Tables build and load at `size`-octet pages inside the block."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tablestore, "PAGE_SIZE", size)
+        yield
 
 
 @pytest.fixture(scope="module")
@@ -50,14 +59,16 @@ class TestBuild:
         with pytest.raises(EmptyRelationError):
             build_table(rel)
 
-    def test_height_bound(self):
+    def test_height_bound(self, monkeypatch):
+        monkeypatch.setattr(tablestore, "PAGE_SIZE", 512)
         rel = generate(SynthSpec((30, 30, 30), density=0.3, seed=1))
-        t = build_table(rel, TableParams(page_size=512))
+        t = build_table(rel)
         fanout = (512 - 2) // 16
         assert t.height <= math.ceil(math.log(t.n_groups, fanout)) + 1
 
-    def test_small_page_still_correct(self, relation):
-        t = build_table(relation, TableParams(page_size=128))
+    def test_small_page_still_correct(self, relation, monkeypatch):
+        monkeypatch.setattr(tablestore, "PAGE_SIZE", 128)
+        t = build_table(relation)
         assert t.height >= 2
         for coords, value in relation.iter_cells():
             assert t.point_query(coords) == value
@@ -104,10 +115,12 @@ class TestSearchOracle:
     @pytest.mark.parametrize("measure_width", [4, 8])
     @pytest.mark.parametrize("cards", ORACLE_CARDINALITIES, ids=lambda c: f"{len(c)}d")
     @pytest.mark.parametrize("page_size", [128, 512, 4096])
-    def test_built_and_loaded_match_relation(self, tmp_path, page_size, cards, measure_width):
+    def test_built_and_loaded_match_relation(self, tmp_path, monkeypatch, page_size, cards,
+                                             measure_width):
+        monkeypatch.setattr(tablestore, "PAGE_SIZE", page_size)
         rel = generate(SynthSpec(cards, density=0.35, seed=len(cards),
                                  measure_width=measure_width))
-        built = build_table(rel, TableParams(page_size=page_size))
+        built = build_table(rel)
         assert built.height >= {128: 3, 512: 2, 4096: 1}[page_size]
         probes = _oracle_probes(rel, built)
         want = [rel.get(c) for c in probes]
@@ -143,17 +156,20 @@ class TestPersistence:
             load_table(base)
 
     @pytest.mark.parametrize("page_size", [4096, 128])
-    def test_meta_page_is_the_envelope_padded_with_zeros(self, page_size):
+    def test_meta_page_is_the_envelope_padded_with_zeros(self, monkeypatch, page_size):
+        monkeypatch.setattr(tablestore, "PAGE_SIZE", page_size)
         rel = generate(SynthSpec((16, 16, 8), density=0.3, seed=2))
-        table = build_table(rel, TableParams(page_size=page_size))
+        table = build_table(rel)
         envelope = b"TIDX\x01" + struct.pack("<7Q", *meta(table))
         assert table._idx.contents()[:page_size] == envelope.ljust(page_size, b"\0")
 
     @pytest.mark.parametrize("page_size", [4096, 128])  # index height 1 and 3
     @pytest.mark.parametrize("field", META_FIELDS)
-    def test_meta_field_checked_against_files_and_schema(self, tmp_path, field, page_size):
+    def test_meta_field_checked_against_files_and_schema(self, tmp_path, monkeypatch, field,
+                                                         page_size):
+        monkeypatch.setattr(tablestore, "PAGE_SIZE", page_size)
         rel = generate(SynthSpec((16, 16, 8), density=0.3, seed=2))
-        table = build_table(rel, TableParams(page_size=page_size))
+        table = build_table(rel)
         base = tmp_path / "m"
         save_table(table, base)
         with load_table(base) as loaded:
@@ -169,10 +185,26 @@ class TestPersistence:
             with pytest.raises(FormatError):
                 load_table(base)
 
-    def test_page_size_bound(self, relation):
-        with pytest.raises(ValueError, match=f"in at most {MAX_BLOCK_SIZE} octets"):
-            build_table(relation, TableParams(page_size=MAX_BLOCK_SIZE + 1))
-        assert build_table(relation, TableParams(page_size=MAX_BLOCK_SIZE)).height == 1
+    @pytest.mark.parametrize("page_size", [64, 128, 512, 8192])
+    def test_index_at_another_page_size_is_format_error(self, tmp_path, relation, page_size):
+        with pages_of(page_size):
+            save_table(build_table(relation), tmp_path / "p")
+            with load_table(tmp_path / "p") as loaded:
+                assert loaded.page_size == page_size
+        with pytest.raises(FormatError, match="^the index is not the one"):
+            load_table(tmp_path / "p")
+
+    def test_a_row_must_fit_a_page(self):
+        # 4 octets a coordinate and 8 for the measure: 1022 dimensions fill
+        # a 4096-octet page, and 1023 overflow it.
+        for n_dims in (1022, 1023):
+            rel = Relation(DimensionSchema.from_cardinalities((1,) * n_dims),
+                           {(0,) * n_dims: 3.0})
+            if n_dims == 1022:
+                assert build_table(rel).point_query((0,) * n_dims) == 3.0
+            else:
+                with pytest.raises(ValueError, match="^a row of 4100 octets does not fit"):
+                    build_table(rel)
 
     @pytest.mark.parametrize("page_size", [MAX_BLOCK_SIZE + 1, 10**12, 2**64 - 1])
     def test_meta_page_size_past_the_bound_is_format_error(self, tmp_path, table, page_size):
@@ -181,7 +213,7 @@ class TestPersistence:
         idx = tmp_path / "p.idx"
         valid = idx.read_bytes()
         idx.write_bytes(valid[:5] + struct.pack("<Q", page_size) + valid[13:])
-        with pytest.raises(FormatError, match=f"^page size {page_size} is not in "):
+        with pytest.raises(FormatError, match="^the index is not the one"):
             load_table(base)
 
     @pytest.mark.parametrize("suffix", [".rows", ".idx"])
@@ -223,8 +255,9 @@ class TestPersistence:
                     raised += 1
         assert raised == damaged
 
-    def test_child_page_checked_on_query(self, tmp_path, relation):
-        table = build_table(relation, TableParams(page_size=128))
+    def test_child_page_checked_on_query(self, tmp_path, monkeypatch, relation):
+        monkeypatch.setattr(tablestore, "PAGE_SIZE", 128)
+        table = build_table(relation)
         assert table.height >= 2
         base = tmp_path / "c"
         save_table(table, base)
@@ -295,13 +328,14 @@ class TestPersistence:
 @pytest.fixture(scope="module", params=[4096, 128], ids=["two-pages", "three-levels"])
 def saved_index(request, tmp_path_factory):
     """A saved table whose index is the meta page and one root page, or
-    three levels high, and its valid index."""
-    table = build_table(generate(SynthSpec((16, 16, 8), density=0.3, seed=2)),
-                        TableParams(page_size=request.param))
-    assert table.height == {4096: 1, 128: 3}[request.param]
+    three levels high, its valid index and its page size."""
     base = tmp_path_factory.mktemp("index") / "t"
-    save_table(table, base)
-    return base, table._idx.contents()
+    with pages_of(request.param):
+        table = build_table(generate(SynthSpec((16, 16, 8), density=0.3, seed=2)))
+        assert table.height == {4096: 1, 128: 3}[request.param]
+        save_table(table, base)
+        load_table(base).close()
+    return base, table._idx.contents(), request.param
 
 
 class TestWholeIndexChecked:
@@ -309,13 +343,13 @@ class TestWholeIndexChecked:
     @settings(max_examples=150, deadline=None)
     def test_any_one_octet_changed_is_format_error(self, saved_index, data):
         """Padding included: the last octet of the root page is one."""
-        base, valid = saved_index
+        base, valid, page_size = saved_index
         offset = data.draw(st.one_of(st.just(len(valid) - 1), st.integers(0, len(valid) - 1)))
         value = data.draw(st.integers(0, 255).filter(lambda v: v != valid[offset]))
         idx = table_paths(base)[2]
         idx.write_bytes(valid[:offset] + bytes([value]) + valid[offset + 1 :])
         try:
-            with pytest.raises(FormatError):
+            with pages_of(page_size), pytest.raises(FormatError):
                 load_table(base)
         finally:
             idx.write_bytes(valid)
@@ -332,9 +366,11 @@ class _RecordingCache(SimCache):
 
 
 class TestBlockTouches:
-    def test_each_query_touches_meta_then_root_to_leaf_then_its_group(self, tmp_path):
+    def test_each_query_touches_meta_then_root_to_leaf_then_its_group(self, tmp_path,
+                                                                        monkeypatch):
+        monkeypatch.setattr(tablestore, "PAGE_SIZE", 128)
         rel = generate(SynthSpec((12, 10, 14), density=0.3, clustering=0.3, seed=3))
-        table = build_table(rel, TableParams(page_size=128))
+        table = build_table(rel)
         assert table.height == 3
         save_table(table, tmp_path / "b")
         positions = ordered_cells(rel)[0]

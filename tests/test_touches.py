@@ -7,6 +7,7 @@ tests hold both to what a live `point_query` sends to the cache, and
 `lru_misses`' own LRU loop to the one `SimCache.access` takes.
 """
 
+import contextlib
 import random
 import tempfile
 from pathlib import Path
@@ -59,26 +60,36 @@ def batch_touches(store, ranks):
     return [[(names[c % len(names)], c // len(names)) for c in row] for row in codes.tolist()]
 
 
-def representations(rel, base: Path, params, table_params):
+@contextlib.contextmanager
+def pages_of(size):
+    """Tables build and load at `size`-octet pages inside the block."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tablestore, "PAGE_SIZE", size)
+        yield
+
+
+def representations(rel, base: Path, params, page_size):
     """All six representations of `rel`, built and then loaded."""
     for scheme in mdstore.SCHEMES:
-        built = mdstore.build_boc_with_retry(rel, scheme, params)
+        built = mdstore.build_store(rel, scheme, params)
         mdstore.save(built, base / scheme)
         yield f"{scheme}-built", built
         yield f"{scheme}-loaded", mdstore.load(base / scheme)
-    built = tablestore.build_table(rel, table_params)
-    tablestore.save_table(built, base / "table")
+    with pages_of(page_size):
+        built = tablestore.build_table(rel)
+        tablestore.save_table(built, base / "table")
+        loaded = tablestore.load_table(base / "table")
     yield "table-built", built
-    yield "table-loaded", tablestore.load_table(base / "table")
+    yield "table-loaded", loaded
 
 
-def check_all(rel, seed, params=mdstore.StoreParams(), table_params=tablestore.TableParams()):
+def check_all(rel, seed, params=mdstore.StoreParams(), page_size=tablestore.PAGE_SIZE):
     """The codes of every stored rank, in shuffled order, against its live query."""
     positions = ordered_cells(rel)[0]
     ranks = list(range(len(positions)))
     random.Random(seed).shuffle(ranks)
     with tempfile.TemporaryDirectory() as tmp:
-        for name, store in representations(rel, Path(tmp), params, table_params):
+        for name, store in representations(rel, Path(tmp), params, page_size):
             with store:
                 want = live_touches(store, rel.schema, positions[ranks].tolist())
                 assert batch_touches(store, ranks) == want, name
@@ -87,8 +98,9 @@ def check_all(rel, seed, params=mdstore.StoreParams(), table_params=tablestore.T
 class TestTouchesMatchLiveQueries:
     def test_three_level_index(self):
         rel = generate(SynthSpec((30, 20, 16), density=0.12, clustering=0.4, seed=11))
-        assert tablestore.build_table(rel, tablestore.TableParams(page_size=128)).height >= 3
-        check_all(rel, 1, mdstore.StoreParams(diff_bits=4), tablestore.TableParams(128))
+        with pages_of(128):
+            assert tablestore.build_table(rel).height >= 3
+        check_all(rel, 1, mdstore.StoreParams(diff_bits=4), 128)
 
     def test_default_parameters(self):
         check_all(generate(SynthSpec((40, 40, 24), density=0.13, seed=6)), 2)
@@ -106,10 +118,7 @@ class TestTouchesMatchLiveQueries:
     def test_random_relations(self, cards, density, clustering, seed, measure_width,
                               page_size, diff_bits):
         rel = generate(SynthSpec(tuple(cards), density, clustering, seed, measure_width))
-        check_all(
-            rel, seed, mdstore.StoreParams(diff_bits=diff_bits, stride=4),
-            tablestore.TableParams(page_size),
-        )
+        check_all(rel, seed, mdstore.StoreParams(diff_bits=diff_bits, stride=4), page_size)
 
 
 DAMAGES = [
@@ -123,9 +132,10 @@ class TestTouchChecks:
     reads it once the table is loaded."""
 
     @pytest.fixture
-    def saved(self, tmp_path):
+    def saved(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(tablestore, "PAGE_SIZE", 128)
         rel = generate(SynthSpec((12, 10, 14), density=0.3, clustering=0.3, seed=3))
-        table = tablestore.build_table(rel, tablestore.TableParams(page_size=128))
+        table = tablestore.build_table(rel)
         assert table.height == 3
         tablestore.save_table(table, tmp_path / "t")
         return rel, table, tmp_path / "t"
@@ -168,12 +178,11 @@ class TestTouchChecks:
 
 class TestReplay:
     @pytest.fixture
-    def pair(self, tmp_path):
+    def pair(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(tablestore, "PAGE_SIZE", 128)
         rel = generate(SynthSpec((30, 20, 16), density=0.12, clustering=0.4, seed=11))
         mdstore.save(mdstore.build_store(rel, "dhc"), tmp_path / "md")
-        tablestore.save_table(
-            tablestore.build_table(rel, tablestore.TableParams(page_size=128)), tmp_path / "t"
-        )
+        tablestore.save_table(tablestore.build_table(rel), tmp_path / "t")
         return rel, tmp_path
 
     @pytest.mark.parametrize("capacity", [0, 150, 700, 5000, 1 << 30])
@@ -220,12 +229,13 @@ class TestReplay:
             for i, (bs, whole, tail) in enumerate(shapes)
         ]
         n = len(readers)
+        # Each reader's whole blocks and then its tail block.
         code = st.integers(0, n - 1).flatmap(
-            lambda r: st.integers(0, readers[r].block_count - 1).map(lambda b: b * n + r)
+            lambda r: st.integers(0, shapes[r][1]).map(lambda b: b * n + r)
         )
         queries, width = draw(st.integers(0, 12)), draw(st.integers(0, 5))
         grid = [draw(st.lists(code, min_size=width, max_size=width)) for _ in range(queries)]
-        tails = [r.file_size - (r.block_count - 1) * r.block_size for r in readers]
+        tails = [min(tail, bs - 1) for bs, _, tail in shapes]
         largest = max(r.block_size for r in readers)
         total = max(largest, sum(r.file_size for r in readers))  # holds them all
         capacity = draw(st.one_of(
