@@ -34,7 +34,7 @@ def _write_relation_csv(rel: Relation, path: str) -> None:
         for dim, column in zip(rel.schema.dimensions, coords.T.tolist())
     ]
     with open(path, "w", newline="", encoding="utf-8") as f:
-        csv.writer(f).writerows(zip(*columns, map(repr, measures.tolist())))
+        csv.writer(f, lineterminator="\n").writerows(zip(*columns, map(repr, measures.tolist())))
 
 
 def _ingest(args) -> IngestResult:

@@ -11,57 +11,71 @@ def datafile(tmp_path):
     return p
 
 
+def read(cache, key, data):
+    """One live read of the block `key`, which holds `data`: `get`, and on a
+    miss `put`, as `BlockReader.read_at` does.  Returns what the read gives."""
+    cached = cache.get(key)
+    if cached is None:
+        cache.put(key, data)
+        return data
+    return cached
+
+
 class TestSimCache:
     def test_hit_miss_counting(self):
         cache = SimCache(capacity=1 << 20)
-        loads = []
-
-        def loader(v):
-            return lambda: loads.append(v) or bytes([v])
-
-        assert cache.access(("f", 0), loader(1)) == bytes([1])
+        assert cache.get(("f", 0)) is None
         assert cache.misses == 1 and cache.hits == 0
-        assert cache.access(("f", 0), loader(2)) == bytes([1])
+        cache.put(("f", 0), bytes([1]))
+        assert cache.misses == 1 and cache.hits == 0
+        assert cache.get(("f", 0)) == bytes([1])
         assert cache.misses == 1 and cache.hits == 1
-        assert loads == [1]
+        assert read(cache, ("f", 0), bytes([2])) == bytes([1])
+        assert cache.misses == 1 and cache.hits == 2
 
     def test_lru_eviction(self):
         block = bytes(4096)
         cache = SimCache(capacity=2 * 4096)
-        cache.access(("f", 0), lambda: block)
-        cache.access(("f", 1), lambda: block)
-        cache.access(("f", 0), lambda: block)  # refresh 0
-        cache.access(("f", 2), lambda: block)  # evicts 1
+        read(cache, ("f", 0), block)
+        read(cache, ("f", 1), block)
+        read(cache, ("f", 0), block)  # refresh 0
+        read(cache, ("f", 2), block)  # evicts 1
         assert cache.resident_blocks == 2
-        cache.access(("f", 1), lambda: block)
+        read(cache, ("f", 1), block)
         assert cache.misses == 4  # 0, 1, 2, then 1 again after eviction
 
     def test_zero_capacity_caches_nothing(self):
         cache = SimCache(capacity=0)
         for _ in range(3):
-            cache.access(("f", 0), lambda: b"z")
+            read(cache, ("f", 0), b"z")
         assert cache.misses == 3
         assert cache.used_bytes == 0
 
     def test_set_capacity_shrinks(self):
         cache = SimCache(capacity=4 * 4096)
         for i in range(4):
-            cache.access(("f", i), lambda: bytes(4096))
+            read(cache, ("f", i), bytes(4096))
         cache.set_capacity(2 * 4096)
         assert cache.resident_blocks == 2
 
     def test_used_counts_actual_bytes(self):
         cache = SimCache(capacity=1 << 20)
-        cache.access(("a", 0), lambda: bytes(4096))
-        cache.access(("b", 0), lambda: bytes(100))  # short tail block
+        read(cache, ("a", 0), bytes(4096))
+        read(cache, ("b", 0), bytes(100))  # short tail block
         assert cache.used_bytes == 4196
 
     def test_block_too_large_for_capacity_not_stored(self):
         cache = SimCache(capacity=10)
-        cache.access(("f", 0), lambda: bytes(100))
+        read(cache, ("f", 0), bytes(100))
         assert cache.used_bytes == 0
-        cache.access(("f", 0), lambda: bytes(100))
+        read(cache, ("f", 0), bytes(100))
         assert cache.misses == 2
+
+    def test_put_keeps_a_block_already_resident(self):
+        cache = SimCache(capacity=1 << 20)
+        read(cache, ("f", 0), bytes([1]))
+        cache.put(("f", 0), bytes([2]))
+        assert (cache.get(("f", 0)), cache.used_bytes) == (bytes([1]), 1)
 
 
 class TestBlockReader:
@@ -180,3 +194,13 @@ class TestBlockReader:
             path.write_bytes(bytes(9999))
             with pytest.raises(FormatError, match="holds 9999 octets, not 10000"):
                 r.contents()
+
+    def test_block_of_a_file_cut_short_is_format_error(self, datafile):
+        cache = SimCache(capacity=1 << 20)
+        with BlockReader(datafile, cache=cache, name="blob") as r:
+            with open(datafile, "r+b") as f:
+                f.truncate(10237)
+            assert r.read_at(0, 8) == bytes(range(8))  # a whole block still reads
+            with pytest.raises(FormatError, match="blob block 2 holds 2045 octets, not 2048"):
+                r.read_at(8192, 8)
+        assert (cache.misses, cache.resident_blocks) == (2, 1)

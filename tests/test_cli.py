@@ -13,7 +13,9 @@ import sparsecube
 from sparsecube import mdstore, tablestore
 from sparsecube.cli import main
 from sparsecube.errors import FormatError
-from sparsecube.relation import Dimension, DimensionSchema, Relation, ordered_cells
+from sparsecube.relation import (
+    Dimension, DimensionSchema, Relation, ingest_delimited, ordered_cells,
+)
 from sparsecube.synth import SynthSpec, generate
 
 
@@ -45,6 +47,19 @@ class TestGenIngest:
             assert run("gen", "--dims", "6,5", "--density", "0.4",
                        "--clustering", "0.7", "--seed", "3", "--out", out) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_gen_writes_newline_line_ends(self, tmp_path):
+        out = tmp_path / "rel.csv"
+        assert run("gen", "--dims", "6,5", "--density", "0.4", "--seed", "3", "--out", out) == 0
+        raw = out.read_bytes()
+        assert b"\r" not in raw and raw.endswith(b"\n")
+        crlf = tmp_path / "crlf.csv"  # the same rows with the csv module's default line ends
+        crlf.write_bytes(raw.replace(b"\n", b"\r\n"))
+        got, want = (ingest_delimited(p).relation for p in (out, crlf))
+        assert got.cells == want.cells and got.n_cells > 0
+        assert [d.values for d in got.schema.dimensions] == [
+            d.values for d in want.schema.dimensions
+        ]
 
     def test_ingest_summary(self, workspace, capsys):
         assert run("ingest", "--in", workspace / "rel.csv") == 0

@@ -1,6 +1,7 @@
 """Randomized whole-store checks cutting across modules."""
 
 import random
+import sys
 import threading
 
 import pytest
@@ -120,3 +121,50 @@ def test_concurrent_queries_through_shared_cache(tmp_path):
         t.join()
     loaded.close()
     assert not errors
+
+
+def test_counters_stay_exact_under_threads(tmp_path):
+    """Eight threads probe stored cells of a loaded md store and a loaded
+    table, each on a cache that evicts: every answer is right, and each
+    cache counts one hit or one miss per block read, 1 per md query and
+    `height + 2` per table query."""
+    rel = generate(SynthSpec((32, 32, 32), density=0.2, seed=6))
+    mdstore.save(build_store(rel, "lpc"), tmp_path / "m")
+    tablestore.save_table(tablestore.build_table(rel), tmp_path / "t")
+    md_cache, tbl_cache = SimCache(2 * 4096), SimCache(3 * 4096)
+    md = mdstore.load(tmp_path / "m", cache=md_cache)
+    table = tablestore.load_table(tmp_path / "t", cache=tbl_cache)
+    probes = list(rel.cells)
+    queries = 500
+    errors = []
+
+    def worker(seed):
+        rng = random.Random(seed)
+        for _ in range(queries):
+            coords = rng.choice(probes)
+            try:
+                for store in (md, table):
+                    if store.point_query(coords) != rel.get(coords):
+                        errors.append((store, coords))
+            except Exception as exc:  # noqa: BLE001
+                errors.append(exc)
+
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, mid-read too
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    md.close()
+    table.close()
+    assert not errors
+    blocks = (md.readers()[0].file_size // 4096 + 1, table.n_groups + table.root_page + 1)
+    for cache, per_query, n_blocks in zip((md_cache, tbl_cache), (1, table.height + 2), blocks):
+        assert cache.hits + cache.misses == 8 * queries * per_query
+        assert cache.misses > n_blocks  # blocks were evicted and read again
+        assert cache.used_bytes <= cache.capacity

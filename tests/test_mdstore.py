@@ -223,6 +223,26 @@ class TestPersistence:
             save_rep(rep, loaded, tmp_path / "b")
             assert (cache.hits, cache.misses, list(cache._resident)) == before
 
+    @pytest.mark.parametrize("rep", REPS)
+    def test_cells_or_rows_cut_short_after_the_load_are_format_error(
+        self, tmp_path, relation, built, rep
+    ):
+        """A query on the last block of a `.cells` or `.rows` file that lost
+        3 octets since the load raises FormatError, and the cache holds
+        nothing of that block."""
+        save_rep(rep, built[rep], tmp_path / "a")
+        data, name = (
+            (rep_paths(rep, tmp_path / "a")[1], "tbl.rows") if rep == "table"
+            else (rep_paths(rep, tmp_path / "a")[2], "md.cells")
+        )
+        last = max(relation.cells)  # row-major: the last position, in the last block
+        cache = SimCache(capacity=1 << 30)
+        with load_rep(rep, tmp_path / "a", cache=cache) as loaded:
+            data.write_bytes(data.read_bytes()[:-3])
+            with pytest.raises(FormatError, match=rf"^{name} block \d+ holds \d+ octets, not \d+$"):
+                loaded.point_query(last)
+            assert all(name == "tbl.idx" for name, _ in cache._resident)
+
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_cells_size_must_match_header(self, tmp_path, stores, scheme):
         base = tmp_path / "c"

@@ -360,9 +360,9 @@ class _RecordingCache(SimCache):
         super().__init__(capacity=1 << 30)
         self.keys = []
 
-    def access(self, key, loader, *args):
+    def get(self, key):
         self.keys.append(key)
-        return super().access(key, loader, *args)
+        return super().get(key)
 
 
 class TestBlockTouches:

@@ -4,7 +4,7 @@ The memory sweep charges each sampled stored cell by the misses of the
 blocks `block_touches` says its query reads, worked out from the cell's
 rank and replayed through `blockio.lru_misses` from an empty cache.  These
 tests hold both to what a live `point_query` sends to the cache, and
-`lru_misses`' own LRU loop to the one `SimCache.access` takes.
+`lru_misses`' own LRU loop to the one `SimCache.get` and `put` take.
 """
 
 import contextlib
@@ -28,9 +28,9 @@ class RecordingCache(SimCache):
         super().__init__(capacity)
         self.keys = []
 
-    def access(self, key, loader, *args):
+    def get(self, key):
         self.keys.append(key)
-        return super().access(key, loader, *args)
+        return super().get(key)
 
 
 def live_touches(store, schema, positions):
@@ -187,7 +187,7 @@ class TestReplay:
 
     @pytest.mark.parametrize("capacity", [0, 150, 700, 5000, 1 << 30])
     @pytest.mark.parametrize("rep", ["md", "table"])
-    def test_replay_counts_what_access_counts(self, pair, rep, capacity):
+    def test_replay_counts_what_live_reads_count(self, pair, rep, capacity):
         rel, base = pair
         positions = ordered_cells(rel)[0]
         ranks = random.Random(capacity).choices(range(len(positions)), k=400)
@@ -215,9 +215,9 @@ class TestReplay:
 
     @given(data=st.data())
     @settings(max_examples=200, deadline=None)
-    def test_replay_matches_access(self, data):
+    def test_replay_matches_get_and_put(self, data):
         """A random grid of codes over 1-3 readers with short tails, one row
-        per query, gives the misses and resident octets that `access` gives
+        per query, gives the misses and resident octets that `get` and `put` give
         from an empty cache."""
         draw = data.draw
         shapes = draw(st.lists(
@@ -253,7 +253,9 @@ class TestReplay:
             live_used.append(live.used_bytes)
             before = live.misses
             for c in row:
-                live.access((readers[c % n].name, c // n), readers[c % n]._load_block, c // n)
+                reader, block = readers[c % n], c // n
+                if live.get((reader.name, block)) is None:
+                    live.put((reader.name, block), reader._load_block(block))
             live_misses.append(live.misses - before)
         live_used.append(live.used_bytes)
 
