@@ -170,7 +170,8 @@ def cmd_sizes(args) -> int:
         print(f"{name:<20}{size:>14}{percent:>9}%")
     if args.out:
         with open(args.out, "w", newline="") as f:
-            csv.writer(f).writerows([("representation", "octets", "percent"), *rows])
+            header = ("representation", "octets", "percent")
+            csv.writer(f, lineterminator="\n").writerows([header, *rows])
         print(f"wrote {args.out}")
     return 0
 

@@ -25,17 +25,27 @@ it already holds, and a load rebuilds it in one numpy pass over the stored
 differences (DHC decodes its whole stream with `huffman.decode_stream` for
 that).  Every cell's position comes from one `cumsum`; a load rejects
 positions that do not strictly increase, which is how a run past 2**64 - 1
-shows.  A DSC lookup unpacks its window in one `struct` call at 8, 16 and
-32 bits, and elsewhere masks and shifts each difference off one integer.  A
-DHC lookup decodes its window from a buffer that holds at least the longest
-code, masked only at a refill and before a code longer than the 11-bit
-table that settles short codes; a longer code is matched against each
-longer length's canonical range.  The table's all-zero slot goes the same
-way, and there the lookup steps over a whole run of the all-zero code at
-once: the buffer's leading zeros, counted by `int.bit_length()`, give the
-run's length, and a run of a positive gap d0 is resolved by arithmetic, a
-run of jumps by one `bisect`.  A load rejects a `diff_bits` outside
-1..MAX_DIFF_BITS, and DHC a codebook symbol wider.
+shows.  A load rejects a `diff_bits` outside 1..MAX_DIFF_BITS, and DHC a
+codebook symbol wider.
+
+Every header holds what a lookup relies on: difference data as long as the
+count, whole codes with no trailing octet, and as many zero differences as
+jumps.  A build has them by construction; made from fields or from a file,
+a header gets them checked by that decode.  `checkpoints` is no constructor
+argument, so no caller skips it; the builders, which hold the arrays
+already, go through the private `_built`.  Nothing changes a header once
+made, so the scans check none of it again.
+
+A DSC lookup unpacks its window in one `struct` call at 8, 16 and 32 bits,
+and elsewhere masks and shifts each difference off one integer.  A DHC
+lookup reads its window, from its entry's stream bit to the next entry's
+(or the stream's bit length), as one integer, and reads each code's slot of
+the 11-bit table at a falling bit offset; the window is masked only before
+a longer code, which is matched against each longer length's canonical
+range.  The table's all-zero slot goes the same way, and there the lookup
+steps over a whole run of the all-zero code at once: the window's leading
+zeros, counted by `int.bit_length()`, give the run's length, and a run of a
+positive gap d0 is resolved by arithmetic, a run of jumps by one `bisect`.
 """
 
 from __future__ import annotations
@@ -134,12 +144,13 @@ class Checkpoints:
     Coarse entry j: cell `cell[j]` sits at absolute position `pos[j]` in the
     run of jump `jump[j]`.  For DHC, `bit[j]` is the stream bit offset right
     after that cell's code, so a decoder started there yields the next
-    difference; DSC leaves `bit` and `fine_bit` empty.  Its block holds fine entries `first[j]` .. `first[j+1] - 1`,
-    the first of which is the coarse entry itself; fine entry e stands for
-    cell `cell[j] + fine_cell[e]` at `pos[j] + fine_pos[e]`, and so on for
-    the jump and the bit.  `cell` and `first` close with one entry more: the
-    cell count and the fine entry count.  Every column has the narrowest
-    typecode that holds its largest value in this store.
+    difference; DSC leaves `bit` and `fine_bit` empty.  Its block holds fine
+    entries `first[j]` .. `first[j+1] - 1`, the first of which is the coarse
+    entry itself; fine entry e stands for cell `cell[j] + fine_cell[e]` at
+    `pos[j] + fine_pos[e]`, and so on for the jump and the bit.  `cell` and
+    `first` close with one entry more: the cell count and the fine entry
+    count.  Every column has the narrowest typecode that holds its largest
+    value in this store.
     """
 
     pos: array
@@ -155,10 +166,11 @@ class Checkpoints:
     def memory_bytes(self) -> int:
         return held_bytes(*(getattr(self, f.name) for f in fields(self)))
 
-    def find(self, position: int) -> tuple[int, int, int, int, int] | None:
+    def find(self, position: int) -> tuple[int, int, int, int, int, int | None] | None:
         """The cell, position, jump index and bit offset of the last entry at
-        or before `position`, and the cell of the entry after it (or the cell
-        count); None before the first cell."""
+        or before `position`, then the cell and bit offset of the entry after
+        it; past the last entry, the cell count and None.  None before the
+        first cell.  DSC, with no bits, gets 0 and None."""
         j = bisect_right(self.pos, position) - 1
         if j < 0:
             return None
@@ -166,14 +178,20 @@ class Checkpoints:
         cell = self.cell[j]
         hi = self.first[j + 1]
         e = bisect_right(self.fine_pos, position - base, self.first[j], hi) - 1
-        limit = cell + self.fine_cell[e + 1] if e + 1 < hi else self.cell[j + 1]
-        bit = self.bit[j] + self.fine_bit[e] if self.bit else 0
+        bits = self.bit
+        if e + 1 < hi:
+            limit = cell + self.fine_cell[e + 1]
+            stop = bits[j] + self.fine_bit[e + 1] if bits else None
+        else:
+            limit = self.cell[j + 1]
+            stop = bits[j + 1] if j + 1 < len(bits) else None
         return (
             cell + self.fine_cell[e],
             base + self.fine_pos[e],
             self.jump[j] + self.fine_jump[e],
-            bit,
+            bits[j] + self.fine_bit[e] if bits else 0,
             limit,
+            stop,
         )
 
 
@@ -255,14 +273,22 @@ class DifferenceHeader:
     stride: int
     count: int
     jumps: array
-    # Rebuilt on load.
-    checkpoints: Checkpoints | None = field(default=None, repr=False, kw_only=True)
+    checkpoints: Checkpoints = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.checkpoints is None:
-            diffs, jump_idx, jumps, ends = self._arrays()
-            pos = _positions(diffs, jump_idx, jumps)
-            self.checkpoints = _checkpoints(pos, jump_idx, self.stride, ends)
+        diffs, jump_idx, jumps, ends = self._arrays()
+        pos = _positions(diffs, jump_idx, jumps)
+        self.checkpoints = _checkpoints(pos, jump_idx, self.stride, ends)
+
+    @classmethod
+    def _built(cls, pos: np.ndarray, jump_idx: np.ndarray, ends: np.ndarray | None, *values):
+        """The header with these field values, its table made from the
+        positions, zero cells and code ends its builder already holds."""
+        self = object.__new__(cls)
+        for f, value in zip([f for f in fields(cls) if f.init], values):
+            setattr(self, f.name, value)
+        self.checkpoints = _checkpoints(pos, jump_idx, self.stride, ends)
+        return self
 
     def memory_bytes(self) -> int:
         return self.size_bytes() + self.checkpoints.memory_bytes()
@@ -321,7 +347,7 @@ class DscHeader(DifferenceHeader):
         start = self.checkpoints.find(position)
         if start is None:
             return None
-        i, cur, k, _, limit = start
+        i, cur, k, _, limit, _ = start
         if cur == position:
             return i
         jumps = self.jumps
@@ -330,8 +356,6 @@ class DscHeader(DifferenceHeader):
             for i, d in zip(range(i + 1, limit), _diff_window(self.diff_data, bits, i + 1, limit)):
                 if d == 0:
                     k += 1
-                    if k >= len(jumps):
-                        raise CorruptStreamError("more zero differences than jumps")
                     cur = jumps[k]
                 else:
                     cur += d
@@ -348,8 +372,6 @@ class DscHeader(DifferenceHeader):
             window >>= bits
             if d == 0:
                 k += 1
-                if k >= len(jumps):
-                    raise CorruptStreamError("more zero differences than jumps")
                 cur = jumps[k]
             else:
                 cur += d
@@ -364,11 +386,7 @@ class DscHeader(DifferenceHeader):
     def from_bytes(cls, data: bytes) -> "DscHeader":
         fields, _, off = cls._read_head(data)
         diff_bits, _, _, count, _ = fields
-        need = packed_size(count, diff_bits)
-        diff_data = data[off : off + need]
-        if len(diff_data) < need:
-            raise CorruptStreamError("truncated difference data")
-        return cls(*fields, diff_data)
+        return cls(*fields, data[off : off + packed_size(count, diff_bits)])
 
 
 def build_dsc(
@@ -378,34 +396,37 @@ def build_dsc(
     stride: int = 16,
 ) -> DscHeader:
     arr, diffs, jump_idx = difference_arrays(positions, diff_bits)
-    return DscHeader(
+    return DscHeader._built(
+        arr,
+        jump_idx,
+        None,
         diff_bits,
         entry_width,
         stride,
         diffs.size,
         held(arr[jump_idx]),
         pack_diffs(diffs, diff_bits),
-        checkpoints=_checkpoints(arr, jump_idx, stride),
     )
 
 
-def _long_code(cb: CodeBook, window: int) -> tuple[int, int] | None:
-    """(symbol, length) of the code longer than the lookup table at the head
-    of `window`, the next max_len stream bits, or None where the window
-    starts with the all-zero code, a run of which the lookup steps over.
+def _long_code(cb: CodeBook, window: int, fill: int) -> tuple[int, int] | None:
+    """(symbol, length) of the code longer than the lookup table that starts
+    `fill` bits above the low end of `window`, or None where the all-zero
+    code starts there, a run of which the lookup steps over.
 
-    Each longer length's canonical range is tried.  It is kept out of
+    Each longer length's canonical range is tried; the header's whole-stream
+    decode proved that one of them holds the code.  It is kept out of
     `DhcHeader.lookup` so that the loop there, which runs once per decoded
     code, holds only what the table path needs.
     """
     w, _, ln0, _ = cb._lut
-    if not window >> (cb.max_len - ln0):
+    head = window & ((1 << fill) - 1)
+    if not head >> (fill - ln0):
         return None
     for ln in range(w + 1, cb.max_len + 1):
-        c = (window >> (cb.max_len - ln)) - cb.first[ln]
+        c = (head >> (fill - ln)) - cb.first[ln]
         if 0 <= c < cb.count[ln]:
             return cb.symbols[cb.offset[ln] + c], ln
-    raise CorruptStreamError("no code matches the stream bits")
 
 
 @dataclass
@@ -453,59 +474,39 @@ class DhcHeader(DifferenceHeader):
         start = self.checkpoints.find(position)
         if start is None:
             return None
-        idx, cur, k, pos, limit = start
+        idx, cur, k, pos, limit, stop = start
         if cur == position:
             return idx
         if idx + 1 >= limit:
             return None
+        if stop is None:
+            stop = self.stream.bit_length
         jumps = self.jumps
         # Inlined table-driven decode: scans dominate point-query cost.
         cb = self.codebook
         w, lut, ln0, d0 = cb._lut
         wmask = (1 << w) - 1
-        max_len = cb.max_len
-        data = self.stream.data
-        left = self.stream.bit_length - pos  # stream bits not yet decoded
-        end = len(data)
-        cursor = pos >> 3
-        # `buf` holds the next `fill` bits at its low end.  A table step reads
-        # the next w, so the decoded bits above are masked off only before a
-        # long code (which a run step follows) and at a refill, to keep it short.
-        buf = fill = 0
-        if pos & 7 and cursor < end:
-            buf = data[cursor]
-            fill = 8 - (pos & 7)
-            cursor += 1
+        # The window: the octets that hold stream bits `pos` to `stop` (the
+        # next entry's code end, or the stream's), as one integer, MSB first,
+        # with w zero bits after them so that a table read at the last code
+        # stays inside.  The next code starts `fill` bits above its low end.
+        window = int.from_bytes(self.stream.data[pos >> 3 : (stop + 7) >> 3], "big") << w
+        fill = ((stop + 7) & ~7) - pos + w
         # The inner loop decodes one code per turn and leaves by `break` at a
         # run of the all-zero code, which the outer loop steps over at once.
         # Kept outside, the run step adds no long jumps to the inner loop.
         while True:
             while idx + 1 < limit:
-                if fill < max_len:
-                    buf &= (1 << fill) - 1
-                    while fill < 56:  # huffman.MAX_CODE_BITS, the longest code
-                        buf = (buf << 8) | (data[cursor] if cursor < end else 0)
-                        cursor += 1
-                        fill += 8
-                entry = lut[(buf >> (fill - w)) & wmask]
+                entry = lut[(window >> (fill - w)) & wmask]
                 if entry is None:
-                    if left <= 0:
-                        raise CorruptStreamError("stream ended before declared count")
-                    buf &= (1 << fill) - 1
-                    entry = _long_code(cb, buf >> (fill - max_len))
+                    entry = _long_code(cb, window, fill)
                     if entry is None:
                         break
                 d, ln = entry
-                if ln > left:  # with no bits left, the stream ended before this code
-                    raise CorruptStreamError("code truncated at end of stream" if left > 0
-                                             else "stream ended before declared count")
                 fill -= ln
-                left -= ln
                 idx += 1
                 if d == 0:
                     k += 1
-                    if k >= len(jumps):
-                        raise CorruptStreamError("more zero differences than jumps")
                     cur = jumps[k]
                 else:
                     cur += d
@@ -513,28 +514,21 @@ class DhcHeader(DifferenceHeader):
                     return idx if cur == position else None
             else:
                 return None
-            # As many all-zero codes as the buffer's leading zeros hold, up
-            # to the window, the stream and the jumps.
-            run = min((fill - buf.bit_length()) // ln0, limit - idx - 1, left // ln0)
-            if not run:
-                raise CorruptStreamError("code truncated at end of stream")
+            # As many all-zero codes as the window's next zero bits hold, up
+            # to the window's last cell.
+            run = min((fill - (window & ((1 << fill) - 1)).bit_length()) // ln0, limit - idx - 1)
             if d0:
                 if cur + run * d0 >= position:
                     step, off = divmod(position - cur, d0)
                     return None if off else idx + step
                 cur += run * d0
             else:
-                run = min(run, len(jumps) - 1 - k)
-                if not run:
-                    raise CorruptStreamError("more zero differences than jumps")
                 if jumps[k + run] >= position:
                     j = bisect_left(jumps, position, k + 1, k + run + 1)
                     return idx + j - k if jumps[j] == position else None
                 k += run
                 cur = jumps[k]
-            # The run's bits are zeros above the rest of `buf`.
             idx += run
-            left -= run * ln0
             fill -= run * ln0
 
     def to_bytes(self) -> bytes:
@@ -577,7 +571,10 @@ def build_dhc(
     else:
         codebook = None
         stream = BitStream(b"", 0)
-    return DhcHeader(
+    return DhcHeader._built(
+        arr,
+        jump_idx,
+        ends,
         diff_bits,
         entry_width,
         stride,
@@ -585,5 +582,4 @@ def build_dhc(
         held(arr[jump_idx]),
         codebook,
         stream,
-        checkpoints=_checkpoints(arr, jump_idx, stride, ends),
     )

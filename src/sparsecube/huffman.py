@@ -22,11 +22,12 @@ Whole streams are coded in numpy: `encode_sequence` gathers every code's bits
 at once.  `decode_stream` reads the 56-bit window at every bit offset for
 the offset after the code there, and hops from offset 0 over 16 codes at a
 time to find where codes really start.  A DHC point query
-(`diffseq.DhcHeader.lookup`) decodes its few codes from a known code end
-itself, with the table of `CodeBook._lut` and, past it, the canonical
-ranges, which are all the whole-stream decode needs.  The first code of
-the shortest length is all zeros (Moffat & Turpin 1997), so a run of that
-code is a run of zero bits, which the lookup steps over at once.
+(`diffseq.DhcHeader.lookup`) decodes its few codes itself, from a known
+code end to the next checkpoint's, with the table of `CodeBook._lut` and,
+past it, the canonical ranges.  It checks nothing as it goes: the
+whole-stream decode that made its header proved every code it reads.  The
+first code of the shortest length is all zeros (Moffat & Turpin 1997), so a
+run of that code is a run of zero bits, which the lookup steps over at once.
 """
 
 from __future__ import annotations

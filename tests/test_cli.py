@@ -230,6 +230,7 @@ class TestSizes:
         }
         assert rows["table_uncompressed"]["percent"] == "100.0"
         assert int(rows["dhc_memory"]["octets"]) > int(rows["dhc_disk"]["octets"])
+        assert b"\r" not in out_csv.read_bytes()
 
 
 class TestEstimateSweep:

@@ -17,7 +17,7 @@ from sparsecube.diffseq import (
     difference_arrays,
     pack_diffs,
 )
-from sparsecube.errors import CorruptStreamError, FormatError
+from sparsecube.errors import CorruptStreamError, FormatError, StoreError
 from sparsecube.huffman import BitStream, CodeBook, encode_sequence
 from sparsecube.headers import build_boc, build_lpc, pack_ints, write_envelope
 from sparsecube.errors import OffsetOverflowError
@@ -300,6 +300,27 @@ def built_and_reloaded(build, cls, positions, **kw):
     return built, again
 
 
+def header_file(cls, diff_bits, entry_width, stride, count, jumps, *payload):
+    """The file a header of class `cls` with these field values would save,
+    written without making the header."""
+    extra = [payload[-1].bit_length] if cls is DhcHeader else []
+    head = write_envelope(cls.MAGIC, entry_width, diff_bits, stride, count, len(jumps), *extra)
+    if cls is DscHeader:
+        return head + pack_ints(jumps, entry_width) + payload[0]
+    codebook, stream = payload
+    book = codebook.to_bytes() if codebook is not None else bytes(8)  # no symbols
+    return head + pack_ints(jumps, entry_width) + book + stream.data[: (stream.bit_length + 7) // 8]
+
+
+def rejected_when_made(cls, *values, match=None):
+    """Neither these field values nor their file make a header: both raise
+    CorruptStreamError."""
+    with pytest.raises(CorruptStreamError, match=match):
+        cls(*values)
+    with pytest.raises(CorruptStreamError, match=match):
+        cls.from_bytes(header_file(cls, *values))
+
+
 SCHEMES = ((build_dsc, DscHeader), (build_dhc, DhcHeader))
 
 
@@ -487,19 +508,6 @@ def _run_positions(start, segments):
     return positions
 
 
-def _scanned_cells(h, positions, q):
-    """The cells a lookup of q decodes, from its checkpoint's next cell to
-    the one that settles it; empty when the checkpoint settles it."""
-    start = h.checkpoints.find(q)
-    if start is None or start[1] == q:
-        return range(0)
-    first, limit = start[0] + 1, start[4]
-    stop = first
-    while stop < limit - 1 and positions[stop] < q:
-        stop += 1
-    return range(first, min(stop + 1, limit))
-
-
 class TestDhcRuns:
     """A lookup steps over a run of the all-zero code at once."""
 
@@ -524,8 +532,8 @@ class TestDhcRuns:
     @given(st.sampled_from(sorted(RUN_SHAPES)).flatmap(RUN_SHAPES.get), st.data())
     @settings(max_examples=150)
     def test_stream_cut_inside_a_run_raises(self, shape, data):
-        # The bits after the cut are the rest of the run: zeros, which must
-        # not be read as codes.
+        # The bits after the cut are the rest of the run: zeros, which the
+        # decode that makes the header must not read as codes.
         diff_bits, segments = shape
         positions = _run_positions(3, segments)
         h = build_dhc(positions, diff_bits=diff_bits)
@@ -538,27 +546,21 @@ class TestDhcRuns:
         assume(runs)
         i = data.draw(st.sampled_from(runs))
         cut = data.draw(st.integers(ends[i - 2] + 1, ends[i] - 1))
-        cut_h = DhcHeader(h.diff_bits, h.entry_width, h.stride, h.count, h.jumps, h.codebook,
-                          BitStream(h.stream.data, cut), checkpoints=h.checkpoints)
-        stored = {p: i for i, p in enumerate(positions)}
-        for q in sorted({q for p in positions for q in (p - 1, p, p + 1)}):
-            if any(ends[c] > cut for c in _scanned_cells(h, positions, q)):
-                with pytest.raises(CorruptStreamError):
-                    cut_h.lookup(q)
-            else:
-                assert cut_h.lookup(q) == stored.get(q), q
+        fields = (h.diff_bits, h.entry_width, h.stride, h.count, h.jumps, h.codebook)
+        rejected_when_made(DhcHeader, *fields, BitStream(h.stream.data, cut))
+        assert DhcHeader(*fields, h.stream).positions().tolist() == positions
 
     def test_zero_padding_is_not_read_as_codes(self):
         # Seventeen cells at unit gaps, each gap the 1-bit code 0, but a
         # stream of only twelve codes: its last four bits and every bit
         # past the data read as zeros.
         h = build_dhc(range(5, 22), diff_bits=8)
-        short = DhcHeader(h.diff_bits, h.entry_width, h.stride, h.count, h.jumps, h.codebook,
-                          BitStream(bytes(2), 12), checkpoints=h.checkpoints)
-        assert [short.lookup(q) for q in (4, 5, 16, 17)] == [None, 0, 11, 12]
-        for q in range(18, 23):
-            with pytest.raises(CorruptStreamError):
-                short.lookup(q)
+        fields = (h.diff_bits, h.entry_width, h.stride, h.count, h.jumps, h.codebook)
+        rejected_when_made(DhcHeader, *fields, BitStream(bytes(2), 12),
+                           match="stream ended before declared count")
+        # Sixteen zero bits are the sixteen codes.
+        whole = DhcHeader(*fields, BitStream(bytes(2), 16))
+        assert [whole.lookup(q) for q in range(4, 23)] == [None, *range(17), None]
 
     def test_long_code_with_a_leading_zero_is_not_a_run(self):
         # Gap 1 is the 2-bit code 00 and 3072 gaps have 12-bit codes, the
@@ -579,18 +581,13 @@ class TestDhcRuns:
         # Unit gaps as the 2-bit code 00, in a stream that ends inside the
         # fourth code.
         full = build_dhc(range(5, 12), diff_bits=8)
-        h = DhcHeader(8, 8, 16, 7, full.jumps, CodeBook({1: 2, 2: 2, 3: 2, 4: 2}),
-                      BitStream(bytes(2), 7), checkpoints=full.checkpoints)
-        assert h.lookup(8) == 3
-        with pytest.raises(CorruptStreamError, match="truncated"):
-            h.lookup(9)
+        rejected_when_made(DhcHeader, 8, 8, 16, 7, full.jumps, CodeBook({1: 2, 2: 2, 3: 2, 4: 2}),
+                           BitStream(bytes(2), 7), match="no whole code at bit 6")
         # Every gap overflows 2 bits, so each is a jump, the 1-bit code 0,
         # but only three jumps are left.
         full = build_dhc(range(5, 33, 4), diff_bits=2)
-        h = dataclasses.replace(full, jumps=full.jumps[:3], checkpoints=full.checkpoints)
-        assert h.lookup(13) == 2
-        with pytest.raises(CorruptStreamError, match="more zero differences than jumps"):
-            h.lookup(29)
+        rejected_when_made(DhcHeader, 2, 8, 16, full.count, full.jumps[:3], full.codebook,
+                           full.stream, match="7 zero differences but 3 jumps")
 
 
 def _gaps(bits):
@@ -602,9 +599,12 @@ def _gaps(bits):
 
 
 class TestScans:
-    """A DSC lookup shifts each difference off one window integer (one
-    unpack at 8, 16 and 32 bits); a DHC lookup masks its buffer only at a
-    refill and before a long code or a run."""
+    """A lookup reads its window, from its start entry to the next entry, as
+    one integer and trusts what the header's construction checked.  DSC
+    shifts each difference off that integer (one unpack at 8, 16 and 32
+    bits); DHC reads its table at a moving bit offset, bounded by the next
+    entry's stream bit or the stream's bit length, and masks the window only
+    before a long code or a run."""
 
     @pytest.mark.parametrize("bits", range(1, diffseq.MAX_DIFF_BITS + 1))
     @given(st.data())
@@ -630,22 +630,19 @@ class TestScans:
                     assert h.lookup(q) == stored.get(q), q
 
     def test_dsc_more_zero_differences_than_jumps(self):
-        # At 5 bits every gap of 32 or more is a jump; with only two jumps
-        # kept, the scan that meets the third zero difference raises.
+        # At 5 bits every gap of 32 or more is a jump; with only two of the
+        # three jumps kept, the header is not made.
         positions = _run_positions(2, [(3, 4), (40, 1), (3, 4), (40, 1), (3, 4)])
         full = build_dsc(positions, diff_bits=5)
         assert len(full.jumps) == 3
-        h = dataclasses.replace(full, jumps=full.jumps[:2], checkpoints=full.checkpoints)
-        assert h.lookup(positions[8]) == 8
-        with pytest.raises(CorruptStreamError, match="more zero differences than jumps"):
-            h.lookup(positions[11])
+        rejected_when_made(DscHeader, 5, full.entry_width, full.stride, full.count,
+                           full.jumps[:2], full.diff_data, match="3 zero differences but 2 jumps")
 
-    def test_dhc_window_from_mid_octet_through_refill_run_and_long_code(self, monkeypatch):
+    def test_dhc_window_from_mid_octet_through_run_and_long_code(self, monkeypatch):
         # Gap 1 is the 2-bit code 00 and 3072 gaps have 12-bit codes, all
         # longer than the 11-bit table.  Each 16-cell window holds five long
-        # codes (60 bits, past one 56-bit refill), a run of six 00 codes, a
-        # long code, a run of three and a long code: 102 bits, so most
-        # windows start mid-octet.
+        # codes (60 bits), a run of six 00 codes, a long code, a run of three
+        # and a long code: 102 bits, so most windows start mid-octet.
         monkeypatch.setattr(diffseq, "FINE_CELLS", 16)
         monkeypatch.setattr(diffseq, "COARSE_CELLS", 32)
         cb = CodeBook({1: 2, **{g: 12 for g in range(2, 3074)}})
@@ -666,6 +663,89 @@ class TestScans:
         for h in (built, DhcHeader.from_bytes(built.to_bytes())):
             for q in sorted(probes):
                 assert h.lookup(q) == stored.get(q), q
+
+
+    @given(st.integers(1, 7), st.sampled_from([1, 3, 16]),
+           st.lists(st.one_of(st.tuples(st.just(1), st.integers(1, 12)),
+                              st.tuples(st.integers(2, 3073), st.integers(1, 3))),
+                    max_size=40),
+           st.integers(1, 12), st.randoms(use_true_random=False))
+    @settings(max_examples=150)
+    def test_dhc_window_edges(self, fine, stride, segments, tail, rng):
+        # Gap 1 is the 2-bit all-zero code 00, and gaps 2..3073 have 12-bit
+        # codes, longer than the 11-bit table.  A fine entry every 1 to 7
+        # cells starts most windows mid-octet and ends many inside a run of
+        # 00.  The stream ends with a run of `tail` 00 codes, in the last
+        # window, which stops at the stream's bit length.
+        cb = CodeBook({1: 2, **{g: 12 for g in range(2, 3074)}})
+        gaps = [g for g, repeat in segments for _ in range(repeat)] + [1] * tail
+        positions = _run_positions(3, [(g, 1) for g in gaps])
+        stream, _ = encode_sequence(cb, gaps)
+        stored = {p: i for i, p in enumerate(positions)}
+        probes = {q for p in positions for q in (p - 1, p, p + 1)}
+        probes.update(rng.randrange(positions[-1] + 3) for _ in range(50))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(diffseq, "FINE_CELLS", fine)
+            mp.setattr(diffseq, "COARSE_CELLS", fine * (2 + fine % 2))
+            built = DhcHeader(16, 8, stride, len(positions), array("Q", [3]), cb, stream)
+            again = DhcHeader.from_bytes(built.to_bytes())
+        assert again.checkpoints == built.checkpoints
+        assert built.checkpoints.find(positions[-1])[5] is None  # the last window
+        for h in (built, again):
+            for q in sorted(probes):
+                assert h.lookup(q) == stored.get(q), q
+
+
+def _damaged(h, data):
+    """The file of header `h` cut short, with one to three bits flipped, or
+    with one jump dropped, as `data` draws."""
+    raw = h.to_bytes()
+    how = data.draw(st.sampled_from(["cut", "flip", "drop"]))
+    if how == "cut":
+        return raw[: data.draw(st.integers(0, len(raw) - 1))]
+    if how == "flip":
+        out = bytearray(raw)
+        for bit in data.draw(st.lists(st.integers(0, 8 * len(raw) - 1),
+                                      min_size=1, max_size=3, unique=True)):
+            out[bit >> 3] ^= 1 << (bit & 7)
+        return bytes(out)
+    jumps = array("Q", h.jumps)
+    del jumps[data.draw(st.integers(0, len(jumps) - 1))]
+    values = [getattr(h, f.name) for f in dataclasses.fields(h) if f.init]
+    values[4] = jumps
+    return header_file(type(h), *values)
+
+
+class TestDamage:
+    """A header proves its fields when it is made, so its lookup need not."""
+
+    @given(st.sampled_from(SCHEMES), position_lists, st.sampled_from([2, 4, 8, 13]),
+           st.integers(1, 4), st.data())
+    @settings(max_examples=300)
+    def test_damaged_file_is_rejected_or_answers_like_its_positions(
+        self, scheme, positions, bits, stride, data
+    ):
+        build, cls = scheme
+        raw = _damaged(build(positions, diff_bits=bits, stride=stride), data)
+        try:
+            h = cls.from_bytes(raw)
+        except StoreError:
+            return
+        held_positions = h.positions().tolist()
+        stored = {p: i for i, p in enumerate(held_positions)}
+        probes = {q for p in held_positions + positions for q in (p - 1, p, p + 1)}
+        for q in sorted(probes):
+            assert h.lookup(q) == stored.get(q), q
+
+    @pytest.mark.parametrize("build, cls", SCHEMES)
+    def test_no_constructor_takes_a_checkpoint_table(self, build, cls):
+        h = build([5, 6, 7, 300], diff_bits=8)
+        values = [getattr(h, f.name) for f in dataclasses.fields(h) if f.init]
+        with pytest.raises(TypeError):
+            cls(*values, checkpoints=h.checkpoints)
+        with pytest.raises(ValueError):
+            dataclasses.replace(h, checkpoints=h.checkpoints)
+        assert cls(*values).checkpoints == h.checkpoints
 
 
 class TestLoadChecks:
