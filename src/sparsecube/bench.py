@@ -18,9 +18,9 @@ and D otherwise; miss counts are deterministic, so the emitted CSV is too.
 It runs no queries.  Each sampled query is a stored cell drawn by its rank
 (its place in position order), and each store's `block_touches` works out
 from the ranks in numpy an integer code for every block each query reads:
-the cell's block for the multidimensional store, and for the table the
-meta page, one index page per level and the row group, which follow from
-the rank since a load has proved the index canonical.  One
+the cell's block for the multidimensional store, and for the table one
+index page per level and the row group, which follow from the rank since
+a load has proved the index canonical.  One
 `blockio.lru_misses` per budget runs those codes through the cache's LRU
 rule from an empty cache, giving each query's misses and the memory used
 at each pass boundary.  The sweep reads no file, and the stores' caches
@@ -192,7 +192,7 @@ class SweepResult:
 
     def to_csv(self) -> str:
         buf = io.StringIO()
-        w = csv.writer(buf)
+        w = csv.writer(buf, lineterminator="\n")
         w.writerow(SWEEP_COLUMNS)
         for r in self.rows:
             w.writerow(

@@ -61,6 +61,7 @@ import numpy as np
 from .errors import CorruptStreamError, FormatError
 from .headers import (
     _check_positions,
+    check_payload_end,
     held,
     held_bytes,
     narrow,
@@ -386,7 +387,9 @@ class DscHeader(DifferenceHeader):
     def from_bytes(cls, data: bytes) -> "DscHeader":
         fields, _, off = cls._read_head(data)
         diff_bits, _, _, count, _ = fields
-        return cls(*fields, data[off : off + packed_size(count, diff_bits)])
+        end = off + packed_size(count, diff_bits)
+        check_payload_end(data, end)
+        return cls(*fields, data[off:end])
 
 
 def build_dsc(
@@ -553,6 +556,7 @@ class DhcHeader(DifferenceHeader):
         raw = data[off : off + nbytes]
         if len(raw) < nbytes:
             raise CorruptStreamError("truncated code stream")
+        check_payload_end(data, off + nbytes)
         return cls(*fields, codebook, BitStream(raw, bit_length))
 
 

@@ -8,7 +8,7 @@ The serialized layout is shared by every header type: a 4-octet magic tag,
 one version octet, a parameter block of 8-octet little-endian integers, then
 the sequences packed contiguously at their configured entry widths.
 `write_envelope` and `read_envelope` write and read everything before the
-sequences, for all five schemes and the table's index meta page.
+sequences for all five schemes, and `check_payload_end` refuses any after.
 `size_bytes()` reports the size of the structure itself (the quantity the
 size comparisons reason about); serialized files add the small envelope.
 
@@ -120,6 +120,12 @@ def read_envelope(data: bytes, magic: bytes, n_params: int) -> tuple[list[int], 
     return list(struct.unpack_from(f"<{n_params}Q", data, 5)), end
 
 
+def check_payload_end(data: bytes, end: int) -> None:
+    """Raise FormatError if `data` runs on past its payload's end `end`."""
+    if len(data) > end:
+        raise FormatError(f"{len(data) - end} octets past the end of the header's payload")
+
+
 @dataclass
 class SchcHeader:
     """One (last position, cumulative empty count) pair per run of nonempty cells."""
@@ -177,6 +183,7 @@ class SchcHeader:
     def from_bytes(cls, data: bytes) -> "SchcHeader":
         (entry_width, num_runs), off = read_envelope(data, cls.MAGIC, 2)
         flat = unpack_ints(data, entry_width, 2 * num_runs, off)
+        check_payload_end(data, off + entry_width * 2 * num_runs)
         ends, empties = flat[0::2], flat[1::2]
         # Counted from the start (-1, 0), each run end grows and the empty
         # count grows by less, so every run holds at least one cell.
@@ -243,6 +250,7 @@ class LpcHeader:
     def from_bytes(cls, data: bytes) -> "LpcHeader":
         (entry_width, count), off = read_envelope(data, cls.MAGIC, 2)
         positions = unpack_ints(data, entry_width, count, off)
+        check_payload_end(data, off + entry_width * count)
         if not _increasing(positions):
             raise FormatError("positions do not strictly increase")
         return cls(held(positions), entry_width)
@@ -318,6 +326,7 @@ class BocHeader:
             )
         bases = unpack_ints(data, entry_width, n_bases, offset=off)
         offsets = unpack_ints(data, offset_width, count, offset=off + entry_width * n_bases)
+        check_payload_end(data, off + entry_width * n_bases + offset_width * count)
         _check_blocks(bases, offsets, block_len)
         return cls(
             held(bases), held(offsets, offset_width), block_len, entry_width, offset_width

@@ -13,16 +13,15 @@ same block-access layer as the multidimensional store: from the files for a
 loaded table, from memory for a freshly built one.
 
 Index pages are `PAGE_SIZE` octets, the size of the multidimensional
-store's cell blocks.  Page 0 of the index is the meta page: the seven
-`META_FIELDS` in the envelope every header file has
-(`headers.write_envelope`), padded with zeros to the page size.  The whole
-index follows from the sorted row keys (`_index_bytes`): a build writes it,
-and a load checks the rows (`_row_keys`: whole rows, each coordinate within
-its dimension, keys in order) and then the saved index against it octet for
-octet, so an index written at another page size is refused.  So a
-loaded index is canonical, and `block_touches` works out from a row's rank
-alone which blocks its query reads.  `point_query` still checks every page
-it reads, since a file can change after it is loaded.
+store's cell blocks, and the index file holds only its level pages, leaf
+level from page 0 and the root last.  The whole index follows from the
+sorted row keys (`_index_bytes`): a build writes it, and a load checks the
+rows (`_row_keys`: whole rows, each coordinate within its dimension, keys
+in order) and then the saved index against it octet for octet, so an index
+written at another page size is refused.  So a loaded index is canonical,
+and `block_touches` works out from a row's rank alone which blocks its
+query reads.  `point_query` still checks every page it reads, since a file
+can change after it is loaded.
 """
 
 from __future__ import annotations
@@ -39,7 +38,6 @@ import numpy as np
 
 from .blockio import BlockReader, BytesReader, Closing, SimCache
 from .errors import FormatError
-from .headers import write_envelope
 from .relation import (
     MEASURE_FORMATS,
     DimensionSchema,
@@ -52,12 +50,8 @@ from .relation import (
 
 COORD_WIDTH = 4
 PAGE_SIZE = 4096  # octets per index page, and about per row group
-_IDX_MAGIC = b"TIDX"
 _ENTRY = struct.Struct("<QQ")  # key, child page or row group
 _COUNT = struct.Struct("<H")
-META_FIELDS = (
-    "page_size", "row_width", "n_rows", "rows_per_group", "n_groups", "root_page", "height",
-)
 if sys.byteorder != "little":  # lookups cast the little-endian pages in native order
     raise ImportError("sparsecube's table lookups need a little-endian host")
 
@@ -131,15 +125,11 @@ class TableStore(Closing):
 
     def point_query(self, coords: Sequence[int]) -> float | None:
         """The cell's measure, or None.  An index entry that points outside
-        the index or past the last row group, or at a page or a group that
-        does not start at the entry's key, raises FormatError (a group only
-        when it misses the key)."""
+        the next level's pages or past the last row group, or at a page or a
+        group that does not start at the entry's key, raises FormatError (a
+        group only when it misses the key)."""
         key = encode_logical_position(coords, self.schema)
-        # The walk enters through the meta page (root pointer lives there);
-        # it stays cached, but its block belongs to the representation and
-        # must be accounted like any other.
-        idx, page_size = self._idx, self.page_size
-        idx.read_at(0, page_size)
+        idx, page_size, level_first = self._idx, self.page_size, self.level_first
         page_no, entry_key = self.root_page, None
         for level in range(self.height - 1, -1, -1):
             entries = self._entries(idx.read_at(page_no * page_size, page_size), entry_key)
@@ -149,8 +139,8 @@ class TableStore(Closing):
             if slot < 0:
                 return None
             entry_key, page_no = entries[slot], entries[slot + 1]
-            if level and not 0 < page_no < self.root_page:
-                raise FormatError(f"index page {page_no} is not between meta and root")
+            if level and not level_first[level - 1] <= page_no < level_first[level]:
+                raise FormatError(f"index page {page_no} is not on index level {level - 1}")
         group = page_no  # leaf entries point at row groups
         if group >= self.n_groups:
             raise FormatError(f"row group {group} is past the last of {self.n_groups}")
@@ -184,15 +174,16 @@ class TableStore(Closing):
         these ranks, one row per query, over `readers()`: code k names block
         `k // 2` of reader `k % 2`.
 
-        A stored row's query reads the meta page, one page per level from
-        the root down to the leaf and then its row group.  A load has proved
+        A stored row's query reads one index page per level, from the root
+        down to the leaf, and then its row group.  A load has proved
         the index is `_index_bytes` of the rows, so those blocks follow from
         the rank alone and no file is read.
         """
         group = np.asarray(ranks, dtype=np.int64) // self.rows_per_group
-        path = [np.zeros_like(group)]  # the meta page
-        for level in range(self.height - 1, -1, -1):
-            path.append(self.level_first[level] + group // self.entries_per_page ** (level + 1))
+        path = [
+            self.level_first[level] + group // self.entries_per_page ** (level + 1)
+            for level in range(self.height - 1, -1, -1)
+        ]
         codes = np.stack([*path, group], axis=1) * 2
         codes[:, -1] += 1  # the row group, in the row file
         return codes
@@ -228,19 +219,17 @@ def _index_bytes(positions: np.ndarray, page_size: int, row_width: int) -> tuple
     """The index file over rows with these keys, in order, and the first page
     of each level, leaf level first.
 
-    Page 0 is the meta page; the levels follow bottom-up, root last.  A leaf
-    entry is a row group's first key and its number, an entry above it its
-    child page's first key and page number, and a page holds its entry
+    The levels are written bottom-up, leaf level from page 0, root last.  A
+    leaf entry is a row group's first key and its number, an entry above it
+    its child page's first key and page number, and a page holds its entry
     count, then as many entries as fit, then zeros.
     """
-    rows_per_group = _rows_per_group(page_size, row_width)
     fanout = _entries_per_page(page_size)
     page = np.dtype({"names": ["count", "entries"], "formats": ["<u2", ("<u8", (fanout, 2))],
                      "offsets": [0, _COUNT.size], "itemsize": page_size})  # zeros in the gaps
-    keys = np.asarray(positions, dtype=np.uint64)[::rows_per_group]
-    n_groups = len(keys)
-    children = np.arange(n_groups, dtype=np.uint64)
-    level_first, pages = [1], []
+    keys = np.asarray(positions, dtype=np.uint64)[:: _rows_per_group(page_size, row_width)]
+    children = np.arange(len(keys), dtype=np.uint64)
+    level_first, pages = [0], []
     while True:
         n_pages = -(-len(keys) // fanout)
         entries = np.zeros((n_pages * fanout, 2), dtype=np.uint64)
@@ -255,11 +244,7 @@ def _index_bytes(positions: np.ndarray, page_size: int, row_width: int) -> tuple
         keys = keys[::fanout]
         children = np.arange(level_first[-1], level_first[-1] + n_pages, dtype=np.uint64)
         level_first.append(level_first[-1] + n_pages)
-    meta = write_envelope(
-        _IDX_MAGIC, page_size, row_width, len(positions), rows_per_group, n_groups,
-        level_first[-1], len(level_first),
-    )
-    return meta.ljust(page_size, b"\0") + b"".join(pages), level_first
+    return b"".join(pages), level_first
 
 
 def build_table(rel: Relation) -> TableStore:

@@ -272,8 +272,10 @@ class TestEstimateSweep:
                    "--constants", constants, "--points", "4",
                    "--samples", "30", "--passes", "4", "--seed", "2",
                    "--out", sweep_csv) == 0
-        assert hashlib.sha256(sweep_csv.read_bytes()).hexdigest() == (
-            "a9338d2eeaf79504f56273ea8a29b7b275c69bd09c8b9da8c05f7a9d0f3ea82a"
+        raw = sweep_csv.read_bytes()
+        assert b"\r" not in raw and raw.endswith(b"\n")  # line ends as `gen` writes them
+        assert hashlib.sha256(raw).hexdigest() == (
+            "5615574e692d712978f77a1335c0ac5c97436f5072ed249d371b73b362727fef"
         )
 
     @pytest.mark.parametrize("value", ["512", "4096", *EDGES])

@@ -230,6 +230,22 @@ class TestSerialization:
         with pytest.raises(FormatError):
             LpcHeader.from_bytes(data[:-4])
 
+    @pytest.mark.parametrize("build", [
+        lambda p: build_schc(p, 64),
+        build_lpc,
+        lambda p: build_boc(p, block_len=2, offset_width=1),
+        lambda p: build_dsc(p, diff_bits=4),
+        lambda p: build_dhc(p, stride=2),
+    ], ids=["schc", "lpc", "boc", "dsc", "dhc"])
+    def test_octets_past_the_payload_are_format_error(self, build):
+        header = build([2, 3, 5, 40, 41])
+        data = header.to_bytes()
+        assert type(header).from_bytes(data).to_bytes() == data
+        # One stray octet, and the same header twice over.
+        for extra in (b"\0", data):
+            with pytest.raises(FormatError, match=f"^{len(extra)} octets past the end"):
+                type(header).from_bytes(data + extra)
+
     def test_positions_round_trip(self):
         positions, total = LAYOUT
         assert build_schc(positions, total).positions().tolist() == positions

@@ -127,7 +127,7 @@ def test_counters_stay_exact_under_threads(tmp_path):
     """Eight threads probe stored cells of a loaded md store and a loaded
     table, each on a cache that evicts: every answer is right, and each
     cache counts one hit or one miss per block read, 1 per md query and
-    `height + 2` per table query."""
+    `height + 1` per table query."""
     rel = generate(SynthSpec((32, 32, 32), density=0.2, seed=6))
     mdstore.save(build_store(rel, "lpc"), tmp_path / "m")
     tablestore.save_table(tablestore.build_table(rel), tmp_path / "t")
@@ -164,7 +164,7 @@ def test_counters_stay_exact_under_threads(tmp_path):
     table.close()
     assert not errors
     blocks = (md.readers()[0].file_size // 4096 + 1, table.n_groups + table.root_page + 1)
-    for cache, per_query, n_blocks in zip((md_cache, tbl_cache), (1, table.height + 2), blocks):
+    for cache, per_query, n_blocks in zip((md_cache, tbl_cache), (1, table.height + 1), blocks):
         assert cache.hits + cache.misses == 8 * queries * per_query
         assert cache.misses > n_blocks  # blocks were evicted and read again
         assert cache.used_bytes <= cache.capacity

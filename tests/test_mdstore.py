@@ -273,6 +273,25 @@ class TestPersistence:
             with pytest.raises(StoreError):
                 load(base)
 
+    @pytest.mark.parametrize("appended", ["stray", "header"])
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_octets_past_the_header_payload_are_format_error(self, tmp_path, stores, scheme,
+                                                             appended):
+        """Stray octets, or a second copy of the header, after the payload."""
+        header = stores[scheme].header
+        valid = header.to_bytes()
+        assert type(header).from_bytes(valid).positions().tolist() == header.positions().tolist()
+        base = tmp_path / "j"
+        save(stores[scheme], base)
+        hdr = tmp_path / "j.hdr"
+        assert hdr.read_bytes() == valid
+        for extra in ((b"\0", b"junk") if appended == "stray" else (valid,)):
+            with pytest.raises(FormatError, match=f"^{len(extra)} octets past the end"):
+                type(header).from_bytes(valid + extra)
+            hdr.write_bytes(valid + extra)
+            with pytest.raises(FormatError, match=f"^{len(extra)} octets past the end"):
+                load(base)
+
     @pytest.mark.parametrize("spec, params, boc, dhc", [
         (SynthSpec((32, 32, 16), 0.05, 0.3, seed=3), StoreParams(),
          "3b0ec1d889dc150e0e6398c7fed1809bf7005b6c6e69a4b7490413f0939ac52f",

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sparsecube import tablestore
-from sparsecube.blockio import MAX_BLOCK_SIZE, SimCache
+from sparsecube.blockio import SimCache
 from sparsecube.errors import EmptyRelationError, FormatError
 from sparsecube.relation import (
     DimensionSchema,
@@ -19,16 +19,11 @@ from sparsecube.relation import (
 )
 from sparsecube.synth import SynthSpec, generate
 from sparsecube.tablestore import (
-    META_FIELDS,
     build_table,
     load_table,
     save_table,
     table_paths,
 )
-
-
-def meta(table):
-    return tuple(getattr(table, name) for name in META_FIELDS)
 
 
 @contextlib.contextmanager
@@ -147,7 +142,7 @@ class TestPersistence:
         finally:
             loaded.close()
 
-    def test_bad_magic(self, tmp_path, table):
+    def test_overwritten_first_page_head_is_format_error(self, tmp_path, table):
         base = tmp_path / "t2"
         save_table(table, base)
         idx = tmp_path / "t2.idx"
@@ -155,35 +150,16 @@ class TestPersistence:
         with pytest.raises(FormatError):
             load_table(base)
 
-    @pytest.mark.parametrize("page_size", [4096, 128])
-    def test_meta_page_is_the_envelope_padded_with_zeros(self, monkeypatch, page_size):
-        monkeypatch.setattr(tablestore, "PAGE_SIZE", page_size)
-        rel = generate(SynthSpec((16, 16, 8), density=0.3, seed=2))
-        table = build_table(rel)
-        envelope = b"TIDX\x01" + struct.pack("<7Q", *meta(table))
-        assert table._idx.contents()[:page_size] == envelope.ljust(page_size, b"\0")
-
     @pytest.mark.parametrize("page_size", [4096, 128])  # index height 1 and 3
-    @pytest.mark.parametrize("field", META_FIELDS)
-    def test_meta_field_checked_against_files_and_schema(self, tmp_path, monkeypatch, field,
-                                                         page_size):
+    def test_index_is_its_level_pages(self, monkeypatch, page_size):
         monkeypatch.setattr(tablestore, "PAGE_SIZE", page_size)
-        rel = generate(SynthSpec((16, 16, 8), density=0.3, seed=2))
-        table = build_table(rel)
-        base = tmp_path / "m"
-        save_table(table, base)
-        with load_table(base) as loaded:
-            assert meta(loaded) == meta(table)
-        idx = tmp_path / "m.idx"
-        valid = idx.read_bytes()
-        slot = 5 + 8 * META_FIELDS.index(field)
-        (stored,) = struct.unpack_from("<Q", valid, slot)
-        for bad in (0, stored + 1, stored - 1, 2**40):
-            if bad == stored:
-                continue
-            idx.write_bytes(valid[:slot] + struct.pack("<Q", bad) + valid[slot + 8 :])
-            with pytest.raises(FormatError):
-                load_table(base)
+        table = build_table(generate(SynthSpec((16, 16, 8), density=0.3, seed=2)))
+        index = table._idx.contents()
+        assert len(index) == (table.root_page + 1) * page_size == table.idx_file_size()
+        assert table.level_first[0] == 0
+        # Page 0 is the first leaf page: its first entry is row group 0.
+        first_key = int(table.positions()[0])
+        assert struct.unpack_from("<QQ", index, 2) == (first_key, 0)
 
     @pytest.mark.parametrize("page_size", [64, 128, 512, 8192])
     def test_index_at_another_page_size_is_format_error(self, tmp_path, relation, page_size):
@@ -205,16 +181,6 @@ class TestPersistence:
             else:
                 with pytest.raises(ValueError, match="^a row of 4100 octets does not fit"):
                     build_table(rel)
-
-    @pytest.mark.parametrize("page_size", [MAX_BLOCK_SIZE + 1, 10**12, 2**64 - 1])
-    def test_meta_page_size_past_the_bound_is_format_error(self, tmp_path, table, page_size):
-        base = tmp_path / "p"
-        save_table(table, base)
-        idx = tmp_path / "p.idx"
-        valid = idx.read_bytes()
-        idx.write_bytes(valid[:5] + struct.pack("<Q", page_size) + valid[13:])
-        with pytest.raises(FormatError, match="^the index is not the one"):
-            load_table(base)
 
     @pytest.mark.parametrize("suffix", [".rows", ".idx"])
     def test_files_must_be_whole_rows_and_pages(self, tmp_path, table, suffix):
@@ -258,21 +224,52 @@ class TestPersistence:
     def test_child_page_checked_on_query(self, tmp_path, monkeypatch, relation):
         monkeypatch.setattr(tablestore, "PAGE_SIZE", 128)
         table = build_table(relation)
-        assert table.height >= 2
+        assert table.height == 2 and table.level_first[0] == 0  # the root's children: leaves
         base = tmp_path / "c"
         save_table(table, base)
         idx = tmp_path / "c.idx"
         valid = idx.read_bytes()
         coords = tuple(ordered_cells(relation)[1][0].tolist())  # under the root's first entry
         root = table.root_page * table.page_size
-        (second_child,) = struct.unpack_from("<Q", valid, root + 2 + 16 + 8)
-        for child in (0, second_child, table.root_page, table.root_page + 1):
+        (first_child, second_child) = struct.unpack_from("<Q8xQ", valid, root + 2 + 8)
+        assert first_child == 0
+        # The second leaf does not start at the first entry's key, and the
+        # rest are outside the leaf level.
+        for child in (second_child, table.root_page, table.root_page + 1, 2**64 - 1):
             raw = bytearray(valid)
             struct.pack_into("<Q", raw, root + 2 + 8, child)
             with load_table(base) as loaded:
                 idx.write_bytes(bytes(raw))  # after the load, which checks the whole index
                 with pytest.raises(FormatError):
                     loaded.point_query(coords)
+            idx.write_bytes(valid)
+
+    @pytest.mark.parametrize("level", [1, 2])
+    def test_child_on_another_level_is_format_error(self, tmp_path, monkeypatch, level):
+        """The first page of every level starts at the first row's key, so
+        a first child moved to another level's first page passes the
+        page's key check; only the level bound refuses it."""
+        monkeypatch.setattr(tablestore, "PAGE_SIZE", 128)
+        rel = generate(SynthSpec((16, 16, 8), density=0.3, seed=2))
+        table = build_table(rel)
+        assert table.level_first == (0, 15, 18)
+        base = tmp_path / "l"
+        save_table(table, base)
+        idx = tmp_path / "l.idx"
+        valid = idx.read_bytes()
+        coords = tuple(ordered_cells(rel)[1][0].tolist())  # on every level's first page
+        slot = table.level_first[level] * table.page_size + 2 + 8  # its first child
+        assert struct.unpack_from("<Q", valid, slot) == (table.level_first[level - 1],)
+        others = [first for first in table.level_first if first != table.level_first[level - 1]]
+        for child in (*others, table.root_page + 1):
+            raw = bytearray(valid)
+            struct.pack_into("<Q", raw, slot, child)
+            with load_table(base) as loaded:
+                idx.write_bytes(bytes(raw))  # after the load, which checks the whole index
+                with pytest.raises(FormatError, match=f"is not on index level {level - 1}$"):
+                    loaded.point_query(coords)
+            with pytest.raises(FormatError, match="^the index is not the one"):
+                load_table(base)
             idx.write_bytes(valid)
 
     def test_rows_cut_short_after_the_load_are_format_error(self, tmp_path, table):
@@ -325,14 +322,15 @@ class TestPersistence:
             load_table(tmp_path / "t")
 
 
-@pytest.fixture(scope="module", params=[4096, 128], ids=["two-pages", "three-levels"])
+@pytest.fixture(scope="module", params=[4096, 256, 128],
+                ids=["one-page", "two-levels", "three-levels"])
 def saved_index(request, tmp_path_factory):
-    """A saved table whose index is the meta page and one root page, or
-    three levels high, its valid index and its page size."""
+    """A saved table whose index is one root page, or two or three levels
+    high, its valid index and its page size."""
     base = tmp_path_factory.mktemp("index") / "t"
     with pages_of(request.param):
         table = build_table(generate(SynthSpec((16, 16, 8), density=0.3, seed=2)))
-        assert table.height == {4096: 1, 128: 3}[request.param]
+        assert table.height == {4096: 1, 256: 2, 128: 3}[request.param]
         save_table(table, base)
         load_table(base).close()
     return base, table._idx.contents(), request.param
@@ -366,8 +364,7 @@ class _RecordingCache(SimCache):
 
 
 class TestBlockTouches:
-    def test_each_query_touches_meta_then_root_to_leaf_then_its_group(self, tmp_path,
-                                                                        monkeypatch):
+    def test_each_query_touches_root_to_leaf_then_its_group(self, tmp_path, monkeypatch):
         monkeypatch.setattr(tablestore, "PAGE_SIZE", 128)
         rel = generate(SynthSpec((12, 10, 14), density=0.3, clustering=0.3, seed=3))
         table = build_table(rel)
@@ -377,12 +374,13 @@ class TestBlockTouches:
         group_keys = positions[:: table.rows_per_group]
         fanout = table.entries_per_page
         level_first, level_pages = [], table.n_groups
-        first = 1  # levels are written bottom-up after the meta page
+        first = 0  # levels are written bottom-up, the leaf level from page 0
         for _ in range(table.height):
             level_first.append(first)
             level_pages = -(-level_pages // fanout)
             first += level_pages
         cache = _RecordingCache()
+        touched = set()
         with load_table(tmp_path / "b", cache=cache) as loaded:
             stored = set(positions.tolist())
             misses = sorted(set(range(int(positions[0]), int(positions[-1]) + 2)) - stored)
@@ -395,14 +393,15 @@ class TestBlockTouches:
                 cache.keys.clear()
                 found = loaded.point_query(decode_logical_position(key, rel.schema))
                 assert (found is None) == (key not in stored)
-                assert cache.keys == (
-                    [("tbl.idx", 0)] + [("tbl.idx", p) for p in pages] + [("tbl.rows", group)]
-                )
+                assert cache.keys == [("tbl.idx", p) for p in pages] + [("tbl.rows", group)]
+                touched.update(pages)
             # A key before every row stops at the root.
             assert positions[0] > 0
             cache.keys.clear()
             assert loaded.point_query(decode_logical_position(int(positions[0]) - 1, rel.schema)) is None
-            assert cache.keys == [("tbl.idx", 0), ("tbl.idx", table.root_page)]
+            assert cache.keys == [("tbl.idx", table.root_page)]
+        # Every index page is on some stored row's path.
+        assert touched == set(range(table.root_page + 1))
 
 
     def test_cold_queries_touch_at_least_two_blocks(self, tmp_path, relation, table):

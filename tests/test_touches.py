@@ -155,7 +155,7 @@ class TestTouchChecks:
             bad = table.root_page if value == "root" else value
             raw[root + 2 + 8 : root + 2 + 16] = bad.to_bytes(8, "little")
         else:  # the first leaf entry points past the last row group
-            leaf = 1 * ps
+            leaf = table.level_first[0] * ps
             raw[leaf + 2 + 8 : leaf + 2 + 16] = table.n_groups.to_bytes(8, "little")
         idx.write_bytes(bytes(raw))
 
