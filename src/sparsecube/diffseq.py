@@ -16,17 +16,18 @@ differences forward from it, switching to the next jump whenever a zero
 difference comes up.  The coarse level holds full entries at every
 COARSE_CELLS-th cell.  The fine level has an entry at every coarse entry,
 every FINE_CELLS-th cell and every `stride`-th jump, held as deltas from its
-coarse entry (the sampled pointers of two-level rank directories).  Every
-column takes the narrowest typecode that holds its largest value in the
-store.  A lookup bisects the coarse positions, then the fine deltas of that
-block, and decodes fewer than FINE_CELLS differences however rarely a gap
-overflows.  The table is never serialized: a build fills it from the arrays
-it already holds, and a load rebuilds it in one numpy pass over the stored
-differences (DHC decodes its whole stream with `huffman.decode_stream` for
-that).  Every cell's position comes from one `cumsum`; a load rejects
-positions that do not strictly increase, which is how a run past 2**64 - 1
-shows.  A load rejects a `diff_bits` outside 1..MAX_DIFF_BITS, and DHC a
-codebook symbol wider.
+coarse entry (the sampled pointers of two-level rank directories).  Each
+class sets its own FINE_CELLS, 16 for DSC and 32 for DHC (the comment on
+COARSE_CELLS says why).  Every column takes the narrowest typecode that
+holds its largest value in the store.  A lookup bisects the coarse
+positions, then the fine deltas of that block, and decodes fewer than
+FINE_CELLS differences however rarely a gap overflows.  The table is never
+serialized: a build fills it from the arrays it already holds, and a load
+rebuilds it in one numpy pass over the stored differences (DHC decodes its
+whole stream with `huffman.decode_stream` for that).  Every cell's position
+comes from one `cumsum`; a load rejects positions that do not strictly
+increase, which is how a run past 2**64 - 1 shows.  A load rejects a
+`diff_bits` outside 1..MAX_DIFF_BITS, and DHC a codebook symbol wider.
 
 Every header holds what a lookup relies on: difference data as long as the
 count, whole codes with no trailing octet, and as many zero differences as
@@ -72,10 +73,12 @@ from .headers import (
 )
 from .huffman import BitStream, CodeBook, build_codebook, decode_stream, encode_sequence
 
-# Cells between two fine checkpoints at most, and between two coarse ones.
-# At 32 and 512, DHC's table holds 0.24-0.31 octets per cell on clustered
-# and dense relations, and 0.67 where a gap overflows every few cells.
-FINE_CELLS = 32
+# Cells between two coarse checkpoints.  The most cells between two fine
+# ones is each header class's FINE_CELLS: a denser table makes a lookup
+# decode fewer differences and holds more octets per cell.  DSC's 16 holds
+# 0.34 octets per cell on dense relations and 0.67 where a gap overflows
+# every few cells.  DHC's 32 holds 0.24-0.31 and 0.67; at 16, c08's DHC
+# memory overhead would be 7.3%, over its 5% bound.
 COARSE_CELLS = 512
 # The widest difference a header stores: DSC packs and reads each one
 # through a 32-bit word.
@@ -214,17 +217,21 @@ def _positions(diffs: np.ndarray, jump_idx: np.ndarray, jumps: np.ndarray) -> np
 
 
 def _checkpoints(
-    pos: np.ndarray, jump_idx: np.ndarray, stride: int, ends: np.ndarray | None = None
+    pos: np.ndarray,
+    jump_idx: np.ndarray,
+    fine: int,
+    stride: int,
+    ends: np.ndarray | None = None,
 ) -> Checkpoints:
     """The checkpoint table from every cell's position (and DHC code end).
 
     Coarse entries sit at every COARSE_CELLS-th cell.  Fine entries sit at
-    every coarse entry, every FINE_CELLS-th cell and every stride-th jump.
+    every coarse entry, every `fine`-th cell and every stride-th jump.
     """
     n = pos.size
     coarse = np.arange(0, n, COARSE_CELLS, dtype=np.int64)
     mark = np.zeros(n, dtype=bool)
-    mark[::FINE_CELLS] = mark[::COARSE_CELLS] = True
+    mark[::fine] = mark[::COARSE_CELLS] = True
     mark[jump_idx[::stride]] = True
     cells = np.flatnonzero(mark)
     first = np.searchsorted(cells, coarse)
@@ -264,7 +271,8 @@ def _jump_indices(diffs: np.ndarray, n_jumps: int) -> np.ndarray:
 class DifferenceHeader:
     """What DSC and DHC share: the parameters, the jumps and the checkpoints.
 
-    A subclass sets `MAGIC` and defines `size_bytes`, `lookup` and `_arrays`,
+    A subclass sets `MAGIC` and `FINE_CELLS`, the most cells between two
+    fine checkpoints, and defines `size_bytes`, `lookup` and `_arrays`,
     which returns the differences, the cells of their zeros, the jumps and,
     for DHC, the stream bit offset after each cell's code, as numpy arrays.
     """
@@ -279,7 +287,7 @@ class DifferenceHeader:
     def __post_init__(self):
         diffs, jump_idx, jumps, ends = self._arrays()
         pos = _positions(diffs, jump_idx, jumps)
-        self.checkpoints = _checkpoints(pos, jump_idx, self.stride, ends)
+        self.checkpoints = _checkpoints(pos, jump_idx, self.FINE_CELLS, self.stride, ends)
 
     @classmethod
     def _built(cls, pos: np.ndarray, jump_idx: np.ndarray, ends: np.ndarray | None, *values):
@@ -288,7 +296,7 @@ class DifferenceHeader:
         self = object.__new__(cls)
         for f, value in zip([f for f in fields(cls) if f.init], values):
             setattr(self, f.name, value)
-        self.checkpoints = _checkpoints(pos, jump_idx, self.stride, ends)
+        self.checkpoints = _checkpoints(pos, jump_idx, cls.FINE_CELLS, self.stride, ends)
         return self
 
     def memory_bytes(self) -> int:
@@ -329,6 +337,7 @@ class DscHeader(DifferenceHeader):
     """Packed difference sequence plus jump sequence."""
 
     MAGIC = b"DSCH"
+    FINE_CELLS = 16
 
     diff_data: bytes
 
@@ -443,6 +452,7 @@ class DhcHeader(DifferenceHeader):
     """
 
     MAGIC = b"DHCH"
+    FINE_CELLS = 32
 
     codebook: CodeBook | None
     stream: BitStream

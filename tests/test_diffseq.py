@@ -343,16 +343,26 @@ def columns(cp):
     return [getattr(cp, f.name) for f in dataclasses.fields(cp)]
 
 
+def space_checkpoints(mp, fine):
+    """Fine entries every `fine` cells in both schemes, in coarse blocks of
+    two or three fine entries, which put a coarse boundary next to nearly
+    every fine one."""
+    for cls in (DscHeader, DhcHeader):
+        mp.setattr(cls, "FINE_CELLS", fine)
+    mp.setattr(diffseq, "COARSE_CELLS", fine * (2 + fine % 2))
+
+
 class TestCheckpoints:
     @pytest.mark.parametrize("bits", [4, 8, 16])
     def test_checkpoints_at_most_checkpoint_cells_apart(self, bits):
-        fine, coarse = diffseq.FINE_CELLS, diffseq.COARSE_CELLS
+        coarse = diffseq.COARSE_CELLS
         rng = random.Random(bits)
         single_jump = list(range(7, 100_007))
         overflowing = random_increasing(rng, 3000, 2 ** (bits + 1))
         for positions in (single_jump, overflowing):
             _, diffs, _ = difference_arrays(positions, bits)
             for build, cls in SCHEMES:
+                fine = cls.FINE_CELLS
                 for h in built_and_reloaded(build, cls, positions, diff_bits=bits):
                     cp = h.checkpoints
                     assert list(cp.cell) == list(range(0, h.count, coarse)) + [h.count]
@@ -375,15 +385,15 @@ class TestCheckpoints:
                         assert col.itemsize == min(w for w in (1, 2, 4, 8) if top < 256**w)
                     if positions is single_jump:
                         assert len(h.jumps) == 1
-                        assert len(cells) == -(-len(positions) // fine)
+                        # ceil(n / 16) for DSC, ceil(n / 32) for DHC.
+                        assert len(cells) == {DscHeader: 6250, DhcHeader: 3125}[cls]
 
-    @pytest.mark.parametrize("every", [1, 2, 3, 128])
+    @pytest.mark.parametrize("every", [1, 2, 3, 128, None])
     def test_probes_around_every_checkpoint(self, monkeypatch, every):
-        # Coarse blocks of two or three fine entries put a coarse boundary
-        # next to nearly every fine one.
-        monkeypatch.setattr(diffseq, "FINE_CELLS", every)
-        monkeypatch.setattr(diffseq, "COARSE_CELLS", every * (2 + every % 2))
-        rng = random.Random(every)
+        # None probes each class at its own spacing.
+        if every is not None:
+            space_checkpoints(monkeypatch, every)
+        rng = random.Random(every or 0)
         # Fibonacci gap frequencies (gap 1 the most frequent) give the deepest
         # code: 15 bits, past the width of the table-driven decoder.
         fib = [1, 1]
@@ -430,13 +440,23 @@ class TestCheckpoints:
                 assert max(h.checkpoints.fine_pos) >= 2 ** (8 * array(typecode).itemsize // 2)
                 assert [h.lookup(q) for q in probes] == [stored.get(q) for q in probes]
 
-    @pytest.mark.parametrize("density, most", [(0.2, 0.35), (0.0159, 1.0)])
-    def test_dhc_table_octets_per_cell(self, density, most):
+    @pytest.mark.parametrize(
+        "build, density, most",
+        [
+            (build_dhc, 0.2, 0.35),
+            (build_dhc, 0.0159, 1.0),
+            (build_dsc, 0.2, 0.35),
+            (build_dsc, 0.0159, 0.68),
+        ],
+        ids=["0.2-0.35", "0.0159-1.0", "dsc-0.2-0.35", "dsc-0.0159-0.68"],
+    )
+    def test_dhc_table_octets_per_cell(self, build, density, most):
         # Uniform gaps at 4 bits, as in the dense-uniform and cache-sweep
         # benchmark relations.  One 32-octet entry every 128 cells and every
-        # 16th jump held 0.32 and 1.81 octets per cell there.
+        # 16th jump held 0.32 and 1.81 octets per cell there.  DSC's fine
+        # entries every 16 cells hold 0.343 and 0.672.
         gaps = np.random.default_rng(3).geometric(density, 50_000)
-        h = build_dhc(np.cumsum(gaps), diff_bits=4)
+        h = build(np.cumsum(gaps), diff_bits=4)
         assert h.checkpoints.memory_bytes() / h.count <= most
 
     def test_memory_bytes_counts_what_is_held(self):
@@ -522,8 +542,7 @@ class TestDhcRuns:
         probes = {q for p in positions for q in (p - 1, p, p + 1)}
         probes.update(rng.randrange(positions[-1] + 3) for _ in range(100))
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(diffseq, "FINE_CELLS", fine)
-            mp.setattr(diffseq, "COARSE_CELLS", fine * (2 + fine % 2))
+            space_checkpoints(mp, fine)
             for h in built_and_reloaded(build_dhc, DhcHeader, positions,
                                         diff_bits=diff_bits, stride=stride):
                 for q in sorted(probes):
@@ -622,8 +641,7 @@ class TestScans:
         probes = {q for p in positions for q in (p - 1, p, p + 1)}
         probes.update(data.draw(st.lists(st.integers(0, positions[-1] + 2), max_size=20)))
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(diffseq, "FINE_CELLS", fine)
-            mp.setattr(diffseq, "COARSE_CELLS", fine * (2 + fine % 2))
+            space_checkpoints(mp, fine)
             for h in built_and_reloaded(build_dsc, DscHeader, positions,
                                         diff_bits=bits, stride=4):
                 for q in sorted(probes):
@@ -643,8 +661,7 @@ class TestScans:
         # longer than the 11-bit table.  Each 16-cell window holds five long
         # codes (60 bits), a run of six 00 codes, a long code, a run of three
         # and a long code: 102 bits, so most windows start mid-octet.
-        monkeypatch.setattr(diffseq, "FINE_CELLS", 16)
-        monkeypatch.setattr(diffseq, "COARSE_CELLS", 32)
+        space_checkpoints(monkeypatch, 16)
         cb = CodeBook({1: 2, **{g: 12 for g in range(2, 3074)}})
         rng = random.Random(27)
         gaps = []
@@ -685,8 +702,7 @@ class TestScans:
         probes = {q for p in positions for q in (p - 1, p, p + 1)}
         probes.update(rng.randrange(positions[-1] + 3) for _ in range(50))
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(diffseq, "FINE_CELLS", fine)
-            mp.setattr(diffseq, "COARSE_CELLS", fine * (2 + fine % 2))
+            space_checkpoints(mp, fine)
             built = DhcHeader(16, 8, stride, len(positions), array("Q", [3]), cb, stream)
             again = DhcHeader.from_bytes(built.to_bytes())
         assert again.checkpoints == built.checkpoints
