@@ -66,10 +66,10 @@ def _add_param_flags(p) -> None:
     p.add_argument("--block-len", type=int, default=16, help="positions per base+offset block")
     p.add_argument("--s-bits", dest="diff_bits", type=int, default=16,
                    help="bits per difference entry")
-    dsc, dhc = (mdstore.REGISTRY[s].header.FINE_CELLS for s in ("dsc", "dhc"))
     p.add_argument("--stride", type=int, default=16,
-                   help=f"a DSC/DHC checkpoint every N jumps, besides one every"
-                        f" {dsc} (DSC) or {dhc} (DHC) cells")
+                   help=f"a DSC checkpoint every N jumps, besides one every"
+                        f" {mdstore.REGISTRY['dsc'].header.FINE_CELLS} cells; DHC stores"
+                        f" carry it unread")
 
 
 def cmd_gen(args) -> int:

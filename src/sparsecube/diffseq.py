@@ -14,20 +14,25 @@ difference back (`_arrays`) and its own `lookup` loop.
 Point queries find a start in a two-level checkpoint table, then scan
 differences forward from it, switching to the next jump whenever a zero
 difference comes up.  The coarse level holds full entries at every
-COARSE_CELLS-th cell.  The fine level has an entry at every coarse entry,
-every FINE_CELLS-th cell and every `stride`-th jump, held as deltas from its
-coarse entry (the sampled pointers of two-level rank directories).  Each
-class sets its own FINE_CELLS, 16 for DSC and 32 for DHC (the comment on
-COARSE_CELLS says why).  Every column takes the narrowest typecode that
-holds its largest value in the store.  A lookup bisects the coarse
-positions, then the fine deltas of that block, and decodes fewer than
-FINE_CELLS differences however rarely a gap overflows.  The table is never
-serialized: a build fills it from the arrays it already holds, and a load
-rebuilds it in one numpy pass over the stored differences (DHC decodes its
-whole stream with `huffman.decode_stream` for that).  Every cell's position
-comes from one `cumsum`; a load rejects positions that do not strictly
-increase, which is how a run past 2**64 - 1 shows.  A load rejects a
-`diff_bits` outside 1..MAX_DIFF_BITS, and DHC a codebook symbol wider.
+COARSE_CELLS-th cell; the fine level holds deltas from its coarse entry
+(the sampled pointers of two-level rank directories), at most each class's
+FINE_CELLS (16 for both) cells apart.  DSC's `Checkpoints` also has an
+entry at every `stride`-th jump, so it stores each entry's cell.  DHC's
+`DhcCheckpoints` has entries at every FINE_CELLS-th cell and at no other,
+so its cells are implied and a fine entry can be as small as a position
+and a stream bit (its docstring says what it holds).  DHC reads no
+`stride`: its run step already skips the all-zero code, and the field
+stays in its file until the format changes.  Every
+column takes the narrowest typecode that holds its largest value in the
+store.  A lookup bisects the coarse positions, then the fine deltas of that
+block, and decodes fewer than FINE_CELLS differences however rarely a gap
+overflows.  The table is never serialized: a build fills it from the arrays
+it already holds, and a load rebuilds it in one numpy pass over the stored
+differences (DHC decodes its whole stream with `huffman.decode_stream` for
+that).  Every cell's position comes from one `cumsum`; a load rejects
+positions that do not strictly increase, which is how a run past
+2**64 - 1 shows.  A load rejects a `diff_bits` outside 1..MAX_DIFF_BITS,
+and DHC a codebook symbol wider.
 
 Every header holds what a lookup relies on: difference data as long as the
 count, whole codes with no trailing octet, and as many zero differences as
@@ -75,10 +80,13 @@ from .huffman import BitStream, CodeBook, build_codebook, decode_stream, encode_
 
 # Cells between two coarse checkpoints.  The most cells between two fine
 # ones is each header class's FINE_CELLS: a denser table makes a lookup
-# decode fewer differences and holds more octets per cell.  DSC's 16 holds
-# 0.34 octets per cell on dense relations and 0.67 where a gap overflows
-# every few cells.  DHC's 32 holds 0.24-0.31 and 0.67; at 16, c08's DHC
-# memory overhead would be 7.3%, over its 5% bound.
+# decode fewer differences and holds more octets per cell.  DSC's table
+# holds 0.34 octets per cell on dense relations and 0.67 where a gap
+# overflows every few cells.  DHC's, with implied cells, holds 0.27 on
+# dense relations and 0.40 where a gap overflows at most cells; on
+# acceptance criterion c08's relation, where a coarse block spans more than
+# 2**16 positions, its fine entry takes 6 octets and its memory overhead
+# stays under c08's 5% bound.
 COARSE_CELLS = 512
 # The widest difference a header stores: DSC packs and reads each one
 # through a 32-bit word.
@@ -142,39 +150,33 @@ def _diff_window(data: bytes, diff_bits: int, first: int, stop: int) -> Sequence
 
 @dataclass
 class Checkpoints:
-    """Where a scan may start: full coarse entries, and fine entries held as
-    deltas from the coarse entry of their block.
+    """DSC's table: full coarse entries, and fine entries held as deltas from
+    the coarse entry of their block.
 
     Coarse entry j: cell `cell[j]` sits at absolute position `pos[j]` in the
-    run of jump `jump[j]`.  For DHC, `bit[j]` is the stream bit offset right
-    after that cell's code, so a decoder started there yields the next
-    difference; DSC leaves `bit` and `fine_bit` empty.  Its block holds fine
-    entries `first[j]` .. `first[j+1] - 1`, the first of which is the coarse
-    entry itself; fine entry e stands for cell `cell[j] + fine_cell[e]` at
-    `pos[j] + fine_pos[e]`, and so on for the jump and the bit.  `cell` and
-    `first` close with one entry more: the cell count and the fine entry
-    count.  Every column has the narrowest typecode that holds its largest
-    value in this store.
+    run of jump `jump[j]`.  Its block holds fine entries `first[j]` ..
+    `first[j+1] - 1`, the first of which is the coarse entry itself; fine
+    entry e stands for cell `cell[j] + fine_cell[e]` at `pos[j] +
+    fine_pos[e]`, and so on for the jump.  `cell` and `first` close with one
+    entry more: the cell count and the fine entry count.  Every column has
+    the narrowest typecode that holds its largest value in this store.
     """
 
     pos: array
     cell: array
     jump: array
-    bit: array
     first: array
     fine_pos: array
     fine_cell: array
     fine_jump: array
-    fine_bit: array
 
     def memory_bytes(self) -> int:
         return held_bytes(*(getattr(self, f.name) for f in fields(self)))
 
-    def find(self, position: int) -> tuple[int, int, int, int, int, int | None] | None:
-        """The cell, position, jump index and bit offset of the last entry at
-        or before `position`, then the cell and bit offset of the entry after
-        it; past the last entry, the cell count and None.  None before the
-        first cell.  DSC, with no bits, gets 0 and None."""
+    def find(self, position: int) -> tuple[int, int, int, int] | None:
+        """The cell, position and jump index of the last entry at or before
+        `position`, then the cell of the entry after it (past the last
+        entry, the cell count).  None before the first cell."""
         j = bisect_right(self.pos, position) - 1
         if j < 0:
             return None
@@ -182,21 +184,48 @@ class Checkpoints:
         cell = self.cell[j]
         hi = self.first[j + 1]
         e = bisect_right(self.fine_pos, position - base, self.first[j], hi) - 1
-        bits = self.bit
-        if e + 1 < hi:
-            limit = cell + self.fine_cell[e + 1]
-            stop = bits[j] + self.fine_bit[e + 1] if bits else None
-        else:
-            limit = self.cell[j + 1]
-            stop = bits[j + 1] if j + 1 < len(bits) else None
-        return (
-            cell + self.fine_cell[e],
-            base + self.fine_pos[e],
-            self.jump[j] + self.fine_jump[e],
-            bits[j] + self.fine_bit[e] if bits else 0,
-            limit,
-            stop,
-        )
+        limit = cell + self.fine_cell[e + 1] if e + 1 < hi else self.cell[j + 1]
+        return cell + self.fine_cell[e], base + self.fine_pos[e], self.jump[j] + self.fine_jump[e], limit
+
+
+@dataclass
+class DhcCheckpoints:
+    """DHC's table: an entry at every `fine`-th cell and at no other, so no
+    column holds a cell.
+
+    Fine entry e stands for cell `e * fine`; coarse entry j is fine entry
+    `j * per_coarse`.  Coarse entry j holds the absolute position `pos[j]`,
+    the stream bit `bit[j]` right after that cell's code, so a decoder
+    started there yields the next difference, and the index `jump[j]` of
+    the jump whose run holds the cell.  Fine entry e of block j is at
+    `pos[j] + fine_pos[e]` and bit `bit[j] + fine_bit[e]`, and in the run of
+    jump `jump[j] + fine_jump[e]` where `fine_jump` is held: only where the
+    header has a jump per `fine` cells or more.  Elsewhere `jump_index`
+    finds a run with one `bisect`.  Every column has the narrowest typecode
+    that holds its largest value in this store.  `DhcHeader.lookup` reads
+    the columns itself: a call to find its start would cost it a tenth.
+    """
+
+    fine: int
+    per_coarse: int
+    count: int
+    pos: array
+    bit: array
+    jump: array
+    fine_pos: array
+    fine_bit: array
+    fine_jump: array | None
+
+    def memory_bytes(self) -> int:
+        columns = (getattr(self, f.name) for f in fields(self))
+        return held_bytes(*(c for c in columns if isinstance(c, array)))
+
+    def jump_index(self, jumps: array, cell: int, position: int) -> int:
+        """The index of the jump whose run holds `cell`, at `position`: one
+        bisect of the jumps between its coarse entry's and the next one's."""
+        j = cell // (self.fine * self.per_coarse)
+        hi = self.jump[j + 1] + 1 if j + 1 < len(self.jump) else len(jumps)
+        return bisect_right(jumps, position, self.jump[j], hi) - 1
 
 
 def _positions(diffs: np.ndarray, jump_idx: np.ndarray, jumps: np.ndarray) -> np.ndarray:
@@ -216,14 +245,13 @@ def _positions(diffs: np.ndarray, jump_idx: np.ndarray, jumps: np.ndarray) -> np
     return pos
 
 
-def _checkpoints(
-    pos: np.ndarray,
-    jump_idx: np.ndarray,
-    fine: int,
-    stride: int,
-    ends: np.ndarray | None = None,
-) -> Checkpoints:
-    """The checkpoint table from every cell's position (and DHC code end).
+def _runs(jump_idx: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """The index of the jump whose run holds each of `cells`."""
+    return np.searchsorted(jump_idx, cells, side="right") - 1
+
+
+def _checkpoints(pos: np.ndarray, jump_idx: np.ndarray, fine: int, stride: int) -> Checkpoints:
+    """DSC's table from every cell's position and the cells of the jumps.
 
     Coarse entries sit at every COARSE_CELLS-th cell.  Fine entries sit at
     every coarse entry, every `fine`-th cell and every stride-th jump.
@@ -243,18 +271,45 @@ def _checkpoints(
         return narrow(col[first]), narrow(col - col[base])
 
     at, fine_pos = split(pos[cells])
-    run, fine_jump = split(np.searchsorted(jump_idx, cells, side="right") - 1)
-    bit, fine_bit = split(ends[cells]) if ends is not None else (array("B"), array("B"))
+    run, fine_jump = split(_runs(jump_idx, cells))
     return Checkpoints(
         pos=at,
         cell=narrow(np.append(coarse, n)),
         jump=run,
-        bit=bit,
         first=narrow(np.append(first, cells.size)),
         fine_pos=fine_pos,
         fine_cell=narrow(cells - cells[base]),
         fine_jump=fine_jump,
+    )
+
+
+def _dhc_checkpoints(
+    pos: np.ndarray, jump_idx: np.ndarray, fine: int, ends: np.ndarray
+) -> DhcCheckpoints:
+    """DHC's table from every cell's position, the cells of the jumps and
+    the stream bit after every cell's code: an entry at every `fine`-th cell,
+    and a coarse entry at every COARSE_CELLS-th, which `fine` divides."""
+    per_coarse = COARSE_CELLS // fine
+    cells = np.arange(0, pos.size, fine)
+
+    def split(col: np.ndarray) -> tuple[array, array]:
+        """The coarse column and the fine deltas of one value per fine entry."""
+        at = col[::per_coarse]
+        return narrow(at), narrow(col - np.repeat(at, per_coarse)[: col.size])
+
+    at, fine_pos = split(pos[cells])
+    bit, fine_bit = split(ends[cells])
+    run, fine_jump = split(_runs(jump_idx, cells))
+    return DhcCheckpoints(
+        fine=fine,
+        per_coarse=per_coarse,
+        count=pos.size,
+        pos=at,
+        bit=bit,
+        jump=run,
+        fine_pos=fine_pos,
         fine_bit=fine_bit,
+        fine_jump=fine_jump if jump_idx.size * fine >= pos.size else None,
     )
 
 
@@ -272,9 +327,10 @@ class DifferenceHeader:
     """What DSC and DHC share: the parameters, the jumps and the checkpoints.
 
     A subclass sets `MAGIC` and `FINE_CELLS`, the most cells between two
-    fine checkpoints, and defines `size_bytes`, `lookup` and `_arrays`,
-    which returns the differences, the cells of their zeros, the jumps and,
-    for DHC, the stream bit offset after each cell's code, as numpy arrays.
+    fine checkpoints, and defines `size_bytes`, `lookup`, `_table`, which
+    makes its checkpoint table, and `_arrays`, which returns the
+    differences, the cells of their zeros, the jumps and, for DHC, the
+    stream bit offset after each cell's code, as numpy arrays.
     """
 
     diff_bits: int
@@ -282,12 +338,11 @@ class DifferenceHeader:
     stride: int
     count: int
     jumps: array
-    checkpoints: Checkpoints = field(init=False, repr=False)
+    checkpoints: Checkpoints | DhcCheckpoints = field(init=False, repr=False)
 
     def __post_init__(self):
         diffs, jump_idx, jumps, ends = self._arrays()
-        pos = _positions(diffs, jump_idx, jumps)
-        self.checkpoints = _checkpoints(pos, jump_idx, self.FINE_CELLS, self.stride, ends)
+        self.checkpoints = self._table(_positions(diffs, jump_idx, jumps), jump_idx, ends)
 
     @classmethod
     def _built(cls, pos: np.ndarray, jump_idx: np.ndarray, ends: np.ndarray | None, *values):
@@ -296,7 +351,7 @@ class DifferenceHeader:
         self = object.__new__(cls)
         for f, value in zip([f for f in fields(cls) if f.init], values):
             setattr(self, f.name, value)
-        self.checkpoints = _checkpoints(pos, jump_idx, cls.FINE_CELLS, self.stride, ends)
+        self.checkpoints = self._table(pos, jump_idx, ends)
         return self
 
     def memory_bytes(self) -> int:
@@ -348,6 +403,9 @@ class DscHeader(DifferenceHeader):
         jump_idx = _jump_indices(diffs, len(self.jumps))
         return diffs, jump_idx, np.frombuffer(self.jumps, dtype=np.uint64), None
 
+    def _table(self, pos: np.ndarray, jump_idx: np.ndarray, ends: None) -> Checkpoints:
+        return _checkpoints(pos, jump_idx, self.FINE_CELLS, self.stride)
+
     def size_bytes(self) -> int:
         return packed_size(self.count, self.diff_bits) + self.entry_width * len(
             self.jumps
@@ -357,7 +415,7 @@ class DscHeader(DifferenceHeader):
         start = self.checkpoints.find(position)
         if start is None:
             return None
-        i, cur, k, _, limit, _ = start
+        i, cur, k, limit = start
         if cur == position:
             return i
         jumps = self.jumps
@@ -448,11 +506,11 @@ class DhcHeader(DifferenceHeader):
     The stream encodes diffs 1..count-1 (the leading zero is implied by the
     first jump).  The checkpoint table carries, per entry, the stream bit
     offset right after that cell's code.  The envelope adds the stream's bit
-    length to the shared parameters.
+    length to the shared parameters.  `stride` is stored and not read.
     """
 
     MAGIC = b"DHCH"
-    FINE_CELLS = 32
+    FINE_CELLS = 16
 
     codebook: CodeBook | None
     stream: BitStream
@@ -473,6 +531,9 @@ class DhcHeader(DifferenceHeader):
         jump_idx = _jump_indices(diffs, len(self.jumps))
         return diffs, jump_idx, np.frombuffer(self.jumps, dtype=np.uint64), ends
 
+    def _table(self, pos: np.ndarray, jump_idx: np.ndarray, ends: np.ndarray) -> DhcCheckpoints:
+        return _dhc_checkpoints(pos, jump_idx, self.FINE_CELLS, ends)
+
     def size_bytes(self) -> int:
         # The jumps, the codebook, and the stream's octets plus its stored
         # bit length.
@@ -484,16 +545,39 @@ class DhcHeader(DifferenceHeader):
         return super().memory_bytes() + tables
 
     def lookup(self, position: int) -> int | None:
-        start = self.checkpoints.find(position)
-        if start is None:
+        # The start: the last entry at or before `position`, from a bisect of
+        # the coarse positions and one of the fine deltas of that block.
+        cp = self.checkpoints
+        coarse = cp.pos
+        j = bisect_right(coarse, position) - 1
+        if j < 0:
             return None
-        idx, cur, k, pos, limit, stop = start
+        base = coarse[j]
+        fine_pos = cp.fine_pos
+        lo = j * cp.per_coarse
+        hi = lo + cp.per_coarse
+        if hi > len(fine_pos):
+            hi = len(fine_pos)
+        e = bisect_right(fine_pos, position - base, lo + 1, hi) - 1
+        idx = e * cp.fine
+        cur = base + fine_pos[e]
         if cur == position:
             return idx
+        # The window ends at the next entry's cell and code end, or at the
+        # last cell and the stream's end.
+        bits, fine_bit = cp.bit, cp.fine_bit
+        pos = bits[j] + fine_bit[e]
+        if e + 1 < hi:
+            limit, stop = idx + cp.fine, bits[j] + fine_bit[e + 1]
+        elif j + 1 < len(bits):
+            limit, stop = idx + cp.fine, bits[j + 1]
+        else:
+            limit, stop = cp.count, self.stream.bit_length
         if idx + 1 >= limit:
             return None
-        if stop is None:
-            stop = self.stream.bit_length
+        # The jump index of the run, or None until the first zero difference
+        # where the table holds none.
+        k = cp.jump[j] + cp.fine_jump[e] if cp.fine_jump is not None else None
         jumps = self.jumps
         # Inlined table-driven decode: scans dominate point-query cost.
         cb = self.codebook
@@ -519,6 +603,8 @@ class DhcHeader(DifferenceHeader):
                 fill -= ln
                 idx += 1
                 if d == 0:
+                    if k is None:
+                        k = cp.jump_index(jumps, idx, cur)
                     k += 1
                     cur = jumps[k]
                 else:
@@ -536,6 +622,8 @@ class DhcHeader(DifferenceHeader):
                     return None if off else idx + step
                 cur += run * d0
             else:
+                if k is None:
+                    k = cp.jump_index(jumps, idx, cur)
                 if jumps[k + run] >= position:
                     j = bisect_left(jumps, position, k + 1, k + run + 1)
                     return idx + j - k if jumps[j] == position else None

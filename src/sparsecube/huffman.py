@@ -133,9 +133,16 @@ class CodeBook:
         return w, lut, ln0, self.symbols[0]
 
     def decode_table_bytes(self) -> int:
-        # Memory-model size of the resident decode structures (canonical
-        # per-length tables), analogous to a decoding tree.
-        return 8 * len(self.symbols) + 16 * self.max_len
+        """The octets a queried header holds to decode: the canonical ranges
+        (the symbols and the per-length tables), and `_lut` as CPython holds
+        it, 8 octets per slot and a (symbol, length) tuple per code of at
+        most w bits (56 octets, and 28 more for a symbol past the small
+        integers CPython keeps once, 256).  Counted before the first lookup
+        builds `_lut`, since the cache model's H is what queries find held."""
+        w = min(self.max_len, _LUT_MAX_BITS)
+        short = np.frombuffer(self.symbols, dtype=np.uint64)[: self.offset[w] + self.count[w]]
+        lut = 8 * (1 << w) + 56 * short.size + 28 * int((short > 256).sum())
+        return 8 * len(self.symbols) + 16 * self.max_len + lut
 
     def size_bytes(self) -> int:
         # Serialized: symbol count (8) + per symbol (symbol 8, length 1).

@@ -275,7 +275,7 @@ class TestEstimateSweep:
         raw = sweep_csv.read_bytes()
         assert b"\r" not in raw and raw.endswith(b"\n")  # line ends as `gen` writes them
         assert hashlib.sha256(raw).hexdigest() == (
-            "5615574e692d712978f77a1335c0ac5c97436f5072ed249d371b73b362727fef"
+            "38bdec19e9662c92c664b30ea2ece43e75098dabc423006988c152d9d5b415eb"
         )
 
     @pytest.mark.parametrize("value", ["512", "4096", *EDGES])

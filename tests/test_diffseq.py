@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from sparsecube import diffseq
 from sparsecube.diffseq import (
+    DhcCheckpoints,
     DhcHeader,
     DscHeader,
     build_dhc,
@@ -326,21 +327,31 @@ SCHEMES = ((build_dsc, DscHeader), (build_dhc, DhcHeader))
 
 def fine_entries(cp):
     """Every fine entry as absolute (cell, position, jump index, bit offset):
-    its coarse entry plus its deltas.  The bit is None for DSC."""
-    out = []
-    for j in range(len(cp.pos)):
-        for e in range(cp.first[j], cp.first[j + 1]):
-            out.append((
-                cp.cell[j] + cp.fine_cell[e],
+    its coarse entry plus its deltas.  The bit is None for DSC, and so is
+    the jump index of a DHC table that holds no `fine_jump`."""
+    if isinstance(cp, DhcCheckpoints):
+        return [
+            (
+                e * cp.fine,
                 cp.pos[j] + cp.fine_pos[e],
-                cp.jump[j] + cp.fine_jump[e],
-                cp.bit[j] + cp.fine_bit[e] if cp.bit else None,
-            ))
-    return out
+                cp.jump[j] + cp.fine_jump[e] if cp.fine_jump is not None else None,
+                cp.bit[j] + cp.fine_bit[e],
+            )
+            for e in range(len(cp.fine_pos))
+            for j in [e // cp.per_coarse]
+        ]
+    return [
+        (cp.cell[j] + cp.fine_cell[e], cp.pos[j] + cp.fine_pos[e], cp.jump[j] + cp.fine_jump[e], None)
+        for j in range(len(cp.pos))
+        for e in range(cp.first[j], cp.first[j + 1])
+    ]
 
 
 def columns(cp):
-    return [getattr(cp, f.name) for f in dataclasses.fields(cp)]
+    """The table's columns: every field but DHC's spacing and count, and
+    its `fine_jump` where it holds none."""
+    values = (getattr(cp, f.name) for f in dataclasses.fields(cp))
+    return [v for v in values if v is not None and not isinstance(v, int)]
 
 
 def space_checkpoints(mp, fine):
@@ -365,28 +376,36 @@ class TestCheckpoints:
                 fine = cls.FINE_CELLS
                 for h in built_and_reloaded(build, cls, positions, diff_bits=bits):
                     cp = h.checkpoints
-                    assert list(cp.cell) == list(range(0, h.count, coarse)) + [h.count]
-                    assert cp.first[-1] == len(cp.fine_pos)
                     entries = fine_entries(cp)
                     cells = [c for c, _, _, _ in entries]
-                    assert cells[0] == 0
-                    assert all(0 < b - a <= fine for a, b in zip(cells, cells[1:] + [h.count]))
-                    assert set(cp.cell[:-1]) <= set(cells)
-                    for cell, pos, k, bit in entries:
-                        assert pos == positions[cell]
-                        assert h.jumps[k] <= pos
-                        assert k + 1 == len(h.jumps) or h.jumps[k + 1] > pos
-                    if cls is DhcHeader:
+                    if cls is DscHeader:
+                        assert list(cp.cell) == list(range(0, h.count, coarse)) + [h.count]
+                        assert cp.first[-1] == len(cp.fine_pos)
+                        assert all(0 < b - a <= fine for a, b in zip(cells, cells[1:] + [h.count]))
+                        assert set(cp.cell[:-1]) <= set(cells)
+                    else:
+                        # Every 16th cell and no other, whatever the jumps.
+                        assert cells == list(range(0, h.count, 16))
+                        assert len(cp.pos) == len(cp.bit) == len(cp.jump) == -(-h.count // coarse)
+                        assert [e for e, (c, _, _, _) in enumerate(entries) if c % coarse == 0] == [
+                            j * coarse // 16 for j in range(len(cp.pos))
+                        ]
                         _, ends = encode_sequence(h.codebook, diffs[1:])
                         ends = [0] + ends.tolist()
                         assert [bit for c, _, _, bit in entries] == [ends[c] for c in cells]
+                    for cell, pos, k, bit in entries:
+                        assert pos == positions[cell]
+                        if k is None:
+                            k = cp.jump_index(h.jumps, cell, pos)
+                        assert h.jumps[k] <= pos
+                        assert k + 1 == len(h.jumps) or h.jumps[k + 1] > pos
                     for col in columns(cp):
                         top = max(col, default=0)
                         assert col.itemsize == min(w for w in (1, 2, 4, 8) if top < 256**w)
                     if positions is single_jump:
                         assert len(h.jumps) == 1
-                        # ceil(n / 16) for DSC, ceil(n / 32) for DHC.
-                        assert len(cells) == {DscHeader: 6250, DhcHeader: 3125}[cls]
+                        # ceil(n / 16) for both.
+                        assert len(cells) == 6250
 
     @pytest.mark.parametrize("every", [1, 2, 3, 128, None])
     def test_probes_around_every_checkpoint(self, monkeypatch, every):
@@ -413,7 +432,8 @@ class TestCheckpoints:
             for build, cls in SCHEMES:
                 for h in built_and_reloaded(build, cls, positions, diff_bits=bits, stride=4):
                     cells = [c for c, _, _, _ in fine_entries(h.checkpoints)]
-                    assert set(h.checkpoints.cell[:-1]) <= set(cells)
+                    if cls is DscHeader:
+                        assert set(h.checkpoints.cell[:-1]) <= set(cells)
                     probes = {positions[0] - 1, positions[-1] + 1}
                     for c in cells:
                         for i in (c - 1, c, c + 1):
@@ -453,8 +473,9 @@ class TestCheckpoints:
     def test_dhc_table_octets_per_cell(self, build, density, most):
         # Uniform gaps at 4 bits, as in the dense-uniform and cache-sweep
         # benchmark relations.  One 32-octet entry every 128 cells and every
-        # 16th jump held 0.32 and 1.81 octets per cell there.  DSC's fine
-        # entries every 16 cells hold 0.343 and 0.672.
+        # 16th jump held 0.32 and 1.81 octets per cell there.  DHC's entries
+        # at every 16th cell hold 0.270 and 0.395, DSC's fine entries every
+        # 16 cells and every 16th jump 0.343 and 0.672.
         gaps = np.random.default_rng(3).geometric(density, 50_000)
         h = build(np.cumsum(gaps), diff_bits=4)
         assert h.checkpoints.memory_bytes() / h.count <= most
@@ -483,6 +504,80 @@ class TestCheckpoints:
         raw[-3:] = bytes([1, 0, 1])
         with pytest.raises(CorruptStreamError):
             DscHeader.from_bytes(bytes(raw))
+
+
+def _jumpy(rng, n, n_jumps, diff_bits, widest=None, together=False):
+    """n increasing positions with exactly n_jumps jumps at `diff_bits`: the
+    first cell and n_jumps - 1 gaps past the width (in one run of cells if
+    `together`), the rest 1 .. `widest` (by default the widest that fits),
+    about half of them 1."""
+    if together:
+        start = rng.randint(1, n - n_jumps + 1)
+        over = set(range(start, start + n_jumps - 1))
+    else:
+        over = set(rng.sample(range(1, n), n_jumps - 1))
+    top = 1 << diff_bits
+    widest = widest or top - 1
+    positions = [rng.randint(0, 9)]
+    for i in range(1, n):
+        gap = rng.randint(top, 2 * top) if i in over else rng.choice([1, rng.randint(1, widest)])
+        positions.append(positions[-1] + gap)
+    return positions
+
+
+# (cells, jumps) around DHC's `fine_jump` threshold of a jump per 16 cells:
+# 1600 cells with 100 jumps sit at it and hold the column, 1601 with 100 or
+# 1600 with 99 fall just short and hold none.
+THRESHOLD = [(1600, 100), (1601, 100), (1600, 99), (1600, 101), (1600, 1), (1600, 1200), (16, 1), (17, 1)]
+
+
+class TestDhcCheckpoints:
+    """DHC's table has an entry at every 16th cell and no other, and holds
+    a fine entry's jump index only where the header has a jump per 16
+    cells or more."""
+
+    @pytest.mark.parametrize("n, n_jumps", THRESHOLD)
+    def test_entries_at_every_16th_cell_and_jumps_where_a_jump_per_16_cells(self, n, n_jumps):
+        positions = _jumpy(random.Random(n * n_jumps), n, n_jumps, 8)
+        for h in built_and_reloaded(build_dhc, DhcHeader, positions, diff_bits=8, stride=1):
+            cp = h.checkpoints
+            assert len(h.jumps) == n_jumps
+            assert (cp.fine, cp.per_coarse, cp.count) == (16, diffseq.COARSE_CELLS // 16, n)
+            entries = fine_entries(cp)
+            assert [c for c, _, _, _ in entries] == list(range(0, n, 16))
+            assert len(cp.pos) == -(-n // diffseq.COARSE_CELLS)
+            assert (cp.fine_jump is not None) == (n_jumps * 16 >= n)
+            for cell, pos, k, _ in entries:
+                assert pos == positions[cell]
+                # Held or found, the index of the last jump at or before pos.
+                for k in {k, cp.jump_index(h.jumps, cell, pos)} - {None}:
+                    assert h.jumps[k] <= pos and (k + 1 == n_jumps or h.jumps[k + 1] > pos)
+
+    @pytest.mark.parametrize("n, n_jumps", THRESHOLD)
+    @pytest.mark.parametrize("zero_code", ["gap", "jump", "jump-run"])
+    def test_lookups_match_oracle_with_long_codes(self, n, n_jumps, zero_code):
+        # Gaps 2..1025 have 12-bit codes, longer than the 11-bit table.  The
+        # 1-bit all-zero code is gap 1, or a jump, so that a run of it is a
+        # run of jumps; in `jump-run` the jumps come in one run of cells,
+        # which the run step meets with no jump index held when they are few.
+        short = {1: 1, 0: 2} if zero_code == "gap" else {0: 1, 1: 2}
+        cb = CodeBook({**short, **{g: 12 for g in range(2, 1026)}})
+        rng = random.Random(n + n_jumps)
+        positions = _jumpy(rng, n, n_jumps, 16, 1025, together=zero_code == "jump-run")
+        _, diffs, jump_idx = difference_arrays(positions, 16)
+        assert jump_idx.size == n_jumps and (diffs > 1).any()  # some long codes
+        stream, _ = encode_sequence(cb, diffs[1:])
+        jumps = array("Q", [positions[i] for i in jump_idx])
+        built = DhcHeader(16, 8, 16, n, jumps, cb, stream)
+        again = DhcHeader.from_bytes(built.to_bytes())
+        assert again.checkpoints == built.checkpoints
+        assert (built.checkpoints.fine_jump is not None) == (n_jumps * 16 >= n)
+        stored = {p: i for i, p in enumerate(positions)}
+        probes = {q for p in positions for q in (p - 1, p, p + 1)}
+        probes.update(rng.randrange(positions[-1] + 2) for _ in range(300))
+        for h in (built, again):
+            for q in sorted(probes):
+                assert h.lookup(q) == stored.get(q), q
 
 
 def _alternating(long_gap, short_gap):
@@ -706,7 +801,8 @@ class TestScans:
             built = DhcHeader(16, 8, stride, len(positions), array("Q", [3]), cb, stream)
             again = DhcHeader.from_bytes(built.to_bytes())
         assert again.checkpoints == built.checkpoints
-        assert built.checkpoints.find(positions[-1])[5] is None  # the last window
+        # The last window starts at the last multiple of `fine`.
+        assert fine_entries(built.checkpoints)[-1][0] == (len(positions) - 1) // fine * fine
         for h in (built, again):
             for q in sorted(probes):
                 assert h.lookup(q) == stored.get(q), q

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from fractions import Fraction
 from functools import lru_cache
 
@@ -140,6 +141,32 @@ class TestCodebook:
         again, end = CodeBook.from_bytes(data)
         assert end == len(data) == cb.size_bytes()
         assert (again.symbols, again.lengths) == (cb.symbols, cb.lengths)
+
+    @pytest.mark.parametrize("lengths", [
+        {0: 1, 5: 1},  # acceptance criterion c08's two-symbol codebook
+        {g: min(g, 15) for g in range(1, 17)},  # Fibonacci-deep: past the 11-bit table
+        {g: 9 for g in range(300, 812)},  # every symbol past CPython's small integers
+        {1: 2, **{g: 12 for g in range(2, 3074)}},  # one code fits the table
+        # Every code of at most 11 bits has 11, so slot 0 held the all-zero
+        # code's only slot.
+        {**{g: 11 for g in range(2047)}, 5000: 12, 5001: 12},
+    ], ids=["c08", "deep", "wide-symbols", "one-short-code", "zero-code-in-one-slot"])
+    def test_decode_table_bytes_counts_the_lookup_table(self, lengths):
+        # What a queried header holds: the canonical ranges, and the list
+        # of `_lut` with each distinct tuple in it and its symbol's integer
+        # where CPython makes one per value (past 256).
+        cb = CodeBook(lengths)
+        ranges = 8 * len(cb.symbols) + 16 * cb.max_len
+        counted = cb.decode_table_bytes()
+        _, lut, ln0, d0 = cb._lut
+        tuples = {id(t): t for t in lut if t is not None}.values()
+        held = sys.getsizeof(lut) - sys.getsizeof([]) + sum(
+            sys.getsizeof(t) + (sys.getsizeof(t[0]) if t[0] > 256 else 0) for t in tuples
+        )
+        # The all-zero code's tuple is counted though slot 0 drops it, where
+        # that slot was its only one.
+        dropped = 56 + 28 * (d0 > 256) if ln0 == min(cb.max_len, _LUT_MAX_BITS) else 0
+        assert counted == ranges + held + dropped
 
 
 class TestEncode:
