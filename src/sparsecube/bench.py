@@ -256,7 +256,8 @@ def memory_sweep(
             capacity = budget - h if is_md else budget
             # String seeds hash stably across processes, unlike tuples.  One
             # draw of passes * samples takes the same stream as one per pass.
-            rng = random.Random(f"{seed}:{rep}:{budget}")
+            # The capacity seeds it, so a change to H draws the same samples.
+            rng = random.Random(f"{seed}:{rep}:{capacity}")
             codes = store.block_touches(rng.choices(range(n), k=passes * samples))
             misses, used = lru_misses(
                 codes, readers, capacity, range(0, passes * samples + 1, samples)

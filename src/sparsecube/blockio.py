@@ -29,6 +29,7 @@ it except for the hits and misses it adds to the counters (`add_counts`).
 
 from __future__ import annotations
 
+import itertools
 import os
 import threading
 from collections import OrderedDict
@@ -41,13 +42,17 @@ from .errors import FormatError
 
 # The largest block, and table page, in octets.
 MAX_BLOCK_SIZE = 1 << 20
+# Each reader's serial, which keys its blocks in a cache: reader names
+# repeat across stores, and an `id()` is reused once its reader is freed.
+_SERIALS = itertools.count()
 
 
 class SimCache:
     """Fill-then-LRU block cache, accounted in actual resident bytes.
 
-    Readers with different block sizes may share one cache; each resident
-    entry is charged its true length, so a short tail block costs what it is.
+    Readers with different block sizes may share one cache; a block is
+    keyed by its reader's `serial` and its number, and each resident entry
+    is charged its true length, so a short tail block costs what it is.
     A lock keeps concurrent lookups safe; experiments stay single-threaded
     for determinism, but stores themselves may be probed from many threads.
     A hit is one `get`, which takes the lock once; a miss is a `get`, the
@@ -57,7 +62,7 @@ class SimCache:
     def __init__(self, capacity: int):
         self.hits = 0
         self.misses = 0
-        self._resident: OrderedDict[tuple[str, int], bytes] = OrderedDict()
+        self._resident: OrderedDict[tuple[int, int], bytes] = OrderedDict()
         self._used = 0
         self._lock = threading.Lock()
         self.set_capacity(capacity)
@@ -98,7 +103,7 @@ class SimCache:
             _, dropped = self._resident.popitem(last=False)
             self._used -= len(dropped)
 
-    def get(self, key: tuple[str, int]) -> bytes | None:
+    def get(self, key: tuple[int, int]) -> bytes | None:
         """The block named `key` on a hit, which becomes most recent; None on
         a miss, whose block the caller loads and hands to `put`.  Either
         counts itself.
@@ -122,7 +127,7 @@ class SimCache:
         finally:
             lock.release()
 
-    def put(self, key: tuple[str, int], data: bytes) -> None:
+    def put(self, key: tuple[int, int], data: bytes) -> None:
         """Hold a missed block if it fits, evicting least recent first."""
         with self._lock:
             if self.capacity >= len(data) and key not in self._resident:
@@ -207,6 +212,7 @@ class BlockReader(Closing):
         self.block_size = block_size
         self.cache = cache
         self.name = name if name is not None else self.path
+        self.serial = next(_SERIALS)
         self._fd = os.open(self.path, os.O_RDONLY)
         self.file_size = os.fstat(self._fd).st_size
 
@@ -260,7 +266,7 @@ class BlockReader(Closing):
         if cache is None:
             data = self._load_block(block)
         else:
-            key = (self.name, block)
+            key = (self.serial, block)
             data = cache.get(key)
             if data is None:
                 data = self._load_block(block)
@@ -275,6 +281,7 @@ class BytesReader(BlockReader):
         self.block_size = block_size
         self.cache = None
         self.name = name
+        self.serial = next(_SERIALS)
         self._fd = None
         self._data = data
         self.file_size = len(data)

@@ -67,9 +67,7 @@ def _add_param_flags(p) -> None:
     p.add_argument("--s-bits", dest="diff_bits", type=int, default=16,
                    help="bits per difference entry")
     p.add_argument("--stride", type=int, default=16,
-                   help=f"a DSC checkpoint every N jumps, besides one every"
-                        f" {mdstore.REGISTRY['dsc'].header.FINE_CELLS} cells; DHC stores"
-                        f" carry it unread")
+                   help="kept in DSC and DHC files and read by neither scheme")
 
 
 def cmd_gen(args) -> int:

@@ -13,25 +13,24 @@ difference back (`_arrays`) and its own `lookup` loop.
 
 Point queries find a start in a two-level checkpoint table, then scan
 differences forward from it, switching to the next jump whenever a zero
-difference comes up.  The coarse level holds full entries at every
+difference comes up.  Both headers' table is one `Checkpoints`, made by one
+`_checkpoints`: the coarse level holds full entries at every
 COARSE_CELLS-th cell; the fine level holds deltas from its coarse entry
-(the sampled pointers of two-level rank directories), at most each class's
-FINE_CELLS (16 for both) cells apart.  DSC's `Checkpoints` also has an
-entry at every `stride`-th jump, so it stores each entry's cell.  DHC's
-`DhcCheckpoints` has entries at every FINE_CELLS-th cell and at no other,
-so its cells are implied and a fine entry can be as small as a position
-and a stream bit (its docstring says what it holds).  DHC reads no
-`stride`: its run step already skips the all-zero code, and the field
-stays in its file until the format changes.  Every
-column takes the narrowest typecode that holds its largest value in the
-store.  A lookup bisects the coarse positions, then the fine deltas of that
-block, and decodes fewer than FINE_CELLS differences however rarely a gap
-overflows.  The table is never serialized: a build fills it from the arrays
-it already holds, and a load rebuilds it in one numpy pass over the stored
-differences (DHC decodes its whole stream with `huffman.decode_stream` for
-that).  Every cell's position comes from one `cumsum`; a load rejects
-positions that do not strictly increase, which is how a run past
-2**64 - 1 shows.  A load rejects a `diff_bits` outside 1..MAX_DIFF_BITS,
+(the sampled pointers of two-level rank directories) at every FINE_CELLS-th
+cell and at no other, so no column holds a cell.  Each class sets its
+FINE_CELLS: 8 for DSC, 16 for DHC.  A fine entry is a position (and, for
+DHC, a stream bit) plus a jump index only where the header has a jump per
+FINE_CELLS cells or more; its docstring says what it holds.  Neither scheme
+reads `stride`, and the field stays in their files until the format
+changes.  Every column takes the narrowest typecode that holds its largest
+value in the store.  A lookup bisects the coarse positions, then the fine
+deltas of that block, and decodes fewer than FINE_CELLS differences however
+rarely a gap overflows.  The table is never serialized: a build fills it
+from the arrays it already holds, and a load rebuilds it in one numpy pass
+over the stored differences (DHC decodes its whole stream with
+`huffman.decode_stream` for that).  Every cell's position comes from one
+`cumsum`; a load rejects positions that do not strictly increase, which is
+how a run past 2**64 - 1 shows.  A load rejects a `diff_bits` outside 1..MAX_DIFF_BITS,
 and DHC a codebook symbol wider.
 
 Every header holds what a lookup relies on: difference data as long as the
@@ -78,12 +77,11 @@ from .headers import (
 )
 from .huffman import BitStream, CodeBook, build_codebook, decode_stream, encode_sequence
 
-# Cells between two coarse checkpoints.  The most cells between two fine
-# ones is each header class's FINE_CELLS: a denser table makes a lookup
-# decode fewer differences and holds more octets per cell.  DSC's table
-# holds 0.34 octets per cell on dense relations and 0.67 where a gap
-# overflows every few cells.  DHC's, with implied cells, holds 0.27 on
-# dense relations and 0.40 where a gap overflows at most cells; on
+# Cells between two coarse checkpoints.  The cells between two fine ones
+# are each header class's FINE_CELLS: a denser table makes a lookup decode
+# fewer differences and holds more octets per cell.  DSC's table, at 8
+# cells, holds 0.26 octets per cell on dense relations and 0.51 where a gap
+# overflows at most cells.  DHC's, at 16, holds 0.27 and 0.40; on
 # acceptance criterion c08's relation, where a coarse block spans more than
 # 2**16 positions, its fine entry takes 6 octets and its memory overhead
 # stays under c08's 5% bound.
@@ -150,71 +148,32 @@ def _diff_window(data: bytes, diff_bits: int, first: int, stop: int) -> Sequence
 
 @dataclass
 class Checkpoints:
-    """DSC's table: full coarse entries, and fine entries held as deltas from
-    the coarse entry of their block.
-
-    Coarse entry j: cell `cell[j]` sits at absolute position `pos[j]` in the
-    run of jump `jump[j]`.  Its block holds fine entries `first[j]` ..
-    `first[j+1] - 1`, the first of which is the coarse entry itself; fine
-    entry e stands for cell `cell[j] + fine_cell[e]` at `pos[j] +
-    fine_pos[e]`, and so on for the jump.  `cell` and `first` close with one
-    entry more: the cell count and the fine entry count.  Every column has
-    the narrowest typecode that holds its largest value in this store.
-    """
-
-    pos: array
-    cell: array
-    jump: array
-    first: array
-    fine_pos: array
-    fine_cell: array
-    fine_jump: array
-
-    def memory_bytes(self) -> int:
-        return held_bytes(*(getattr(self, f.name) for f in fields(self)))
-
-    def find(self, position: int) -> tuple[int, int, int, int] | None:
-        """The cell, position and jump index of the last entry at or before
-        `position`, then the cell of the entry after it (past the last
-        entry, the cell count).  None before the first cell."""
-        j = bisect_right(self.pos, position) - 1
-        if j < 0:
-            return None
-        base = self.pos[j]
-        cell = self.cell[j]
-        hi = self.first[j + 1]
-        e = bisect_right(self.fine_pos, position - base, self.first[j], hi) - 1
-        limit = cell + self.fine_cell[e + 1] if e + 1 < hi else self.cell[j + 1]
-        return cell + self.fine_cell[e], base + self.fine_pos[e], self.jump[j] + self.fine_jump[e], limit
-
-
-@dataclass
-class DhcCheckpoints:
-    """DHC's table: an entry at every `fine`-th cell and at no other, so no
-    column holds a cell.
+    """The table of both headers: an entry at every `fine`-th cell and at no
+    other, so no column holds a cell.
 
     Fine entry e stands for cell `e * fine`; coarse entry j is fine entry
-    `j * per_coarse`.  Coarse entry j holds the absolute position `pos[j]`,
-    the stream bit `bit[j]` right after that cell's code, so a decoder
-    started there yields the next difference, and the index `jump[j]` of
-    the jump whose run holds the cell.  Fine entry e of block j is at
-    `pos[j] + fine_pos[e]` and bit `bit[j] + fine_bit[e]`, and in the run of
-    jump `jump[j] + fine_jump[e]` where `fine_jump` is held: only where the
+    `j * per_coarse`.  Coarse entry j holds the absolute position `pos[j]`
+    and the index `jump[j]` of the jump whose run holds the cell.  Fine
+    entry e of block j is at `pos[j] + fine_pos[e]`, and in the run of jump
+    `jump[j] + fine_jump[e]` where `fine_jump` is held: only where the
     header has a jump per `fine` cells or more.  Elsewhere `jump_index`
-    finds a run with one `bisect`.  Every column has the narrowest typecode
-    that holds its largest value in this store.  `DhcHeader.lookup` reads
-    the columns itself: a call to find its start would cost it a tenth.
+    finds a run with one `bisect`.  DHC's table also holds `bit[j]`, the
+    stream bit right after that cell's code, so a decoder started there
+    yields the next difference, and `fine_bit[e]`, its delta; DSC's holds
+    neither.  Every column has the narrowest typecode that holds its
+    largest value in this store.  Each lookup reads the columns itself: a
+    call to find its start would cost it a tenth.
     """
 
     fine: int
     per_coarse: int
     count: int
     pos: array
-    bit: array
     jump: array
     fine_pos: array
-    fine_bit: array
     fine_jump: array | None
+    bit: array | None
+    fine_bit: array | None
 
     def memory_bytes(self) -> int:
         columns = (getattr(self, f.name) for f in fields(self))
@@ -250,45 +209,12 @@ def _runs(jump_idx: np.ndarray, cells: np.ndarray) -> np.ndarray:
     return np.searchsorted(jump_idx, cells, side="right") - 1
 
 
-def _checkpoints(pos: np.ndarray, jump_idx: np.ndarray, fine: int, stride: int) -> Checkpoints:
-    """DSC's table from every cell's position and the cells of the jumps.
-
-    Coarse entries sit at every COARSE_CELLS-th cell.  Fine entries sit at
-    every coarse entry, every `fine`-th cell and every stride-th jump.
-    """
-    n = pos.size
-    coarse = np.arange(0, n, COARSE_CELLS, dtype=np.int64)
-    mark = np.zeros(n, dtype=bool)
-    mark[::fine] = mark[::COARSE_CELLS] = True
-    mark[jump_idx[::stride]] = True
-    cells = np.flatnonzero(mark)
-    first = np.searchsorted(cells, coarse)
-    # The fine index of each fine entry's coarse entry.
-    base = first[np.searchsorted(coarse, cells, side="right") - 1]
-
-    def split(col: np.ndarray) -> tuple[array, array]:
-        """The coarse column and the fine deltas of one value per fine entry."""
-        return narrow(col[first]), narrow(col - col[base])
-
-    at, fine_pos = split(pos[cells])
-    run, fine_jump = split(_runs(jump_idx, cells))
-    return Checkpoints(
-        pos=at,
-        cell=narrow(np.append(coarse, n)),
-        jump=run,
-        first=narrow(np.append(first, cells.size)),
-        fine_pos=fine_pos,
-        fine_cell=narrow(cells - cells[base]),
-        fine_jump=fine_jump,
-    )
-
-
-def _dhc_checkpoints(
-    pos: np.ndarray, jump_idx: np.ndarray, fine: int, ends: np.ndarray
-) -> DhcCheckpoints:
-    """DHC's table from every cell's position, the cells of the jumps and
-    the stream bit after every cell's code: an entry at every `fine`-th cell,
-    and a coarse entry at every COARSE_CELLS-th, which `fine` divides."""
+def _checkpoints(
+    pos: np.ndarray, jump_idx: np.ndarray, fine: int, ends: np.ndarray | None
+) -> Checkpoints:
+    """The table from every cell's position, the cells of the jumps and, for
+    DHC, the stream bit after every cell's code: an entry at every `fine`-th
+    cell, and a coarse entry at every COARSE_CELLS-th, which `fine` divides."""
     per_coarse = COARSE_CELLS // fine
     cells = np.arange(0, pos.size, fine)
 
@@ -298,18 +224,18 @@ def _dhc_checkpoints(
         return narrow(at), narrow(col - np.repeat(at, per_coarse)[: col.size])
 
     at, fine_pos = split(pos[cells])
-    bit, fine_bit = split(ends[cells])
     run, fine_jump = split(_runs(jump_idx, cells))
-    return DhcCheckpoints(
+    bit, fine_bit = split(ends[cells]) if ends is not None else (None, None)
+    return Checkpoints(
         fine=fine,
         per_coarse=per_coarse,
         count=pos.size,
         pos=at,
-        bit=bit,
         jump=run,
         fine_pos=fine_pos,
-        fine_bit=fine_bit,
         fine_jump=fine_jump if jump_idx.size * fine >= pos.size else None,
+        bit=bit,
+        fine_bit=fine_bit,
     )
 
 
@@ -326,11 +252,11 @@ def _jump_indices(diffs: np.ndarray, n_jumps: int) -> np.ndarray:
 class DifferenceHeader:
     """What DSC and DHC share: the parameters, the jumps and the checkpoints.
 
-    A subclass sets `MAGIC` and `FINE_CELLS`, the most cells between two
-    fine checkpoints, and defines `size_bytes`, `lookup`, `_table`, which
-    makes its checkpoint table, and `_arrays`, which returns the
-    differences, the cells of their zeros, the jumps and, for DHC, the
-    stream bit offset after each cell's code, as numpy arrays.
+    A subclass sets `MAGIC` and `FINE_CELLS`, the cells between two fine
+    checkpoints, and defines `size_bytes`, `lookup` and `_arrays`,
+    which returns the differences, the cells of their zeros, the jumps and,
+    for DHC, the stream bit offset after each cell's code (for DSC, None),
+    as numpy arrays.  Both headers' tables are `_checkpoints` of those.
     """
 
     diff_bits: int
@@ -338,11 +264,13 @@ class DifferenceHeader:
     stride: int
     count: int
     jumps: array
-    checkpoints: Checkpoints | DhcCheckpoints = field(init=False, repr=False)
+    checkpoints: Checkpoints = field(init=False, repr=False)
 
     def __post_init__(self):
         diffs, jump_idx, jumps, ends = self._arrays()
-        self.checkpoints = self._table(_positions(diffs, jump_idx, jumps), jump_idx, ends)
+        self.checkpoints = _checkpoints(
+            _positions(diffs, jump_idx, jumps), jump_idx, self.FINE_CELLS, ends
+        )
 
     @classmethod
     def _built(cls, pos: np.ndarray, jump_idx: np.ndarray, ends: np.ndarray | None, *values):
@@ -351,7 +279,7 @@ class DifferenceHeader:
         self = object.__new__(cls)
         for f, value in zip([f for f in fields(cls) if f.init], values):
             setattr(self, f.name, value)
-        self.checkpoints = self._table(pos, jump_idx, ends)
+        self.checkpoints = _checkpoints(pos, jump_idx, cls.FINE_CELLS, ends)
         return self
 
     def memory_bytes(self) -> int:
@@ -389,10 +317,11 @@ class DifferenceHeader:
 
 @dataclass
 class DscHeader(DifferenceHeader):
-    """Packed difference sequence plus jump sequence."""
+    """Packed difference sequence plus jump sequence.  `stride` is stored
+    and not read."""
 
     MAGIC = b"DSCH"
-    FINE_CELLS = 16
+    FINE_CELLS = 8
 
     diff_data: bytes
 
@@ -403,26 +332,44 @@ class DscHeader(DifferenceHeader):
         jump_idx = _jump_indices(diffs, len(self.jumps))
         return diffs, jump_idx, np.frombuffer(self.jumps, dtype=np.uint64), None
 
-    def _table(self, pos: np.ndarray, jump_idx: np.ndarray, ends: None) -> Checkpoints:
-        return _checkpoints(pos, jump_idx, self.FINE_CELLS, self.stride)
-
     def size_bytes(self) -> int:
         return packed_size(self.count, self.diff_bits) + self.entry_width * len(
             self.jumps
         )
 
     def lookup(self, position: int) -> int | None:
-        start = self.checkpoints.find(position)
-        if start is None:
+        # The start: the last entry at or before `position`, from a bisect of
+        # the coarse positions and one of the fine deltas of that block.
+        cp = self.checkpoints
+        coarse = cp.pos
+        j = bisect_right(coarse, position) - 1
+        if j < 0:
             return None
-        i, cur, k, limit = start
+        base = coarse[j]
+        fine_pos = cp.fine_pos
+        lo = j * cp.per_coarse
+        hi = lo + cp.per_coarse
+        if hi > len(fine_pos):
+            hi = len(fine_pos)
+        e = bisect_right(fine_pos, position - base, lo + 1, hi) - 1
+        i = e * cp.fine
+        cur = base + fine_pos[e]
         if cur == position:
             return i
+        # The window ends at the next entry's cell, or at the last cell.
+        limit = i + cp.fine
+        if limit > cp.count:
+            limit = cp.count
+        # The jump index of the run, or None until the first zero difference
+        # where the table holds none.
+        k = cp.jump[j] + cp.fine_jump[e] if cp.fine_jump is not None else None
         jumps = self.jumps
         bits = self.diff_bits
         if bits in (8, 16, 32):
             for i, d in zip(range(i + 1, limit), _diff_window(self.diff_data, bits, i + 1, limit)):
                 if d == 0:
+                    if k is None:
+                        k = cp.jump_index(jumps, i, cur)
                     k += 1
                     cur = jumps[k]
                 else:
@@ -439,6 +386,8 @@ class DscHeader(DifferenceHeader):
             d = window & mask
             window >>= bits
             if d == 0:
+                if k is None:
+                    k = cp.jump_index(jumps, i, cur)
                 k += 1
                 cur = jumps[k]
             else:
@@ -530,9 +479,6 @@ class DhcHeader(DifferenceHeader):
             ends = np.concatenate((ends, code_ends))
         jump_idx = _jump_indices(diffs, len(self.jumps))
         return diffs, jump_idx, np.frombuffer(self.jumps, dtype=np.uint64), ends
-
-    def _table(self, pos: np.ndarray, jump_idx: np.ndarray, ends: np.ndarray) -> DhcCheckpoints:
-        return _dhc_checkpoints(pos, jump_idx, self.FINE_CELLS, ends)
 
     def size_bytes(self) -> int:
         # The jumps, the codebook, and the stream's octets plus its stored

@@ -42,6 +42,9 @@ PARAM_RANGES = dict(entry_width=(1, 8), offset_width=(1, 7), block_len=(1, (1 <<
 
 @dataclass(frozen=True)
 class StoreParams:
+    """A build's parameters.  `stride` is kept in DSC and DHC files and read
+    by neither scheme: it stays until the file format changes."""
+
     entry_width: int = 8
     offset_width: int = 2
     block_len: int = 16

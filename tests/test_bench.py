@@ -303,18 +303,20 @@ def pinned_sweep(base):
 class TestSweepPinned:
     """Sweep CSVs and cache counters, byte for byte.  The table's rows and
     counters moved once, when its index lost the meta page it read on every
-    query.  The md ones move with DHC's modelled H: each md budget is H plus
-    a share of the cells, and the budget seeds the queries it samples."""
+    query.  The md ones moved once when the capacity, not the budget (H plus
+    the capacity), came to seed the queries each budget samples: a change to
+    DHC's modelled H still moves the budgets and the CSV rows, and no
+    longer the samples."""
 
     def test_saved_pair(self, saved_pair):
         assert pinned_sweep(saved_pair) == (
-            "08f09da7488fe9f0e77cd8e7a3700e5800a9746a7e393c7a06f0a2d17b05e7da",
-            (553, 647, 1462, 938),
+            "9fceb923bc3e6755726464b3ce6f4d0121be94b398d649215779f4c88005c8aa",
+            (539, 661, 1462, 938),
         )
 
     def test_three_level_index(self, small_page_pair, monkeypatch):
         monkeypatch.setattr(tablestore, "PAGE_SIZE", 128)  # the load's page size too
         assert pinned_sweep(small_page_pair) == (
-            "10d30e4812fb5682d5bc00a0e0469613c9feb6b37d47c9d9f73d09e175bcc852",
-            (461, 739, 3004, 1796),
+            "4a6ecad324b135e03be6694566f8abd79784b7e6ab3a09ff15e037a37674a6de",
+            (487, 713, 3004, 1796),
         )

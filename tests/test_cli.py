@@ -275,7 +275,7 @@ class TestEstimateSweep:
         raw = sweep_csv.read_bytes()
         assert b"\r" not in raw and raw.endswith(b"\n")  # line ends as `gen` writes them
         assert hashlib.sha256(raw).hexdigest() == (
-            "38bdec19e9662c92c664b30ea2ece43e75098dabc423006988c152d9d5b415eb"
+            "8db123057a5295f29536c38f171486207f52c1106d081a283d72c84dff87b9ba"
         )
 
     @pytest.mark.parametrize("value", ["512", "4096", *EDGES])

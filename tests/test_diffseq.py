@@ -10,7 +10,6 @@ from hypothesis import assume, given, settings, strategies as st
 
 from sparsecube import diffseq
 from sparsecube.diffseq import (
-    DhcCheckpoints,
     DhcHeader,
     DscHeader,
     build_dhc,
@@ -327,29 +326,23 @@ SCHEMES = ((build_dsc, DscHeader), (build_dhc, DhcHeader))
 
 def fine_entries(cp):
     """Every fine entry as absolute (cell, position, jump index, bit offset):
-    its coarse entry plus its deltas.  The bit is None for DSC, and so is
-    the jump index of a DHC table that holds no `fine_jump`."""
-    if isinstance(cp, DhcCheckpoints):
-        return [
-            (
-                e * cp.fine,
-                cp.pos[j] + cp.fine_pos[e],
-                cp.jump[j] + cp.fine_jump[e] if cp.fine_jump is not None else None,
-                cp.bit[j] + cp.fine_bit[e],
-            )
-            for e in range(len(cp.fine_pos))
-            for j in [e // cp.per_coarse]
-        ]
+    its coarse entry plus its deltas.  The bit is None for DSC, and the jump
+    index None in a table that holds no `fine_jump`."""
     return [
-        (cp.cell[j] + cp.fine_cell[e], cp.pos[j] + cp.fine_pos[e], cp.jump[j] + cp.fine_jump[e], None)
-        for j in range(len(cp.pos))
-        for e in range(cp.first[j], cp.first[j + 1])
+        (
+            e * cp.fine,
+            cp.pos[j] + cp.fine_pos[e],
+            cp.jump[j] + cp.fine_jump[e] if cp.fine_jump is not None else None,
+            cp.bit[j] + cp.fine_bit[e] if cp.bit is not None else None,
+        )
+        for e in range(len(cp.fine_pos))
+        for j in [e // cp.per_coarse]
     ]
 
 
 def columns(cp):
-    """The table's columns: every field but DHC's spacing and count, and
-    its `fine_jump` where it holds none."""
+    """The table's columns: every field but its spacing and count, and the
+    optional columns it does not hold."""
     values = (getattr(cp, f.name) for f in dataclasses.fields(cp))
     return [v for v in values if v is not None and not isinstance(v, int)]
 
@@ -378,18 +371,16 @@ class TestCheckpoints:
                     cp = h.checkpoints
                     entries = fine_entries(cp)
                     cells = [c for c, _, _, _ in entries]
+                    # Every FINE_CELLS-th cell and no other, whatever the jumps.
+                    assert cells == list(range(0, h.count, fine))
+                    assert len(cp.pos) == len(cp.jump) == -(-h.count // coarse)
+                    assert [e for e, (c, _, _, _) in enumerate(entries) if c % coarse == 0] == [
+                        j * coarse // fine for j in range(len(cp.pos))
+                    ]
                     if cls is DscHeader:
-                        assert list(cp.cell) == list(range(0, h.count, coarse)) + [h.count]
-                        assert cp.first[-1] == len(cp.fine_pos)
-                        assert all(0 < b - a <= fine for a, b in zip(cells, cells[1:] + [h.count]))
-                        assert set(cp.cell[:-1]) <= set(cells)
+                        assert cp.bit is None and cp.fine_bit is None
                     else:
-                        # Every 16th cell and no other, whatever the jumps.
-                        assert cells == list(range(0, h.count, 16))
-                        assert len(cp.pos) == len(cp.bit) == len(cp.jump) == -(-h.count // coarse)
-                        assert [e for e, (c, _, _, _) in enumerate(entries) if c % coarse == 0] == [
-                            j * coarse // 16 for j in range(len(cp.pos))
-                        ]
+                        assert len(cp.bit) == len(cp.pos)
                         _, ends = encode_sequence(h.codebook, diffs[1:])
                         ends = [0] + ends.tolist()
                         assert [bit for c, _, _, bit in entries] == [ends[c] for c in cells]
@@ -404,8 +395,8 @@ class TestCheckpoints:
                         assert col.itemsize == min(w for w in (1, 2, 4, 8) if top < 256**w)
                     if positions is single_jump:
                         assert len(h.jumps) == 1
-                        # ceil(n / 16) for both.
-                        assert len(cells) == 6250
+                        # ceil(n / FINE_CELLS): 12,500 for DSC, 6,250 for DHC.
+                        assert len(cells) == {8: 12_500, 16: 6250}[fine]
 
     @pytest.mark.parametrize("every", [1, 2, 3, 128, None])
     def test_probes_around_every_checkpoint(self, monkeypatch, every):
@@ -432,8 +423,7 @@ class TestCheckpoints:
             for build, cls in SCHEMES:
                 for h in built_and_reloaded(build, cls, positions, diff_bits=bits, stride=4):
                     cells = [c for c, _, _, _ in fine_entries(h.checkpoints)]
-                    if cls is DscHeader:
-                        assert set(h.checkpoints.cell[:-1]) <= set(cells)
+                    assert cells == list(range(0, len(positions), cls.FINE_CELLS))
                     probes = {positions[0] - 1, positions[-1] + 1}
                     for c in cells:
                         for i in (c - 1, c, c + 1):
@@ -465,17 +455,18 @@ class TestCheckpoints:
         [
             (build_dhc, 0.2, 0.35),
             (build_dhc, 0.0159, 1.0),
-            (build_dsc, 0.2, 0.35),
-            (build_dsc, 0.0159, 0.68),
+            (build_dsc, 0.2, 0.30),
+            (build_dsc, 0.0159, 0.55),
         ],
-        ids=["0.2-0.35", "0.0159-1.0", "dsc-0.2-0.35", "dsc-0.0159-0.68"],
+        ids=["0.2-0.35", "0.0159-1.0", "dsc-0.2-0.30", "dsc-0.0159-0.55"],
     )
     def test_dhc_table_octets_per_cell(self, build, density, most):
         # Uniform gaps at 4 bits, as in the dense-uniform and cache-sweep
         # benchmark relations.  One 32-octet entry every 128 cells and every
         # 16th jump held 0.32 and 1.81 octets per cell there.  DHC's entries
-        # at every 16th cell hold 0.270 and 0.395, DSC's fine entries every
-        # 16 cells and every 16th jump 0.343 and 0.672.
+        # at every 16th cell hold 0.270 and 0.395, DSC's at every 8th cell
+        # 0.262 and 0.512 (its entries every 16 cells and every 16th jump,
+        # which held their cells, 0.343 and 0.672).
         gaps = np.random.default_rng(3).geometric(density, 50_000)
         h = build(np.cumsum(gaps), diff_bits=4)
         assert h.checkpoints.memory_bytes() / h.count <= most

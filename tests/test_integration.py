@@ -1,5 +1,6 @@
 """Randomized whole-store checks cutting across modules."""
 
+import itertools
 import random
 import sys
 import threading
@@ -121,6 +122,32 @@ def test_concurrent_queries_through_shared_cache(tmp_path):
         t.join()
     loaded.close()
     assert not errors
+
+
+def test_stores_sharing_one_cache_read_their_own_blocks(tmp_path):
+    """Every md store and table of two relations of one shape probes
+    through one cache.  Each store's readers have the names of the other
+    stores' readers, and each still answers from its own blocks."""
+    cache = SimCache(1 << 30)
+    stores = []
+    try:
+        for seed in (1, 2):
+            rel = generate(SynthSpec((8, 8, 8), density=0.3, seed=seed))
+            for scheme in SCHEMES:
+                base = tmp_path / f"{seed}-{scheme}"
+                mdstore.save(build_store(rel, scheme), base)
+                stores.append((rel, mdstore.load(base, cache=cache)))
+            tablestore.save_table(tablestore.build_table(rel), tmp_path / f"{seed}-table")
+            stores.append((rel, tablestore.load_table(tmp_path / f"{seed}-table", cache=cache)))
+        for coords in itertools.product(range(8), repeat=3):
+            for rel, store in stores:
+                assert store.point_query(coords) == rel.get(coords), (store, coords)
+        assert cache.resident_blocks == sum(
+            -(-r.file_size // r.block_size) for _, store in stores for r in store.readers()
+        )
+    finally:
+        for _, store in stores:
+            store.close()
 
 
 def test_counters_stay_exact_under_threads(tmp_path):

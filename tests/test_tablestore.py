@@ -382,6 +382,7 @@ class TestBlockTouches:
         cache = _RecordingCache()
         touched = set()
         with load_table(tmp_path / "b", cache=cache) as loaded:
+            serial = {r.name: r.serial for r in loaded.readers()}
             stored = set(positions.tolist())
             misses = sorted(set(range(int(positions[0]), int(positions[-1]) + 2)) - stored)
             for key in sorted(stored) + misses[::5]:
@@ -393,13 +394,15 @@ class TestBlockTouches:
                 cache.keys.clear()
                 found = loaded.point_query(decode_logical_position(key, rel.schema))
                 assert (found is None) == (key not in stored)
-                assert cache.keys == [("tbl.idx", p) for p in pages] + [("tbl.rows", group)]
+                assert cache.keys == [(serial["tbl.idx"], p) for p in pages] + [
+                    (serial["tbl.rows"], group)
+                ]
                 touched.update(pages)
             # A key before every row stops at the root.
             assert positions[0] > 0
             cache.keys.clear()
             assert loaded.point_query(decode_logical_position(int(positions[0]) - 1, rel.schema)) is None
-            assert cache.keys == [("tbl.idx", table.root_page)]
+            assert cache.keys == [(serial["tbl.idx"], table.root_page)]
         # Every index page is on some stored row's path.
         assert touched == set(range(table.root_page + 1))
 

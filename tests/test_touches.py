@@ -56,8 +56,8 @@ def batch_touches(store, ranks):
     """The cache keys `block_touches` codes, one list per query."""
     codes = store.block_touches(np.array(ranks, dtype=np.int64))
     assert codes.shape[0] == len(ranks)
-    names = [r.name for r in store.readers()]
-    return [[(names[c % len(names)], c // len(names)) for c in row] for row in codes.tolist()]
+    serials = [r.serial for r in store.readers()]
+    return [[(serials[c % len(serials)], c // len(serials)) for c in row] for row in codes.tolist()]
 
 
 @contextlib.contextmanager
@@ -254,8 +254,8 @@ class TestReplay:
             before = live.misses
             for c in row:
                 reader, block = readers[c % n], c // n
-                if live.get((reader.name, block)) is None:
-                    live.put((reader.name, block), reader._load_block(block))
+                if live.get((reader.serial, block)) is None:
+                    live.put((reader.serial, block), reader._load_block(block))
             live_misses.append(live.misses - before)
         live_used.append(live.used_bytes)
 
